@@ -15,6 +15,7 @@ whose binary representation (LSB first) gives the qubit values.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,10 +51,21 @@ def rz(theta: float) -> np.ndarray:
 
 
 def is_unitary(u: np.ndarray, atol: float = 1e-12) -> bool:
-    """Check a gate matrix for unitarity."""
+    """Check a gate matrix for unitarity.
+
+    The verdict is remembered per matrix *content* (never per object),
+    so a circuit that applies one gate a million times validates it
+    once, while a gate corrupted in place is a new content and is
+    checked again.
+    """
     u = np.asarray(u, dtype=np.complex128)
-    return u.shape == (2, 2) and bool(
-        np.allclose(u.conj().T @ u, np.eye(2), atol=atol))
+    return u.shape == (2, 2) and _unitary_2x2(u.tobytes(), atol)
+
+
+@lru_cache(maxsize=1024)
+def _unitary_2x2(raw: bytes, atol: float) -> bool:
+    u = np.frombuffer(raw, dtype=np.complex128).reshape(2, 2)
+    return bool(np.allclose(u.conj().T @ u, np.eye(2), atol=atol))
 
 
 def apply_gate(psi: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:

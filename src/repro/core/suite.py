@@ -265,15 +265,7 @@ class JupiterBenchmarkSuite:
                              ) -> StrongScalingResult:
         """The Fig.-2 study for one Base benchmark."""
         info = get_info(name)
-
-        def run(nodes: int) -> float:
-            with current_tracer().span(f"point:{name}@{nodes}",
-                                       kind="point", study="strong",
-                                       benchmark=name, nodes=nodes):
-                result = self.run(name, nodes, scale=scale)
-            self._observe(result)
-            return result.fom_seconds
-
+        run = _StudyPoint(self, name, "strong", None, scale)
         with current_tracer().span(f"study:strong:{name}", kind="study",
                                    benchmark=name):
             return strong_scaling(name, run, info.reference_nodes,
@@ -291,22 +283,38 @@ class JupiterBenchmarkSuite:
         node count (each implementation sizes per-device work from the
         memory variant).
         """
-
-        def run(nodes: int) -> float:
-            with current_tracer().span(f"point:{name}@{nodes}",
-                                       kind="point", study="weak",
-                                       benchmark=name, nodes=nodes):
-                result = self.run(name, nodes, variant=variant,
-                                  scale=scale)
-            self._observe(result)
-            return result.fom_seconds
-
+        run = _StudyPoint(self, name, "weak", variant, scale)
         with current_tracer().span(f"study:weak:{name}", kind="study",
                                    benchmark=name):
             return weak_scaling(name, run, node_counts,
                                 mapper=self._point_mapper(
                                     name, study="weak", variant=variant,
                                     scale=scale))
+
+
+@dataclass(frozen=True)
+class _StudyPoint:
+    """``run(nodes) -> FOM seconds`` of one scaling study.
+
+    A module-level callable rather than a closure, so the process
+    backend can pickle it (the suite travels as its factory registry,
+    see :meth:`JupiterBenchmarkSuite.__getstate__`).
+    """
+
+    suite: JupiterBenchmarkSuite
+    name: str
+    study: str
+    variant: MemoryVariant | None
+    scale: float
+
+    def __call__(self, nodes: int) -> float:
+        with current_tracer().span(f"point:{self.name}@{nodes}",
+                                   kind="point", study=self.study,
+                                   benchmark=self.name, nodes=nodes):
+            result = self.suite.run(self.name, nodes, variant=self.variant,
+                                    scale=self.scale)
+        self.suite._observe(result)
+        return result.fom_seconds
 
 
 _DEFAULT: JupiterBenchmarkSuite | None = None

@@ -198,8 +198,9 @@ class HistoryStore:
             raise ValueError("keep_last must be >= 1")
         target = Path(path) if path is not None else self.path
         out = HistoryStore()
+        grouped = self.select()      # one pass, not one sort per series
         for key in self.series_keys():
-            for rec in self.series(key)[-keep_last:]:
+            for rec in grouped.get(key, ())[-keep_last:]:
                 out._adopt(rec)
         if target is not None:
             tmp = target.with_suffix(target.suffix + ".tmp")

@@ -17,6 +17,14 @@ The methods here only *construct* ops (mirroring mpi4py's API surface);
 the engine in :mod:`repro.vmpi.engine` interprets them.  Helper
 *generators* that themselves communicate (e.g. ring shifts) must be
 delegated to with ``yield from``.
+
+Immutable descriptors are *persistent* (MPI persistent-request style):
+``compute`` and the size-only (``Phantom`` or payload-free) collectives
+return the same op object when a rank asks again for the same
+descriptor, so a stepping loop written the obvious way posts one op per
+distinct request for the whole run and the event core replays what it
+planned and priced the first time.  Ops carrying real payloads are
+always built fresh.
 """
 
 from __future__ import annotations
@@ -51,6 +59,14 @@ DIMS = register_dims(__name__, {
 })
 
 
+#: persistent descriptors remembered per communicator.  Loop-invariant
+#: programs need a handful; one whose descriptors change every step
+#: (HPL's shrinking panels) would otherwise grow the memo with its step
+#: count, so a full memo starts over -- invariant descriptors are simply
+#: interned again, at the price of one plan rebuild in the engine.
+_INTERN_LIMIT = 64
+
+
 class Comm:
     """A communicator: a set of global ranks with local numbering.
 
@@ -64,11 +80,13 @@ class Comm:
         self.rank = rank
         #: global engine ranks of the members, indexed by local rank
         self.members = members
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the communicator."""
-        return len(self.members)
+        #: number of ranks in the communicator
+        self.size = len(members)
+        #: persistent descriptors: immutable ops this rank already asked
+        #: for, so a stepping loop that re-requests one gets the *same
+        #: object* back and the event core's identity-pinned caches hit
+        #: (see DESIGN.md section 10); dies with the communicator
+        self._interned: dict[tuple, Any] = {}
 
     def __repr__(self) -> str:
         return f"Comm(id={self.comm_id}, rank={self.rank}/{self.size})"
@@ -89,9 +107,21 @@ class Comm:
 
     def compute(self, flops: float = 0.0, bytes_moved: float = 0.0,
                 efficiency: float = 0.25, label: str = "compute") -> Compute:
-        """Charge roofline compute time on this rank's device."""
-        return Compute(flops=flops, bytes_moved=bytes_moved,
-                       efficiency=efficiency, label=label)
+        """Charge roofline compute time on this rank's device.
+
+        Interned: asking again for the same kernel returns the same op.
+        """
+        key = (flops, bytes_moved, efficiency, label)
+        try:
+            op = self._interned.get(key)
+        except TypeError:  # an unhashable amount: nothing to intern on
+            key = None
+        else:
+            if op is not None:
+                return op
+        op = Compute(flops=flops, bytes_moved=bytes_moved,
+                     efficiency=efficiency, label=label)
+        return op if key is None else self._intern(key, op)
 
     def elapse(self, seconds: float, label: str = "elapse") -> Elapse:
         """Charge a fixed wall-clock duration (I/O, setup, ...)."""
@@ -143,8 +173,9 @@ class Comm:
         ``sends`` yields ``(dest, payload)`` pairs, ``recvs`` the source
         ranks; the op resumes with the received payloads in ``recvs``
         order.  Equivalent to posting the isends/irecvs and a waitall,
-        but as one descriptor -- halo loops hoist it out of the stepping
-        loop so the engine can replay a cached exchange plan.
+        but as one descriptor -- yielding the same op object every step
+        lets the engine replay a cached exchange plan (halo loops get
+        that from :func:`~repro.vmpi.decomposition.halo_exchange_op`).
         """
         out = tuple((int(d), p) for d, p in sends)
         srcs = tuple(int(s) for s in recvs)
@@ -157,16 +188,35 @@ class Comm:
 
     # -- collectives -----------------------------------------------------------
 
+    def _collective(self, kind: str, payload: Any, label: str,
+                    reduce_op: str = "sum", root: int = 0) -> Collective:
+        """Build a collective op; size-only ones are interned.
+
+        A ``Phantom`` (or no) payload makes the descriptor immutable, so
+        a loop that asks for it every step gets the same op back and the
+        event core replays the round's plan.  Real payloads always get a
+        fresh op: their content may change under an unchanged object.
+        """
+        key = None
+        # (a bool root equals an int one as a key but must be rejected)
+        if (payload is None or type(payload) is Phantom) \
+                and type(root) is int:
+            key = (kind, payload, reduce_op, root, label)
+            op = self._interned.get(key)
+            if op is not None:
+                return op
+        op = Collective(kind=kind, payload=payload, reduce_op=reduce_op,
+                        root=root, comm_id=self.comm_id, label=label)
+        return op if key is None else self._intern(key, op)
+
     def allreduce(self, payload: Any, op: str = "sum",
                   label: str = "allreduce") -> Collective:
         """Element-wise reduction, result on every rank."""
-        return Collective(kind="allreduce", payload=payload, reduce_op=op,
-                          comm_id=self.comm_id, label=label)
+        return self._collective("allreduce", payload, label, reduce_op=op)
 
     def allgather(self, payload: Any, label: str = "allgather") -> Collective:
         """Gather each rank's payload; every rank gets the full list."""
-        return Collective(kind="allgather", payload=payload,
-                          comm_id=self.comm_id, label=label)
+        return self._collective("allgather", payload, label)
 
     def alltoall(self, payloads: Iterable[Any] | Phantom,
                  label: str = "alltoall") -> Collective:
@@ -179,8 +229,7 @@ class Comm:
         tuples per call.
         """
         if isinstance(payloads, Phantom):
-            return Collective(kind="alltoall", payload=payloads,
-                              comm_id=self.comm_id, label=label)
+            return self._collective("alltoall", payloads, label)
         items = tuple(payloads)
         if len(items) != self.size:
             raise ValueError(
@@ -191,21 +240,19 @@ class Comm:
     def bcast(self, payload: Any, root: int = 0, label: str = "bcast") -> Collective:
         """Broadcast the root's payload; non-roots pass anything (ignored)."""
         self._check_peer(root)
-        return Collective(kind="bcast", payload=payload, root=root,
-                          comm_id=self.comm_id, label=label)
+        return self._collective("bcast", payload, label, root=root)
 
     def reduce(self, payload: Any, op: str = "sum", root: int = 0,
                label: str = "reduce") -> Collective:
         """Reduction to ``root``; other ranks resume with ``None``."""
         self._check_peer(root)
-        return Collective(kind="reduce", payload=payload, reduce_op=op,
-                          root=root, comm_id=self.comm_id, label=label)
+        return self._collective("reduce", payload, label, reduce_op=op,
+                                root=root)
 
     def gather(self, payload: Any, root: int = 0, label: str = "gather") -> Collective:
         """Gather to ``root`` (list of payloads); others get ``None``."""
         self._check_peer(root)
-        return Collective(kind="gather", payload=payload, root=root,
-                          comm_id=self.comm_id, label=label)
+        return self._collective("gather", payload, label, root=root)
 
     def scatter(self, payloads: Iterable[Any] | None, root: int = 0,
                 label: str = "scatter") -> Collective:
@@ -220,7 +267,7 @@ class Comm:
 
     def barrier(self, label: str = "barrier") -> Collective:
         """Synchronise all ranks of the communicator."""
-        return Collective(kind="barrier", comm_id=self.comm_id, label=label)
+        return self._collective("barrier", None, label)
 
     def split(self, color: int, key: int | None = None) -> Collective:
         """Partition the communicator by ``color``; resumes with the new
@@ -230,6 +277,14 @@ class Comm:
                           comm_id=self.comm_id, label="split")
 
     # -- internals ----------------------------------------------------------------
+
+    def _intern(self, key: tuple, value: Any) -> Any:
+        """Remember ``value`` under ``key`` (bounded, see _INTERN_LIMIT)."""
+        memo = self._interned
+        if len(memo) >= _INTERN_LIMIT:
+            memo.clear()
+        memo[key] = value
+        return value
 
     def _check_peer(self, local_rank: int) -> None:
         if not 0 <= local_rank < self.size:

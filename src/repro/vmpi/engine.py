@@ -46,10 +46,11 @@ Semantics (documented divergences from real MPI):
 * Collectives are synchronising: completion is ``max(post times) +
   model cost``; all ranks leave with the same clock.
 * A rank may yield a *tuple* of ops (a batch): the ops run in order
-  and the rank resumes once with the list of their results.  Timing
-  programs hoist constant batches out of their stepping loops, which
-  both removes per-step op construction and lets the event core replay
-  cached exchange plans.
+  and the rank resumes once with the list of their results.  Hoisting
+  a constant batch out of a stepping loop saves generator round trips;
+  it is not needed for plan reuse -- the facade returns the same op for
+  a re-requested immutable descriptor (see :mod:`repro.vmpi.comm`), and
+  the event core keys its plans on that identity.
 * Scheduling is deterministic in both cores, so runs are exactly
   reproducible -- a suite requirement (replicability, Sec. II-A).
 """
@@ -292,9 +293,6 @@ class VmpiEngine:
         except ValueError:
             raise VmpiError(
                 f"rank {r} is not a member of comm {comm_id}") from None
-
-    def _register_comm(self, cid: int, members: tuple[int, ...]) -> None:
-        """Notify the core of a freshly split communicator."""
 
     # -- rank stepping ----------------------------------------------------------
 
@@ -610,6 +608,12 @@ class VmpiEngine:
         return collective_cost(self.machine.network, node_set, len(members),
                                ops[0].kind, arg)
 
+    def _pending_collectives(self) -> Iterator[list[tuple[int, Collective]]]:
+        """``(local rank, op)`` posts of each unfinished round, key order."""
+        for key in sorted(self._coll_pending):
+            yield [(local, op) for local, (op, _)
+                   in self._coll_pending[key].items()]
+
     def _do_split(self, members: tuple[int, ...],
                   payloads: list[Any]) -> list[Any]:
         groups: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
@@ -622,7 +626,6 @@ class VmpiEngine:
             cid = self._next_comm_id
             self._next_comm_id += 1
             self._comms[cid] = new_members
-            self._register_comm(cid, new_members)
             for new_local, (_, _g, old_local) in enumerate(ordered):
                 results[old_local] = Comm(comm_id=cid, rank=new_local,
                                           members=new_members)
@@ -656,9 +659,7 @@ class VmpiEngine:
         a :class:`CollectiveMismatchError`; anything else is a
         :class:`DeadlockError` listing every blocked rank's pending op.
         """
-        for key in sorted(self._coll_pending):
-            posted = [(local, op) for local, (op, _)
-                      in self._coll_pending[key].items()]
+        for posted in self._pending_collectives():
             msg = partial_mismatch(posted)
             if msg:
                 raise CollectiveMismatchError(msg)

@@ -139,6 +139,46 @@ class TestDistributed:
         with pytest.raises(RankFailedError):
             run_spmd(prog, machine=Machine.on(juwels_booster(), 4))
 
+    def test_gate_validation_is_by_content_not_object(self):
+        """The unitarity verdict is remembered per matrix content: a
+        gate applied many times is validated once, but one corrupted in
+        place -- same object, new content -- is rejected before the
+        rank communicates at all."""
+        gate = H.copy()
+
+        def prog(comm, corrupt_at):
+            st_ = dist_zero_state(comm, 4, real=False)
+            top = st_.layout[-1]                # non-local: needs sendrecv
+            for i in range(4):
+                if i == corrupt_at and comm.rank == 0:
+                    gate[0, 0] = 2.0
+                yield from dist_apply(comm, st_, gate, top)
+            return comm.rank
+
+        machine = Machine.on(juwels_booster(), 2)
+        assert run_spmd(prog, machine=machine, args=(None,)).values == [0, 1]
+        from repro.vmpi import RankFailedError
+        with pytest.raises(RankFailedError) as err:
+            run_spmd(prog, machine=machine, args=(2,))
+        assert isinstance(err.value.original, ValueError)
+        assert str(err.value.original) == "gate is not unitary"
+        assert not is_unitary(gate)
+        assert is_unitary(H) and not is_unitary(np.ones((2, 2)))
+        assert not is_unitary(np.eye(4))
+
+    def test_non_unitary_gate_raises_before_any_communication(self):
+        posted = []
+
+        def prog(comm):
+            st_ = dist_zero_state(comm, 4, real=False)
+            gen = dist_apply(comm, st_, 2.0 * H, st_.layout[-1])
+            with pytest.raises(ValueError, match="gate is not unitary"):
+                posted.append(next(gen))
+            yield comm.barrier()
+
+        run_spmd(prog, machine=Machine.on(juwels_booster(), 2))
+        assert posted == []
+
     @given(st.integers(min_value=0, max_value=40))
     @settings(max_examples=10, deadline=None)
     def test_random_circuits_exact(self, seed):

@@ -3,6 +3,7 @@ append-only store (identity keys, JSONL round-trip, canonical
 byte-identity across workers and replays, retention)."""
 
 import json
+import random
 import threading
 
 import pytest
@@ -256,6 +257,26 @@ class TestHistoryStore:
         assert reread.canonical_export() == compacted.canonical_export()
         with pytest.raises(ValueError):
             store.compact(0)
+
+    def test_compact_bytes_match_per_series_reference(self, tmp_path):
+        """compact groups once instead of re-sorting the store per
+        series; the file it writes must not change by a byte."""
+        rng = random.Random(7)
+        db = tmp_path / "seeded.jsonl"
+        store = HistoryStore.open(db)
+        shapes = [(f"app{i}", nodes) for i in range(4) for nodes in (1, 4, 16)]
+        for k in range(300):          # interleaved series, repeated codes
+            name, nodes = rng.choice(shapes)
+            store.append(_rec(benchmark=name, fom=rng.uniform(1.0, 9.0),
+                              params={"nodes": nodes}, code=f"c{k % 7}"))
+        reference = HistoryStore()    # the per-series formulation
+        for key in store.series_keys():
+            for rec in store.series(key)[-5:]:
+                reference._adopt(rec)
+        reference.save(tmp_path / "reference.jsonl")
+        compacted = store.compact(5)
+        assert len(compacted) == 5 * len(shapes)
+        assert db.read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
 
     def test_select_filters_by_benchmark(self):
         store = HistoryStore()

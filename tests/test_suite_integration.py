@@ -184,6 +184,19 @@ class TestCli:
         assert main(["fig3", "--nodes", "1,2"]) == 0
         assert "JUQCS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["fig2", "--apps", "Arbor,Amber"],
+        ["fig3", "--nodes", "1,2"],
+    ], ids=["fig2", "fig3"])
+    def test_figures_on_process_backend_match_serial(self, capsys, argv):
+        """The study points travel to worker processes by pickle; the
+        figure must come back byte for byte as in the serial run."""
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--workers", "2", "--backend", "process"]) == 0
+        assert capsys.readouterr().out == serial
+        assert "benchmark" in serial
+
     def test_procurement(self, capsys):
         assert main(["procurement"]) == 0
         assert "value-for-money" in capsys.readouterr().out
