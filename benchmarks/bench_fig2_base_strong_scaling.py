@@ -7,11 +7,8 @@ with nodes (except Amber, which by design does not scale past one
 node), and Arbor's published anchor points reproduce within 10 %.
 """
 
-import json
-import time
-
 import pytest
-from conftest import once, write_bench_record
+from conftest import once
 
 from repro.analysis import figure2
 
@@ -65,58 +62,3 @@ def test_fig2_speedup_sublinear(fig2):
         if top.nodes > ref.nodes:
             speedup = ref.runtime / top.runtime
             assert speedup <= top.nodes / ref.nodes * 1.05, name
-
-
-def test_fig2_event_core_speedup_record():
-    """Engine-core acceptance at the largest Fig.-2 shape.
-
-    The largest shape of this bench is ICON R02B09 at 2x its reference
-    nodes: 960 ranks.  Steady-state forecast stepping (the part that
-    grows with the figure's workload; measured as the per-step delta
-    between a short and a long run, best of three) must be at least 10x
-    faster on the discrete-event core than on the step core, with
-    byte-identical results.  Emits the BENCH_fig2.json perf record.
-    """
-    from repro.apps.icon.benchmark import SUBCASES, icon_timing_program
-    from repro.cluster import juwels_booster
-    from repro.vmpi import Machine, run_spmd
-
-    case = SUBCASES["R02B09"]
-    nodes, ranks = 240, 960
-    steps_small, steps_large = 4, 32
-
-    def timed(mode, steps):
-        best, res = 1e30, None
-        for _ in range(3):
-            m = Machine.on(juwels_booster(), ranks)
-            t0 = time.perf_counter()
-            res = run_spmd(icon_timing_program, machine=m,
-                           args=(float(case["cells"]), case["input_bytes"],
-                                 steps, 1.0), mode=mode)
-            best = min(best, time.perf_counter() - t0)
-        return best, res
-
-    records, canon = [], {}
-    for mode in ("step", "event"):
-        t_small, _ = timed(mode, steps_small)
-        t_large, res = timed(mode, steps_large)
-        per_step = (t_large - t_small) / (steps_large - steps_small)
-        records.append({"mode": mode,
-                        "wall_seconds": round(t_large, 4),
-                        "seconds_per_step": per_step})
-        canon[mode] = json.dumps(res.canonical(), sort_keys=True)
-
-    assert canon["step"] == canon["event"], \
-        "engine cores disagree at the largest Fig.-2 shape"
-    speedup = records[0]["seconds_per_step"] / records[1]["seconds_per_step"]
-    write_bench_record("fig2", {
-        "benchmark": "bench_fig2_base_strong_scaling",
-        "shape": {"app": "ICON", "subcase": "R02B09", "nodes": nodes,
-                  "steps": [steps_small, steps_large]},
-        "max_ranks": ranks,
-        "records": records,
-        "speedup_event_vs_step": round(speedup, 2),
-        "identical_results": True,
-    })
-    assert speedup >= 10.0, \
-        f"event core only {speedup:.1f}x the step core (need >= 10x)"

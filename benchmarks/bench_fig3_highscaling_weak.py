@@ -2,7 +2,6 @@
 High-Scaling benchmarks, including the JUQCS computation/communication
 split with its two characteristic drops."""
 
-import os
 import time
 
 import pytest
@@ -66,38 +65,18 @@ def test_fig3_juqcs_plateau_between_drops(fig3):
     assert comm[32] == pytest.approx(comm[2], rel=0.15)
 
 
-def test_fig3_engine_cores_record():
-    """Regenerate a reduced Fig.-3 sweep on both engine cores.
-
-    The sweep runs once per core (selection via ``REPRO_VMPI_MODE``,
-    the same plumbing ``--vmpi-mode`` uses), the rendered artefacts
-    must match exactly, and the per-mode wall clocks are emitted as the
-    BENCH_fig3.json perf record.
-    """
+def test_fig3_perf_record():
+    """Regenerate a reduced Fig.-3 sweep on a fresh suite and emit its
+    wall clock as the BENCH_fig3.json perf record."""
     nodes_smoke = (1, 2, 8, 32)
     ranks_per_node = 4  # JUWELS Booster: 4 GPUs = 4 ranks per node
-    records, renders = [], []
-    for mode in ("step", "event"):
-        prev = os.environ.get("REPRO_VMPI_MODE")
-        os.environ["REPRO_VMPI_MODE"] = mode
-        try:
-            fresh = load_suite()  # fresh suite: no cross-mode caching
-            t0 = time.perf_counter()
-            data = figure3(fresh, nodes=nodes_smoke)
-            wall = time.perf_counter() - t0
-        finally:
-            if prev is None:
-                del os.environ["REPRO_VMPI_MODE"]
-            else:
-                os.environ["REPRO_VMPI_MODE"] = prev
-        records.append({"mode": mode, "wall_seconds": round(wall, 4)})
-        renders.append(data.render())
-    assert renders[0] == renders[1], \
-        "engine cores disagree on the Fig.-3 artefact"
+    fresh = load_suite()  # fresh suite: nothing cached by other benches
+    t0 = time.perf_counter()
+    figure3(fresh, nodes=nodes_smoke)
+    wall = time.perf_counter() - t0
     write_bench_record("fig3", {
         "benchmark": "bench_fig3_highscaling_weak",
         "shape": {"nodes": list(nodes_smoke)},
         "max_ranks": max(nodes_smoke) * ranks_per_node,
-        "records": records,
-        "identical_results": True,
+        "records": [{"wall_seconds": round(wall, 4)}],
     })

@@ -37,19 +37,17 @@ def _bench_history(root: pathlib.Path) -> HistoryStore | None:
 
 
 def _append_runs(store: HistoryStore, name: str, payload: dict) -> None:
-    """One run record per per-mode wall-clock entry of the payload.
+    """One run record per wall-clock entry of the payload, all in the
+    bench's one series.
 
     Bench wall clocks are volatile provenance (kept in the DB, outside
     the canonical form); the record's identity comes from the bench
-    name, its shape and the engine-core mode.
+    name and its shape.
     """
     shape = payload.get("shape", {})
     for entry in payload.get("records", []):
-        mode = str(entry.get("mode", ""))
-        store.append(record(
-            f"bench:{name}", params={"shape": shape},
-            vmpi_mode=mode or None,
-            volatile={k: v for k, v in entry.items() if k != "mode"}))
+        store.append(record(f"bench:{name}", params={"shape": shape},
+                            volatile=dict(entry)))
 
 
 def _trajectory(store: HistoryStore, name: str) -> dict:
@@ -77,7 +75,7 @@ def write_bench_record(name: str, payload: dict) -> pathlib.Path:
     Written at the repo root so CI can pick the records up as
     artifacts; the payload schema is whatever the emitting bench
     documents, plus the keys every record carries: ``benchmark``,
-    ``max_ranks``, per-``mode`` wall-clock entries, the shared
+    ``max_ranks``, wall-clock ``records`` entries, the shared
     ``provenance`` stamp (git commit, history schema version,
     machine-config hash) and the ``trajectory`` section from the
     history database (last runs per series, regression flags).

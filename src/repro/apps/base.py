@@ -71,17 +71,10 @@ class AppBenchmark(Benchmark):
         return self.sizing.bytes_per_device(self.variant_or_default(variant))
 
     def run_program(self, machine: Machine, program: Any, *,
-                    args: tuple = (), kwargs: dict | None = None,
-                    mode: str | None = None) -> SpmdResult:
-        """Execute an SPMD generator program on a machine.
-
-        ``mode`` picks the engine core ("event" or "step"); ``None``
-        defers to ``REPRO_VMPI_MODE`` / the default (the discrete-event
-        core) -- the two are observationally equivalent, so this only
-        matters for differential testing and benchmarking.
-        """
-        return VmpiEngine(machine, mode=mode).run(program, args=args,
-                                                  kwargs=kwargs)
+                    args: tuple = (),
+                    kwargs: dict | None = None) -> SpmdResult:
+        """Execute an SPMD generator program on a machine."""
+        return VmpiEngine(machine).run(program, args=args, kwargs=kwargs)
 
     def result(self, nodes: int, spmd: SpmdResult, *,
                variant: MemoryVariant | None = None,

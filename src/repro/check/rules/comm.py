@@ -13,8 +13,8 @@ matching semantics.  Six rule ids:
   collectives: the same sequence position mixes different kinds;
 * **COMM503** -- a send/recv wait-for cycle in the per-tag channel
   graph: a genuine deadlock.  Every COMM503 verdict is backed by the
-  differential oracle -- the flagged configuration deadlocks in
-  ``VmpiEngine(mode="step")``;
+  differential oracle -- the flagged configuration deadlocks in the
+  reference step scheduler (``tests/vmpi_reference.py``);
 * **COMM504** -- two concurrent transfers of one batch share a
   (communicator, channel, tag): the tag no longer discriminates the
   messages and matching silently falls back to posting order;

@@ -17,10 +17,7 @@ Sub-commands::
     jubench submit --spool DIR         # pack task envelopes for a service
     jubench serve --spool DIR          # drain a spool through endpoints
 
-Execution commands accept engine options: ``--vmpi-mode event|step``
-picks the virtual-MPI engine core (the discrete-event core is the
-default; the step scheduler is the byte-identical reference),
-``--workers N`` fans
+Execution commands accept engine options: ``--workers N`` fans
 independent workunits out in parallel, ``--cache-dir DIR`` memoises
 results on disk across invocations (``--no-cache`` disables caching),
 and ``--journal [PATH]`` prints the structured run journal afterwards
@@ -79,10 +76,6 @@ def _workers(text: str) -> int:
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """The shared execution-engine options of run-style commands."""
     group = parser.add_argument_group("execution engine")
-    group.add_argument("--vmpi-mode", choices=["event", "step"], default=None,
-                       help="virtual-MPI engine core: the discrete-event "
-                            "core (default) or the reference step "
-                            "scheduler; results are byte-identical")
     group.add_argument("--workers", type=_workers, default=1,
                        help="parallel workers for independent workunits")
     group.add_argument("--backend", choices=["serial", "thread", "process"],
@@ -193,11 +186,6 @@ def _history_note(store) -> None:
 
 def _configured_suite(args: argparse.Namespace):
     """The default suite wired to this invocation's engine (if any)."""
-    mode = getattr(args, "vmpi_mode", None)
-    if mode:
-        # the env var is how the choice reaches Engine construction deep
-        # inside benchmark programs (and any process-pool workers)
-        os.environ["REPRO_VMPI_MODE"] = mode
     suite = load_suite()
     suite.engine = _make_engine(args)
     return suite
@@ -987,8 +975,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """What a malformed input file raises (``path:lineno: message``)."""
+    from .faults import FaultPlanError
+    from .history.store import HistoryError
+    from .service.envelope import EnvelopeError
+    from .telemetry.schema import SchemaError
+
+    return (HistoryError, EnvelopeError, SchemaError, FaultPlanError)
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Entry point."""
+    """Entry point: run the command; a bad input file is one error line
+    and exit code 2, a closed stdout (``| head``) a silent 141."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads stdout any more.  Point it at devnull so neither
+        # a later print nor the interpreter's exit flush raises again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13  # as if killed by SIGPIPE
+    except ValueError as exc:
+        if not isinstance(exc, _input_errors()):
+            raise
+        print(f"jubench: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     suite = load_suite()
     trace_out = getattr(args, "trace_out", None)

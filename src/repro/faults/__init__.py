@@ -14,6 +14,7 @@ from .injector import FaultInjector, LinkDegradationModel
 from .plan import (
     LINK_CLASSES,
     FaultPlan,
+    FaultPlanError,
     InjectedFault,
     LinkFault,
     NodeFault,
@@ -27,6 +28,7 @@ __all__ = [
     "LINK_CLASSES",
     "FaultInjector",
     "FaultPlan",
+    "FaultPlanError",
     "InjectedFault",
     "LinkDegradationModel",
     "LinkFault",

@@ -34,6 +34,10 @@ from ..exec.cache import hash_fraction
 LINK_CLASSES = ("intra_node", "intra_cell", "inter_cell")
 
 
+class FaultPlanError(ValueError):
+    """A fault-plan file is missing, not JSON, or not a plan."""
+
+
 class InjectedFault(RuntimeError):
     """A plan-scheduled fault (injected by the harness, not organic).
 
@@ -273,8 +277,13 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: Any) -> "FaultPlan":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError,
+                AttributeError) as exc:
+            raise FaultPlanError(f"{path}: not a fault plan: "
+                                 f"{type(exc).__name__}: {exc}") from exc
 
     # -- generation ---------------------------------------------------------
 

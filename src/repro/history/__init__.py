@@ -7,7 +7,7 @@ package keeps them:
 
 * :mod:`repro.history.record` -- one :class:`RunRecord` per executed
   benchmark, keyed on *(code fingerprint x machine-config hash x
-  parameter-set hash x vmpi mode)* and stamped with the environment
+  parameter-set hash x engine-core stamp)* and stamped with the environment
   (git commit, schema version, seed), per-span timing rollups from
   :mod:`repro.telemetry` and a digest link to the exec journal;
 * :mod:`repro.history.store` -- the append-only, content-addressed

@@ -110,7 +110,8 @@ class RunRecord:
     fom_seconds: float | None = None
     #: secondary figures of merit (efficiencies, speedups, ...)
     foms: dict[str, float] = field(default_factory=dict)
-    #: virtual-MPI engine core that produced the result
+    #: virtual-MPI engine core that produced the result (``"event"``
+    #: since there is only one; older databases also hold ``"step"``)
     vmpi_mode: str = ""
     #: human-readable machine name + config content hash
     machine: str = ""
@@ -220,7 +221,7 @@ class RunRecord:
 def record(benchmark: str, fom_seconds: float | None = None, *,
            params: dict[str, Any] | None = None,
            foms: dict[str, float] | None = None,
-           system: Any = None, vmpi_mode: str | None = None,
+           system: Any = None,
            seed: int | None = None, tracer: Any = None,
            engine: Any = None, code: str | None = None,
            volatile: dict[str, Any] | None = None) -> RunRecord:
@@ -232,19 +233,17 @@ def record(benchmark: str, fom_seconds: float | None = None, *,
     stamp, ``tracer`` (a :class:`~repro.telemetry.spans.Tracer`)
     contributes the per-span rollup, ``engine`` (an
     :class:`~repro.exec.engine.ExecutionEngine`) links the canonical
-    journal digest, and the environment supplies code fingerprint and
-    engine-core mode when not given explicitly.
+    journal digest, and the environment supplies the code fingerprint
+    when not given explicitly.  ``vmpi_mode`` is stamped ``"event"``:
+    there is one engine core, and the constant keeps new records in
+    the series that databases written while there were two already hold.
     """
-    import os
-
     from ..telemetry.spans import span_rollup
 
     machine = machine_hash = ""
     if system is not None:
         machine = getattr(system, "name", str(system))
         machine_hash = machine_config_hash(system)
-    if vmpi_mode is None:
-        vmpi_mode = os.environ.get("REPRO_VMPI_MODE", "event")
     extra = dict(volatile or {})
     spans: dict[str, dict[str, float]] = {}
     if tracer is not None and getattr(tracer, "enabled", False):
@@ -258,7 +257,7 @@ def record(benchmark: str, fom_seconds: float | None = None, *,
         journal = engine.journal.digest()
     return RunRecord(benchmark=benchmark, params=dict(params or {}),
                      fom_seconds=fom_seconds, foms=dict(foms or {}),
-                     vmpi_mode=vmpi_mode, machine=machine,
+                     vmpi_mode="event", machine=machine,
                      machine_hash=machine_hash,
                      code=code if code is not None else code_fingerprint(),
                      seed=seed, spans=spans, journal=journal,

@@ -19,6 +19,7 @@ a warm-cache rerun all export byte-identical documents (the CI
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -42,6 +43,11 @@ class HistoryStore:
     ``path=None`` keeps the store in memory; with a path every append
     is immediately written through (one JSON line, crash-safe), and
     constructing the store re-reads whatever the file already holds.
+    A final line with no trailing newline is an append that was cut
+    short: the complete prefix loads, a warning on stderr names the
+    dropped bytes, and the next append first truncates the file back to
+    its last newline.  A malformed line anywhere else is a
+    :class:`HistoryError`.
     Thread-safe: suite drivers append from the main thread in
     submission order, which keeps sequence numbers worker-count
     independent.
@@ -52,6 +58,8 @@ class HistoryStore:
         self._records: list[RunRecord] = []
         self._series_len: dict[str, int] = {}
         self._lock = threading.Lock()
+        #: byte length of the complete-line prefix of a torn file
+        self._torn_at: int | None = None
         if self.path is not None and self.path.exists():
             for rec in self._read(self.path):
                 self._adopt(rec)
@@ -60,17 +68,24 @@ class HistoryStore:
 
     # -- ingestion ----------------------------------------------------------
 
-    @staticmethod
-    def _read(path: Path) -> Iterable[RunRecord]:
-        with open(path, encoding="utf-8") as fh:
+    def _read(self, path: Path) -> Iterable[RunRecord]:
+        with open(path, "rb") as fh:
             first = True
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+            complete = 0   # bytes of the file in newline-terminated lines
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.endswith(b"\n"):
+                    self._torn_at = complete
+                    print(f"history: warning: {path}: dropped {len(raw)} "
+                          f"byte(s) of a torn final line (an append was "
+                          f"cut short)", file=sys.stderr)
+                    break
+                complete += len(raw)
+                line = raw.strip()
                 if not line:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:   # not JSON, or not UTF-8
                     raise HistoryError(
                         f"{path}:{lineno}: not JSON: {exc}") from exc
                 if first:
@@ -115,8 +130,12 @@ class HistoryStore:
             self._series_len[key] = rec.seq + 1
             self._records.append(rec)
             if self.path is not None:
-                if not self.path.exists():
-                    self._write_header(self.path)
+                if self._torn_at:
+                    with open(self.path, "r+b") as fh:
+                        fh.truncate(self._torn_at)
+                elif self._torn_at == 0 or not self.path.exists():
+                    self._write_header(self.path)  # even the header tore
+                self._torn_at = None
                 with open(self.path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps(rec.to_line(), sort_keys=True,
                                         separators=(",", ":")) + "\n")

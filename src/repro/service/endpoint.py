@@ -1,7 +1,7 @@
 """Endpoints: where service envelopes actually execute.
 
 An endpoint registers with the interchange, advertises its
-:class:`Capabilities` (worker count, vmpi engine cores, an optional
+:class:`Capabilities` (worker count, pool backend, an optional
 benchmark whitelist) and holds a *heartbeat lease*: the interchange's
 :class:`LeaseTable` tracks the last beat per endpoint on an injectable
 clock, and an endpoint that misses ``heartbeat_threshold x
@@ -35,7 +35,6 @@ class Capabilities:
 
     workers: int = 1
     backend: str = "thread"
-    vmpi_modes: tuple[str, ...] = ("event", "step")
     #: benchmarks this endpoint accepts; empty = all of them
     benchmarks: tuple[str, ...] = ()
 
@@ -49,7 +48,6 @@ class Capabilities:
 
     def to_dict(self) -> dict[str, Any]:
         return {"workers": self.workers, "backend": self.backend,
-                "vmpi_modes": list(self.vmpi_modes),
                 "benchmarks": list(self.benchmarks)}
 
 

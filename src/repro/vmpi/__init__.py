@@ -17,15 +17,11 @@ from .decomposition import (
     phantom_faces,
 )
 from .engine import (
-    MODES,
     CollectiveMismatchError,
     DeadlockError,
-    Engine,
     RankFailedError,
-    StepEngine,
     VmpiEngine,
     VmpiError,
-    default_mode,
     run_spmd,
 )
 from .heap import EventHeap
@@ -57,12 +53,10 @@ __all__ = [
     "Compute",
     "DeadlockError",
     "Elapse",
-    "Engine",
     "EventHeap",
     "Exchange",
     "Irecv",
     "Isend",
-    "MODES",
     "Machine",
     "Op",
     "Phantom",
@@ -73,13 +67,11 @@ __all__ = [
     "Send",
     "Sendrecv",
     "SpmdResult",
-    "StepEngine",
     "VmpiEngine",
     "VmpiError",
     "Wait",
     "Waitall",
     "block_partition",
-    "default_mode",
     "dims_create",
     "ghost_faces",
     "halo_exchange",

@@ -1,17 +1,17 @@
-"""Shared collective algebra of the virtual-MPI engine cores.
+"""Collective algebra of the virtual-MPI engine.
 
-Both engine cores (the step scheduler and the discrete-event core in
-:mod:`repro.vmpi.events`) must agree *byte for byte* on what a
-collective returns and costs -- the differential test harness asserts
-it.  The only robust way to guarantee that is to compute both from one
-set of pure functions, so the cores can differ in scheduling machinery
-while sharing every data- and float-producing path.
+The engine (:mod:`repro.vmpi.engine`) and the test-side reference
+scheduler must agree *byte for byte* on what a collective returns and
+costs -- the differential test harness asserts it.  The only robust way
+to guarantee that is to compute both from one set of pure functions, so
+the two can differ in scheduling machinery while sharing every data-
+and float-producing path.
 
 The cost side maps each collective kind onto one closed-form
 alpha-beta-congestion formula of
 :class:`~repro.cluster.network.NetworkModel` with a single byte
 argument; :func:`collective_arg_bytes` reduces the posted payloads to
-that argument so the event core can cache costs on
+that argument so the engine can cache costs on
 ``(comm, kind, arg_bytes)`` without re-deriving them.
 """
 
@@ -76,7 +76,7 @@ def validate_collective(ops: list[Collective]) -> None:
     """Check that all members posted the same collective.
 
     Compared in local-rank order against local rank 0, so the reported
-    pair is deterministic and identical across engine cores.
+    pair is deterministic however the ranks were scheduled.
     """
     first = ops[0]
     for o in ops[1:]:

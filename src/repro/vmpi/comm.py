@@ -22,7 +22,7 @@ Immutable descriptors are *persistent* (MPI persistent-request style):
 ``compute`` and the size-only (``Phantom`` or payload-free) collectives
 return the same op object when a rank asks again for the same
 descriptor, so a stepping loop written the obvious way posts one op per
-distinct request for the whole run and the event core replays what it
+distinct request for the whole run and the engine replays what it
 planned and priced the first time.  Ops carrying real payloads are
 always built fresh.
 """
@@ -84,7 +84,7 @@ class Comm:
         self.size = len(members)
         #: persistent descriptors: immutable ops this rank already asked
         #: for, so a stepping loop that re-requests one gets the *same
-        #: object* back and the event core's identity-pinned caches hit
+        #: object* back and the engine's identity-pinned caches hit
         #: (see DESIGN.md section 10); dies with the communicator
         self._interned: dict[tuple, Any] = {}
 
@@ -194,7 +194,7 @@ class Comm:
 
         A ``Phantom`` (or no) payload makes the descriptor immutable, so
         a loop that asks for it every step gets the same op back and the
-        event core replays the round's plan.  Real payloads always get a
+        engine replays the round's plan.  Real payloads always get a
         fresh op: their content may change under an unchanged object.
         """
         key = None

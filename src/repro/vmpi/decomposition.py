@@ -179,7 +179,7 @@ def halo_exchange_op(comm: Comm, cart: CartGrid,
     on the same communicator for the same grid, tag and label with the
     *identical* face payload objects returns the same op, so a stepping
     loop that calls this (or :func:`halo_exchange`) every step posts one
-    descriptor for the whole run and the event core replays one cached
+    descriptor for the whole run and the engine replays one cached
     round plan.  Hoisting the op out of the loop by hand is equivalent
     and optional.  Only faces whose payloads are all
     :class:`~repro.vmpi.ops.Phantom` or ``ndarray`` objects (fixed wire

@@ -1,4 +1,4 @@
-"""Deterministic virtual-MPI execution engine (step and event cores).
+"""Deterministic virtual-MPI execution engine (discrete-event core).
 
 Rank programs (generators yielding :mod:`~repro.vmpi.ops` descriptors)
 are co-scheduled in-process.  Real payloads are actually moved and
@@ -6,27 +6,62 @@ reduced -- so distributed algorithms can be validated -- while every
 operation advances a per-rank *virtual clock* using the machine model,
 so the same program produces large-machine timing from a laptop.
 
-Two interchangeable cores execute the same semantics:
+There is one core, :class:`VmpiEngine`, and nothing selects another.
+It schedules and prices the way a discrete-event simulator does:
 
-* ``mode="step"`` -- the original polling scheduler: a FIFO ready
-  deque drives each rank until it blocks; every op re-derives its
-  network/compute cost from the machine model.
-* ``mode="event"`` (default) -- the discrete-event core in
-  :mod:`repro.vmpi.events`: unblocked ranks are resumed from one
-  global event heap in virtual-time order, per-path and per-kernel
-  costs are cached, and fused :class:`~repro.vmpi.ops.Exchange` rounds
-  are advanced with closed-form alpha-beta algebra over vectorized
-  NumPy rank arrays instead of per-edge request machinery.
+* **event heap** -- unblocked ranks are resumed from one global
+  :class:`~repro.vmpi.heap.EventHeap` keyed by their virtual clock, so
+  execution sweeps virtual time in causal order;
+* **cost caches** -- point-to-point alpha-beta parameters are cached
+  per node pair, roofline compute times per ``(device, kernel)`` (and,
+  on homogeneous jobs, pinned on the op object itself), collective
+  costs per ``(comm, kind, bytes)``: the machine model is consulted
+  once per distinct question instead of once per op;
+* **vectorized exchange rounds** -- fused
+  :class:`~repro.vmpi.ops.Exchange` ops are buffered per
+  ``(comm, tag, round)`` and, once every member has posted, the whole
+  round's clock advance is one closed-form alpha-beta sweep over NumPy
+  edge arrays (:mod:`repro.vmpi.rounds`) rather than per-edge requests;
+* **persistent descriptors** -- round plans and pinned prices are keyed
+  on op *identity*, and the :class:`~repro.vmpi.comm.Comm` facade and
+  :func:`~repro.vmpi.decomposition.halo_exchange_op` hand a rank the
+  same op again whenever it re-requests an immutable descriptor, so an
+  ordinary stepping loop is built, paired and priced once per run;
+* **collective plans** -- a communicator has one round in flight
+  (collectives synchronise); a round whose members re-post the ops of a
+  size-only round seen before skips validation, reduction, sizing and
+  costing and replays them;
+* **paired sendrecv** -- two ranks naming each other as destination
+  and source complete in closed form, without per-transfer requests.
 
-Select a core with ``VmpiEngine(machine, mode=...)``, the
-``REPRO_VMPI_MODE`` environment variable, or the ``--vmpi-mode`` CLI
-flag.  The two cores are *observationally equivalent*: the
-differential suite in ``tests/test_vmpi_differential.py`` asserts
-byte-identical results, clocks, traces and Chrome exports for every
-program in the repository.  That works because all value- and
+Every fast path lowers onto the *per-request machinery* (FIFO channels,
+:class:`~repro.vmpi.ops.Request`, wait groups) whenever it cannot
+apply, and that machinery alone defines the semantics.  The test-side
+reference scheduler (``tests/vmpi_reference.py``) runs every op through
+it naively -- FIFO polling, no caches, no plans -- and the differential
+suites assert byte-identical values, clocks, traces, Chrome exports and
+error text against it.  That works because all value- and
 float-producing paths are shared (:mod:`repro.vmpi.collectives`, the
 network closed forms, the matching rules below) and only *host-side
 scheduling* differs, which virtual time never observes.
+
+Heap invariants (the discrete-event contract):
+
+1. every heap entry is an unblocked rank keyed by the virtual time at
+   which it became runnable; a rank is in the heap at most once;
+2. entries pop in nondecreasing ``(time, seq)`` order, ``seq`` being
+   the monotone insertion counter, so equal-time wakes resume in the
+   deterministic order they were caused;
+3. state mutation (matching, clock algebra, payload movement) happens
+   eagerly at post/match time -- the heap only orders *resumption*, so
+   every float the run produces is independent of host scheduling.
+
+Exchange rounds that can never fill (only a subset of the communicator
+exchanges) are drained by :meth:`VmpiEngine._quiesce`: when the heap
+runs dry, pending rounds are decomposed through the per-edge machinery,
+which completes every matched transfer before deadlock is declared.  A
+parked Sendrecv whose partner never pairs with it is lowered the same
+way, there or as soon as anything else touches its channel.
 
 Semantics (documented divergences from real MPI):
 
@@ -39,8 +74,8 @@ Semantics (documented divergences from real MPI):
   complete locally after the injection overhead, independent of the
   receiver.
 * Matching is schedule-independent: per-``(comm, src, dst, tag)`` FIFO
-  queues for p2p, per-rank sequence counters for collectives, and
-  per-``(comm, tag)`` round counters for fused exchanges (an
+  queues for p2p, one round in flight per communicator for collectives,
+  and per-``(comm, tag)`` round counters for fused exchanges (an
   :class:`~repro.vmpi.ops.Exchange` matches only other exchanges of
   the same round, like MPI neighborhood collectives).
 * Collectives are synchronising: completion is ``max(post times) +
@@ -49,19 +84,22 @@ Semantics (documented divergences from real MPI):
   and the rank resumes once with the list of their results.  Hoisting
   a constant batch out of a stepping loop saves generator round trips;
   it is not needed for plan reuse -- the facade returns the same op for
-  a re-requested immutable descriptor (see :mod:`repro.vmpi.comm`), and
-  the event core keys its plans on that identity.
-* Scheduling is deterministic in both cores, so runs are exactly
-  reproducible -- a suite requirement (replicability, Sec. II-A).
+  a re-requested immutable descriptor (see :mod:`repro.vmpi.comm`).
+* Scheduling is deterministic, so runs are exactly reproducible -- a
+  suite requirement (replicability, Sec. II-A).
 """
 
 from __future__ import annotations
 
 import inspect
-import os
+import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from heapq import heappop
+from operator import is_
 from typing import Any, Callable, Iterator
+
+import numpy as np
 
 from ..cluster.hardware import juwels_booster
 from .collectives import (
@@ -76,6 +114,7 @@ from .collectives import (
     validate_collective,
 )
 from .comm import Comm
+from .heap import EventHeap
 from .machine import Machine
 from .ops import (
     Collective,
@@ -85,6 +124,7 @@ from .ops import (
     Irecv,
     Isend,
     Op,
+    Phantom,
     Recv,
     Request,
     Send,
@@ -93,36 +133,22 @@ from .ops import (
     Waitall,
     nbytes_of,
 )
+from .rounds import PLAN_LIMIT, CollRound, XchgPlan, build_plan, list_template
 from .trace import RankTrace, SpmdResult
 
 __all__ = [
     "CollectiveMismatchError",
     "DeadlockError",
-    "Engine",
-    "MODES",
     "RankFailedError",
-    "StepEngine",
     "VmpiEngine",
     "VmpiError",
-    "default_mode",
     "run_spmd",
 ]
 
-#: engine cores selectable via ``VmpiEngine(mode=...)``
-MODES = ("event", "step")
-
-
-def default_mode() -> str:
-    """The core used when no ``mode`` is given.
-
-    ``event`` unless overridden by the ``REPRO_VMPI_MODE`` environment
-    variable.
-    """
-    mode = os.environ.get("REPRO_VMPI_MODE", "event")
-    if mode not in MODES:
-        raise ValueError(
-            f"REPRO_VMPI_MODE={mode!r} is not one of {'/'.join(MODES)}")
-    return mode
+#: engine-unique attribute names for op-pinned compute times; a fresh
+#: name per engine (never reused) means an op hoisted across engines or
+#: machines can never serve a time priced for a different device
+_CACHE_KEYS = itertools.count()
 
 
 @dataclass
@@ -156,14 +182,6 @@ def _exchange_bytes(op: Exchange) -> float:
 class VmpiEngine:
     """Runs one SPMD program over a :class:`~repro.vmpi.machine.Machine`.
 
-    ``VmpiEngine(machine, mode="step"|"event")`` dispatches to the
-    matching core (:class:`StepEngine` here, ``EventEngine`` in
-    :mod:`repro.vmpi.events`); with ``mode=None`` the
-    :func:`default_mode` applies.  This base class holds every piece of
-    machinery the cores share -- program spawning, op dispatch, p2p
-    matching, wait groups, collectives, communicator splits, deadlock
-    reporting -- so the cores differ only in scheduling and caching.
-
     ``eager_limit`` mirrors MPI's eager protocol: sends at or below this
     size complete locally without waiting for the matching receive
     (buffered), while larger messages rendezvous.  Without this, common
@@ -172,28 +190,8 @@ class VmpiEngine:
     """
 
     EAGER_LIMIT = 64 * 1024  # bytes
-    #: core identity; stamped on the :class:`SpmdResult`
-    mode = "step"
 
-    def __new__(cls, machine: Machine = None, mode: str | None = None,
-                eager_limit: int | None = None) -> "VmpiEngine":
-        if cls is not VmpiEngine:
-            return super().__new__(cls)
-        resolved = default_mode() if mode is None else mode
-        if resolved == "step":
-            return super().__new__(StepEngine)
-        if resolved == "event":
-            from .events import EventEngine
-            return super().__new__(EventEngine)
-        raise ValueError(
-            f"unknown vmpi mode {resolved!r}; pick one of {'/'.join(MODES)}")
-
-    def __init__(self, machine: Machine, mode: str | None = None,
-                 eager_limit: int | None = None):
-        if mode is not None and mode != self.mode:
-            raise ValueError(
-                f"{type(self).__name__} implements mode {self.mode!r}, "
-                f"not {mode!r}")
+    def __init__(self, machine: Machine, eager_limit: int | None = None):
         self.machine = machine
         self.eager_limit = self.EAGER_LIMIT if eager_limit is None else eager_limit
         n = machine.nranks
@@ -203,17 +201,34 @@ class VmpiEngine:
         self._resume: list[Any] = [None] * n
         self._finished = [False] * n
         self._values: list[Any] = [None] * n
+        self._heap = EventHeap()
         self._blocked: dict[int, Any] = {}       # rank -> blocked marker
         self._sends: dict[tuple, deque[Request]] = defaultdict(deque)
         self._recvs: dict[tuple, deque[Request]] = defaultdict(deque)
         self._wait_groups: dict[Request, _WaitGroup] = {}
         self._comms: dict[int, tuple[int, ...]] = {0: tuple(range(n))}
         self._next_comm_id = 1
-        self._coll_seq: dict[tuple[int, int], int] = defaultdict(int)
-        self._coll_pending: dict[tuple[int, int], dict[int, tuple[Collective, float]]] = {}
-        self._xseq: dict[tuple[int, int, int], int] = defaultdict(int)
         self._batch: dict[int, list] = {}  # rank -> [ops, idx, results, waiting]
         self._rid = 0
+        self._node = machine.nodes_of_rank
+        self._devkey = [id(d) for d in machine.devices]
+        #: homogeneous jobs may pin compute times on the op itself
+        self._homog = len(set(self._devkey)) == 1
+        self._ck = f"_evdt{next(_CACHE_KEYS)}"
+        self._p2p_cache: dict[tuple[int, int], tuple[float, float]] = {}
+        self._compute_cache: dict[tuple, float] = {}
+        self._cost_cache: dict[tuple, float] = {}
+        self._node_sets: dict[int, tuple[int, ...]] = {}
+        #: comm -> the collective round in flight and its replay plans
+        self._cst: dict[int, CollRound] = {}
+        #: (comm, poster, partner, tag) -> a symmetric Sendrecv whose
+        #: partner has not arrived yet (no Requests allocated so far)
+        self._srwait: dict[tuple[int, int, int, int], Sendrecv] = {}
+        #: (comm, tag) -> [next round per rank, {round: {rank: op}},
+        #: members, len(members)] -- buffered exchange rounds
+        self._xst: dict[tuple[int, int], list] = {}
+        #: (comm, tag) -> cached round plan
+        self._xplans: dict[tuple[int, int], XchgPlan] = {}
 
     # -- public --------------------------------------------------------------
 
@@ -225,12 +240,11 @@ class VmpiEngine:
 
         ``rank_kwargs`` optionally supplies per-rank keyword overrides;
         ``tracer`` (a :class:`~repro.telemetry.Tracer`) wraps the run in
-        a ``vmpi.run`` span carrying the core mode.  Returns the
-        per-rank return values, final clocks and traces.
+        a ``vmpi.run`` span.  Returns the per-rank return values, final
+        clocks and traces.
         """
         if tracer is not None and getattr(tracer, "enabled", False):
-            with tracer.span("vmpi.run", mode=self.mode,
-                             nranks=self.machine.nranks):
+            with tracer.span("vmpi.run", nranks=self.machine.nranks):
                 return self._run(fn, args, kwargs, rank_kwargs)
         return self._run(fn, args, kwargs, rank_kwargs)
 
@@ -257,42 +271,97 @@ class VmpiEngine:
         if not all(self._finished):
             self._raise_stuck()
         return SpmdResult(values=self._values, clocks=self.clocks,
-                          traces=self.traces, mode=self.mode)
+                          traces=self.traces)
 
-    # -- scheduling hooks (overridden by the cores) ---------------------------
+    # -- scheduling ------------------------------------------------------------
 
     def _wake(self, r: int) -> None:
         """Make rank ``r`` runnable (it unblocked at ``self.clocks[r]``)."""
-        raise NotImplementedError
+        self._heap.push(self.clocks[r], r)
 
     def _loop(self) -> None:
         """Drain runnable ranks until nothing can proceed."""
-        raise NotImplementedError
+        # Pops straight off the EventHeap's underlying list: this loop
+        # runs once per rank resumption, so the method hop matters.
+        heap = self._heap._heap
+        step = self._step_rank
+        while heap:
+            step(heappop(heap)[2])
 
     def _quiesce(self) -> bool:
-        """Last-resort progress hook before declaring deadlock.
+        """Lower stalled buffered state onto the per-request path.
 
-        Cores with buffered state (the event core's pending exchange
-        rounds) flush it here; True means the loop should run again.
+        Runs when the heap is dry but ranks are unfinished: every
+        buffered exchange round -- fillable or not -- and every
+        unpartnered Sendrecv is lowered onto per-edge FIFO matching,
+        completing whatever has a counterpart.  Progress may post fresh
+        ops, so the run loop calls this until it returns False.
         """
-        return False
+        stalled = []
+        for (cid, tag), st in self._xst.items():
+            for rnd, pend in st[1].items():
+                stalled.append(((cid, tag, rnd), pend))
+            st[1] = {}
+        unpartnered = sorted(self._srwait)
+        if not stalled and not unpartnered:
+            return False
+        stalled.sort(key=lambda e: e[0])
+        for key, pend in stalled:
+            for r in sorted(pend):
+                if self._decompose_exchange(r, pend[r], key):
+                    self._wake(r)
+        for key in unpartnered:
+            self._lower_sendrecv(key)
+        return True
 
-    # -- cost hooks (cached by the event core) --------------------------------
+    # -- cached cost queries ---------------------------------------------------
+    # First use goes through the machine model, later uses replay the
+    # stored value bit for bit.
+
+    def _p2p_params(self, key: tuple[int, int]) -> tuple[float, float]:
+        """Alpha-beta pair of a node pair (one model query per pair)."""
+        params = self._p2p_cache.get(key)
+        if params is None:
+            params = self.machine.network.p2p_params(
+                key[0], key[1], self.machine.job_nodes)
+            self._p2p_cache[key] = params
+        return params
 
     def _p2p_seconds(self, src: int, dst: int, nbytes: float) -> float:
-        return self.machine.p2p_seconds(src, dst, nbytes)
+        nodes = self._node
+        key = (nodes[src], nodes[dst])
+        params = self._p2p_params(key)
+        if key[0] == key[1] and nbytes == 0:
+            return 0.0
+        return params[0] + nbytes / params[1]
 
-    def _compute_seconds(self, r: int, flops: float, bytes_moved: float,
-                         efficiency: float) -> float:
-        return self.machine.compute_seconds(r, flops, bytes_moved, efficiency)
+    def _price(self, r: int, op: Compute) -> float:
+        """First pricing of a Compute on this engine (pins homogeneous)."""
+        key = (self._devkey[r], op.flops, op.bytes_moved, op.efficiency)
+        dt = self._compute_cache.get(key)
+        if dt is None:
+            dt = self.machine.compute_seconds(r, op.flops, op.bytes_moved,
+                                              op.efficiency)
+            self._compute_cache[key] = dt
+        if self._homog:
+            object.__setattr__(op, self._ck, dt)
+        return dt
 
-    def _local_of(self, comm_id: int, r: int) -> int:
-        members = self._comms[comm_id]
-        try:
-            return members.index(r)
-        except ValueError:
-            raise VmpiError(
-                f"rank {r} is not a member of comm {comm_id}") from None
+    def _collective_cost(self, members: tuple[int, ...],
+                         ops: list[Collective]) -> float:
+        first = ops[0]
+        arg = collective_arg_bytes(ops)
+        key = (first.comm_id, first.kind, arg)
+        cost = self._cost_cache.get(key)
+        if cost is None:
+            node_set = self._node_sets.get(first.comm_id)
+            if node_set is None:
+                node_set = self.machine.node_set(members)
+                self._node_sets[first.comm_id] = node_set
+            cost = collective_cost(self.machine.network, node_set,
+                                   len(members), first.kind, arg)
+            self._cost_cache[key] = cost
+        return cost
 
     # -- rank stepping ----------------------------------------------------------
 
@@ -303,11 +372,17 @@ class VmpiEngine:
         batch = self._batch.get(r)
         if batch is not None and not self._advance_batch(r, batch):
             return
-        gen = self._gens[r]
+        send = self._gens[r].send
+        resume = self._resume
+        ck = self._ck
+        clocks = self.clocks
+        trace = self.traces[r]
+        compute = trace.compute
+        value = resume[r]
+        resume[r] = None
         while True:
-            value, self._resume[r] = self._resume[r], None
             try:
-                op = gen.send(value)
+                op = send(value)
             except StopIteration as stop:
                 self._finished[r] = True
                 self._values[r] = stop.value
@@ -316,47 +391,79 @@ class VmpiEngine:
                 raise
             except BaseException as exc:
                 raise RankFailedError(r, exc) from exc
-            if type(op) is tuple:
+            kind = type(op)
+            if kind is Compute:
+                # Op-pinned time first: a persistent descriptor is
+                # priced once per run, not once per step.
+                dt = op.__dict__.get(ck)
+                if dt is None:
+                    dt = self._price(r, op)
+                trace.ops += 1
+                clocks[r] += dt
+                compute[op.label] += dt
+                value = None
+                continue
+            if kind is tuple:
                 batch = [op, 0, [None] * len(op), False]
                 self._batch[r] = batch
                 if not self._advance_batch(r, batch):
                     return
             elif not self._dispatch(r, op):
                 return  # blocked; resumes later via _wake
+            value = resume[r]
+            resume[r] = None
 
     def _advance_batch(self, r: int, batch: list) -> bool:
         """Drive a tuple batch; True once every element completed."""
         ops, results = batch[0], batch[2]
+        resume = self._resume
         if batch[3]:  # a blocked element just resumed
-            results[batch[1] - 1] = self._resume[r]
-            self._resume[r] = None
+            results[batch[1] - 1] = resume[r]
+            resume[r] = None
             batch[3] = False
-        while batch[1] < len(ops):
-            i = batch[1]
-            batch[1] = i + 1
+        n = len(ops)
+        i = batch[1]
+        ck = self._ck
+        clocks = self.clocks
+        trace = self.traces[r]
+        compute = trace.compute
+        while i < n:
             op = ops[i]
-            if type(op) is tuple:
+            i += 1
+            kind = type(op)
+            if kind is Compute:
+                # Completed Computes leave no resume value, so the
+                # pre-filled None already stands.
+                dt = op.__dict__.get(ck)
+                if dt is None:
+                    dt = self._price(r, op)
+                trace.ops += 1
+                clocks[r] += dt
+                compute[op.label] += dt
+                continue
+            batch[1] = i
+            if kind is tuple:
                 raise VmpiError(f"rank {r} yielded a nested op batch")
             if self._dispatch(r, op):
-                results[i] = self._resume[r]
-                self._resume[r] = None
-            else:
-                batch[3] = True
-                return False
+                results[i - 1] = resume[r]
+                resume[r] = None
+                continue
+            batch[3] = True
+            return False
         del self._batch[r]
-        self._resume[r] = results
+        resume[r] = results
         return True
 
     def _dispatch(self, r: int, op: Op) -> bool:
-        """Process one op; True if the rank may continue immediately."""
+        """Process one non-Compute op; True if the rank may continue."""
         self.traces[r].ops += 1
         kind = type(op)
-        if kind is Compute:
-            dt = self._compute_seconds(r, op.flops, op.bytes_moved,
-                                       op.efficiency)
-            self.clocks[r] += dt
-            self.traces[r].compute[op.label] += dt
-            return True
+        if kind is Exchange:
+            return self._post_exchange(r, op)
+        if kind is Collective:
+            return self._post_collective(r, op)
+        if kind is Sendrecv:
+            return self._post_sendrecv(r, op)
         if kind is Elapse:
             self.clocks[r] += op.seconds
             self.traces[r].compute[op.label] += op.seconds
@@ -374,21 +481,13 @@ class VmpiEngine:
         if kind is Recv:
             req = self._post_recv(r, op.source, op.tag, op.comm_id)
             return self._wait_on(r, (req,), single=True)
-        if kind is Sendrecv:
-            sreq = self._post_send(r, op.dest, op.payload, op.tag, op.comm_id)
-            rreq = self._post_recv(r, op.source, op.tag, op.comm_id)
-            return self._wait_on(r, (sreq, rreq), single=False, sendrecv=True)
         if kind is Wait:
             return self._wait_on(r, (op.request,), single=True)
         if kind is Waitall:
             return self._wait_on(r, op.requests, single=False)
-        if kind is Collective:
-            return self._post_collective(r, op)
-        if kind is Exchange:
-            return self._post_exchange(r, op)
         raise VmpiError(f"rank {r} yielded a non-op: {op!r}")
 
-    # -- point-to-point --------------------------------------------------------
+    # -- point-to-point (the per-request machinery) ----------------------------
 
     def _global(self, comm_id: int, local: int) -> int:
         members = self._comms.get(comm_id)
@@ -399,13 +498,15 @@ class VmpiEngine:
     def _post_send(self, r: int, dest_local: int, payload: Any, tag: int,
                    comm_id: int) -> Request:
         dest = self._global(comm_id, dest_local)
+        if self._srwait:
+            self._lower_sendrecv((comm_id, dest, r, tag))
         self._rid += 1
         nbytes = nbytes_of(payload)
         req = Request(rank=r, is_send=True, peer=dest, tag=tag,
                       comm_id=comm_id, post_time=self.clocks[r],
                       payload=payload, rid=self._rid, nbytes=nbytes)
-        # Bytes are accounted at post time (program order), so both
-        # cores accumulate per-rank counters in the same float order.
+        # Bytes are accounted at post time (program order), so every
+        # path accumulates per-rank counters in the same float order.
         self.traces[r].bytes_sent += nbytes
         if nbytes <= self.eager_limit:
             # Eager protocol: the send buffers locally and completes after
@@ -424,6 +525,8 @@ class VmpiEngine:
     def _post_recv(self, r: int, source_local: int, tag: int,
                    comm_id: int) -> Request:
         source = self._global(comm_id, source_local)
+        if self._srwait:
+            self._lower_sendrecv((comm_id, source, r, tag))
         self._rid += 1
         req = Request(rank=r, is_send=False, peer=source, tag=tag,
                       comm_id=comm_id, post_time=self.clocks[r], rid=self._rid)
@@ -501,15 +604,183 @@ class VmpiEngine:
             self._resume[r] = [req.result if not req.is_send else None
                                for req in reqs]
 
+    # -- paired sendrecv -------------------------------------------------------
+
+    def _post_sendrecv(self, r: int, op: Sendrecv) -> bool:
+        """A Sendrecv; symmetric pairs complete in closed form.
+
+        When both partners name each other as destination *and* source
+        on a channel with nothing else queued, the pair is the whole
+        story of that channel: the first arrival parks its op (no
+        Requests, no wait group) and the second completes both ranks
+        with the same rendezvous/eager algebra the per-request path
+        applies.  Anything else touching the channel first lowers the
+        parked op onto that path (:meth:`_lower_sendrecv`), so FIFO
+        matching is exactly preserved.
+        """
+        cid, tag = op.comm_id, op.tag
+        dest = self._global(cid, op.dest)
+        if dest == self._global(cid, op.source) and dest != r:
+            parked = self._srwait
+            rev = (cid, dest, r, tag)
+            first = parked.pop(rev, None)
+            if first is not None:
+                self._pair_sendrecv(dest, first, r, op)
+                return True
+            fwd = (cid, r, dest, tag)
+            sends, recvs = self._sends, self._recvs
+            if not (sends.get(fwd) or recvs.get(fwd)
+                    or sends.get(rev) or recvs.get(rev)):
+                parked[fwd] = op
+                return False
+        return self._sendrecv_requests(r, op)
+
+    def _sendrecv_requests(self, r: int, op: Sendrecv) -> bool:
+        """A Sendrecv on the per-request path: one send, one receive."""
+        sreq = self._post_send(r, op.dest, op.payload, op.tag, op.comm_id)
+        rreq = self._post_recv(r, op.source, op.tag, op.comm_id)
+        return self._wait_on(r, (sreq, rreq), single=False, sendrecv=True)
+
+    def _pair_sendrecv(self, a: int, aop: Sendrecv, b: int,
+                       bop: Sendrecv) -> None:
+        """Complete ``a`` (parked, woken here) and ``b`` (the caller)."""
+        clocks, traces = self.clocks, self.traces
+        ta, tb = clocks[a], clocks[b]
+        na, nb = nbytes_of(aop.payload), nbytes_of(bop.payload)
+        # Bytes are accounted in each rank's own program order; ``a``
+        # posted nothing since it parked, so adding its bytes now is the
+        # same per-rank float sequence as adding them at post time.
+        traces[a].bytes_sent += na
+        traces[b].bytes_sent += nb
+        t_ab = self._p2p_seconds(a, b, na)
+        t_ba = self._p2p_seconds(b, a, nb)
+        start = max(ta, tb)
+        done_ab = start + t_ab
+        done_ba = start + t_ba
+        limit = self.eager_limit
+        for g, post, sent, received, payload in (
+                (a, ta, ta + t_ab if na <= limit else done_ab, done_ba,
+                 bop.payload),
+                (b, tb, tb + t_ba if nb <= limit else done_ba, done_ab,
+                 aop.payload)):
+            done = max(sent, received)
+            traces[g].comm["p2p"] += max(0.0, done - post)
+            clocks[g] = max(post, done)
+            self._resume[g] = payload
+        self._wake(a)
+
+    def _lower_sendrecv(self, key: tuple[int, int, int, int]) -> None:
+        """Hand a parked Sendrecv to the per-request machinery."""
+        op = self._srwait.pop(key, None)
+        if op is not None and self._sendrecv_requests(key[1], op):
+            self._wake(key[1])
+
     # -- fused exchanges -------------------------------------------------------
 
     def _post_exchange(self, r: int, op: Exchange) -> bool:
-        """Step core: decompose into round-matched per-edge transfers."""
-        ekey = (op.comm_id, op.tag)
-        rnd = self._xseq[ekey + (r,)]
-        self._xseq[ekey + (r,)] = rnd + 1
-        self.traces[r].bytes_sent += _exchange_bytes(op)
-        return self._decompose_exchange(r, op, ekey + (rnd,))
+        """Buffer an exchange; the member completing a round finishes it."""
+        sk = (op.comm_id, op.tag)
+        st = self._xst.get(sk)
+        if st is None:
+            members = self._comms.get(op.comm_id)
+            if members is None:
+                raise VmpiError(f"unknown communicator id {op.comm_id}")
+            st = self._xst[sk] = [defaultdict(int), {}, members, len(members)]
+        seq, rounds, members, nmem = st
+        rnd = seq[r]
+        seq[r] = rnd + 1
+        nb = op.__dict__.get("_nbytes_total")
+        if nb is None:
+            nb = _exchange_bytes(op)
+        self.traces[r].bytes_sent += nb
+        try:
+            pend = rounds[rnd]
+        except KeyError:
+            pend = rounds[rnd] = {}
+        pend[r] = op
+        if len(pend) == nmem:
+            del rounds[rnd]
+            return self._finish_round(members, sk + (rnd,), pend, caller=r)
+        # No per-rank blocked marker: buffered ranks are found through
+        # ``_xst`` (and drained by ``_quiesce`` before any deadlock).
+        return False
+
+    def _finish_round(self, members: tuple[int, ...],
+                      key: tuple[int, int, int],
+                      pend: dict[int, Exchange], caller: int) -> bool:
+        """Complete a fully-posted round; True if the caller finished."""
+        plan = self._round_plan(key, members, pend)
+        if plan is None:
+            # Structurally inconsistent round (unpaired edges): lower it
+            # onto the per-edge machinery, which completes what matches.
+            caller_done = False
+            for r in sorted(pend):
+                if self._decompose_exchange(r, pend[r], key):
+                    if r == caller:
+                        caller_done = True
+                    else:
+                        self._wake(r)
+            return caller_done
+        clocks = self.clocks
+        nmem = len(members)
+        if plan.contig:
+            posts = np.array(clocks[:nmem], dtype=np.float64)
+        else:
+            posts = np.fromiter((clocks[g] for g in members),
+                                dtype=np.float64, count=nmem)
+        if plan.nedges:
+            sposts = posts[plan.src_idx]
+            recv_done = np.maximum(sposts, posts[plan.dst_idx]) + plan.t
+            send_done = np.where(plan.eager, sposts + plan.t, recv_done)
+            done = posts.copy()
+            np.maximum.at(done, plan.src_idx, send_done)
+            np.maximum.at(done, plan.dst_idx, recv_done)
+            done_list = done.tolist()
+            waited_list = np.maximum(done - posts, 0.0).tolist()
+        else:
+            done_list = posts.tolist()
+            waited_list = [0.0] * nmem
+        traces = self.traces
+        resume = self._resume
+        batches = self._batch
+        labels = plan.labels
+        results = plan.results
+        push = self._heap.push
+        for i, g in enumerate(members):
+            d = done_list[i]
+            clocks[g] = d
+            traces[g].comm[labels[i]] += waited_list[i]
+            if g != caller:
+                # If the member blocked on this exchange as the last op
+                # of a batch, complete the batch here: on wake the rank
+                # resumes straight into its generator.
+                b = batches.get(g)
+                if b is not None and b[3] and b[1] == len(b[0]):
+                    b[2][b[1] - 1] = list(results[i])
+                    del batches[g]
+                    resume[g] = b[2]
+                else:
+                    resume[g] = list(results[i])
+                push(d, g)
+            else:
+                resume[g] = list(results[i])
+        return True
+
+    def _round_plan(self, key: tuple[int, int, int],
+                    members: tuple[int, ...],
+                    pend: dict[int, Exchange]) -> XchgPlan | None:
+        pkey = key[:2]
+        cached = self._xplans.get(pkey)
+        if cached is not None and \
+                all(map(is_, map(pend.__getitem__, members), cached.op_ids)):
+            return cached
+        plan = build_plan(members, pend, self._node, self._p2p_params,
+                          self.eager_limit)
+        if plan is not None:
+            self._xplans[pkey] = plan
+        else:
+            self._xplans.pop(pkey, None)
+        return plan
 
     def _decompose_exchange(self, r: int, op: Exchange,
                             ekey: tuple[int, int, int]) -> bool:
@@ -562,57 +833,76 @@ class VmpiEngine:
     # -- collectives ---------------------------------------------------------------
 
     def _post_collective(self, r: int, op: Collective) -> bool:
-        members = self._comms.get(op.comm_id)
-        if members is None:
-            raise VmpiError(f"unknown communicator id {op.comm_id}")
-        local = self._local_of(op.comm_id, r)
-        seq = self._coll_seq[(op.comm_id, r)]
-        self._coll_seq[(op.comm_id, r)] = seq + 1
-        key = (op.comm_id, seq)
-        pending = self._coll_pending.setdefault(key, {})
-        pending[local] = (op, self.clocks[r])
-        if len(pending) < len(members):
-            self._blocked[r] = (op, key)
+        cid = op.comm_id
+        st = self._cst.get(cid)
+        if st is None:
+            members = self._comms.get(cid)
+            if members is None:
+                raise VmpiError(f"unknown communicator id {cid}")
+            st = self._cst[cid] = CollRound(members)
+        local = st.local.get(r)
+        if local is None:
+            raise VmpiError(f"rank {r} is not a member of comm {cid}")
+        # No per-rank blocked marker: a waiting member is found through
+        # ``_cst`` when a deadlock has to be described.
+        st.ops[local] = op
+        st.posts[local] = self.clocks[r]
+        st.count += 1
+        if st.count < st.nmem:
             return False
-        del self._coll_pending[key]
-        self._finish_collective(members, pending, caller=r)
+        self._complete_collective(st, caller=r)
         return True
 
-    def _finish_collective(self, members: tuple[int, ...],
-                           pending: dict[int, tuple[Collective, float]],
-                           caller: int) -> None:
-        ops = [pending[i][0] for i in range(len(members))]
-        posts = [pending[i][1] for i in range(len(members))]
-        validate_collective(ops)
-        results = collective_results(members, ops, self._do_split)
-        cost = self._collective_cost(members, ops)
+    def _complete_collective(self, st: CollRound, caller: int) -> None:
+        """Finish a fully-posted round, replaying its plan when the
+        members posted the very ops the plan was made from."""
+        ops, posts, members = st.ops, st.posts, st.members
+        st.ops = [None] * st.nmem
+        st.count = 0
+        plan = st.plans.get(id(ops[0]))
+        if plan is not None and all(map(is_, ops, plan[0])):
+            _, label, cost, results, template, sizes = plan
+            if template is not None:
+                # one new list per round, aliased among its receivers --
+                # exactly what a freshly computed round hands out
+                fresh = list(template)
+                results = [fresh if x is template else x for x in results]
+        else:
+            validate_collective(ops)
+            results = collective_results(members, ops, self._do_split)
+            cost = self._collective_cost(members, ops)
+            first = ops[0]
+            label = first.label or first.kind
+            sizes = [nbytes_of(o.payload) for o in ops]
+            # Only size-only rounds may be replayed: a real payload can
+            # change under an unchanged op, and a split allocates.
+            if first.kind != "split" and all(
+                    o.payload is None or type(o.payload) is Phantom
+                    for o in ops):
+                if len(st.plans) >= PLAN_LIMIT:
+                    st.plans.clear()
+                st.plans[id(first)] = (ops, label, cost,
+                                       *list_template(results), sizes)
         done = max(posts) + cost
-        first = ops[0]
-        label = first.label or first.kind
-        clocks, traces = self.clocks, self.traces
+        clocks, traces, resume = self.clocks, self.traces, self._resume
+        push = self._heap.push
         for i, g in enumerate(members):
-            waited = max(0.0, done - clocks[g])
+            waited = done - posts[i]
             clocks[g] = done
             trace = traces[g]
-            trace.comm[label] += waited
-            trace.bytes_sent += nbytes_of(ops[i].payload)
-            self._resume[g] = results[i]
+            trace.comm[label] += waited if waited > 0.0 else 0.0
+            trace.bytes_sent += sizes[i]
+            resume[g] = results[i]
             if g != caller:
-                self._blocked.pop(g, None)
-                self._wake(g)
-
-    def _collective_cost(self, members: tuple[int, ...],
-                         ops: list[Collective]) -> float:
-        arg = collective_arg_bytes(ops)
-        node_set = self.machine.node_set(members)
-        return collective_cost(self.machine.network, node_set, len(members),
-                               ops[0].kind, arg)
+                push(done, g)
 
     def _pending_collectives(self) -> Iterator[list[tuple[int, Collective]]]:
-        """``(local rank, op)`` posts of each unfinished round, key order."""
-        for key in sorted(self._coll_pending):
-            yield [(local, op) for local, (op, _)
-                   in self._coll_pending[key].items()]
+        """``(local rank, op)`` posts of each unfinished round, comm order."""
+        for cid in sorted(self._cst):
+            st = self._cst[cid]
+            if st.count:
+                yield [(i, op) for i, op in enumerate(st.ops)
+                       if op is not None]
 
     def _do_split(self, members: tuple[int, ...],
                   payloads: list[Any]) -> list[Any]:
@@ -634,23 +924,30 @@ class VmpiEngine:
     # -- failure reporting -----------------------------------------------------
 
     def _blocked_detail(self, r: int) -> str:
-        marker = self._blocked.get(r)
-        if marker is None:
-            return "unknown"
-        if isinstance(marker, _WaitGroup):
-            pending = [_describe_request(q) for q in marker.requests
+        group = self._blocked.get(r)
+        if group is not None:
+            pending = [_describe_request(q) for q in group.requests
                        if not q.done]
-            if marker.exchange is not None:
-                return (f"exchange on comm {marker.exchange.comm_id} -- "
+            if group.exchange is not None:
+                return (f"exchange on comm {group.exchange.comm_id} -- "
                         f"{len(pending)} transfer(s) pending: "
                         + ", ".join(pending))
-            return (f"waiting on {len(marker.requests)} request(s); "
+            return (f"waiting on {len(group.requests)} request(s); "
                     f"pending: " + ", ".join(pending))
-        op, key = marker
-        arrived = len(self._coll_pending.get(key, {}))
-        members = self._comms.get(op.comm_id, ())
-        return (f"collective {op.kind!r} on comm {op.comm_id} "
-                f"({arrived}/{len(members)} ranks arrived)")
+        # Buffered rounds carry no per-rank marker; find the rank in the
+        # round state instead.
+        for (cid, _tag), st in sorted(self._xst.items()):
+            for _rnd, pend in sorted(st[1].items()):
+                if r in pend:
+                    return (f"exchange on comm {cid} "
+                            f"({len(pend)}/{len(st[2])} ranks arrived)")
+        for cid, cst in sorted(self._cst.items()):
+            local = cst.local.get(r)
+            op = None if local is None else cst.ops[local]
+            if op is not None:
+                return (f"collective {op.kind!r} on comm {cid} "
+                        f"({cst.count}/{cst.nmem} ranks arrived)")
+        return "unknown"
 
     def _raise_stuck(self) -> None:
         """Report why the run cannot make progress.
@@ -669,31 +966,6 @@ class VmpiEngine:
         raise DeadlockError(f"deadlock -- blocked ranks: {detail}")
 
 
-class StepEngine(VmpiEngine):
-    """The original polling core: a FIFO ready deque drives each rank
-    until it blocks; every op re-derives its cost from the machine
-    model.  Kept as the differential baseline for the event core."""
-
-    mode = "step"
-
-    def __init__(self, machine: Machine, mode: str | None = None,
-                 eager_limit: int | None = None):
-        super().__init__(machine, mode=mode, eager_limit=eager_limit)
-        self._ready: deque[int] = deque()
-
-    def _wake(self, r: int) -> None:
-        self._ready.append(r)
-
-    def _loop(self) -> None:
-        ready = self._ready
-        while ready:
-            self._step_rank(ready.popleft())
-
-
-#: Back-compat alias: the seed engine class was simply ``Engine``.
-Engine = VmpiEngine
-
-
 def run_spmd(fn: Callable[..., Iterator[Op]], *,
              machine: Machine | None = None,
              nranks: int | None = None,
@@ -701,14 +973,12 @@ def run_spmd(fn: Callable[..., Iterator[Op]], *,
              args: tuple = (),
              kwargs: dict | None = None,
              rank_kwargs: list[dict] | None = None,
-             mode: str | None = None,
              tracer: Any = None) -> SpmdResult:
     """Convenience entry point: run ``fn`` as an SPMD program.
 
     Provide either an explicit ``machine``, a ``nodes`` count (JUWELS
     Booster placement, 4 ranks/node), or a bare ``nranks`` (packed onto
-    Booster nodes).  ``mode`` selects the engine core (see
-    :func:`default_mode`).
+    Booster nodes).
     """
     if machine is None:
         if nodes is not None:
@@ -719,6 +989,5 @@ def run_spmd(fn: Callable[..., Iterator[Op]], *,
             raise ValueError("need machine=, nodes= or nranks=")
     if nranks is not None and machine.nranks != nranks:
         raise ValueError(f"machine has {machine.nranks} ranks, expected {nranks}")
-    return VmpiEngine(machine, mode=mode).run(fn, args=args, kwargs=kwargs,
-                                              rank_kwargs=rank_kwargs,
-                                              tracer=tracer)
+    return VmpiEngine(machine).run(fn, args=args, kwargs=kwargs,
+                                   rank_kwargs=rank_kwargs, tracer=tracer)

@@ -1,7 +1,7 @@
 """A deterministic time-ordered event queue (binary heap).
 
 The one scheduling structure behind both discrete-event simulators in
-the suite: the event vmpi core (:mod:`repro.vmpi.events`) resumes
+the suite: the vmpi engine (:mod:`repro.vmpi.engine`) resumes
 ranks from it in virtual-time order, and the batch scheduler
 (:mod:`repro.cluster.scheduler`) pops job completions from it.
 

@@ -1,0 +1,169 @@
+"""Round state and replay plans of the virtual-MPI engine.
+
+Plain data and pure functions the engine (:mod:`repro.vmpi.engine`)
+uses to complete a whole :class:`~repro.vmpi.ops.Exchange` or
+collective round at once: what a fully-posted round looks like when
+flattened into NumPy edge arrays (:func:`build_plan`), and the one
+round a communicator can have in flight plus the plans of rounds it has
+seen before (:class:`CollRound`).  Nothing here touches clocks, traces
+or scheduling; the engine applies the plans.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .ops import Exchange, nbytes_of
+
+__all__ = ["CollRound", "PLAN_LIMIT", "XchgPlan", "build_plan",
+           "list_template"]
+
+#: replay plans kept per communicator; a program whose collectives
+#: change every round (HPL's shrinking panel broadcasts) starts over
+#: instead of growing the table with its step count
+PLAN_LIMIT = 16
+
+
+@dataclass
+class XchgPlan:
+    """Precomputed completion algebra of one exchange round.
+
+    Valid as long as every member posts the *same op objects* (hoisted
+    constants); ``op_ids`` pins them.  Edge arrays are indexed by
+    position in the communicator's member tuple.
+    """
+
+    op_ids: tuple[Exchange, ...]
+    nedges: int
+    src_idx: np.ndarray     # member index of each edge's sender
+    dst_idx: np.ndarray     # member index of each edge's receiver
+    t: np.ndarray           # per-edge transfer seconds (alpha + n/beta)
+    eager: np.ndarray       # per-edge bool: send completes locally
+    labels: tuple[str, ...]  # per-member comm-trace label
+    results: tuple[list, ...]  # per-member received payloads, recvs order
+    contig: bool            # members are exactly ranks 0..n-1
+
+
+class CollRound:
+    """One communicator's collective round in flight, plus replay plans.
+
+    Collectives synchronise, so a communicator has at most one round
+    pending: a member cannot post round ``k+1`` before round ``k`` --
+    which needs every member -- has completed.  ``ops``/``posts`` are
+    indexed by local rank.  ``plans`` maps ``id(ops[0])`` to ``(ops,
+    label, cost, results, template, sizes)`` of a replayable round; a
+    plan keeps its ops alive, and a hit is trusted only after every
+    member's op proved identical, so a recycled ``id`` cannot mislead.
+    """
+
+    __slots__ = ("members", "nmem", "local", "ops", "posts", "count",
+                 "plans")
+
+    def __init__(self, members: tuple[int, ...]):
+        self.members = members
+        self.nmem = len(members)
+        self.local = {g: i for i, g in enumerate(members)}
+        self.ops: list = [None] * self.nmem
+        self.posts = [0.0] * self.nmem
+        self.count = 0
+        self.plans: dict[int, tuple] = {}
+
+
+def list_template(results: list) -> tuple[list, list | None]:
+    """``results`` with its (at most one, shared) list result swapped
+    for a private copy that receivers can never scribble on."""
+    shared = next((x for x in results if type(x) is list), None)
+    if shared is None:
+        return results, None
+    template = list(shared)
+    return [template if x is shared else x for x in results], template
+
+
+def _member_index(local: np.ndarray, nmem: int) -> np.ndarray:
+    """Local ranks as member-tuple positions, with tuple-index semantics
+    (negative wraps, out of range raises) like the per-edge path."""
+    if local.size and (local.min() < -nmem or local.max() >= nmem):
+        raise IndexError("tuple index out of range")
+    return local % nmem
+
+
+def build_plan(members: tuple[int, ...], pend: dict[int, Exchange],
+               nodes: Sequence[int],
+               p2p_params: Callable[[tuple[int, int]], tuple[float, float]],
+               eager_limit: float) -> XchgPlan | None:
+    """Pair every edge of a round; None if the structure is unpaired.
+
+    Pairing replicates per-edge FIFO order: the k-th send of a round
+    on a directed pair matches the k-th receive, both in op order.
+    All edges of all members are flattened once and paired by one
+    stable sort per side on the ``(sender, receiver)`` key, so the
+    cold build costs array passes, not per-edge dict traffic; edge
+    order in the plan is immaterial (completion is a max-reduction).
+    ``nodes`` maps a global rank to its node and ``p2p_params`` a node
+    pair to its alpha-beta parameters.
+    """
+    nmem = len(members)
+    ops = [pend[g] for g in members]
+    flat_sends = list(itertools.chain.from_iterable(o.sends for o in ops))
+    flat_recvs = list(itertools.chain.from_iterable(o.recvs for o in ops))
+    nsends = np.fromiter((len(o.sends) for o in ops), np.intp, nmem)
+    nrecvs = np.fromiter((len(o.recvs) for o in ops), np.intp, nmem)
+    nedges = len(flat_sends)
+    payloads = list(map(itemgetter(1), flat_sends))
+    idx = np.arange(nmem)
+    send_src = np.repeat(idx, nsends)
+    send_dst = _member_index(
+        np.fromiter(map(itemgetter(0), flat_sends), np.intp, nedges), nmem)
+    recv_dst = np.repeat(idx, nrecvs)
+    recv_src = _member_index(np.array(flat_recvs, dtype=np.intp), nmem)
+    if nedges != len(flat_recvs):
+        return None
+    by_send = np.argsort(send_src * nmem + send_dst, kind="stable")
+    by_recv = np.argsort(recv_src * nmem + recv_dst, kind="stable")
+    src_idx = send_src[by_send]
+    dst_idx = send_dst[by_send]
+    if not (np.array_equal(src_idx, recv_src[by_recv])
+            and np.array_equal(dst_idx, recv_dst[by_recv])):
+        return None
+    sizes = np.fromiter(map(nbytes_of, payloads), np.float64,
+                        nedges)[by_send]
+    # flat receive slots are laid out member by member in recvs
+    # order, so filling them and slicing gives each member's results
+    slots: list = [None] * nedges
+    for k_recv, k_send in zip(by_recv.tolist(), by_send.tolist()):
+        slots[k_recv] = payloads[k_send]
+    bounds = np.concatenate(([0], np.cumsum(nrecvs))).tolist()
+    node_of = np.fromiter((nodes[g] for g in members), np.intp, nmem)
+    return XchgPlan(
+        op_ids=tuple(ops),
+        nedges=nedges,
+        src_idx=src_idx,
+        dst_idx=dst_idx,
+        t=_edge_seconds(node_of, src_idx, dst_idx, sizes, p2p_params),
+        eager=sizes <= eager_limit,
+        labels=tuple(o.label for o in ops),
+        results=tuple(slots[lo:hi] for lo, hi in zip(bounds, bounds[1:])),
+        contig=members[0] == 0 and members[-1] == nmem - 1,
+    )
+
+
+def _edge_seconds(node_of: np.ndarray, src_idx: np.ndarray,
+                  dst_idx: np.ndarray, sizes: np.ndarray,
+                  p2p_params: Callable) -> np.ndarray:
+    """Per-edge ``alpha + n/beta``: the engine's ``_p2p_seconds``,
+    vectorized (one model query per distinct node pair, same IEEE
+    operations)."""
+    src_node, dst_node = node_of[src_idx], node_of[dst_idx]
+    span = int(node_of.max()) + 1
+    pairs, which = np.unique(src_node * span + dst_node, return_inverse=True)
+    params = np.array([p2p_params(divmod(code, span))
+                       for code in pairs.tolist()],
+                      dtype=np.float64).reshape(-1, 2)
+    t = params[which, 0] + sizes / params[which, 1]
+    t[(src_node == dst_node) & (sizes == 0)] = 0.0
+    return t

@@ -19,13 +19,13 @@ from .ops import Phantom
 
 
 def _canon(value: Any) -> Any:
-    """A JSON-serializable, engine-core-independent form of a payload.
+    """A JSON-serializable, scheduling-independent form of a payload.
 
     NumPy arrays and scalars become lists/numbers, phantoms become
     tagged size records, and communicators are reduced to their
     structural identity ``(rank, members)`` -- raw ``comm_id`` values
-    depend on allocation order, which the engine cores are free to
-    differ on, so they must not leak into comparisons.
+    depend on allocation order, which scheduling is free to change,
+    so they must not leak into comparisons.
     """
     if isinstance(value, np.ndarray):
         return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
@@ -70,8 +70,6 @@ class SpmdResult:
     values: list[Any]
     clocks: list[float]
     traces: list[RankTrace]
-    #: which engine core produced this result ("step" or "event")
-    mode: str = ""
 
     @property
     def nranks(self) -> int:
@@ -120,16 +118,15 @@ class SpmdResult:
                 out[label] += sec
         return dict(out)
 
-    def canonical(self, *, include_mode: bool = False) -> dict[str, Any]:
+    def canonical(self) -> dict[str, Any]:
         """A plain-data form of the result for structural comparison.
 
-        The differential test harness and the CI bench-smoke job compare
-        step- and event-core runs through this: floats pass through
-        untouched (byte identity is the contract), payloads are
-        canonicalized by :func:`_canon`, and ``mode`` is excluded unless
-        asked for -- it is the one field that legitimately differs.
+        The differential suites compare the engine against the test-side
+        reference scheduler through this: floats pass through untouched
+        (byte identity is the contract) and payloads are canonicalized
+        by :func:`_canon`.
         """
-        out: dict[str, Any] = {
+        return {
             "values": [_canon(v) for v in self.values],
             "clocks": list(self.clocks),
             "traces": [
@@ -139,6 +136,3 @@ class SpmdResult:
                  "ops": t.ops}
                 for t in self.traces],
         }
-        if include_mode:
-            out["mode"] = self.mode
-        return out

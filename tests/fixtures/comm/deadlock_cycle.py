@@ -1,6 +1,6 @@
 """COMM503 fixtures: genuine send/recv wait-for cycles.
 
-Every program here must deadlock under ``VmpiEngine(mode="step")`` --
+Every program here must deadlock under the reference step scheduler --
 the differential suite asserts it.
 """
 

@@ -206,7 +206,6 @@ def regenerate_rep_goldens() -> dict[str, Path]:
 
 def regenerate() -> dict[str, Path]:
     from repro.core import load_suite
-    from repro.vmpi import default_mode
 
     suite = load_suite()
     GOLDEN_DIR.mkdir(exist_ok=True)
@@ -218,7 +217,6 @@ def regenerate() -> dict[str, Path]:
             "description": "Table II reference-node FOM time metrics "
                            "(seconds) of every registered benchmark",
             "regenerate": "PYTHONPATH=src python tests/regen_goldens.py",
-            "vmpi_mode": default_mode(),
         },
         "foms": foms,
     }, indent=2, sort_keys=True) + "\n")
@@ -231,7 +229,6 @@ def regenerate() -> dict[str, Path]:
                            f"{SCALING_BENCHMARK} (nodes vs runtime "
                            f"seconds)",
             "regenerate": "PYTHONPATH=src python tests/regen_goldens.py",
-            "vmpi_mode": default_mode(),
         },
         "benchmark": SCALING_BENCHMARK,
         "reference_nodes": study.reference.nodes,

@@ -2,13 +2,15 @@
 
 The contract the COMM5xx family rests on:
 
-* every program the pass flags **COMM503** actually deadlocks in
-  ``VmpiEngine(mode="step")`` at the flagged rank count -- the static
-  deadlock verdict is never a false positive;
+* every program the pass flags **COMM503** actually deadlocks in the
+  reference step scheduler (:mod:`tests.vmpi_reference`) at the flagged
+  rank count -- the static deadlock verdict is never a false positive;
 * collective-alignment verdicts (COMM501/502/505) correspond to an
   engine error (deadlock or collective mismatch) at runtime;
 * programs the pass reports clean -- the fixture control group and
-  every real app/synthetic kernel it can resolve -- run to completion.
+  every real app/synthetic kernel it can resolve -- run to completion;
+* whatever the step scheduler does with a program, the production
+  engine does too: same error text, or the same canonical result.
 """
 
 import ast
@@ -22,7 +24,12 @@ from repro.cluster import juwels_booster
 from repro.synthetic.linktest import bisection_program
 from repro.units import MIB
 from repro.vmpi import Machine, run_spmd
-from repro.vmpi.collectives import CollectiveMismatchError, DeadlockError
+from repro.vmpi.collectives import (
+    CollectiveMismatchError,
+    DeadlockError,
+    VmpiError,
+)
+from tests.vmpi_reference import run_reference
 
 FIXTURES = Path(__file__).parent / "fixtures" / "comm"
 
@@ -44,11 +51,28 @@ def _fixture_findings():
 FINDINGS = _fixture_findings()
 
 
+def _run_on_both(program, nranks: int, args=()):
+    """The step scheduler's outcome (result or raised error), after
+    checking that the production engine's outcome is the same."""
+    machine = Machine.on(juwels_booster(), nranks)
+    outcomes = []
+    for run in (run_reference, run_spmd):
+        try:
+            outcomes.append(run(program, machine=machine, args=args))
+        except VmpiError as exc:
+            outcomes.append(exc)
+    step, production = outcomes
+    if isinstance(step, VmpiError):
+        assert type(production) is type(step)
+        assert str(production) == str(step)
+        raise step
+    assert production.canonical() == step.canonical()
+    return step
+
+
 def _run_fixture(relpath: str, program: str, nranks: int):
     mod = _load_module(FIXTURES / relpath)
-    machine = Machine.on(juwels_booster(), nranks)
-    return run_spmd(getattr(mod, program), machine=machine,
-                    mode="step")
+    return _run_on_both(getattr(mod, program), nranks)
 
 
 # -- COMM503: every static deadlock is a real deadlock -----------------------
@@ -119,7 +143,5 @@ def test_linktest_bisection_completes_at_odd_rank_counts(nranks):
     else's two, deadlocking the stop barrier at odd rank counts --
     found by COMM501, fixed by making the spectator post the same
     barrier sequence."""
-    machine = Machine.on(juwels_booster(), nranks)
-    result = run_spmd(bisection_program, machine=machine,
-                      args=(16 * MIB, 2), mode="step")
+    result = _run_on_both(bisection_program, nranks, args=(16 * MIB, 2))
     assert result.elapsed > 0.0

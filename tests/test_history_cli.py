@@ -5,6 +5,7 @@ history with one injected 15% FOM drop)."""
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -54,14 +55,19 @@ class TestHistoryAppendFlag:
         assert [r.seq for r in store.select("Arbor").popitem()[1]] == [0, 1]
 
     def test_vmpi_mode_splits_series(self, tmp_path):
+        """``vmpi_mode`` is a plain data field: a database written while
+        there were two engine cores keeps its two series, and new runs
+        extend the "event" one."""
         db = tmp_path / "h.jsonl"
-        for mode in ("event", "step"):
-            assert main(["run", "STREAM", "--vmpi-mode", mode,
-                         "--history", str(db)]) == 0
+        assert main(["run", "STREAM", "--history", str(db)]) == 0
         store = HistoryStore.open(db)
-        assert len(store.select("STREAM")) == 2
-        modes = {r.vmpi_mode for r in store.records}
-        assert modes == {"event", "step"}
+        [new] = store.records
+        assert new.vmpi_mode == "event"
+        store.append(replace(new, vmpi_mode="step"))
+        assert main(["run", "STREAM", "--history", str(db)]) == 0
+        series = HistoryStore.open(db).select("STREAM").values()
+        assert sorted([r.vmpi_mode for r in recs] for recs in series) == \
+            [["event", "event"], ["step"]]
 
     def test_fig2_appends_per_app_curves(self, tmp_path):
         db = tmp_path / "h.jsonl"
@@ -176,6 +182,40 @@ class TestHistoryCommand:
         assert main(["history", str(db), "--compact", "5"]) == 0
         assert "compacted 12 -> 5 record(s)" in capsys.readouterr().out
         assert len(HistoryStore.open(db)) == 5
+
+    def test_torn_db_renders_its_complete_prefix(self, tmp_path, capsys):
+        db = tmp_path / "torn.jsonl"
+        synthetic_db(db, n=3)
+        db.write_bytes(db.read_bytes()[:-40])
+        assert main(["history", str(db)]) == 0
+        captured = capsys.readouterr()
+        assert "seq   1" in captured.out and "seq   2" not in captured.out
+        assert "torn final line" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_bad_input_files_are_one_error_line(self, tmp_path, capsys):
+        """A malformed DB, trace or fault plan is ``jubench: error:
+        <path:lineno: message>`` and exit code 2 -- never a traceback."""
+        db = tmp_path / "h.jsonl"
+        synthetic_db(db, n=3)
+        lines = db.read_text().splitlines(keepends=True)
+        db.write_text(lines[0] + lines[1] + lines[2][:50] + "\n" + lines[3])
+        not_a_plan = tmp_path / "plan.json"
+        not_a_plan.write_text('{"nodes": [{"at": 1.0}]}')
+        bad_trace = tmp_path / "t.jsonl"
+        bad_trace.write_text('{"type": "meta", "schema": "nope/v0"}\n')
+        for argv, where in (
+                (["history", str(db)], f"{db}:3: not JSON"),
+                (["regress", str(db)], f"{db}:3: not JSON"),
+                (["suite", "--benchmarks", "STREAM",
+                  "--faults", str(not_a_plan)], f"{not_a_plan}: not a fault"),
+                (["suite", "--faults", str(tmp_path / "missing.json")],
+                 "missing.json: not a fault plan"),
+                (["report", str(bad_trace)], "t.jsonl")):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("jubench: error: ") and where in err, err
+            assert err.count("\n") == 1
 
 
 class TestReportTrajectorySection:

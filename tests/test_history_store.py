@@ -121,9 +121,9 @@ class TestStamps:
         assert prov["machine_hash"] == machine_config_hash(juwels_booster())
 
     def test_record_builder_stamps_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VMPI_MODE", "step")
+        monkeypatch.setenv("REPRO_VMPI_MODE", "step")   # no longer read
         rec = record("ICON", 10.0, system=juwels_booster(), seed=7)
-        assert rec.vmpi_mode == "step"
+        assert rec.vmpi_mode == "event"   # the constant old series carry
         assert rec.machine == "JUWELS Booster"
         assert rec.machine_hash == machine_config_hash(juwels_booster())
         assert rec.seed == 7
@@ -192,6 +192,52 @@ class TestHistoryStore:
         with open(db, "a", encoding="utf-8") as fh:
             fh.write('{"params": {}}\n')
         with pytest.raises(HistoryError, match=r"h\.jsonl:3"):
+            HistoryStore.open(db)
+
+    def test_torn_final_line_is_dropped_and_repaired(self, tmp_path, capsys):
+        """An append cut at any byte of the last record: the complete
+        prefix loads, the next append lands on a clean line, and the
+        repaired file reopens without a warning."""
+        whole = tmp_path / "whole.jsonl"
+        store = HistoryStore.open(whole)
+        for fom in (100.0, 101.0, 102.0):
+            store.append(_rec(fom=fom))
+        data = whole.read_bytes()
+        last = data.rindex(b"\n", 0, -1) + 1   # where record 3 starts
+        prefix = HistoryStore.open(whole).records[:2]
+        db = tmp_path / "torn.jsonl"
+        for cut in range(last, len(data)):
+            db.write_bytes(data[:cut])
+            torn = HistoryStore.open(db)
+            err = capsys.readouterr().err
+            assert torn.records == prefix, cut
+            if cut == last:   # a whole number of lines: nothing torn
+                assert err == ""
+            else:
+                assert f"dropped {cut - last} byte(s)" in err
+                assert err.count("\n") == 1 and str(db) in err
+            assert db.read_bytes() == data[:cut]   # reading repairs nothing
+            new = torn.append(_rec(fom=103.0))
+            assert new.seq == 2
+            again = HistoryStore.open(db)
+            assert capsys.readouterr().err == ""
+            assert again.records == prefix + [new], cut
+
+    def test_torn_header_starts_the_database_over(self, tmp_path, capsys):
+        db = tmp_path / "h.jsonl"
+        db.write_bytes(b'{"schema":"repro.hist')
+        store = HistoryStore.open(db)
+        assert len(store) == 0 and "dropped 21 byte(s)" in capsys.readouterr().err
+        store.append(_rec())
+        assert is_history_file(db) and len(HistoryStore.open(db)) == 1
+
+    def test_malformed_line_before_the_tail_stays_an_error(self, tmp_path):
+        db = tmp_path / "h.jsonl"
+        HistoryStore.open(db).append(_rec())
+        with open(db, "a", encoding="utf-8") as fh:
+            fh.write('{"benchmark": "IC\n')          # complete line, not JSON
+            fh.write('{"benchmark": "ICON", "fom')   # and a torn tail after
+        with pytest.raises(HistoryError, match=r"h\.jsonl:3: not JSON"):
             HistoryStore.open(db)
 
     def test_canonical_export_is_replay_stable(self, tmp_path):

@@ -1,6 +1,11 @@
 """Integration tests: the populated suite, scaling studies, analysis
 tables/figures, performance models, and the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +28,9 @@ from repro.core import (
     MemoryVariant,
     load_suite,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +208,28 @@ class TestCli:
     def test_procurement(self, capsys):
         assert main(["procurement"]) == 0
         assert "value-for-money" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["table2", "suite", "report"])
+    def test_closed_stdout_is_not_a_traceback(self, tmp_path, command):
+        """``jubench ... | head``: the reader is gone before the first
+        byte is written, the worst case of a closed pipe."""
+        env = {"PYTHONPATH": str(SRC)}
+        argv = [sys.executable, "-m", "repro", command]
+        if command == "suite":
+            argv += ["--benchmarks", "STREAM,HPL"]
+        if command == "report":
+            trace = tmp_path / "t.jsonl"
+            subprocess.run(
+                [sys.executable, "-m", "repro", "run", "STREAM",
+                 "--trace-out", str(trace)],
+                check=True, capture_output=True, env=env)
+            argv.append(str(trace))
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run(argv, stdout=writer, env=env,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(writer)
+        assert proc.returncode == 141, proc.stderr
+        assert proc.stderr == ""

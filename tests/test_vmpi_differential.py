@@ -1,15 +1,18 @@
-"""Differential equivalence of the two virtual-MPI engine cores.
+"""Differential equivalence of the vmpi engine and its reference oracle.
 
-The discrete-event core (``mode="event"``) exists purely for speed; its
+The engine's heap, caches and round plans exist purely for speed; its
 contract is *byte identity* with the reference step scheduler
-(``mode="step"``): same return values, same final clocks (float for
-float), same per-rank traces, same Chrome trace exports.  This suite
-runs a corpus of programs -- covering every op family the engines
-support -- under both cores and compares the canonical serializations
+(:mod:`tests.vmpi_reference`): same return values, same final clocks
+(float for float), same per-rank traces, same Chrome trace exports.
+This suite runs a corpus of programs -- covering every op family the
+engine supports -- under both and compares the canonical serializations
 byte for byte (``json.dumps`` equality, no tolerances).
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,14 +21,12 @@ from repro.cluster import juwels_booster
 from repro.vmpi import (
     CollectiveMismatchError,
     DeadlockError,
+    EventHeap,
     Machine,
-    MODES,
     Phantom,
     RankFailedError,
-    StepEngine,
     VmpiEngine,
     VmpiError,
-    default_mode,
     run_spmd,
 )
 from repro.vmpi.decomposition import (
@@ -34,7 +35,13 @@ from repro.vmpi.decomposition import (
     halo_exchange_op,
     phantom_faces,
 )
-from repro.vmpi.events import EventEngine
+from tests.vmpi_reference import ReferenceEngine, run_reference
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: production first, oracle second; the ids are the two schedulers' names
+ENGINES = pytest.mark.parametrize(
+    "engine", [VmpiEngine, ReferenceEngine], ids=["event", "step"])
 
 
 def machine(nranks, **kw):
@@ -162,7 +169,7 @@ def prog_hoisted_batch(comm):
 
 def prog_exchange_subset(comm):
     # only the even ranks exchange (pairwise); odd ranks just compute --
-    # exercises the event core's quiescence flush for unfillable rounds
+    # exercises the engine's quiescence flush for unfillable rounds
     if comm.rank % 2 == 0:
         peer = (comm.rank + 2) % comm.size
         src = (comm.rank - 2) % comm.size
@@ -213,14 +220,14 @@ CORPUS = [
 
 
 def run_both(program, nranks, args=()):
+    """``(reference, production)`` results of one program."""
     m = machine(nranks)
-    return (run_spmd(program, machine=m, args=args, mode="step"),
-            run_spmd(program, machine=m, args=args, mode="event"))
+    return (run_reference(program, machine=m, args=args),
+            run_spmd(program, machine=m, args=args))
 
 
 def chrome_export_bytes(tmp_path, tag, spmd):
-    """Chrome trace bytes of one run's vmpi counters (mode-independent
-    inputs only -- the traces)."""
+    """Chrome trace bytes of one run's vmpi counters."""
     from repro.telemetry import ManualClock, Tracer, emit_vmpi, \
         write_chrome_trace
 
@@ -237,7 +244,6 @@ class TestDifferentialEquivalence:
                              CORPUS, ids=[c[0] for c in CORPUS])
     def test_byte_identical_results(self, name, program, nranks):
         step, event = run_both(program, nranks)
-        assert step.mode == "step" and event.mode == "event"
         # exact float equality on the raw clocks, then the full
         # canonical serialization byte for byte
         assert step.clocks == event.clocks
@@ -261,97 +267,111 @@ class TestDifferentialEquivalence:
             chrome_export_bytes(tmp_path, "event", event)
 
     def test_repeated_event_runs_identical(self):
-        """The event core is deterministic against itself (cached plans
-        and cost tables produce the same floats every run)."""
+        """The engine is deterministic against itself (cached plans and
+        cost tables produce the same floats every run)."""
         m = machine(8)
-        r1 = run_spmd(prog_hoisted_batch, machine=m, mode="event")
-        r2 = run_spmd(prog_hoisted_batch, machine=m, mode="event")
+        r1 = run_spmd(prog_hoisted_batch, machine=m)
+        r2 = run_spmd(prog_hoisted_batch, machine=m)
         assert r1.clocks == r2.clocks
         assert json.dumps(r1.canonical(), sort_keys=True) == \
             json.dumps(r2.canonical(), sort_keys=True)
 
 
 class TestModeSelection:
-    def test_default_mode_is_event(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VMPI_MODE", raising=False)
-        assert default_mode() == "event"
-        assert isinstance(VmpiEngine(machine(2)), EventEngine)
-
-    def test_env_var_selects_step(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VMPI_MODE", "step")
-        assert default_mode() == "step"
-        eng = VmpiEngine(machine(2))
-        assert isinstance(eng, StepEngine)
-        assert not isinstance(eng, EventEngine)
-
-    def test_invalid_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VMPI_MODE", "warp")
-        with pytest.raises(ValueError):
-            default_mode()
+    """There is nothing to select: no constructor argument, environment
+    variable or CLI flag picks an engine core any more."""
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            VmpiEngine(machine(2), mode="turbo")
-
-    def test_modes_tuple(self):
-        assert set(MODES) == {"event", "step"}
-
-    def test_result_records_mode(self):
         def prog(comm):
             yield comm.barrier()
 
-        for mode in MODES:
-            res = run_spmd(prog, machine=machine(2), mode=mode)
-            assert res.mode == mode
-        # canonical() hides the mode unless asked
-        assert "mode" not in res.canonical()
-        assert res.canonical(include_mode=True)["mode"] == res.mode
+        with pytest.raises(TypeError):
+            VmpiEngine(machine(2), mode="turbo")
+        with pytest.raises(TypeError):
+            run_spmd(prog, machine=machine(2), mode="step")
+
+    def test_default_mode_is_event(self, monkeypatch):
+        """The one engine is the discrete-event core, whatever the
+        environment says."""
+        monkeypatch.setenv("REPRO_VMPI_MODE", "step")
+        engine = VmpiEngine(machine(2))
+        assert type(engine) is VmpiEngine
+        assert isinstance(engine._heap, EventHeap)
 
     def test_direct_subclass_construction(self):
-        assert StepEngine(machine(2)).mode == "step"
-        assert EventEngine(machine(2)).mode == "event"
+        """No factory dispatch: a subclass constructs as itself."""
+        assert "__new__" not in vars(VmpiEngine)
+        assert type(ReferenceEngine(machine(2))) is ReferenceEngine
+
+    def test_cli_flag_is_gone(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as err:
+            main(["fig2", "--vmpi-mode", "step"])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_selection_knobs_occur_nowhere_in_src(self):
+        for path in sorted(SRC.rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert "REPRO_VMPI_MODE" not in text, path
+            assert "vmpi-mode" not in text, path
+
+    def test_production_never_imports_the_reference(self):
+        code = ("import sys\n"
+                "from repro.cli import main\n"
+                "assert main(['fig2', '--apps', 'Arbor']) == 0\n"
+                "assert not [m for m in sys.modules if 'vmpi_reference' in m]\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            cwd=SRC.parent, env={"PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestErrorPathsBothModes:
     """Failure modes must be equivalent too: same exception type, and
     diagnostics naming each blocked rank's pending operation."""
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_deadlock_reports_pending_ops(self, mode):
+    @staticmethod
+    def run(engine, prog, nranks):
+        return engine(machine(nranks)).run(prog)
+
+    @ENGINES
+    def test_deadlock_reports_pending_ops(self, engine):
         def prog(comm):
             yield comm.recv((comm.rank + 1) % comm.size)
 
         with pytest.raises(DeadlockError) as err:
-            run_spmd(prog, machine=machine(2), mode=mode)
+            self.run(engine, prog, 2)
         msg = str(err.value)
         assert "rank 0" in msg and "rank 1" in msg
         assert "recv from rank" in msg
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_deadlock_reports_blocked_exchange(self, mode):
+    @ENGINES
+    def test_deadlock_reports_blocked_exchange(self, engine):
         def prog(comm):
             if comm.rank == 0:
                 yield comm.exchange(((1, "x"),), (1,))
             # rank 1 exits without posting -- the recv can never match
 
         with pytest.raises(DeadlockError) as err:
-            run_spmd(prog, machine=machine(2), mode=mode)
+            self.run(engine, prog, 2)
         assert "exchange" in str(err.value)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_deadlock_reports_partial_collective(self, mode):
+    @ENGINES
+    def test_deadlock_reports_partial_collective(self, engine):
         def prog(comm):
             if comm.rank == 0:
                 yield comm.barrier()
             # ranks 1..n never arrive
 
         with pytest.raises(DeadlockError) as err:
-            run_spmd(prog, machine=machine(3), mode=mode)
+            self.run(engine, prog, 3)
         assert "collective 'barrier'" in str(err.value)
         assert "1/3 ranks arrived" in str(err.value)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_full_collective_mismatch(self, mode):
+    @ENGINES
+    def test_full_collective_mismatch(self, engine):
         def prog(comm):
             if comm.rank == 0:
                 yield comm.barrier()
@@ -359,12 +379,12 @@ class TestErrorPathsBothModes:
                 yield comm.allreduce(1)
 
         with pytest.raises(CollectiveMismatchError) as err:
-            run_spmd(prog, machine=machine(2), mode=mode)
+            self.run(engine, prog, 2)
         assert "'barrier'" in str(err.value)
         assert "'allreduce'" in str(err.value)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_partial_collective_mismatch(self, mode):
+    @ENGINES
+    def test_partial_collective_mismatch(self, engine):
         """Half the comm posts barrier, half allreduce, one rank never
         arrives: reported as the collective bug it is, not a deadlock."""
 
@@ -376,11 +396,11 @@ class TestErrorPathsBothModes:
             # rank 2 exits immediately, so the collective never fills
 
         with pytest.raises(CollectiveMismatchError) as err:
-            run_spmd(prog, machine=machine(3), mode=mode)
+            self.run(engine, prog, 3)
         assert "partial post" in str(err.value)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_rank_failure_mid_collective(self, mode):
+    @ENGINES
+    def test_rank_failure_mid_collective(self, engine):
         def prog(comm):
             yield comm.barrier()
             if comm.rank == 1:
@@ -388,23 +408,23 @@ class TestErrorPathsBothModes:
             yield comm.allreduce(1)  # others block here forever
 
         with pytest.raises(RankFailedError) as err:
-            run_spmd(prog, machine=machine(3), mode=mode)
+            self.run(engine, prog, 3)
         assert err.value.rank == 1
         assert isinstance(err.value.original, ValueError)
         assert "bad physics" in str(err.value)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_nested_batch_rejected(self, mode):
+    @ENGINES
+    def test_nested_batch_rejected(self, engine):
         def prog(comm):
             yield (comm.barrier(), (comm.barrier(),))
 
         with pytest.raises(VmpiError):
-            run_spmd(prog, machine=machine(2), mode=mode)
+            self.run(engine, prog, 2)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_wrong_size_alltoall_rejected(self, mode):
+    @ENGINES
+    def test_wrong_size_alltoall_rejected(self, engine):
         def prog(comm):
             yield comm.alltoall(tuple(range(comm.size + 1)))
 
         with pytest.raises(VmpiError):
-            run_spmd(prog, machine=machine(3), mode=mode)
+            self.run(engine, prog, 3)

@@ -10,7 +10,6 @@ from repro.cluster import juwels_booster
 from repro.vmpi import (
     CollectiveMismatchError,
     DeadlockError,
-    Engine,
     Machine,
     Phantom,
     RankFailedError,

@@ -1,12 +1,13 @@
-"""Persistent descriptors and round plans of the event core.
+"""Persistent descriptors and round plans of the vmpi engine.
 
 ``repro.vmpi`` treats loop-invariant communication as persistent: the
 ``Comm`` facade and ``halo_exchange`` hand a rank the *same op object*
-when it asks again for the same descriptor, and the event core keys its
+when it asks again for the same descriptor, and the engine keys its
 exchange plans, collective plans and compute prices on that identity.
 None of it may be observable: every test here pins the persistent path
-against the step core (which re-derives everything per op) or against a
-program that hoists by hand -- byte for byte, no tolerances.
+against the reference step scheduler (:mod:`tests.vmpi_reference`,
+which re-derives everything per op) or against a program that hoists
+by hand -- byte for byte, no tolerances.
 """
 
 import json
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.apps.lattice.chroma import chroma_timing_program
 from repro.cluster import juwels_booster, juwels_cluster
+from repro.vmpi import engine as engine_module
 from repro.vmpi import (
     Collective,
     Comm,
@@ -35,8 +37,8 @@ from repro.vmpi.decomposition import (
     halo_exchange_op,
     phantom_faces,
 )
-from repro.vmpi.events import EventEngine
 from tests.test_vmpi_differential import chrome_export_bytes
+from tests.vmpi_reference import run_reference
 
 
 def machine(nranks, **kw):
@@ -96,11 +98,10 @@ def test_hoisted_unhoisted_and_step_core_agree(tmp_path, name, nranks, dims,
                                                periodic, isolated):
     m = machine(nranks)
     runs = {}
-    for mode in ("step", "event"):
+    for core, run in (("step", run_reference), ("event", run_spmd)):
         for hoist in (False, True):
-            runs[mode, hoist] = run_spmd(
-                halo_program, machine=m, mode=mode,
-                args=(dims, periodic, isolated, hoist))
+            runs[core, hoist] = run(halo_program, machine=m,
+                                    args=(dims, periodic, isolated, hoist))
     ref = runs["step", True]
     assert any(v for v in ref.values)            # something was exchanged
     for key, spmd in runs.items():
@@ -197,10 +198,9 @@ def real_halo_program(comm, persistent_buffers, steps=4):
 @pytest.mark.parametrize("persistent_buffers", [False, True])
 def test_real_mode_halos_are_never_stale(persistent_buffers):
     m = machine(6)
-    step = run_spmd(real_halo_program, machine=m, mode="step",
-                    args=(persistent_buffers,))
-    event = run_spmd(real_halo_program, machine=m, mode="event",
-                     args=(persistent_buffers,))
+    step = run_reference(real_halo_program, machine=m,
+                         args=(persistent_buffers,))
+    event = run_spmd(real_halo_program, machine=m, args=(persistent_buffers,))
     assert canon(step) == canon(event)
     # persistent buffers reuse one op; fresh arrays get a fresh op a step
     assert set(event.values) == {1 if persistent_buffers else 4}
@@ -220,8 +220,8 @@ def changing_faces_program(comm):
 
 def test_changed_face_set_rebuilds():
     m = machine(4)
-    step = run_spmd(changing_faces_program, machine=m, mode="step")
-    event = run_spmd(changing_faces_program, machine=m, mode="event")
+    step = run_reference(changing_faces_program, machine=m)
+    event = run_spmd(changing_faces_program, machine=m)
     assert canon(step) == canon(event)
     assert event.values[0] == [4, 2, 4, 4, 2]
 
@@ -238,9 +238,8 @@ def hoisted_real_collective_program(comm):
 
 def test_real_payload_collectives_are_never_replayed():
     m = machine(3)
-    step = run_spmd(hoisted_real_collective_program, machine=m, mode="step")
-    event = run_spmd(hoisted_real_collective_program, machine=m,
-                     mode="event")
+    step = run_reference(hoisted_real_collective_program, machine=m)
+    event = run_spmd(hoisted_real_collective_program, machine=m)
     assert canon(step) == canon(event)
     assert event.values[0] == [3.0 + 30.0 * s for s in range(4)]
 
@@ -265,8 +264,8 @@ def replayed_list_results_program(comm):
 
 def test_replayed_rounds_hand_out_fresh_lists():
     m = machine(4)
-    step = run_spmd(replayed_list_results_program, machine=m, mode="step")
-    event = run_spmd(replayed_list_results_program, machine=m, mode="event")
+    step = run_reference(replayed_list_results_program, machine=m)
+    event = run_spmd(replayed_list_results_program, machine=m)
     assert canon(step) == canon(event)
     assert event.values[0] == [4, 4, None] * 4
     assert event.values[1] == [4, 4, 4] * 4
@@ -282,9 +281,9 @@ def repeated_split_program(comm):
 
 
 def test_split_is_never_replayed():
-    event = run_spmd(repeated_split_program, machine=machine(4), mode="event")
+    event = run_spmd(repeated_split_program, machine=machine(4))
     assert event.values == [3, 3, 3, 3]          # a new communicator each time
-    step = run_spmd(repeated_split_program, machine=machine(4), mode="step")
+    step = run_reference(repeated_split_program, machine=machine(4))
     assert step.clocks == event.clocks
 
 
@@ -309,10 +308,8 @@ def test_compute_price_never_crosses_machines(shared):
     clocks = {}
     for name, m in (("booster", booster), ("cluster", cluster), ("msa", msa),
                     ("booster-again", booster)):
-        event = run_spmd(compute_program, machine=m, mode="event",
-                         args=(shared,))
-        step = run_spmd(compute_program, machine=m, mode="step",
-                        args=(shared,))
+        event = run_spmd(compute_program, machine=m, args=(shared,))
+        step = run_reference(compute_program, machine=m, args=(shared,))
         assert canon(event) == canon(step), name
         clocks[name] = [t.compute["kernel"] for t in event.traces]
     assert clocks["booster"] == clocks["booster-again"]
@@ -327,29 +324,30 @@ def test_compute_price_never_crosses_machines(shared):
 def test_chroma_builds_plans_and_ops_once(monkeypatch):
     builds = []
     exchanges = []
-    real_build = EventEngine._build_plan
+    real_build = engine_module.build_plan
     real_exchange = Comm.exchange
 
-    def counting_build(self, members, pend):
+    def counting_build(members, *args):
         builds.append(len(members))
-        return real_build(self, members, pend)
+        return real_build(members, *args)
 
     def counting_exchange(self, *args, **kw):
         exchanges.append(self.rank)
         return real_exchange(self, *args, **kw)
 
-    monkeypatch.setattr(EventEngine, "_build_plan", counting_build)
+    monkeypatch.setattr(engine_module, "build_plan", counting_build)
     monkeypatch.setattr(Comm, "exchange", counting_exchange)
     m = Machine.booster(16)
     trajectories, md_steps, cg_iters = 2, 2, 4
-    spmd = run_spmd(chroma_timing_program, machine=m, mode="event",
+    spmd = run_spmd(chroma_timing_program, machine=m,
                     args=((4, 4, 4, 4), trajectories, md_steps, cg_iters))
     sweeps = trajectories * md_steps * cg_iters * 2
     assert spmd.values == [sweeps] * 64 and sweeps == 32
     assert builds == [64]                 # one (comm, tag), one plan
     assert sorted(exchanges) == list(range(64))   # one Exchange per rank
-    step = run_spmd(chroma_timing_program, machine=m, mode="step",
-                    args=((4, 4, 4, 4), trajectories, md_steps, cg_iters))
+    step = run_reference(
+        chroma_timing_program, machine=m,
+        args=((4, 4, 4, 4), trajectories, md_steps, cg_iters))
     assert canon(step) == canon(spmd)
 
 
@@ -372,9 +370,8 @@ def pair_program(comm, sizes, skew):
 def test_paired_sendrecv_matches_step_core(skew):
     sizes = [(64.0, 64.0), (1024.0, 5e6), (5e6, 7e6), (0.0, 3e5)]
     m = machine(8, ranks_per_node=2)       # on-node and off-node pairs
-    step = run_spmd(pair_program, machine=m, mode="step", args=(sizes, skew))
-    event = run_spmd(pair_program, machine=m, mode="event",
-                     args=(sizes, skew))
+    step = run_reference(pair_program, machine=m, args=(sizes, skew))
+    event = run_spmd(pair_program, machine=m, args=(sizes, skew))
     assert canon(step) == canon(event)
 
 
@@ -402,16 +399,16 @@ def lowered_pair_program(comm):
 
 def test_parked_sendrecv_interoperates_with_plain_p2p():
     m = machine(3)
-    step = run_spmd(lowered_pair_program, machine=m, mode="step")
-    event = run_spmd(lowered_pair_program, machine=m, mode="event")
+    step = run_reference(lowered_pair_program, machine=m)
+    event = run_spmd(lowered_pair_program, machine=m)
     assert canon(step) == canon(event)
     assert event.values[0] == (11.0, 20.0, 8.0)
     assert event.values[1] == (1.0, 2.0, 4e6, 3.0)
 
 
-def _deadlock_text(program, nranks, mode):
+def _deadlock_text(program, nranks, run):
     with pytest.raises(DeadlockError) as err:
-        run_spmd(program, machine=machine(nranks), mode=mode)
+        run(program, machine=machine(nranks))
     return str(err.value)
 
 
@@ -436,8 +433,8 @@ def test_unpartnered_sendrecv_deadlocks_like_the_step_core():
 
     for program, nranks in ((absent_partner, 2), (wrong_tag, 2),
                             (third_wheel, 3), (stuck_collective, 3)):
-        assert _deadlock_text(program, nranks, "event") == \
-            _deadlock_text(program, nranks, "step"), program.__name__
+        assert _deadlock_text(program, nranks, run_spmd) == \
+            _deadlock_text(program, nranks, run_reference), program.__name__
 
 
 # -- (e) Hypothesis: interned and fresh descriptors mixed ------------------------
@@ -534,7 +531,7 @@ def test_random_persistent_programs_agree_across_cores(phases, repeats,
                                                        nranks):
     prog = build_program(phases, repeats)
     m = machine(nranks)
-    step = run_spmd(prog, machine=m, mode="step")
-    event = run_spmd(prog, machine=m, mode="event")
+    step = run_reference(prog, machine=m)
+    event = run_spmd(prog, machine=m)
     assert step.clocks == event.clocks
     assert canon(step) == canon(event)

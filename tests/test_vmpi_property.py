@@ -1,11 +1,12 @@
-"""Property-based differential testing of the engine cores.
+"""Property-based differential testing of the vmpi engine.
 
 Hypothesis generates random-but-well-formed SPMD programs (every rank
 executes the same randomly drawn phase sequence, so they are
-deadlock-free by construction) and asserts the cross-core invariants on
-each: virtual clocks advance monotonically, no spurious
-:class:`DeadlockError` is raised, and the step and event cores agree
-exactly on final clocks, payloads and traces.
+deadlock-free by construction) and asserts the invariants on each:
+virtual clocks advance monotonically, no spurious
+:class:`DeadlockError` is raised, and the engine and the reference step
+scheduler (:mod:`tests.vmpi_reference`) agree exactly on final clocks,
+payloads and traces.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import juwels_booster
 from repro.vmpi import Machine, Phantom, run_spmd
+from tests.vmpi_reference import run_reference
 
 
 def machine(nranks, **kw):
@@ -87,8 +89,8 @@ def build_program(phases):
 def test_random_programs_agree_across_cores(phases, nranks):
     prog = build_program(phases)
     m = machine(nranks)
-    step = run_spmd(prog, machine=m, mode="step")     # must not deadlock
-    event = run_spmd(prog, machine=m, mode="event")   # must not deadlock
+    step = run_reference(prog, machine=m)   # must not deadlock
+    event = run_spmd(prog, machine=m)       # must not deadlock
     # exact agreement, float for float
     assert step.clocks == event.clocks
     assert step.values == event.values
@@ -108,7 +110,7 @@ def test_clocks_monotonic_and_consistent(phases, nranks):
     is bit-reproducible."""
     prog = build_program(phases)
     m = machine(nranks)
-    res = run_spmd(prog, machine=m, mode="event")
+    res = run_spmd(prog, machine=m)
     for r in range(nranks):
         t = res.traces[r]
         assert res.clocks[r] >= 0.0
@@ -118,6 +120,6 @@ def test_clocks_monotonic_and_consistent(phases, nranks):
         assert t.comm_seconds >= 0.0
         assert t.compute_seconds + t.comm_seconds <= \
             res.clocks[r] * (1 + 1e-9) + 1e-12
-    again = run_spmd(prog, machine=m, mode="event")
+    again = run_spmd(prog, machine=m)
     assert again.clocks == res.clocks
     assert again.values == res.values
