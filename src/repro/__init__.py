@@ -13,8 +13,11 @@ Top-level subpackages:
 * :mod:`repro.analysis` -- tables, figures and performance models.
 """
 
-from .core.suite import load_suite
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = ["load_suite", "__version__"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "core.suite": ("load_suite",),
+})
+__all__.append("__version__")

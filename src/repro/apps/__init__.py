@@ -2,49 +2,13 @@
 
 Each subpackage implements one application (or a shared substrate for a
 family): the genuine algorithm in NumPy, an SPMD program over virtual
-MPI, and a :class:`~repro.core.benchmark.Benchmark` subclass.
-``register_all`` plugs every implementation into a suite instance.
+MPI, and a :class:`~repro.core.benchmark.Benchmark` subclass.  Which
+class implements which Table II name is declared once, in
+:data:`repro.core.registry.IMPLEMENTATIONS`.
 """
 
-from typing import TYPE_CHECKING
+from .._lazy import lazy_exports
 
-from .base import AppBenchmark, pow2_floor
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..core.suite import JupiterBenchmarkSuite
-
-
-def register_all(suite: "JupiterBenchmarkSuite") -> None:
-    """Register all 16 application benchmarks with a suite."""
-    from .ai import MegatronBenchmark, MmoclipBenchmark, ResnetBenchmark
-    from .arbor import ArborBenchmark
-    from .icon import IconBenchmark
-    from .juqcs import JuqcsBenchmark
-    from .lattice import ChromaBenchmark, DynqcdBenchmark
-    from .md import AmberBenchmark, GromacsBenchmark
-    from .nastja import NastjaBenchmark
-    from .nekrs import NekrsBenchmark
-    from .parflow import ParflowBenchmark
-    from .picongpu import PicongpuBenchmark
-    from .qe import QuantumEspressoBenchmark
-    from .soma import SomaBenchmark
-
-    suite.register("Amber", AmberBenchmark)
-    suite.register("Arbor", ArborBenchmark)
-    suite.register("Chroma-QCD", ChromaBenchmark)
-    suite.register("GROMACS", GromacsBenchmark)
-    suite.register("ICON", IconBenchmark)
-    suite.register("JUQCS", JuqcsBenchmark)
-    suite.register("nekRS", NekrsBenchmark)
-    suite.register("ParFlow", ParflowBenchmark)
-    suite.register("PIConGPU", PicongpuBenchmark)
-    suite.register("Quantum Espresso", QuantumEspressoBenchmark)
-    suite.register("SOMA", SomaBenchmark)
-    suite.register("MMoCLIP", MmoclipBenchmark)
-    suite.register("Megatron-LM", MegatronBenchmark)
-    suite.register("ResNet", ResnetBenchmark)
-    suite.register("DynQCD", DynqcdBenchmark)
-    suite.register("NAStJA", NastjaBenchmark)
-
-
-__all__ = ["AppBenchmark", "pow2_floor", "register_all"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "base": ("AppBenchmark", "pow2_floor"),
+})

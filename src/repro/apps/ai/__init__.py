@@ -2,61 +2,27 @@
 optimisers, parallel training schemes, and the three benchmarks
 (Megatron-LM, MMoCLIP, ResNet)."""
 
-from .benchmarks import (
-    BF16_FACTOR,
-    CLIP_SAMPLES,
-    FOM_TOKENS,
-    GPT_PARAMS,
-    MegatronBenchmark,
-    MmoclipBenchmark,
-    RESNET_IMAGES,
-    ResnetBenchmark,
-    megatron_timing_program,
-    mmoclip_timing_program,
-    resnet_timing_program,
-)
-from .layers import (
-    Conv2d,
-    Embedding,
-    Gelu,
-    GlobalAvgPool,
-    Layer,
-    LayerNorm,
-    Linear,
-    Parameter,
-    Relu,
-    SelfAttention,
-    Sequential,
-    cross_entropy,
-    softmax,
-)
-from .models import (
-    ClipTower,
-    ResidualConvBlock,
-    TinyGpt,
-    TinyResNet,
-    TransformerBlock,
-    clip_contrastive_loss,
-    synthetic_images,
-    synthetic_pairs,
-    synthetic_tokens,
-)
-from .optim import Adam, Sgd
-from .parallelism import (
-    ColumnParallelLinear,
-    allreduce_gradients,
-    pipeline_train_step,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "Adam", "BF16_FACTOR", "CLIP_SAMPLES", "ClipTower",
-    "ColumnParallelLinear", "Conv2d", "Embedding", "FOM_TOKENS", "GPT_PARAMS",
-    "Gelu", "GlobalAvgPool", "Layer", "LayerNorm", "Linear",
-    "MegatronBenchmark", "MmoclipBenchmark", "Parameter", "RESNET_IMAGES",
-    "Relu", "ResidualConvBlock", "ResnetBenchmark", "SelfAttention",
-    "Sequential", "Sgd", "TinyGpt", "TinyResNet", "TransformerBlock",
-    "allreduce_gradients", "clip_contrastive_loss", "cross_entropy",
-    "megatron_timing_program", "mmoclip_timing_program",
-    "pipeline_train_step", "resnet_timing_program", "softmax",
-    "synthetic_images", "synthetic_pairs", "synthetic_tokens",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "benchmarks": (
+        "BF16_FACTOR", "CLIP_SAMPLES", "FOM_TOKENS", "GPT_PARAMS",
+        "MegatronBenchmark", "MmoclipBenchmark", "RESNET_IMAGES",
+        "ResnetBenchmark", "megatron_timing_program", "mmoclip_timing_program",
+        "resnet_timing_program"
+    ),
+    "layers": (
+        "Conv2d", "Embedding", "Gelu", "GlobalAvgPool", "Layer", "LayerNorm",
+        "Linear", "Parameter", "Relu", "SelfAttention", "Sequential",
+        "cross_entropy", "softmax"
+    ),
+    "models": (
+        "ClipTower", "ResidualConvBlock", "TinyGpt", "TinyResNet",
+        "TransformerBlock", "clip_contrastive_loss", "synthetic_images",
+        "synthetic_pairs", "synthetic_tokens"
+    ),
+    "optim": ("Adam", "Sgd"),
+    "parallelism": (
+        "ColumnParallelLinear", "allreduce_gradients", "pipeline_train_step"
+    ),
+})

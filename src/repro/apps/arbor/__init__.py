@@ -1,15 +1,13 @@
 """Arbor: morphologically detailed neural network simulation."""
 
-from .benchmark import ArborBenchmark, arbor_real_program, arbor_timing_program
-from .cable import CableDiscretisation, hines_solve, tree_matrix_dense
-from .channels import HHChannels, rates_h, rates_m, rates_n
-from .morphology import Morphology, allen_like_cell, random_tree
-from .network import SPIKE_THRESHOLD, Cell, RingNetwork, simulate_rings
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "ArborBenchmark", "CableDiscretisation", "Cell", "HHChannels",
-    "Morphology", "RingNetwork", "SPIKE_THRESHOLD", "allen_like_cell",
-    "arbor_real_program", "arbor_timing_program", "hines_solve",
-    "random_tree", "rates_h", "rates_m", "rates_n", "simulate_rings",
-    "tree_matrix_dense",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "benchmark": (
+        "ArborBenchmark", "arbor_real_program", "arbor_timing_program"
+    ),
+    "cable": ("CableDiscretisation", "hines_solve", "tree_matrix_dense"),
+    "channels": ("HHChannels", "rates_h", "rates_m", "rates_n"),
+    "morphology": ("Morphology", "allen_like_cell", "random_tree"),
+    "network": ("Cell", "RingNetwork", "SPIKE_THRESHOLD", "simulate_rings"),
+})

@@ -1,21 +1,13 @@
 """ICON: icosahedral non-hydrostatic weather & climate model."""
 
-from .benchmark import (
-    FOM_STEPS,
-    SUBCASES,
-    IconBenchmark,
-    icon_timing_program,
-)
-from .dynamics import (
-    ShallowWaterState,
-    gaussian_hill,
-    geostrophic_state,
-    step_rk3,
-    tendencies,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "FOM_STEPS", "IconBenchmark", "SUBCASES", "ShallowWaterState",
-    "gaussian_hill", "geostrophic_state", "icon_timing_program",
-    "step_rk3", "tendencies",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "benchmark": (
+        "FOM_STEPS", "IconBenchmark", "SUBCASES", "icon_timing_program"
+    ),
+    "dynamics": (
+        "ShallowWaterState", "gaussian_hill", "geostrophic_state", "step_rk3",
+        "tendencies"
+    ),
+})

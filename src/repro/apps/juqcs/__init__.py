@@ -1,47 +1,19 @@
 """JUQCS: massively parallel universal quantum-computer simulator."""
 
-from .benchmark import (
-    BASE_QUBITS,
-    EXA_QUBITS,
-    HS_QUBITS,
-    JuqcsBenchmark,
-    juqcs_program,
-    qubits_for_memory,
-    state_vector_bytes,
-)
-from .distributed import (
-    AMP_BYTES,
-    DistState,
-    dist_apply,
-    dist_gather,
-    dist_zero_state,
-    reference_state,
-)
-from .statevector import (
-    H,
-    I2,
-    S,
-    T,
-    X,
-    Y,
-    Z,
-    Circuit,
-    apply_controlled,
-    apply_gate,
-    is_unitary,
-    norm,
-    probabilities,
-    rx,
-    ry,
-    rz,
-    zero_state,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "AMP_BYTES", "BASE_QUBITS", "Circuit", "DistState", "EXA_QUBITS", "H",
-    "HS_QUBITS", "I2", "JuqcsBenchmark", "S", "T", "X", "Y", "Z",
-    "apply_controlled", "apply_gate", "dist_apply", "dist_gather",
-    "dist_zero_state", "is_unitary", "juqcs_program", "norm",
-    "probabilities", "qubits_for_memory", "reference_state", "rx", "ry",
-    "rz", "state_vector_bytes", "zero_state",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "benchmark": (
+        "BASE_QUBITS", "EXA_QUBITS", "HS_QUBITS", "JuqcsBenchmark",
+        "juqcs_program", "qubits_for_memory", "state_vector_bytes"
+    ),
+    "distributed": (
+        "AMP_BYTES", "DistState", "dist_apply", "dist_gather",
+        "dist_zero_state", "reference_state"
+    ),
+    "statevector": (
+        "Circuit", "H", "I2", "S", "T", "X", "Y", "Z", "apply_controlled",
+        "apply_gate", "is_unitary", "norm", "probabilities", "rx", "ry", "rz",
+        "zero_state"
+    ),
+})

@@ -2,69 +2,34 @@
 SU(3) algebra, gauge actions, the Wilson-clover Dirac operator, CG,
 HMC, and the distributed (virtual-MPI) implementations."""
 
-from .cg import CgResult, conjugate_gradient
-from .chroma import (
-    ChromaBenchmark,
-    chroma_timing_program,
-    local_lattice_dims,
-)
-from .dirac import (
-    GAMMA,
-    GAMMA5,
-    WilsonDirac,
-    clover_field_strength,
-    lattice_bytes_per_site,
-    random_spinor,
-    sigma_munu,
-    spinor_dot,
-    spinor_norm,
-)
-from .distributed import (
-    SlabDirac,
-    dist_apply_dirac,
-    dist_cg,
-    dist_dot,
-    dist_normal_apply,
-    distribute_gauge,
-    exchange_t_ghosts,
-    slab_of,
-)
-from .dynqcd import DynqcdBenchmark, dynqcd_timing_program
-from .gauge import (
-    GaugeAction,
-    GaugeField,
-    average_plaquette,
-    average_rectangle,
-    field_at,
-    path_product,
-    plaquette_field,
-    rectangle_field,
-    staple_sum,
-)
-from .hmc import HmcResult, Trajectory, hmc_trajectory, kinetic_energy, leapfrog, run_hmc
-from .su3 import (
-    dagger,
-    expm_su3,
-    identity_links,
-    is_su3,
-    project_su3,
-    random_algebra,
-    random_su3,
-    trace,
-    traceless_antihermitian,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "CgResult", "ChromaBenchmark", "DynqcdBenchmark", "GAMMA", "GAMMA5",
-    "GaugeAction", "GaugeField", "HmcResult", "SlabDirac", "Trajectory",
-    "WilsonDirac", "average_plaquette", "average_rectangle",
-    "chroma_timing_program", "clover_field_strength", "conjugate_gradient",
-    "dagger", "dist_apply_dirac", "dist_cg", "dist_dot",
-    "dist_normal_apply", "distribute_gauge", "dynqcd_timing_program",
-    "exchange_t_ghosts", "expm_su3", "field_at", "hmc_trajectory",
-    "identity_links", "is_su3", "kinetic_energy", "lattice_bytes_per_site",
-    "leapfrog", "local_lattice_dims", "path_product", "plaquette_field",
-    "project_su3", "random_algebra", "random_spinor", "random_su3",
-    "rectangle_field", "run_hmc", "sigma_munu", "slab_of", "spinor_dot",
-    "spinor_norm", "staple_sum", "trace", "traceless_antihermitian",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cg": ("CgResult", "conjugate_gradient"),
+    "chroma": (
+        "ChromaBenchmark", "chroma_timing_program", "local_lattice_dims"
+    ),
+    "dirac": (
+        "GAMMA", "GAMMA5", "WilsonDirac", "clover_field_strength",
+        "lattice_bytes_per_site", "random_spinor", "sigma_munu", "spinor_dot",
+        "spinor_norm"
+    ),
+    "distributed": (
+        "SlabDirac", "dist_apply_dirac", "dist_cg", "dist_dot",
+        "dist_normal_apply", "distribute_gauge", "exchange_t_ghosts", "slab_of"
+    ),
+    "dynqcd": ("DynqcdBenchmark", "dynqcd_timing_program"),
+    "gauge": (
+        "GaugeAction", "GaugeField", "average_plaquette", "average_rectangle",
+        "field_at", "path_product", "plaquette_field", "rectangle_field",
+        "staple_sum"
+    ),
+    "hmc": (
+        "HmcResult", "Trajectory", "hmc_trajectory", "kinetic_energy",
+        "leapfrog", "run_hmc"
+    ),
+    "su3": (
+        "dagger", "expm_su3", "identity_links", "is_su3", "project_su3",
+        "random_algebra", "random_su3", "trace", "traceless_antihermitian"
+    ),
+})

@@ -1,31 +1,18 @@
 """Molecular dynamics substrate shared by GROMACS and Amber:
 neighbour lists, LJ + Ewald force field, velocity-Verlet engine."""
 
-from .amber import STMV_ATOMS, AmberBenchmark, amber_timing_program
-from .engine import MdEngine, MdObservables, MdSystem
-from .forcefield import (
-    EwaldParams,
-    LjParams,
-    coulomb_energy,
-    ewald_real_space,
-    ewald_reciprocal,
-    lj_forces,
-    lj_pair_energy,
-    madelung_nacl,
-)
-from .gromacs import CASES, GromacsBenchmark, gromacs_timing_program
-from .neighbor import (
-    NeighborList,
-    build_neighbor_list,
-    minimum_image,
-    wrap_positions,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "AmberBenchmark", "CASES", "EwaldParams", "GromacsBenchmark",
-    "LjParams", "MdEngine", "MdObservables", "MdSystem", "NeighborList",
-    "STMV_ATOMS", "amber_timing_program", "build_neighbor_list",
-    "coulomb_energy", "ewald_real_space", "ewald_reciprocal",
-    "gromacs_timing_program", "lj_forces", "lj_pair_energy",
-    "madelung_nacl", "minimum_image", "wrap_positions",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "amber": ("AmberBenchmark", "STMV_ATOMS", "amber_timing_program"),
+    "engine": ("MdEngine", "MdObservables", "MdSystem"),
+    "forcefield": (
+        "EwaldParams", "LjParams", "coulomb_energy", "ewald_real_space",
+        "ewald_reciprocal", "lj_forces", "lj_pair_energy", "madelung_nacl"
+    ),
+    "gromacs": ("CASES", "GromacsBenchmark", "gromacs_timing_program"),
+    "neighbor": (
+        "NeighborList", "build_neighbor_list", "minimum_image",
+        "wrap_positions"
+    ),
+})

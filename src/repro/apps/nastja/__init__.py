@@ -1,7 +1,10 @@
 """NAStJA: cellular Potts model for biological tissue (CPU-only)."""
 
-from .benchmark import DOMAIN, MC_STEPS, NastjaBenchmark, nastja_timing_program
-from .potts import MEDIUM, PottsModel, checkerboard_tissue
+from ..._lazy import lazy_exports
 
-__all__ = ["DOMAIN", "MC_STEPS", "MEDIUM", "NastjaBenchmark",
-           "PottsModel", "checkerboard_tissue", "nastja_timing_program"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "benchmark": (
+        "DOMAIN", "MC_STEPS", "NastjaBenchmark", "nastja_timing_program"
+    ),
+    "potts": ("MEDIUM", "PottsModel", "checkerboard_tissue"),
+})

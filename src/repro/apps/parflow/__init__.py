@@ -1,11 +1,12 @@
 """ParFlow: integrated hydrology (Richards equation, multigrid CG)."""
 
-from .benchmark import DOMAIN, ParflowBenchmark, parflow_timing_program
-from .multigrid import apply_poisson, jacobi_smooth, mg_solve, mgcg_solve, \
-    prolong, rb_gauss_seidel, restrict, v_cycle
-from .richards import RichardsColumn, VanGenuchten
+from ..._lazy import lazy_exports
 
-__all__ = ["DOMAIN", "ParflowBenchmark", "RichardsColumn", "VanGenuchten",
-           "apply_poisson", "jacobi_smooth", "mg_solve", "mgcg_solve",
-           "parflow_timing_program", "prolong", "rb_gauss_seidel",
-           "restrict", "v_cycle"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "benchmark": ("DOMAIN", "ParflowBenchmark", "parflow_timing_program"),
+    "multigrid": (
+        "apply_poisson", "jacobi_smooth", "mg_solve", "mgcg_solve", "prolong",
+        "rb_gauss_seidel", "restrict", "v_cycle"
+    ),
+    "richards": ("RichardsColumn", "VanGenuchten"),
+})

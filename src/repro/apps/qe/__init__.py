@@ -1,17 +1,11 @@
 """Quantum ESPRESSO: plane-wave DFT / Car-Parrinello MD."""
 
-from .benchmark import (
-    ATOMS,
-    BANDS,
-    MESH,
-    QuantumEspressoBenchmark,
-    apply_hamiltonian_serial,
-    qe_real_program,
-    qe_timing_program,
-)
-from .fft3d import dist_fft3, dist_ifft3, gathered_fft3, slab_range
+from ..._lazy import lazy_exports
 
-__all__ = ["ATOMS", "BANDS", "MESH", "QuantumEspressoBenchmark",
-           "apply_hamiltonian_serial", "dist_fft3", "dist_ifft3",
-           "gathered_fft3", "qe_real_program", "qe_timing_program",
-           "slab_range"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "benchmark": (
+        "ATOMS", "BANDS", "MESH", "QuantumEspressoBenchmark",
+        "apply_hamiltonian_serial", "qe_real_program", "qe_timing_program"
+    ),
+    "fft3d": ("dist_fft3", "dist_ifft3", "gathered_fft3", "slab_range"),
+})

@@ -1,14 +1,11 @@
 """SOMA: Single Chain in Mean Field polymer Monte Carlo."""
 
-from .benchmark import (
-    BEADS_PER_CHAIN,
-    CHAINS,
-    FIELD_GRID,
-    MC_SWEEPS,
-    SomaBenchmark,
-    soma_timing_program,
-)
-from .scmf import ScmfSystem
+from ..._lazy import lazy_exports
 
-__all__ = ["BEADS_PER_CHAIN", "CHAINS", "FIELD_GRID", "MC_SWEEPS",
-           "ScmfSystem", "SomaBenchmark", "soma_timing_program"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "benchmark": (
+        "BEADS_PER_CHAIN", "CHAINS", "FIELD_GRID", "MC_SWEEPS",
+        "SomaBenchmark", "soma_timing_program"
+    ),
+    "scmf": ("ScmfSystem",),
+})

@@ -33,41 +33,22 @@ Run it as ``jubench check`` or ``python -m repro.check``; pass a cache
 parallel analysis.
 """
 
-from .dims import Dim, DimRegistry, build_registry, parse_dim
-from .engine import Analyzer, CheckReport, runtime_contract_findings
-from .findings import (
-    Baseline,
-    BaselineEntry,
-    Finding,
-    Severity,
-    load_baseline,
-    save_baseline,
-)
-from .protocol import ProtocolFinding, analyze_modules, rank_programs
-from .reporters import render_human, render_json, render_sarif
-from .rules import (
-    RULE_CLASSES,
-    default_rules,
-    expand_rule_prefixes,
-    rule_ids,
-)
-from .sanitizer import (
-    LockGraph,
-    LockOrderError,
-    LockOrderWatcher,
-    install,
-    install_from_env,
-    installed_graph,
-    uninstall,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Analyzer", "Baseline", "BaselineEntry", "CheckReport", "Dim",
-    "DimRegistry", "Finding", "LockGraph", "LockOrderError",
-    "LockOrderWatcher", "ProtocolFinding", "RULE_CLASSES", "Severity",
-    "analyze_modules", "build_registry", "default_rules",
-    "expand_rule_prefixes", "install", "install_from_env",
-    "installed_graph", "load_baseline", "parse_dim", "rank_programs",
-    "render_human", "render_json", "render_sarif", "rule_ids",
-    "runtime_contract_findings", "save_baseline", "uninstall",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "dims": ("Dim", "DimRegistry", "build_registry", "parse_dim"),
+    "engine": ("Analyzer", "CheckReport", "runtime_contract_findings"),
+    "findings": (
+        "Baseline", "BaselineEntry", "Finding", "Severity", "load_baseline",
+        "save_baseline"
+    ),
+    "protocol": ("ProtocolFinding", "analyze_modules", "rank_programs"),
+    "reporters": ("render_human", "render_json", "render_sarif"),
+    "rules": (
+        "RULE_CLASSES", "default_rules", "expand_rule_prefixes", "rule_ids"
+    ),
+    "sanitizer": (
+        "LockGraph", "LockOrderError", "LockOrderWatcher", "install",
+        "install_from_env", "installed_graph", "uninstall"
+    ),
+})

@@ -40,43 +40,69 @@ report`` gains a FOM-trajectory section when pointed at a history DB.
 
 from __future__ import annotations
 
+# Only the stdlib at module scope: every handler imports what it runs
+# (DESIGN.md, "Import layering"), so ``jubench list|history|regress|
+# report`` never load numpy, a kernel or the suite.
 import argparse
 import os
 import sys
 
-from .core import (
-    MemoryVariant,
-    ReferenceResult,
-    SystemProposal,
-    TcoModel,
-    WorkloadMix,
-    get_info,
-    load_suite,
-)
-from .exec import DiskCache, ExecutionEngine, MemoryCache
-from .telemetry import (
-    JsonlSink,
-    MetricsRegistry,
-    Tracer,
-    current_tracer,
-    install_tracer,
-    set_default_registry,
-    write_chrome_trace,
-)
-from .units import fmt_seconds
+
+class _UsageError(Exception):
+    """A bad command line only a handler can detect: one error line, exit 2."""
 
 
-def _workers(text: str) -> int:
-    value = int(text)
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer")
     return value
+
+
+def _node_counts(text: str) -> tuple[int, ...]:
+    """``8,16,32`` -> ``(8, 16, 32)``; every count a positive int."""
+    return tuple(_positive_int(part) for part in text.split(","))
+
+
+def _scale(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1]")
+    return value
+
+
+def _names(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _select(wanted, known=None, what: str = "benchmark(s)") -> list[str]:
+    """The members of ``known`` named in ``wanted``, in ``known`` order
+    (none named = all); a name outside ``known`` is one error line.
+
+    ``known`` defaults to the implementation table, so names are
+    validated before -- and without -- importing any kernel.
+    """
+    if known is None:
+        from .core.registry import IMPLEMENTATIONS as known
+    wanted = set(wanted)
+    unknown = sorted(wanted - set(known))
+    if unknown:
+        raise _UsageError(f"unknown {what}: {', '.join(unknown)}; "
+                          f"see 'jubench list'")
+    return [name for name in known if not wanted or name in wanted]
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """The shared execution-engine options of run-style commands."""
     group = parser.add_argument_group("execution engine")
-    group.add_argument("--workers", type=_workers, default=1,
+    group.add_argument("--workers", type=_positive_int, default=1,
                        help="parallel workers for independent workunits")
     group.add_argument("--backend", choices=["serial", "thread", "process"],
                        default="thread", help="pool backend (default thread)")
@@ -116,21 +142,23 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
 
 def _fault_plan(args: argparse.Namespace):
     """The fault plan an invocation asked for (file, seed, or None)."""
-    from .faults import FaultPlan
-
     path = getattr(args, "faults", None)
     seed = getattr(args, "fault_seed", None)
+    if not path and seed is None:
+        return None
+    from .faults import FaultPlan
+
     if path:
         return FaultPlan.load(path)
-    if seed is not None:
-        return FaultPlan.generate(seed, nodes=32)
-    return None
+    return FaultPlan.generate(seed, nodes=32)
 
 
-def _make_engine(args: argparse.Namespace) -> ExecutionEngine | None:
+def _make_engine(args: argparse.Namespace):
     """Build the execution engine an exec-style command asked for."""
-    if not hasattr(args, "workers"):
-        return None
+    from .exec.cache import DiskCache, MemoryCache
+    from .exec.engine import ExecutionEngine
+    from .telemetry.spans import current_tracer
+
     cache = None
     if not args.no_cache:
         cache = DiskCache(args.cache_dir) if args.cache_dir \
@@ -139,7 +167,7 @@ def _make_engine(args: argparse.Namespace) -> ExecutionEngine | None:
     faults = backoff = breaker = None
     retries = getattr(args, "retries", None)
     if plan is not None:
-        from .exec import BackoffPolicy, CircuitBreaker
+        from .exec.resilience import BackoffPolicy, CircuitBreaker
         from .faults import FaultInjector
 
         faults = FaultInjector(plan)
@@ -168,12 +196,21 @@ def _history_store(args: argparse.Namespace):
     return HistoryStore.open(path)
 
 
+def _open_history(path: str):
+    """An existing history DB, for the commands that only read one."""
+    from .history import HistoryStore
+
+    os.stat(path)  # HistoryStore.open would create a missing DB
+    return HistoryStore.open(path)
+
+
 def _history_append(store, suite, benchmark: str,
                     fom_seconds: float | None, params: dict,
                     foms: dict | None = None) -> None:
     """Append one provenance-stamped run record to the history DB."""
     from .cluster.hardware import juwels_booster
     from .history import record
+    from .telemetry.spans import current_tracer
 
     store.append(record(benchmark, fom_seconds, params=params,
                         foms=foms, system=juwels_booster(),
@@ -185,16 +222,23 @@ def _history_note(store) -> None:
 
 
 def _configured_suite(args: argparse.Namespace):
-    """The default suite wired to this invocation's engine (if any)."""
-    suite = load_suite()
+    """The default suite wired to this invocation's engine.
+
+    Noted on ``args`` so ``_main`` detaches the engine afterwards --
+    and touches no suite when no handler loaded one.
+    """
+    from .core.suite import load_suite
+
+    suite = args.suite = load_suite()
     suite.engine = _make_engine(args)
     return suite
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    suite = load_suite()
-    print(f"JUPITER Benchmark Suite -- {len(suite.names())} benchmarks")
-    for name in suite.names():
+    from .core.registry import IMPLEMENTATIONS, get_info
+
+    print(f"JUPITER Benchmark Suite -- {len(IMPLEMENTATIONS)} benchmarks")
+    for name in IMPLEMENTATIONS:
         info = get_info(name)
         cats = "/".join(c.value for c in info.categories)
         star = "" if info.used_in_procurement else "  (prepared, not used)"
@@ -210,6 +254,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .core.variants import MemoryVariant
+    from .units import fmt_seconds
+
+    _select([args.benchmark])
     suite = _configured_suite(args)
     variant = MemoryVariant.from_label(args.variant) if args.variant else None
     result = suite.run(args.benchmark, args.nodes, variant=variant,
@@ -240,16 +288,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    from .units import fmt_seconds
+
+    names = _select(_names(args.benchmarks))
     suite = _configured_suite(args)
-    names = suite.names()
-    if args.benchmarks:
-        wanted = {b.strip() for b in args.benchmarks.split(",")}
-        unknown = sorted(wanted - set(names))
-        if unknown:
-            raise SystemExit(
-                f"jubench suite: unknown benchmark(s): "
-                f"{', '.join(unknown)}; see 'jubench list'")
-        names = [n for n in names if n in wanted]
     results = suite.run_all(names, scale=args.scale)
     print(f"suite run -- {len(results)} benchmarks "
           f"(workers={args.workers})")
@@ -268,13 +310,14 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
-    from .analysis import FIG2_APPS, figure2
+    from .analysis.figures import FIG2_APPS, figure2
 
+    named = _names(args.apps)
+    _select(named)  # a name no benchmark has, first
+    wanted = _select(named, [name for name, _ in FIG2_APPS],
+                     what="Base app(s)")
+    apps = tuple(a for a in FIG2_APPS if a[0] in wanted)
     suite = _configured_suite(args)
-    apps = FIG2_APPS
-    if args.apps:
-        wanted = {a.strip() for a in args.apps.split(",")}
-        apps = tuple(a for a in FIG2_APPS if a[0] in wanted)
     data = figure2(suite, apps)
     print(data.render())
     store = _history_store(args)
@@ -291,11 +334,10 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
-    from .analysis import figure3
+    from .analysis.figures import figure3
 
     suite = _configured_suite(args)
-    nodes = tuple(int(n) for n in args.nodes.split(","))
-    data = figure3(suite, nodes)
+    data = figure3(suite, args.nodes)
     print(data.render())
     store = _history_store(args)
     if store is not None:
@@ -305,15 +347,17 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
                 continue
             _history_append(
                 store, suite, name, pts[-1].runtime,
-                params={"study": "fig3", "nodes": list(nodes)},
+                params={"study": "fig3", "nodes": list(args.nodes)},
                 foms={f"eff_n{n}": eff for n, eff in curve.efficiency()})
         _history_note(store)
     return 0
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    from .core import describe
+    from .core.descriptions import describe
+    from .core.suite import load_suite
 
+    _select([args.benchmark])
     suite = load_suite()
     result = None
     if args.sample:
@@ -324,18 +368,18 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from .history.report import render_trajectory
-    from .history.store import HistoryStore, is_history_file
+    from .history.store import is_history_file
     from .telemetry.report import render_report
 
     if is_history_file(args.trace):
         # a history DB renders as its FOM-trajectory section directly
-        print(render_trajectory(HistoryStore.open(args.trace),
+        print(render_trajectory(_open_history(args.trace),
                                 last=args.last), end="")
         return 0
     print(render_report(args.trace))
     if args.history:
         print()
-        print(render_trajectory(HistoryStore.open(args.history),
+        print(render_trajectory(_open_history(args.history),
                                 last=args.last), end="")
     return 0
 
@@ -343,10 +387,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_history(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .history import HistoryStore
     from .history.report import render_trajectory
 
-    store = HistoryStore.open(args.db)
+    store = _open_history(args.db)
     if args.compact is not None:
         before = len(store)
         store = store.compact(args.compact)
@@ -368,10 +411,10 @@ def _cmd_history(args: argparse.Namespace) -> int:
 def _cmd_regress(args: argparse.Namespace) -> int:
     import json
 
-    from .history import HistoryStore, RegressionDetector
+    from .history import RegressionDetector
     from .history.report import render_regressions
 
-    store = HistoryStore.open(args.db)
+    store = _open_history(args.db)
     detector = RegressionDetector(window=args.window, sigma=args.sigma,
                                   slack=args.slack)
     if args.json:
@@ -396,6 +439,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from . import check as chk
+    from .exec.cache import DiskCache
 
     package_root = Path(__file__).resolve().parent
     repo_root = package_root.parent.parent
@@ -464,6 +508,8 @@ def _sanitize_smoke() -> int:
     """Exercise the engine under the lock-order watcher."""
     from .check import LockOrderError, install, uninstall
     from .core.suite import load_suite
+    from .exec.cache import MemoryCache
+    from .exec.engine import ExecutionEngine
 
     graph = install()
     try:
@@ -505,12 +551,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .check import install_from_env
     from .cluster.hardware import juwels_booster
     from .cluster.scheduler import Job, JobState, Scheduler
-    from .exec import BackoffPolicy, CircuitBreaker
+    from .core.suite import load_suite
+    from .exec.engine import ExecutionEngine
+    from .exec.resilience import BackoffPolicy, CircuitBreaker
     from .faults import FaultInjector, FaultPlan, write_chaos_trace
-    from .telemetry.spans import ManualClock, use_tracer
+    from .telemetry.spans import ManualClock, Tracer, use_tracer
 
     install_from_env()
-    names = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
+    names = _names(args.benchmarks)
+    _select(names)
     if args.faults:
         plan = FaultPlan.load(args.faults)
     else:
@@ -580,17 +629,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
+    from .core.suite import load_suite
     from .service import ServiceClient, execute_direct
 
+    names = _select(_names(args.benchmarks))
     suite = load_suite()
-    names = suite.names()
-    if args.benchmarks:
-        wanted = {b.strip() for b in args.benchmarks.split(",")}
-        unknown = sorted(wanted - set(names))
-        if unknown:
-            raise SystemExit(f"jubench submit: unknown benchmark(s): "
-                             f"{', '.join(unknown)}; see 'jubench list'")
-        names = [n for n in names if n in wanted]
     client = ServiceClient(None, args.client, suite=suite)
     envelopes = [client.make_envelope(name, scale=args.scale)
                  for name in names]
@@ -630,7 +673,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
+    from .core.suite import load_suite
+    from .exec.cache import DiskCache, MemoryCache
+    from .exec.engine import ExecutionEngine
     from .faults import FaultPlan
+    from .telemetry.spans import current_tracer
     from .service import (
         BenchmarkService,
         Capabilities,
@@ -696,6 +743,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_procurement(_args: argparse.Namespace) -> int:
     from .cluster.hardware import jupiter_booster_model
+    from .core.fom import ReferenceResult
+    from .core.suite import load_suite
+    from .core.tco import SystemProposal, TcoModel, WorkloadMix
+    from .units import fmt_seconds
 
     suite = load_suite()
     mix = WorkloadMix().add("GROMACS", 3).add("Arbor", 2).add("JUQCS", 1)
@@ -738,11 +789,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one benchmark")
     p.add_argument("benchmark")
-    p.add_argument("--nodes", type=int, default=None)
+    p.add_argument("--nodes", type=_positive_int, default=None)
     p.add_argument("--variant", choices=["T", "S", "M", "L"], default=None)
     p.add_argument("--real", action="store_true",
                    help="real (verifying) mode instead of timing mode")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_scale, default=1.0)
     _add_engine_options(p)
     p.set_defaults(fn=_cmd_run)
 
@@ -751,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "incremental via the execution engine)")
     p.add_argument("--benchmarks", default="",
                    help="comma-separated subset (default: all)")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_scale, default=1.0)
     _add_engine_options(p)
     p.set_defaults(fn=_cmd_suite)
 
@@ -762,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fig2)
 
     p = sub.add_parser("fig3", help="High-Scaling weak scaling (Fig. 3)")
-    p.add_argument("--nodes", default="8,16,32,64,128",
+    p.add_argument("--nodes", type=_node_counts, default="8,16,32,64,128",
                    help="comma-separated node counts")
     _add_engine_options(p)
     p.set_defaults(fn=_cmd_fig3)
@@ -863,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sanitize", action="store_true",
                    help="additionally run the suite under the "
                         "lock-order watcher")
-    p.add_argument("--workers", type=_workers, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="analyze modules in parallel (findings are "
                         "identical for any count)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -882,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "one from --seed")
     p.add_argument("--benchmarks", default="Arbor,JUQCS,HPL,STREAM",
                    help="comma-separated benchmark set")
-    p.add_argument("--workers", type=_workers, default=8,
+    p.add_argument("--workers", type=_positive_int, default=8,
                    help="engine workers (results are identical for any "
                         "count)")
     p.add_argument("--retries", type=int, default=None,
@@ -909,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 'cli')")
     p.add_argument("--benchmarks", default="",
                    help="comma-separated subset (default: all)")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_scale, default=1.0)
     p.add_argument("--direct", action="store_true",
                    help="bypass the service: execute the envelopes "
                         "in-process and emit the canonical export "
@@ -926,9 +977,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spool", required=True, metavar="DIR",
                    help="spool directory of task envelopes "
                         "(from 'jubench submit --spool DIR')")
-    p.add_argument("--endpoints", type=_workers, default=2, metavar="N",
+    p.add_argument("--endpoints", type=_positive_int, default=2, metavar="N",
                    help="local endpoints to register (default 2)")
-    p.add_argument("--workers", type=_workers, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="execution-engine workers per endpoint")
     p.add_argument("--backend", choices=["serial", "thread", "process"],
                    default="thread", help="pool backend (default thread)")
@@ -943,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heartbeat-threshold", type=int, default=3,
                    metavar="N", help="missed beats before an endpoint "
                                      "is declared lost (default 3)")
-    p.add_argument("--max-backlog", type=_workers, default=64,
+    p.add_argument("--max-backlog", type=_positive_int, default=64,
                    metavar="N", help="per-client queue bound; excess "
                                      "submissions are rejected "
                                      "explicitly (default 64)")
@@ -975,19 +1026,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_errors() -> tuple[type[Exception], ...]:
-    """What a malformed input file raises (``path:lineno: message``)."""
-    from .faults import FaultPlanError
-    from .history.store import HistoryError
-    from .service.envelope import EnvelopeError
-    from .telemetry.schema import SchemaError
+def _user_error(exc: Exception) -> bool:
+    """Whether ``exc`` is the user's to fix (one error line) rather
+    than ours (traceback)."""
+    if isinstance(exc, OSError):
+        return exc.filename is not None  # names a file the user gave
+    if isinstance(exc, ValueError):
+        # what a malformed input file raises (``path:lineno: message``)
+        from .faults import FaultPlanError
+        from .history.store import HistoryError
+        from .service.envelope import EnvelopeError
+        from .telemetry.schema import SchemaError
 
-    return (HistoryError, EnvelopeError, SchemaError, FaultPlanError)
+        return isinstance(exc, (HistoryError, EnvelopeError, SchemaError,
+                                FaultPlanError))
+    return isinstance(exc, _UsageError)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point: run the command; a bad input file is one error line
-    and exit code 2, a closed stdout (``| head``) a silent 141."""
+    """Entry point: run the command; a bad, missing or unreadable input
+    file and an unknown benchmark name are one error line and exit
+    code 2, a closed stdout (``| head``) a silent 141."""
     try:
         code = _main(argv)
         sys.stdout.flush()
@@ -997,8 +1056,8 @@ def main(argv: list[str] | None = None) -> int:
         # a later print nor the interpreter's exit flush raises again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 128 + 13  # as if killed by SIGPIPE
-    except ValueError as exc:
-        if not isinstance(exc, _input_errors()):
+    except (_UsageError, OSError, ValueError) as exc:
+        if not _user_error(exc):
             raise
         print(f"jubench: error: {exc}", file=sys.stderr)
         return 2
@@ -1006,11 +1065,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
-    suite = load_suite()
     trace_out = getattr(args, "trace_out", None)
     want_metrics = getattr(args, "metrics", False)
     tracer = sink = registry = prev_registry = None
     if trace_out or want_metrics:
+        from .telemetry.export import JsonlSink, write_chrome_trace
+        from .telemetry.metrics import MetricsRegistry, set_default_registry
+        from .telemetry.spans import Tracer, install_tracer
+
         tracer = Tracer()
         install_tracer(tracer)
         registry = MetricsRegistry()
@@ -1021,8 +1083,11 @@ def _main(argv: list[str] | None) -> int:
     try:
         return args.fn(args)
     finally:
-        engine = suite.engine
-        suite.engine = None  # the default suite is shared; detach
+        engine = None
+        suite = getattr(args, "suite", None)   # see _configured_suite
+        if suite is not None:
+            engine = suite.engine
+            suite.engine = None  # the default suite is shared; detach
         journal_to = getattr(args, "journal", None)
         if engine is not None and journal_to is not None:
             if journal_to == "-":

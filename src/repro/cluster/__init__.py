@@ -10,56 +10,20 @@ Sub-modules:
 * :mod:`~repro.cluster.energy` -- power/energy model for the TCO scheme.
 """
 
-from .energy import EnergyModel
-from .hardware import (
-    A100,
-    EPYC_ROME_7402,
-    DeviceSpec,
-    NodeSpec,
-    SystemSpec,
-    jupiter_booster_model,
-    juwels_booster,
-    juwels_booster_node,
-    juwels_cluster,
-    preparation_subpartition,
-)
-from .network import NetworkModel, booster_network
-from .scheduler import Job, JobState, Scheduler
-from .storage import (
-    IOR_EASY_TRANSFER,
-    IOR_HARD_TRANSFER,
-    SimFile,
-    SimFilesystem,
-    StorageModel,
-    StorageSpec,
-)
-from .topology import DragonflyPlus, FatTree, LinkClass, Topology
+from .._lazy import lazy_exports
 
-__all__ = [
-    "A100",
-    "EPYC_ROME_7402",
-    "DeviceSpec",
-    "DragonflyPlus",
-    "EnergyModel",
-    "FatTree",
-    "IOR_EASY_TRANSFER",
-    "IOR_HARD_TRANSFER",
-    "Job",
-    "JobState",
-    "LinkClass",
-    "NetworkModel",
-    "NodeSpec",
-    "Scheduler",
-    "SimFile",
-    "SimFilesystem",
-    "StorageModel",
-    "StorageSpec",
-    "SystemSpec",
-    "Topology",
-    "booster_network",
-    "jupiter_booster_model",
-    "juwels_booster",
-    "juwels_booster_node",
-    "juwels_cluster",
-    "preparation_subpartition",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "energy": ("EnergyModel",),
+    "hardware": (
+        "A100", "DeviceSpec", "EPYC_ROME_7402", "NodeSpec", "SystemSpec",
+        "jupiter_booster_model", "juwels_booster", "juwels_booster_node",
+        "juwels_cluster", "preparation_subpartition"
+    ),
+    "network": ("NetworkModel", "booster_network"),
+    "scheduler": ("Job", "JobState", "Scheduler"),
+    "storage": (
+        "IOR_EASY_TRANSFER", "IOR_HARD_TRANSFER", "SimFile", "SimFilesystem",
+        "StorageModel", "StorageSpec"
+    ),
+    "topology": ("DragonflyPlus", "FatTree", "LinkClass", "Topology"),
+})

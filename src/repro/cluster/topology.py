@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..units import register_dims
 from .hardware import SystemSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 #: dimension annotations consumed by ``repro.check``'s UNIT3xx rules;
 #: the count-like spec fields are declared dimensionless so bandwidth
@@ -90,6 +92,8 @@ class Topology:
 
     def graph(self, nnodes: int | None = None) -> nx.Graph:
         """An explicit networkx graph (nodes + cell switches) for analysis."""
+        import networkx as nx  # 0.1-0.2 s the timing model never pays
+
         sysm = self.system
         n = nnodes if nnodes is not None else sysm.nodes
         g = nx.Graph()

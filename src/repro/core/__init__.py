@@ -6,150 +6,51 @@ proposal evaluation, scaling studies, verification framework, and the
 suite facade.
 """
 
-from .benchmark import (
-    Benchmark,
-    BenchmarkInfo,
-    BenchmarkResult,
-    Category,
-    Dwarf,
-    Target,
-)
-from .continuous import (
-    Baseline,
-    CampaignReport,
-    ContinuousBenchmarking,
-    RegressionAlert,
-)
-from .descriptions import SECTIONS, describe, describe_all
-from .fom import FigureOfMerit, FomKind, ReferenceResult
-from .highscaling import (
-    PREP_PARTITION_FLOPS,
-    PROPOSAL_PARTITION_FLOPS,
-    SCALE_UP,
-    HighScalingAssessment,
-    HighScalingCase,
-    prep_partition_nodes,
-    proposal_partition_nodes,
-)
-from .procurement import (
-    HighScalingCommitment,
-    ProcurementEvaluation,
-    ProcurementScore,
-    RuleViolation,
-)
-from .registry import (
-    BENCHMARKS,
-    application_benchmarks,
-    by_category,
-    get_info,
-    high_scaling_benchmarks,
-    procurement_benchmarks,
-    synthetic_benchmarks,
-)
-from .scaling import (
-    FIG2_FACTORS,
-    ScalingPoint,
-    StrongScalingResult,
-    WeakScalingResult,
-    scaled_node_counts,
-    strong_scaling,
-    weak_scaling,
-)
-from .suite import (
-    CHECKLIST,
-    JupiterBenchmarkSuite,
-    PipelineState,
-    analyse_workloads,
-    creation_pipeline,
-    decode_result,
-    encode_result,
-    load_suite,
-    prepare_benchmark,
-    select_applications,
-)
-from .tco import (
-    Commitment,
-    SystemProposal,
-    TcoAssessment,
-    TcoModel,
-    WorkloadEntry,
-    WorkloadMix,
-)
-from .variants import MemoryVariant, VariantSizing, variant_labels
-from .verification import (
-    ExactVerifier,
-    FrameworkVerifier,
-    ModelVerifier,
-    ToleranceVerifier,
-    VerificationMethod,
-    VerificationResult,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BENCHMARKS",
-    "Baseline",
-    "CampaignReport",
-    "ContinuousBenchmarking",
-    "RegressionAlert",
-    "SECTIONS",
-    "describe",
-    "describe_all",
-    "Benchmark",
-    "BenchmarkInfo",
-    "BenchmarkResult",
-    "CHECKLIST",
-    "Category",
-    "Commitment",
-    "Dwarf",
-    "ExactVerifier",
-    "FIG2_FACTORS",
-    "FigureOfMerit",
-    "FomKind",
-    "FrameworkVerifier",
-    "HighScalingAssessment",
-    "HighScalingCase",
-    "HighScalingCommitment",
-    "JupiterBenchmarkSuite",
-    "MemoryVariant",
-    "ModelVerifier",
-    "PREP_PARTITION_FLOPS",
-    "PROPOSAL_PARTITION_FLOPS",
-    "PipelineState",
-    "ProcurementEvaluation",
-    "ProcurementScore",
-    "ReferenceResult",
-    "RuleViolation",
-    "SCALE_UP",
-    "ScalingPoint",
-    "StrongScalingResult",
-    "SystemProposal",
-    "Target",
-    "TcoAssessment",
-    "TcoModel",
-    "ToleranceVerifier",
-    "VariantSizing",
-    "VerificationMethod",
-    "VerificationResult",
-    "WeakScalingResult",
-    "WorkloadEntry",
-    "WorkloadMix",
-    "analyse_workloads",
-    "application_benchmarks",
-    "by_category",
-    "creation_pipeline",
-    "decode_result",
-    "encode_result",
-    "get_info",
-    "high_scaling_benchmarks",
-    "load_suite",
-    "prep_partition_nodes",
-    "prepare_benchmark",
-    "procurement_benchmarks",
-    "proposal_partition_nodes",
-    "scaled_node_counts",
-    "select_applications",
-    "strong_scaling",
-    "synthetic_benchmarks",
-    "variant_labels",
-    "weak_scaling",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "benchmark": (
+        "Benchmark", "BenchmarkInfo", "BenchmarkResult", "Category", "Dwarf",
+        "Target"
+    ),
+    "continuous": (
+        "Baseline", "CampaignReport", "ContinuousBenchmarking",
+        "RegressionAlert"
+    ),
+    "descriptions": ("SECTIONS", "describe", "describe_all"),
+    "fom": ("FigureOfMerit", "FomKind", "ReferenceResult"),
+    "highscaling": (
+        "HighScalingAssessment", "HighScalingCase", "PREP_PARTITION_FLOPS",
+        "PROPOSAL_PARTITION_FLOPS", "SCALE_UP", "prep_partition_nodes",
+        "proposal_partition_nodes"
+    ),
+    "procurement": (
+        "HighScalingCommitment", "ProcurementEvaluation", "ProcurementScore",
+        "RuleViolation"
+    ),
+    "registry": (
+        "BENCHMARKS", "application_benchmarks", "by_category", "get_info",
+        "high_scaling_benchmarks", "procurement_benchmarks",
+        "synthetic_benchmarks"
+    ),
+    "scaling": (
+        "FIG2_FACTORS", "ScalingPoint", "StrongScalingResult",
+        "WeakScalingResult", "scaled_node_counts", "strong_scaling",
+        "weak_scaling"
+    ),
+    "suite": (
+        "CHECKLIST", "JupiterBenchmarkSuite", "PipelineState",
+        "analyse_workloads", "creation_pipeline", "decode_result",
+        "encode_result", "load_suite", "prepare_benchmark",
+        "select_applications"
+    ),
+    "tco": (
+        "Commitment", "SystemProposal", "TcoAssessment", "TcoModel",
+        "WorkloadEntry", "WorkloadMix"
+    ),
+    "variants": ("MemoryVariant", "VariantSizing", "variant_labels"),
+    "verification": (
+        "ExactVerifier", "FrameworkVerifier", "ModelVerifier",
+        "ToleranceVerifier", "VerificationMethod", "VerificationResult"
+    ),
+})

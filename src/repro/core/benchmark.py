@@ -13,14 +13,16 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..cluster.hardware import SystemSpec, juwels_booster, juwels_cluster
 from ..units import register_dims
 from ..vmpi.machine import Machine
-from ..vmpi.trace import SpmdResult
 from .fom import FigureOfMerit
 from .variants import MemoryVariant
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..vmpi.trace import SpmdResult  # numpy; only named in annotations
 
 #: dimension annotations consumed by ``repro.check``'s UNIT3xx rules;
 #: the normalised FOM is the one field every benchmark must express in

@@ -4,12 +4,15 @@ This is the single source of truth behind the reproduced Table I
 (benchmark <-> domain <-> Berkeley dwarfs) and Table II (languages,
 programming models, licences, node counts, memory variants, execution
 targets).  The runnable implementations live in :mod:`repro.apps` and
-:mod:`repro.synthetic`; they attach to these records by name.
+:mod:`repro.synthetic`; :data:`IMPLEMENTATIONS` attaches them to these
+records by name without importing them.
 """
 
 from __future__ import annotations
 
-from .benchmark import BenchmarkInfo, Category, Dwarf, Target
+import importlib
+
+from .benchmark import Benchmark, BenchmarkInfo, Category, Dwarf, Target
 from .variants import MemoryVariant
 
 _T, _S, _M, _L = (MemoryVariant.TINY, MemoryVariant.SMALL,
@@ -183,6 +186,47 @@ BENCHMARKS: tuple[BenchmarkInfo, ...] = (
 )
 
 _BY_NAME = {b.name: b for b in BENCHMARKS}
+
+#: The runnable implementation of every benchmark as ``"module:Class"``,
+#: in Table II order -- the one list ``load_suite``, ``jubench list``
+#: and CLI name validation read.  A module is imported when its
+#: benchmark is first used (:func:`load_implementation`), never to
+#: enumerate or validate names.
+IMPLEMENTATIONS: dict[str, str] = {
+    "Amber": "repro.apps.md.amber:AmberBenchmark",
+    "Arbor": "repro.apps.arbor.benchmark:ArborBenchmark",
+    "Chroma-QCD": "repro.apps.lattice.chroma:ChromaBenchmark",
+    "GROMACS": "repro.apps.md.gromacs:GromacsBenchmark",
+    "ICON": "repro.apps.icon.benchmark:IconBenchmark",
+    "JUQCS": "repro.apps.juqcs.benchmark:JuqcsBenchmark",
+    "nekRS": "repro.apps.nekrs.benchmark:NekrsBenchmark",
+    "ParFlow": "repro.apps.parflow.benchmark:ParflowBenchmark",
+    "PIConGPU": "repro.apps.picongpu.benchmark:PicongpuBenchmark",
+    "Quantum Espresso": "repro.apps.qe.benchmark:QuantumEspressoBenchmark",
+    "SOMA": "repro.apps.soma.benchmark:SomaBenchmark",
+    "MMoCLIP": "repro.apps.ai.benchmarks:MmoclipBenchmark",
+    "Megatron-LM": "repro.apps.ai.benchmarks:MegatronBenchmark",
+    "ResNet": "repro.apps.ai.benchmarks:ResnetBenchmark",
+    "DynQCD": "repro.apps.lattice.dynqcd:DynqcdBenchmark",
+    "NAStJA": "repro.apps.nastja.benchmark:NastjaBenchmark",
+    "Graph500": "repro.synthetic.graph500:Graph500Benchmark",
+    "HPCG": "repro.synthetic.hpcg:HpcgBenchmark",
+    "HPL": "repro.synthetic.hpl:HplBenchmark",
+    "IOR": "repro.synthetic.ior:IorBenchmark",
+    "LinkTest": "repro.synthetic.linktest:LinktestBenchmark",
+    "OSU": "repro.synthetic.osu:OsuBenchmark",
+    "STREAM": "repro.synthetic.stream:StreamBenchmark",
+}
+
+
+def load_implementation(name: str) -> Benchmark:
+    """Import one benchmark's module and instantiate its class.
+
+    Module-level, so ``functools.partial(load_implementation, name)``
+    pickles to ``--backend process`` workers, which import lazily too.
+    """
+    module, _, cls = IMPLEMENTATIONS[name].partition(":")
+    return getattr(importlib.import_module(module), cls)()
 
 
 def get_info(name: str) -> BenchmarkInfo:

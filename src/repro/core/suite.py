@@ -12,6 +12,7 @@ the suite-pipeline bench and the project-management tests.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
@@ -23,7 +24,13 @@ from ..telemetry.metrics import default_registry
 from ..telemetry.spans import current_tracer
 from .benchmark import Benchmark, BenchmarkResult, Category
 from .fom import ReferenceResult
-from .registry import BENCHMARKS, BenchmarkInfo, get_info
+from .registry import (
+    BENCHMARKS,
+    IMPLEMENTATIONS,
+    BenchmarkInfo,
+    get_info,
+    load_implementation,
+)
 from .scaling import (
     PointMapper,
     StrongScalingResult,
@@ -74,9 +81,10 @@ def decode_result(payload: dict[str, Any]) -> BenchmarkResult:
 class JupiterBenchmarkSuite:
     """All runnable benchmarks of the suite, keyed by Table II name.
 
-    Implementations self-register through :meth:`register`; importing
-    :mod:`repro.apps` and :mod:`repro.synthetic` populates the default
-    instance returned by :func:`load_suite`.
+    :meth:`register` attaches a factory to a name;
+    :meth:`register_implementations` attaches the lazy factories of
+    :data:`~repro.core.registry.IMPLEMENTATIONS`, which import a
+    benchmark's module on its first :meth:`get`.
     """
 
     def __init__(self, engine: ExecutionEngine | None = None) -> None:
@@ -110,6 +118,13 @@ class JupiterBenchmarkSuite:
         get_info(name)  # validates the name
         with self._lock:
             self._factories[name] = factory
+
+    def register_implementations(
+            self, names: Iterable[str] = IMPLEMENTATIONS) -> None:
+        """Register the table's lazy factory for each of ``names``."""
+        for name in names:
+            self.register(name,
+                          functools.partial(load_implementation, name))
 
     def names(self) -> list[str]:
         """Registered benchmark names in Table II order."""
@@ -322,7 +337,7 @@ _DEFAULT_LOCK = threading.Lock()
 
 
 def load_suite() -> JupiterBenchmarkSuite:
-    """The fully populated default suite (imports all implementations).
+    """The fully populated default suite (imports no implementation).
 
     Thread-safe: concurrent first calls populate exactly one instance,
     and callers never observe a partially registered suite.
@@ -331,9 +346,7 @@ def load_suite() -> JupiterBenchmarkSuite:
     with _DEFAULT_LOCK:
         if _DEFAULT is None:
             suite = JupiterBenchmarkSuite()
-            from .. import apps, synthetic  # noqa: F401  (self-registration)
-            apps.register_all(suite)
-            synthetic.register_all(suite)
+            suite.register_implementations()
             _DEFAULT = suite
     return _DEFAULT
 

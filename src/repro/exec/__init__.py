@@ -19,43 +19,17 @@ re-execution.  This package provides that layer:
 units of work out through it.
 """
 
-from .cache import (
-    CODE_VERSION,
-    CacheStats,
-    DiskCache,
-    MemoryCache,
-    ResultCache,
-    result_key,
-    stable_hash,
-)
-from .engine import (
-    BACKENDS,
-    EngineError,
-    ExecutionEngine,
-    TaskOutcome,
-    TaskTimeout,
-    WorkItem,
-)
-from .journal import JournalStats, RunJournal, TaskRecord
-from .resilience import BackoffPolicy, CircuitBreaker
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "BackoffPolicy",
-    "CODE_VERSION",
-    "CacheStats",
-    "CircuitBreaker",
-    "DiskCache",
-    "EngineError",
-    "ExecutionEngine",
-    "JournalStats",
-    "MemoryCache",
-    "ResultCache",
-    "RunJournal",
-    "TaskOutcome",
-    "TaskRecord",
-    "TaskTimeout",
-    "WorkItem",
-    "result_key",
-    "stable_hash",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cache": (
+        "CODE_VERSION", "CacheStats", "DiskCache", "MemoryCache",
+        "ResultCache", "result_key", "stable_hash"
+    ),
+    "engine": (
+        "BACKENDS", "EngineError", "ExecutionEngine", "TaskOutcome",
+        "TaskTimeout", "WorkItem"
+    ),
+    "journal": ("JournalStats", "RunJournal", "TaskRecord"),
+    "resilience": ("BackoffPolicy", "CircuitBreaker"),
+})

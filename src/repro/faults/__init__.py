@@ -10,33 +10,14 @@ the same journal and trace bit-for-bit -- see
 :mod:`repro.faults.report` for the byte-stable artifacts.
 """
 
-from .injector import FaultInjector, LinkDegradationModel
-from .plan import (
-    LINK_CLASSES,
-    FaultPlan,
-    FaultPlanError,
-    InjectedFault,
-    LinkFault,
-    NodeFault,
-    StragglerFault,
-    TaskFaultRule,
-    hash_fraction,
-)
-from .report import canonical_journal, chaos_trace_events, write_chaos_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LINK_CLASSES",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultPlanError",
-    "InjectedFault",
-    "LinkDegradationModel",
-    "LinkFault",
-    "NodeFault",
-    "StragglerFault",
-    "TaskFaultRule",
-    "canonical_journal",
-    "chaos_trace_events",
-    "hash_fraction",
-    "write_chaos_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "injector": ("FaultInjector", "LinkDegradationModel"),
+    "plan": (
+        "FaultPlan", "FaultPlanError", "InjectedFault", "LINK_CLASSES",
+        "LinkFault", "NodeFault", "StragglerFault", "TaskFaultRule",
+        "hash_fraction"
+    ),
+    "report": ("canonical_journal", "chaos_trace_events", "write_chaos_trace"),
+})

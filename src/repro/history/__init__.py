@@ -25,6 +25,10 @@ execution command; ``jubench history`` inspects and compacts it and
 ``jubench regress`` runs the detector over the accumulated series.
 """
 
+# Eager, unlike the other package facades: ``record`` the function
+# shares its name with the submodule it lives in, and the import system
+# would bind the submodule over a lazily resolved attribute.  None of
+# its four submodules imports anything heavy, so nothing is lost.
 from .detect import ChangePoint, RegressionDetector, Verdict
 from .record import (
     HISTORY_SCHEMA,

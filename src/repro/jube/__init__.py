@@ -6,46 +6,21 @@ evaluation, tag-selected variants, step DAGs, platform inheritance, and
 tabular result extraction.
 """
 
-from .parameters import Parameter, ParameterError, ParameterSet, expand, resolve
-from .platform import (
-    JUPITER_BOOSTER,
-    JUWELS_BOOSTER,
-    JUWELS_CLUSTER,
-    PLATFORMS,
-    Platform,
-    get_platform,
-)
-from .result import Column, ResultTable, WorkunitRecord, table
-from .spec import SpecError, load_spec
-from .runtime import BenchmarkSpec, JubeRuntime, RunResult, WorkunitRun, submit_step
-from .steps import Step, StepContext, StepError, Task, step_order
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkSpec",
-    "Column",
-    "JUPITER_BOOSTER",
-    "JUWELS_BOOSTER",
-    "JUWELS_CLUSTER",
-    "JubeRuntime",
-    "PLATFORMS",
-    "Parameter",
-    "ParameterError",
-    "ParameterSet",
-    "Platform",
-    "ResultTable",
-    "RunResult",
-    "Step",
-    "StepContext",
-    "StepError",
-    "Task",
-    "WorkunitRecord",
-    "SpecError",
-    "WorkunitRun",
-    "expand",
-    "get_platform",
-    "load_spec",
-    "resolve",
-    "step_order",
-    "submit_step",
-    "table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "parameters": (
+        "Parameter", "ParameterError", "ParameterSet", "expand", "resolve"
+    ),
+    "platform": (
+        "JUPITER_BOOSTER", "JUWELS_BOOSTER", "JUWELS_CLUSTER", "PLATFORMS",
+        "Platform", "get_platform"
+    ),
+    "result": ("Column", "ResultTable", "WorkunitRecord", "table"),
+    "runtime": (
+        "BenchmarkSpec", "JubeRuntime", "RunResult", "WorkunitRun",
+        "submit_step"
+    ),
+    "spec": ("SpecError", "load_spec"),
+    "steps": ("Step", "StepContext", "StepError", "Task", "step_order"),
+})

@@ -12,43 +12,18 @@ Everything is deterministic on an injectable clock; the CLI wires the
 loopback pair ``jubench serve`` / ``jubench submit`` on top.
 """
 
-from .client import (
-    CancelledError,
-    RejectedError,
-    ServiceClient,
-    ServiceError,
-    ServiceFuture,
-    TaskFailedError,
-)
-from .endpoint import Capabilities, LeaseTable, LocalEndpoint
-from .envelope import (
-    RESULT_STATUSES,
-    SERVICE_SCHEMA,
-    SERVICE_VERSION,
-    EnvelopeError,
-    ResultEnvelope,
-    TaskEnvelope,
-)
-from .interchange import BenchmarkService
-from .store import ResultStore, execute_direct
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkService",
-    "Capabilities",
-    "CancelledError",
-    "EnvelopeError",
-    "LeaseTable",
-    "LocalEndpoint",
-    "RESULT_STATUSES",
-    "RejectedError",
-    "ResultEnvelope",
-    "ResultStore",
-    "SERVICE_SCHEMA",
-    "SERVICE_VERSION",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceFuture",
-    "TaskEnvelope",
-    "TaskFailedError",
-    "execute_direct",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "client": (
+        "CancelledError", "RejectedError", "ServiceClient", "ServiceError",
+        "ServiceFuture", "TaskFailedError"
+    ),
+    "endpoint": ("Capabilities", "LeaseTable", "LocalEndpoint"),
+    "envelope": (
+        "EnvelopeError", "RESULT_STATUSES", "ResultEnvelope", "SERVICE_SCHEMA",
+        "SERVICE_VERSION", "TaskEnvelope"
+    ),
+    "interchange": ("BenchmarkService",),
+    "store": ("ResultStore", "execute_direct"),
+})

@@ -1,44 +1,19 @@
 """The 7 synthetic benchmarks of the JUPITER Benchmark Suite."""
 
-from typing import TYPE_CHECKING
+from .._lazy import lazy_exports
 
-from .base import SyntheticBenchmark
-from .graph500 import (
-    Graph500Benchmark,
-    BfsResult,
-    bfs,
-    build_csr,
-    kronecker_edges,
-    validate_bfs,
-)
-from .hpcg import HpcgBenchmark, build_27pt, hpcg_cg, symgs
-from .hpl import HplBenchmark, blocked_lu, hpl_flops, hpl_residual, lu_solve
-from .ior import IorBenchmark, ior_functional_run
-from .linktest import LinktestBenchmark, bisection_program
-from .osu import MESSAGE_SIZES, OsuBenchmark, pingpong_program
-from .stream import StreamBenchmark, gpu_stream_model, run_stream
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..core.suite import JupiterBenchmarkSuite
-
-
-def register_all(suite: "JupiterBenchmarkSuite") -> None:
-    """Register all 7 synthetic benchmarks with a suite."""
-    suite.register("Graph500", Graph500Benchmark)
-    suite.register("HPCG", HpcgBenchmark)
-    suite.register("HPL", HplBenchmark)
-    suite.register("IOR", IorBenchmark)
-    suite.register("LinkTest", LinktestBenchmark)
-    suite.register("OSU", OsuBenchmark)
-    suite.register("STREAM", StreamBenchmark)
-
-
-__all__ = [
-    "BfsResult", "Graph500Benchmark", "HpcgBenchmark", "HplBenchmark",
-    "IorBenchmark", "LinktestBenchmark", "MESSAGE_SIZES", "OsuBenchmark",
-    "StreamBenchmark", "SyntheticBenchmark", "bfs", "bisection_program",
-    "blocked_lu", "build_27pt", "build_csr", "gpu_stream_model",
-    "hpcg_cg", "hpl_flops", "hpl_residual", "ior_functional_run",
-    "kronecker_edges", "lu_solve", "pingpong_program", "register_all",
-    "run_stream", "symgs", "validate_bfs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "base": ("SyntheticBenchmark",),
+    "graph500": (
+        "BfsResult", "Graph500Benchmark", "bfs", "build_csr",
+        "kronecker_edges", "validate_bfs"
+    ),
+    "hpcg": ("HpcgBenchmark", "build_27pt", "hpcg_cg", "symgs"),
+    "hpl": (
+        "HplBenchmark", "blocked_lu", "hpl_flops", "hpl_residual", "lu_solve"
+    ),
+    "ior": ("IorBenchmark", "ior_functional_run"),
+    "linktest": ("LinktestBenchmark", "bisection_program"),
+    "osu": ("MESSAGE_SIZES", "OsuBenchmark", "pingpong_program"),
+    "stream": ("StreamBenchmark", "gpu_stream_model", "run_stream"),
+})

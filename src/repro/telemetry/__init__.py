@@ -27,57 +27,22 @@ Everything is zero-dependency and no-op-cheap when disabled: the
 ambient tracer defaults to :data:`~repro.telemetry.spans.NULL_TRACER`.
 """
 
-from .export import JsonlSink, chrome_trace_events, emit_vmpi, \
-    write_chrome_trace
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-    render_snapshot,
-    set_default_registry,
-)
-from .schema import SchemaError, meta_event, read_events, validate_event, \
-    validate_file
-from .spans import (
-    NULL_TRACER,
-    ManualClock,
-    SpanRecord,
-    Tracer,
-    current_tracer,
-    install_tracer,
-    span_rollup,
-    traced,
-    use_tracer,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "ManualClock",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "SchemaError",
-    "SpanRecord",
-    "Tracer",
-    "chrome_trace_events",
-    "current_tracer",
-    "default_registry",
-    "emit_vmpi",
-    "install_tracer",
-    "meta_event",
-    "read_events",
-    "render_snapshot",
-    "set_default_registry",
-    "span_rollup",
-    "traced",
-    "use_tracer",
-    "validate_event",
-    "validate_file",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "export": (
+        "JsonlSink", "chrome_trace_events", "emit_vmpi", "write_chrome_trace"
+    ),
+    "metrics": (
+        "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram", "MetricsRegistry",
+        "default_registry", "render_snapshot", "set_default_registry"
+    ),
+    "schema": (
+        "SchemaError", "meta_event", "read_events", "validate_event",
+        "validate_file"
+    ),
+    "spans": (
+        "ManualClock", "NULL_TRACER", "SpanRecord", "Tracer", "current_tracer",
+        "install_tracer", "span_rollup", "traced", "use_tracer"
+    ),
+})

@@ -1,0 +1,126 @@
+"""CLI conformance through ``main(argv)``: every execution command
+prints the same bytes whatever the backend and cache state, and every
+bad command line is one error line (or argparse usage) and exit 2 --
+never a traceback.
+
+The first slice of ROADMAP item 5's matrix: command x ``--backend`` x
+{no cache, cold ``--cache-dir``, warm ``--cache-dir``}.  ``process``
+cases run ``python -m repro`` in a fresh interpreter, so the parent
+starts without any kernel imported and the workers rebuild benchmarks
+from the pickled lazy factories.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+COMMANDS = {
+    "run": ["run", "STREAM"],
+    "suite": ["suite", "--benchmarks", "Arbor,JUQCS,HPL,STREAM"],
+    "fig2": ["fig2", "--apps", "Arbor"],
+    "fig3": ["fig3", "--nodes", "8"],
+}
+BACKENDS = ["serial", "thread", "process"]
+WORKERS = ["--workers", "2"]          # ``suite`` prints the count
+
+
+def invoke(argv: list[str], backend: str, capsys) -> tuple[int, str]:
+    """(exit code, stdout) of one invocation; ``process`` in a child."""
+    argv = [*argv, *WORKERS, "--backend", backend]
+    if backend == "process":
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], capture_output=True,
+            text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        return proc.returncode, proc.stdout
+    capsys.readouterr()
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """stdout of each command: serial backend, no cache."""
+    return {}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_backend_and_cache_state_never_change_stdout(
+        command, backend, reference, tmp_path, capsys):
+    argv = COMMANDS[command]
+    if command not in reference:
+        code, out = invoke([*argv, "--no-cache"], "serial", capsys)
+        assert code == 0 and out
+        reference[command] = out
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    for state, extra in (("no cache", ["--no-cache"]), ("cold", cache),
+                         ("warm", cache)):
+        code, out = invoke([*argv, *extra], backend, capsys)
+        assert code == 0, (command, backend, state)
+        assert out == reference[command], (command, backend, state)
+    # ``run`` executes its one benchmark directly, not through the engine
+    assert command == "run" or any((tmp_path / "cache").iterdir())
+
+
+# -- bad command lines --------------------------------------------------------
+
+UNKNOWN = "jubench: error: unknown benchmark(s): NOPE; see 'jubench list'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "NOPE"],
+    ["describe", "NOPE"],
+    ["suite", "--benchmarks", "STREAM,NOPE"],
+    ["fig2", "--apps", "NOPE"],
+    ["submit", "--direct", "--benchmarks", "NOPE"],
+    ["chaos", "--benchmarks", "NOPE"],
+], ids=lambda argv: argv[0])
+def test_unknown_benchmark_is_one_line_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == UNKNOWN and captured.out == ""
+
+
+def test_fig2_rejects_benchmarks_that_are_not_base_apps(capsys):
+    assert main(["fig2", "--apps", "Arbor,STREAM"]) == 2
+    assert capsys.readouterr().err == \
+        "jubench: error: unknown Base app(s): STREAM; see 'jubench list'\n"
+
+
+@pytest.mark.parametrize("argv, complaint", [
+    (["fig3", "--nodes", "abc"], "'abc' is not a positive integer"),
+    (["fig3", "--nodes", "8,0"], "'0' is not a positive integer"),
+    (["run", "STREAM", "--nodes", "0"], "'0' is not a positive integer"),
+    (["run", "STREAM", "--scale", "0"], "'0' is not in (0, 1]"),
+    (["suite", "--scale", "1.5"], "'1.5' is not in (0, 1]"),
+    (["submit", "--direct", "--scale", "x"], "'x' is not in (0, 1]"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_bad_numbers_are_argparse_usage_errors(argv, complaint, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: jubench")
+    assert stderr.rstrip().endswith(complaint)
+
+
+@pytest.mark.parametrize("command", ["report", "history", "regress"])
+def test_missing_or_directory_input_is_one_line_exit_2(
+        command, tmp_path, capsys):
+    missing = tmp_path / "deep" / "nothing.jsonl"
+    for path, why in ((missing, "No such file or directory"),
+                      (tmp_path, "Is a directory")):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("jubench: error: ") and why in err
+        assert str(path) in err and err.count("\n") == 1
+    # a read-only command never creates the database it was asked for
+    assert not missing.parent.exists()
