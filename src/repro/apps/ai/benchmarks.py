@@ -82,25 +82,26 @@ def megatron_timing_program(comm, steps: int):
     layers_per_stage = GPT_LAYERS / pp_stages
     micro_tokens = TOKENS_PER_STEP / max(1, dp.size) / 8.0  # 8 microbatches
     act_bytes = micro_tokens * GPT_HIDDEN * 2.0
+    # GEMMs (forward + backward + recompute)
+    gemm = comm.compute(flops=flops_per_rank / BF16_FACTOR,
+                        bytes_moved=flops_per_rank / 300.0,
+                        efficiency=GEMM_EFFICIENCY, label="gemm")
+    # tensor-parallel allreduces: ~4 per layer per microbatch,
+    # aggregated here into one op per microbatch over the stage
+    micro = (tp.allreduce(Phantom(4.0 * layers_per_stage * act_bytes / 8.0),
+                          label="tp-allreduce"),)
+    if pp.size > 1:
+        nxt = (pp.rank + 1) % pp.size
+        prv = (pp.rank - 1) % pp.size
+        micro += (pp.sendrecv(nxt, Phantom(act_bytes), prv, tag=7),)
+    # data-parallel gradient allreduce (sharded parameters)
+    grads = dp.allreduce(Phantom(2.0 * GPT_PARAMS / (TP_SIZE * pp_stages)),
+                         label="dp-allreduce")
+    # The step is a constant program: one batch, so the engine runs it
+    # for all ranks in lockstep (see DESIGN.md section 10).
+    step = (gemm,) + micro * 8 + (grads,)
     for _step in range(steps):
-        # GEMMs (forward + backward + recompute)
-        yield comm.compute(flops=flops_per_rank / BF16_FACTOR,
-                           bytes_moved=flops_per_rank / 300.0,
-                           efficiency=GEMM_EFFICIENCY, label="gemm")
-        # tensor-parallel allreduces: ~4 per layer per microbatch,
-        # aggregated here into one op per microbatch over the stage
-        for _micro in range(8):
-            yield tp.allreduce(
-                Phantom(4.0 * layers_per_stage * act_bytes / 8.0),
-                label="tp-allreduce")
-            if pp.size > 1:
-                nxt = (pp.rank + 1) % pp.size
-                prv = (pp.rank - 1) % pp.size
-                yield pp.sendrecv(nxt, Phantom(act_bytes), prv, tag=7)
-        # data-parallel gradient allreduce (sharded parameters)
-        yield dp.allreduce(
-            Phantom(2.0 * GPT_PARAMS / (TP_SIZE * pp_stages)),
-            label="dp-allreduce")
+        yield step
     return pp_stages
 
 
@@ -169,19 +170,22 @@ def mmoclip_timing_program(comm, steps: int):
     batch_local = CLIP_GLOBAL_BATCH / comm.size
     flops = CLIP_FLOPS_PER_PAIR * batch_local
     feature_bytes = batch_local * CLIP_EMBED_DIM * 2.0 * 2  # both towers
-    for _step in range(steps):
-        yield comm.compute(flops=flops / BF16_FACTOR,
-                           bytes_moved=flops / 300.0,
-                           efficiency=GEMM_EFFICIENCY, label="towers")
+    step = (
+        comm.compute(flops=flops / BF16_FACTOR,
+                     bytes_moved=flops / 300.0,
+                     efficiency=GEMM_EFFICIENCY, label="towers"),
         # the CLIP-specific step: allgather all ranks' embeddings to
         # build the global similarity matrix
-        yield comm.allgather(Phantom(feature_bytes), label="feature-gather")
-        yield comm.compute(flops=CLIP_GLOBAL_BATCH * batch_local *
-                           CLIP_EMBED_DIM * 4.0 / BF16_FACTOR,
-                           bytes_moved=CLIP_GLOBAL_BATCH * batch_local * 4.0,
-                           efficiency=GEMM_EFFICIENCY, label="similarity")
-        yield comm.allreduce(Phantom(2.0 * CLIP_PARAMS / comm.size),
-                             label="dp-allreduce")
+        comm.allgather(Phantom(feature_bytes), label="feature-gather"),
+        comm.compute(flops=CLIP_GLOBAL_BATCH * batch_local *
+                     CLIP_EMBED_DIM * 4.0 / BF16_FACTOR,
+                     bytes_moved=CLIP_GLOBAL_BATCH * batch_local * 4.0,
+                     efficiency=GEMM_EFFICIENCY, label="similarity"),
+        comm.allreduce(Phantom(2.0 * CLIP_PARAMS / comm.size),
+                       label="dp-allreduce"),
+    )
+    for _step in range(steps):
+        yield step
     return batch_local
 
 
@@ -251,14 +255,16 @@ RESNET_GLOBAL_BATCH = 2048
 def resnet_timing_program(comm, steps: int):
     """Horovod-style data-parallel ResNet-50 training."""
     batch_local = RESNET_GLOBAL_BATCH / comm.size
-    for _step in range(steps):
-        yield comm.compute(
+    step = (
+        comm.compute(
             flops=RESNET_FLOPS_PER_IMAGE * batch_local / BF16_FACTOR,
             bytes_moved=batch_local * 150e6 / 10.0,
             efficiency=GEMM_EFFICIENCY * 0.6,  # convs attain less
-            label="conv")
-        yield comm.allreduce(Phantom(2.0 * RESNET_PARAMS),
-                             label="grad-allreduce")
+            label="conv"),
+        comm.allreduce(Phantom(2.0 * RESNET_PARAMS), label="grad-allreduce"),
+    )
+    for _step in range(steps):
+        yield step
     return batch_local
 
 

@@ -56,22 +56,26 @@ def arbor_timing_program(comm, cells_total: float, steps: int,
     """
     cells_local = cells_total / comm.size
     comps = cells_local * COMPARTMENTS_PER_CELL
-    epoch = 0
-    for step in range(steps):
+    step = tuple(
+        comm.compute(flops=share * FLOPS_PER_COMP_STEP * comps,
+                     bytes_moved=share * BYTES_PER_COMPARTMENT * comps *
+                     0.3 * pressure,
+                     efficiency=0.60, label=label)
         for share, label in ((CHANNEL_SHARE, "channels"),
                              (CABLE_SHARE, "cable"),
-                             (OTHER_SHARE, "other")):
-            yield comm.compute(
-                flops=share * FLOPS_PER_COMP_STEP * comps,
-                bytes_moved=share * BYTES_PER_COMPARTMENT * comps *
-                0.3 * pressure,
-                efficiency=0.60, label=label)
-        if (step + 1) % exchange_every == 0:
-            # spike exchange: tiny payloads, fully hidden behind compute
-            yield comm.allgather(Phantom(64.0 * cells_local * 0.01),
-                                 label="spike-exchange")
-            epoch += 1
-    return epoch
+                             (OTHER_SHARE, "other")))
+    # spike exchange: tiny payloads, fully hidden behind compute
+    spikes = comm.allgather(Phantom(64.0 * cells_local * 0.01),
+                            label="spike-exchange")
+    # one batch per communication epoch, the steps after the last
+    # exchange in a final shorter one
+    epoch = step * exchange_every + (spikes,)
+    epochs = steps // exchange_every
+    for _epoch in range(epochs):
+        yield epoch
+    if steps % exchange_every:
+        yield step * (steps % exchange_every)
+    return epochs
 
 
 def arbor_real_program(comm, network: RingNetwork, t_end: float,

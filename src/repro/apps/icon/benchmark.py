@@ -23,7 +23,7 @@ from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...core.verification import ModelVerifier
 from ...units import MIB, TERA
-from ...vmpi.decomposition import CartGrid, halo_exchange_op, phantom_faces
+from ...vmpi.decomposition import CartGrid, halo_batch, phantom_faces
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark
 from .dynamics import gaussian_hill, geostrophic_state, step_rk3
@@ -59,7 +59,7 @@ def icon_timing_program(comm, cells: float, input_bytes: float,
     work = cells_local * VERTICAL_LEVELS
     # The forecast step is a constant program: hoist its ops once
     # (persistent-request style) and yield them as one fused batch.
-    halo, _keys = halo_exchange_op(comm, cart, faces)
+    halo, _keys = halo_batch(comm, cart, faces)
     forecast_step = (
         comm.compute(flops=work * FLOPS_PER_CELL_LEVEL * 0.7,
                      bytes_moved=work * BYTES_PER_CELL_LEVEL * 0.7,
@@ -67,8 +67,7 @@ def icon_timing_program(comm, cells: float, input_bytes: float,
         comm.compute(flops=work * FLOPS_PER_CELL_LEVEL * 0.3,
                      bytes_moved=work * BYTES_PER_CELL_LEVEL * 0.3,
                      efficiency=0.35, label="physics"),
-        halo,
-    )
+    ) + halo
     for _step in range(steps):
         yield forecast_step
     return cells_local

@@ -28,7 +28,7 @@ from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...core.verification import ToleranceVerifier
 from ...vmpi import Phantom
-from ...vmpi.decomposition import CartGrid, dims_create, halo_exchange, phantom_faces
+from ...vmpi.decomposition import CartGrid, dims_create, halo_batch, phantom_faces
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark, pow2_floor
 from .cg import conjugate_gradient
@@ -74,24 +74,22 @@ def chroma_timing_program(comm, local_dims: tuple[int, int, int, int],
     cart = CartGrid.for_ranks(comm.size, 4, periodic=True)
     faces = phantom_faces(local_dims, itemsize=HALO_BYTES_PER_SITE)
     local_sites = float(np.prod(local_dims))
-    dslash_count = 0
+    halo, _keys = halo_batch(comm, cart, faces)
+    force = comm.compute(flops=FORCE_FLOPS_PER_SITE * local_sites,
+                         bytes_moved=600.0 * local_sites,
+                         efficiency=0.30, label="gauge-force")
+    dslash = halo + (
+        comm.compute(flops=DSLASH_FLOPS_PER_SITE * local_sites,
+                     bytes_moved=DSLASH_BYTES_PER_SITE * local_sites,
+                     efficiency=0.35, label="dslash"),)
+    reduce = comm.allreduce(Phantom(16.0), label="cg-reduce")
+    cg_iter = dslash * 2 + (reduce, reduce)  # D then D^+, two dots
+    # a trajectory is a constant program: one batch each
+    trajectory = ((force,) + cg_iter * cg_iters) * md_steps + (
+        comm.allreduce(Phantom(8.0), label="metropolis"),)
     for _traj in range(trajectories):
-        for _md in range(md_steps):
-            yield comm.compute(flops=FORCE_FLOPS_PER_SITE * local_sites,
-                               bytes_moved=600.0 * local_sites,
-                               efficiency=0.30, label="gauge-force")
-            for _it in range(cg_iters):
-                for _ in range(2):  # D then D^+
-                    yield from halo_exchange(comm, cart, faces)
-                    yield comm.compute(
-                        flops=DSLASH_FLOPS_PER_SITE * local_sites,
-                        bytes_moved=DSLASH_BYTES_PER_SITE * local_sites,
-                        efficiency=0.35, label="dslash")
-                yield comm.allreduce(Phantom(16.0), label="cg-reduce")
-                yield comm.allreduce(Phantom(16.0), label="cg-reduce")
-                dslash_count += 2
-        yield comm.allreduce(Phantom(8.0), label="metropolis")
-    return dslash_count
+        yield trajectory
+    return trajectories * md_steps * cg_iters * 2
 
 
 def verification_program(comm, gauge: GaugeField):

@@ -42,21 +42,26 @@ def amber_timing_program(comm, atoms_total: int, steps: int):
     atoms_local = atoms_total / n_compute
     edge = atoms_local ** (1.0 / 3.0)
     halo_bytes = 6.0 * edge * edge * 40.0
-    for _step in range(steps):
-        if computing:
-            # pairwise exchange among the node's GPUs (NVLink)
-            peer = comm.rank ^ 1 if n_compute > 1 else comm.rank
-            if peer < n_compute and peer != comm.rank:
-                yield comm.sendrecv(peer, Phantom(halo_bytes), peer, tag=5)
-            yield comm.compute(
+    step = ()
+    if computing:
+        # pairwise exchange among the node's GPUs (NVLink)
+        peer = comm.rank ^ 1 if n_compute > 1 else comm.rank
+        if peer < n_compute and peer != comm.rank:
+            step += (comm.sendrecv(peer, Phantom(halo_bytes), peer, tag=5),)
+        step += (
+            comm.compute(
                 flops=atoms_local * NEIGHBORS_PER_ATOM * FLOPS_PER_PAIR,
                 bytes_moved=atoms_local * 200.0,
-                efficiency=0.02, label="pair-forces")
-            yield comm.compute(flops=atoms_local * 500.0,
-                               bytes_moved=atoms_local * 150.0,
-                               efficiency=0.03, label="pme")
-        # every rank (incl. idle ones) joins the step barrier
-        yield comm.barrier(label="step-sync")
+                efficiency=0.02, label="pair-forces"),
+            comm.compute(flops=atoms_local * 500.0,
+                         bytes_moved=atoms_local * 150.0,
+                         efficiency=0.03, label="pme"))
+    # every rank (incl. idle ones) joins the step barrier; on more than
+    # one node the idle ranks' batches are shorter, so the engine runs
+    # these rank by rank
+    step += (comm.barrier(label="step-sync"),)
+    for _step in range(steps):
+        yield step
     return atoms_local if computing else 0.0
 
 

@@ -22,7 +22,7 @@ from ...core.benchmark import BenchmarkResult
 from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...core.verification import ModelVerifier
-from ...vmpi.decomposition import CartGrid, halo_exchange, phantom_faces
+from ...vmpi.decomposition import CartGrid, halo_batch, phantom_faces
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark
 from .potts import checkerboard_tissue
@@ -43,12 +43,13 @@ def nastja_timing_program(comm, domain: tuple[int, int, int], steps: int):
     local_dims = tuple(max(1, int(d / g))
                        for d, g in zip(domain, cart.dims))
     faces = phantom_faces(local_dims, itemsize=8)
+    halo, _keys = halo_batch(comm, cart, faces)
+    step = (comm.compute(flops=FLOPS_PER_VOXEL * voxels_local,
+                         bytes_moved=BYTES_PER_VOXEL * voxels_local,
+                         efficiency=0.08,  # irregular access pattern
+                         label="mc-sweep"),) + halo
     for _step in range(steps):
-        yield comm.compute(flops=FLOPS_PER_VOXEL * voxels_local,
-                           bytes_moved=BYTES_PER_VOXEL * voxels_local,
-                           efficiency=0.08,  # irregular access pattern
-                           label="mc-sweep")
-        yield from halo_exchange(comm, cart, faces)
+        yield step
     return voxels_local
 
 

@@ -25,7 +25,7 @@ from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...core.verification import ModelVerifier
 from ...vmpi import Phantom
-from ...vmpi.decomposition import CartGrid, halo_exchange, phantom_faces
+from ...vmpi.decomposition import CartGrid, halo_batch, phantom_faces
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark
 from .mesh import StripMesh, solve_poisson
@@ -62,17 +62,18 @@ def nekrs_timing_program(comm, elements_total: float, steps: int,
     face_bytes = edge * edge * (POINTS ** 2) * 8.0
     faces = phantom_faces((int(edge) + 1,) * 3, itemsize=1)
     faces = {k: Phantom(face_bytes) for k in faces}
-    for _step in range(steps):
-        for _it in range(pressure_iters + velocity_iters):
-            yield comm.compute(flops=flops_eval,
-                               bytes_moved=points_local * 8.0 * 6.0,
-                               efficiency=0.35, label="sem-operator")
-            yield from halo_exchange(comm, cart, faces)
-            yield comm.allreduce(Phantom(16.0), label="cg-dot")
+    halo, _keys = halo_batch(comm, cart, faces)
+    cg_iter = (comm.compute(flops=flops_eval,
+                            bytes_moved=points_local * 8.0 * 6.0,
+                            efficiency=0.35, label="sem-operator"),) \
+        + halo + (comm.allreduce(Phantom(16.0), label="cg-dot"),)
+    step = cg_iter * (pressure_iters + velocity_iters) + (
         # advection + forcing evaluation once per step
-        yield comm.compute(flops=flops_eval * 3.0,
-                           bytes_moved=points_local * 8.0 * 9.0,
-                           efficiency=0.35, label="advection")
+        comm.compute(flops=flops_eval * 3.0,
+                     bytes_moved=points_local * 8.0 * 9.0,
+                     efficiency=0.35, label="advection"),)
+    for _step in range(steps):
+        yield step
     return e_local
 
 

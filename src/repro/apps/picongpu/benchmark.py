@@ -23,7 +23,7 @@ from ...core.benchmark import BenchmarkResult
 from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...core.verification import FrameworkVerifier
-from ...vmpi.decomposition import CartGrid, dims_create, halo_exchange, phantom_faces
+from ...vmpi.decomposition import CartGrid, dims_create, halo_batch, phantom_faces
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark
 from .fields import YeeGrid2D
@@ -62,14 +62,17 @@ def picongpu_timing_program(comm, grid: tuple[int, int, int], steps: int):
     local_dims = tuple(int(g / d) for g, d in zip(grid, cart.dims))
     # field halos: 2 ghost layers of E/B/J, plus particle migration
     faces = phantom_faces(local_dims, itemsize=int(BYTES_PER_CELL * 2))
+    halo, _keys = halo_batch(comm, cart, faces)
+    step = (
+        comm.compute(flops=particles_local * 230.0,
+                     bytes_moved=particles_local * BYTES_PER_PARTICLE,
+                     efficiency=0.18, label="push-deposit"),
+        comm.compute(flops=cells_local * 80.0,
+                     bytes_moved=cells_local * BYTES_PER_CELL * 2,
+                     efficiency=0.4, label="fdtd"),
+    ) + halo
     for _step in range(steps):
-        yield comm.compute(flops=particles_local * 230.0,
-                           bytes_moved=particles_local * BYTES_PER_PARTICLE,
-                           efficiency=0.18, label="push-deposit")
-        yield comm.compute(flops=cells_local * 80.0,
-                           bytes_moved=cells_local * BYTES_PER_CELL * 2,
-                           efficiency=0.4, label="fdtd")
-        yield from halo_exchange(comm, cart, faces)
+        yield step
     return particles_local
 
 

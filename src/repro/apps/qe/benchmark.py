@@ -102,10 +102,9 @@ def qe_timing_program(comm, mesh: tuple[int, int, int], bands: int,
         comm.allreduce(Phantom(bands * bands * 16.0 / comm.size),
                        label="subspace-reduce"),
     )
+    step = band_block * max(1, bands // 16) + subspace  # blocked bands
     for _step in range(steps):
-        for _band_block in range(max(1, bands // 16)):  # blocked bands
-            yield band_block
-        yield subspace
+        yield step
     return points_local
 
 

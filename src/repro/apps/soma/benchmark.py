@@ -36,11 +36,14 @@ def soma_timing_program(comm, chains: int, beads: int, grid: int,
     chains_local = chains / comm.size
     beads_local = chains_local * beads
     field_bytes = float(grid ** 3 * 4)  # single-precision densities
+    sweep = (
+        comm.compute(flops=FLOPS_PER_BEAD_MOVE * beads_local,
+                     bytes_moved=BYTES_PER_BEAD * beads_local,
+                     efficiency=0.1, label="chain-moves"),
+        comm.allreduce(Phantom(field_bytes), label="field-reduce"),
+    )
     for _sweep in range(sweeps):
-        yield comm.compute(flops=FLOPS_PER_BEAD_MOVE * beads_local,
-                           bytes_moved=BYTES_PER_BEAD * beads_local,
-                           efficiency=0.1, label="chain-moves")
-        yield comm.allreduce(Phantom(field_bytes), label="field-reduce")
+        yield sweep
     return chains_local
 
 

@@ -42,7 +42,8 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "Baseline", "BaselineEntry", "Finding", "Severity", "load_baseline",
         "save_baseline"
     ),
-    "protocol": ("ProtocolFinding", "analyze_modules", "rank_programs"),
+    "protocol": ("ProtocolFinding", "analyze_modules", "rank_programs",
+                 "unresolved_replays"),
     "reporters": ("render_human", "render_json", "render_sarif"),
     "rules": (
         "RULE_CLASSES", "default_rules", "expand_rule_prefixes", "rule_ids"

@@ -1079,6 +1079,13 @@ class _Interp:
                 return AV(value.comm_id, False)
             if node.attr in COMM_METHODS:
                 return AV(("commop", value, node.attr), False)
+            # The persistent-descriptor memo (see ``Comm._interned``)
+            # replays as always empty: a probe misses and the helper
+            # builds its op, which is all the protocol depends on.
+            if node.attr == "_interned":
+                return AV({}, False)
+            if node.attr == "_intern":
+                return AV(("intern",), False)
             raise _Unresolvable(f"unknown Comm attribute {node.attr!r}")
         if isinstance(value, PhantomV):
             if node.attr == "nbytes":
@@ -1132,6 +1139,8 @@ class _Interp:
                 target[0] == "method":
             return self._apply_method(target[1], target[2], args,
                                       kwargs)
+        if target == ("intern",) and len(args) == 2:
+            return args[1]  # Comm._intern(key, value) returns value
         if isinstance(target, tuple) and target and target[0] == "fn":
             resolved = self.index.resolve(self.relpath, target[1])
             if resolved is None:
@@ -1167,6 +1176,9 @@ class _Interp:
     def _apply_method(self, obj: AV, name: str, args: list[AV],
                       kwargs: dict[str, AV]) -> AV:
         value = obj.value
+        if name == "get" and isinstance(value, dict) and not value and args:
+            # an empty dict misses whatever the (possibly unknown) key
+            return args[1] if len(args) > 1 else AV(None, False)
         if name in _MUTATORS:
             method = getattr(value, name, None)
             if method is None:
@@ -2164,6 +2176,31 @@ class Replay:
 # top-level driver
 
 
+def _replays(modules: Iterable[tuple[str, ast.Module]],
+             sizes: tuple[int, ...]):
+    """``(relpath, program, size, events, approx, gave_up)`` of every
+    (program, size) replay of ``modules``."""
+    index = ProjectIndex(modules)
+    for relpath, tree in index.modules:
+        for fn in rank_programs(tree):
+            for size in sizes:
+                yield (relpath, fn, size,
+                       *_replay_program(index, relpath, fn, size))
+
+
+def unresolved_replays(modules: Iterable[tuple[str, ast.Module]],
+                       sizes: tuple[int, ...] = DEFAULT_SIZES,
+                       ) -> list[tuple[str, str, int, str]]:
+    """``(relpath, program, size, why)`` of each replay the interpreter
+    gave up on.  Such programs stay quiet in :func:`analyze_modules`,
+    so a construct the model stops understanding silently drops their
+    protocol check -- this is the one place that drop is visible (the
+    test suite pins it at zero for the live tree)."""
+    return [(relpath, fn.name, size, gave_up)
+            for relpath, fn, size, _events, _approx, gave_up
+            in _replays(modules, sizes) if gave_up is not None]
+
+
 def analyze_modules(modules: Iterable[tuple[str, ast.Module]],
                     sizes: tuple[int, ...] = DEFAULT_SIZES,
                     ) -> list[ProtocolFinding]:
@@ -2174,42 +2211,37 @@ def analyze_modules(modules: Iterable[tuple[str, ast.Module]],
     it -- the differential suite replays exactly that configuration
     through the real engine.
     """
-    index = ProjectIndex(modules)
     found: dict[tuple, ProtocolFinding] = {}
-    for relpath, tree in index.modules:
-        for fn in rank_programs(tree):
-            for size in sizes:
-                events, approx = _replay_program(index, relpath, fn,
-                                                 size)
-                for event in events:
-                    if approx and event.rule_id in ("COMM503",
-                                                    "COMM506"):
-                        # exact-trace verdicts need an exact trace
-                        continue
-                    key = (event.rule_id, event.relpath, event.line)
-                    if key in found:
-                        continue
-                    event.program = fn.name
-                    event.program_relpath = relpath
-                    event.program_line = fn.lineno
-                    event.trace = [
-                        f"program {fn.name} ({relpath}:{fn.lineno})",
-                        f"nranks={size}",
-                        *event.trace,
-                    ]
-                    if approx:
-                        event.trace.append(
-                            "replay approximated unknown loop "
-                            "bounds/parameters")
-                    found[key] = event
+    for relpath, fn, size, events, approx, _ in _replays(modules, sizes):
+        for event in events:
+            if approx and event.rule_id in ("COMM503", "COMM506"):
+                # exact-trace verdicts need an exact trace
+                continue
+            key = (event.rule_id, event.relpath, event.line)
+            if key in found:
+                continue
+            event.program = fn.name
+            event.program_relpath = relpath
+            event.program_line = fn.lineno
+            event.trace = [
+                f"program {fn.name} ({relpath}:{fn.lineno})",
+                f"nranks={size}",
+                *event.trace,
+            ]
+            if approx:
+                event.trace.append(
+                    "replay approximated unknown loop "
+                    "bounds/parameters")
+            found[key] = event
     return sorted(found.values(),
                   key=lambda f: (f.relpath, f.line, f.rule_id))
 
 
 def _replay_program(index: ProjectIndex, relpath: str,
-                    fn: ast.FunctionDef,
-                    size: int) -> tuple[list[ProtocolFinding], bool]:
-    """One (program, size) replay; unresolvable programs stay quiet."""
+                    fn: ast.FunctionDef, size: int,
+                    ) -> tuple[list[ProtocolFinding], bool, str | None]:
+    """One (program, size) replay as ``(events, approx, gave_up)``;
+    unresolvable programs stay quiet and say why in ``gave_up``."""
     interps = [_Interp(index, relpath, rank=r, size=size)
                for r in range(size)]
     gens = [interp.run_program(
@@ -2220,7 +2252,7 @@ def _replay_program(index: ProjectIndex, relpath: str,
         replay.run(gens)
     except _ReplayAbort:
         pass
-    except (_Unresolvable, _NotConcrete, RecursionError):
-        return [], True
+    except (_Unresolvable, _NotConcrete, RecursionError) as exc:
+        return [], True, f"{type(exc).__name__}: {exc}"
     approx = any(interp.approx for interp in interps)
-    return replay.events, approx
+    return replay.events, approx, None

@@ -234,6 +234,18 @@ def _configured_suite(args: argparse.Namespace):
     return suite
 
 
+def _check_placeable(suite, names, counts) -> None:
+    """A node count a benchmark's modelled system cannot place is one
+    error line -- before any kernel runs, not a traceback out of one."""
+    for name in names:
+        system = suite.get(name).system()
+        for nodes in counts:
+            if nodes is not None and nodes > system.nodes:
+                raise _UsageError(
+                    f"{name} cannot run on {nodes} nodes: "
+                    f"{system.name} has {system.nodes}")
+
+
 def _cmd_list(_args: argparse.Namespace) -> int:
     from .core.registry import IMPLEMENTATIONS, get_info
 
@@ -259,6 +271,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     _select([args.benchmark])
     suite = _configured_suite(args)
+    _check_placeable(suite, [args.benchmark], [args.nodes])
     variant = MemoryVariant.from_label(args.variant) if args.variant else None
     result = suite.run(args.benchmark, args.nodes, variant=variant,
                        real=args.real, scale=args.scale)
@@ -334,9 +347,10 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
-    from .analysis.figures import figure3
+    from .analysis.figures import FIG3_APPS, figure3
 
     suite = _configured_suite(args)
+    _check_placeable(suite, [name for name, _ in FIG3_APPS], args.nodes)
     data = figure3(suite, args.nodes)
     print(data.render())
     store = _history_store(args)

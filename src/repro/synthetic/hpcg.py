@@ -18,7 +18,7 @@ from ..core.fom import FigureOfMerit
 from ..core.variants import MemoryVariant
 from ..units import register_dims
 from ..vmpi import Phantom
-from ..vmpi.decomposition import CartGrid, halo_exchange, phantom_faces
+from ..vmpi.decomposition import CartGrid, halo_batch, phantom_faces
 from ..vmpi.machine import Machine
 from .base import SyntheticBenchmark
 
@@ -97,14 +97,17 @@ def hpcg_timing_program(comm, local_n: int, iterations: int):
     cart = CartGrid.for_ranks(comm.size, 3, periodic=False)
     rows = float(local_n ** 3)
     faces = phantom_faces((local_n, local_n, local_n), itemsize=8)
+    halo, _keys = halo_batch(comm, cart, faces)
+    dot = comm.allreduce(Phantom(16.0), label="dot")
+    iteration = ()
+    for label, passes in (("spmv", 1.0), ("symgs", 2.0)):
+        iteration += halo + (
+            comm.compute(flops=passes * 54.0 * rows,
+                         bytes_moved=passes * 27.0 * 12.0 * rows,
+                         efficiency=0.7, label=label),)
+    iteration += (dot, dot)
     for _it in range(iterations):
-        for label, passes in (("spmv", 1.0), ("symgs", 2.0)):
-            yield from halo_exchange(comm, cart, faces)
-            yield comm.compute(flops=passes * 54.0 * rows,
-                               bytes_moved=passes * 27.0 * 12.0 * rows,
-                               efficiency=0.7, label=label)
-        yield comm.allreduce(Phantom(16.0), label="dot")
-        yield comm.allreduce(Phantom(16.0), label="dot")
+        yield iteration
     return rows
 
 

@@ -96,9 +96,7 @@ def emit_vmpi(tracer: Tracer, benchmark: str, nodes: int,
     """
     if not tracer.enabled:
         return
-    run = 1 + max((e.get("run", 1) for e in tracer.events()
-                   if e.get("type") == "vmpi"
-                   and e.get("benchmark") == benchmark), default=0)
+    run = 1 + tracer.last_vmpi_run(benchmark)
     for rank, trace in enumerate(spmd.traces):
         for bucket, table in (("compute", trace.compute),
                               ("comm", trace.comm)):
@@ -120,18 +118,12 @@ def reemit_events(tracer: Tracer, events: list[dict[str, Any]]) -> None:
     if not tracer.enabled:
         return
     remap: dict[tuple[str, int], int] = {}
-    next_run: dict[str, int] = {}
     for event in events:
         if event.get("type") == "vmpi":
             key = (event["benchmark"], int(event.get("run", 1)))
             if key not in remap:
-                if key[0] not in next_run:
-                    next_run[key[0]] = 1 + max(
-                        (e.get("run", 1) for e in tracer.events()
-                         if e.get("type") == "vmpi"
-                         and e.get("benchmark") == key[0]), default=0)
-                remap[key] = next_run[key[0]]
-                next_run[key[0]] += 1
+                # emitted below, so the next new key counts on from it
+                remap[key] = 1 + tracer.last_vmpi_run(key[0])
             event = dict(event, run=remap[key])
         tracer.emit(event)
 

@@ -118,6 +118,8 @@ class Tracer:
         self._next_id = 0
         self._spans: list[SpanRecord] = []
         self._events: list[dict[str, Any]] = []
+        #: benchmark -> highest ``run`` ordinal among its vmpi events
+        self._vmpi_runs: dict[Any, int] = {}
         self._subscribers: list[Any] = []
         self._threads: dict[int, int] = {}
 
@@ -215,11 +217,21 @@ class Tracer:
             return
         with self._lock:
             self._events.append(event)
+            if event.get("type") == "vmpi":
+                runs, bench = self._vmpi_runs, event.get("benchmark")
+                runs[bench] = max(runs.get(bench, 0), event.get("run", 1))
             subscribers = list(self._subscribers)
         for sub in subscribers:
             on_event = getattr(sub, "on_event", None)
             if on_event is not None:
                 on_event(event)
+
+    def last_vmpi_run(self, benchmark: str) -> int:
+        """Highest ``run`` ordinal among the vmpi events emitted for
+        ``benchmark`` so far (0 if none) -- kept as events arrive, so
+        numbering the next run never rescans the event list."""
+        with self._lock:
+            return self._vmpi_runs.get(benchmark, 0)
 
     def _finish(self, record: SpanRecord) -> None:
         with self._lock:

@@ -24,7 +24,9 @@ return the same op object when a rank asks again for the same
 descriptor, so a stepping loop written the obvious way posts one op per
 distinct request for the whole run and the engine replays what it
 planned and priced the first time.  Ops carrying real payloads are
-always built fresh.
+always built fresh.  Yielding a loop-invariant step as one *tuple* of
+such ops goes further: the engine then runs the step for every rank in
+lockstep (:mod:`repro.vmpi.sweep`) instead of resuming each rank per op.
 """
 
 from __future__ import annotations

@@ -180,8 +180,7 @@ def halo_exchange_op(comm: Comm, cart: CartGrid,
     *identical* face payload objects returns the same op, so a stepping
     loop that calls this (or :func:`halo_exchange`) every step posts one
     descriptor for the whole run and the engine replays one cached
-    round plan.  Hoisting the op out of the loop by hand is equivalent
-    and optional.  Only faces whose payloads are all
+    round plan.  Only faces whose payloads are all
     :class:`~repro.vmpi.ops.Phantom` or ``ndarray`` objects (fixed wire
     size) are remembered; fresh arrays each step, a changed face set or
     any other payload type rebuild the op as before.
@@ -223,6 +222,18 @@ def halo_exchange_op(comm: Comm, cart: CartGrid,
     return op, keys
 
 
+def halo_batch(comm: Comm, cart: CartGrid,
+               faces: dict[tuple[int, int], Any], tag: int = 100,
+               label: str = "p2p"):
+    """:func:`halo_exchange_op` as ``(ops, keys)`` to splice into a
+    hoisted batch: ``ops`` is ``(op,)``, or ``()`` for a rank without
+    neighbours -- the one place the "nothing to exchange, no op" rule
+    lives (a face with a neighbour is sent *and* received: no keys, no
+    edges)."""
+    op, keys = halo_exchange_op(comm, cart, faces, tag=tag, label=label)
+    return ((op,) if keys else ()), keys
+
+
 def halo_exchange(comm: Comm, cart: CartGrid, faces: dict[tuple[int, int], Any],
                   tag_base: int = 100):
     """Exchange per-face payloads with Cartesian neighbours (generator).
@@ -235,13 +246,13 @@ def halo_exchange(comm: Comm, cart: CartGrid, faces: dict[tuple[int, int], Any],
     :class:`~repro.vmpi.ops.Exchange`, exactly like the production
     stencil codes' neighbourhood collectives.  Use as
     ``recv = yield from halo_exchange(...)``.  Calling this every step
-    is fine: :func:`halo_exchange_op` hands back the same persistent op
-    for loop-invariant faces, so no hoisting is required.
+    is fine for real-data loops: :func:`halo_exchange_op` hands back the
+    same persistent op for loop-invariant faces.  A loop-invariant
+    *timing* loop splices :func:`halo_batch` into one batch per step
+    instead, which the engine can run for all ranks in lockstep.
     """
-    op, keys = halo_exchange_op(comm, cart, faces, tag=tag_base)
-    if not op.sends and not op.recvs:
-        return {}
-    results = yield op
+    ops, keys = halo_batch(comm, cart, faces, tag=tag_base)
+    results = (yield ops[0]) if ops else ()
     return dict(zip(keys, results))
 
 

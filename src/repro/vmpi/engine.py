@@ -32,7 +32,11 @@ It schedules and prices the way a discrete-event simulator does:
   size-only round seen before skips validation, reduction, sizing and
   costing and replays them;
 * **paired sendrecv** -- two ranks naming each other as destination
-  and source complete in closed form, without per-transfer requests.
+  and source complete in closed form, without per-transfer requests;
+* **column sweeps** -- a rank that yields a tuple batch parks at its
+  head, and once every rank stands at one the batches run *column by
+  column* over NumPy arrays indexed by global rank instead of rank by
+  rank, op by op (:mod:`repro.vmpi.sweep`).
 
 Every fast path lowers onto the *per-request machinery* (FIFO channels,
 :class:`~repro.vmpi.ops.Request`, wait groups) whenever it cannot
@@ -61,7 +65,8 @@ exchanges) are drained by :meth:`VmpiEngine._quiesce`: when the heap
 runs dry, pending rounds are decomposed through the per-edge machinery,
 which completes every matched transfer before deadlock is declared.  A
 parked Sendrecv whose partner never pairs with it is lowered the same
-way, there or as soon as anything else touches its channel.
+way, there or as soon as anything else touches its channel, and so
+are parked batches that cannot run as columns (:meth:`VmpiEngine._sweep`).
 
 Semantics (documented divergences from real MPI):
 
@@ -81,10 +86,11 @@ Semantics (documented divergences from real MPI):
 * Collectives are synchronising: completion is ``max(post times) +
   model cost``; all ranks leave with the same clock.
 * A rank may yield a *tuple* of ops (a batch): the ops run in order
-  and the rank resumes once with the list of their results.  Hoisting
-  a constant batch out of a stepping loop saves generator round trips;
-  it is not needed for plan reuse -- the facade returns the same op for
-  a re-requested immutable descriptor (see :mod:`repro.vmpi.comm`).
+  and the rank resumes once with the list of their results.  Plan reuse
+  does not need it -- the facade returns the same op for a re-requested
+  immutable descriptor (see :mod:`repro.vmpi.comm`) -- but a stepping
+  loop hoisted into one batch per step is what lets the engine run the
+  step for all ranks at once (a column sweep) instead of once per rank.
 * Scheduling is deterministic, so runs are exactly reproducible -- a
   suite requirement (replicability, Sec. II-A).
 """
@@ -133,7 +139,15 @@ from .ops import (
     Waitall,
     nbytes_of,
 )
-from .rounds import PLAN_LIMIT, CollRound, XchgPlan, build_plan, list_template
+from .rounds import (
+    PLAN_LIMIT,
+    CollRound,
+    XchgPlan,
+    build_plan,
+    exchange_bytes,
+    list_template,
+)
+from .sweep import SweepPlan, plan_sweep
 from .trace import RankTrace, SpmdResult
 
 __all__ = [
@@ -168,15 +182,15 @@ def _describe_request(req: Request) -> str:
     return f"{what} rank {req.peer} (comm {req.comm_id}, tag {req.tag})"
 
 
-def _exchange_bytes(op: Exchange) -> float:
-    """Total send bytes of an exchange (left fold, cached on the op)."""
-    total = op.__dict__.get("_nbytes_total")
-    if total is None:
-        total = 0.0
-        for _, payload in op.sends:
-            total = total + nbytes_of(payload)
-        object.__setattr__(op, "_nbytes_total", total)
-    return total
+def _lowered(r: int, ops: tuple) -> Iterator[Op]:
+    """A tuple batch on the per-rank path: rank ``r``'s program, for the
+    length of the batch, is "yield each op, return the results"."""
+    results = []
+    for op in ops:
+        if type(op) is tuple:
+            raise VmpiError(f"rank {r} yielded a nested op batch")
+        results.append((yield op))
+    return results
 
 
 class VmpiEngine:
@@ -208,7 +222,13 @@ class VmpiEngine:
         self._wait_groups: dict[Request, _WaitGroup] = {}
         self._comms: dict[int, tuple[int, ...]] = {0: tuple(range(n))}
         self._next_comm_id = 1
-        self._batch: dict[int, list] = {}  # rank -> [ops, idx, results, waiting]
+        #: rank -> the tuple batch it yielded and has not started: run
+        #: as a column sweep once every rank is here, lowered otherwise
+        self._parked: dict[int, tuple] = {}
+        #: rank -> its program, while ``_gens`` holds a lowered batch
+        self._outer: dict[int, Iterator[Op]] = {}
+        #: id(rank 0's batch) -> (batches, their plan or None to lower)
+        self._sweeps: dict[int, tuple[list[tuple], SweepPlan | None]] = {}
         self._rid = 0
         self._node = machine.nodes_of_rank
         self._devkey = [id(d) for d in machine.devices]
@@ -266,7 +286,7 @@ class VmpiEngine:
         for r in range(n):
             self._wake(r)
         self._loop()
-        while not all(self._finished) and self._quiesce():
+        while not all(self._finished) and (self._sweep() or self._quiesce()):
             self._loop()
         if not all(self._finished):
             self._raise_stuck()
@@ -313,6 +333,75 @@ class VmpiEngine:
         for key in unpartnered:
             self._lower_sendrecv(key)
         return True
+
+    def _sweep(self) -> bool:
+        """Run the parked batches in lockstep, or lower them.
+
+        Runs when the heap is dry.  If every rank of the job is parked
+        and :func:`~repro.vmpi.sweep.plan_sweep` can read the batches as
+        columns, they execute over NumPy arrays indexed by global rank;
+        otherwise each parked rank runs its batch on the per-rank path,
+        op by op (:func:`_lowered`).  False if nothing was parked.
+        """
+        parked, self._parked = self._parked, {}
+        if not parked:
+            return False
+        plan = self._sweep_plan(parked)
+        if plan is None:
+            for r in sorted(parked):
+                self._outer[r] = self._gens[r]
+                self._gens[r] = _lowered(r, parked[r])
+                self._wake(r)
+            return True
+        for st, nrounds in plan.rounds:     # in step: advance in unison
+            for g in st[2]:
+                st[0][g] += nrounds
+        traces = self.traces
+        buckets = {"compute": [t.compute for t in traces],
+                   "comm": [t.comm for t in traces]}
+        tables = [buckets[bucket] for bucket, _ in plan.slots]
+        acc = [np.array([d.get(label, 0.0) for d in dicts])
+               for dicts, (_, label) in zip(tables, plan.slots)]
+        clk = np.array(self.clocks)
+        sent = np.array([t.bytes_sent for t in traces])
+        plan.run(clk, acc, sent)
+        # Slots are in first-touch order, so a label new to a rank lands
+        # in its trace dict where the per-rank path would have put it.
+        for dicts, (_, label), values in zip(tables, plan.slots, acc):
+            for d, v in zip(dicts, values.tolist()):
+                d[label] = v
+        self.clocks[:] = clk.tolist()
+        nops = len(plan.columns)
+        for r, (trace, nbytes, row) in enumerate(
+                zip(traces, sent.tolist(), plan.result_rows())):
+            trace.bytes_sent = nbytes
+            trace.ops += nops
+            self._resume[r] = row
+            self._wake(r)
+        return True
+
+    def _sweep_plan(self, parked: dict[int, tuple]) -> SweepPlan | None:
+        """The column plan the parked batches run under, or None to
+        lower them.  Plans are pinned on batch identity; what has to be
+        looked at every time is that p2p channels are idle (a Sendrecv
+        column) and exchange round counters in step."""
+        n = len(self.clocks)
+        if len(parked) != n:
+            return None
+        batches = [parked[r] for r in range(n)]
+        hit = self._sweeps.get(id(batches[0]))
+        if hit is None or not all(map(is_, batches, hit[0])):
+            if len(self._sweeps) >= PLAN_LIMIT:
+                self._sweeps.clear()
+            hit = self._sweeps[id(batches[0])] = \
+                (batches, plan_sweep(self, batches))
+        plan = hit[1]
+        if plan is None or (plan.p2p and (any(self._sends.values())
+                                          or any(self._recvs.values()))):
+            return None
+        if any(len({st[0][g] for g in st[2]}) != 1 for st, _ in plan.rounds):
+            return None
+        return plan
 
     # -- cached cost queries ---------------------------------------------------
     # First use goes through the machine model, later uses replay the
@@ -369,9 +458,6 @@ class VmpiEngine:
         """Drive rank ``r`` until it blocks or returns."""
         if self._finished[r]:
             return
-        batch = self._batch.get(r)
-        if batch is not None and not self._advance_batch(r, batch):
-            return
         send = self._gens[r].send
         resume = self._resume
         ck = self._ck
@@ -384,9 +470,16 @@ class VmpiEngine:
             try:
                 op = send(value)
             except StopIteration as stop:
-                self._finished[r] = True
-                self._values[r] = stop.value
-                return
+                outer = self._outer.pop(r, None)
+                if outer is None:
+                    self._finished[r] = True
+                    self._values[r] = stop.value
+                    return
+                # a lowered batch ran out: the program gets its results
+                self._gens[r] = outer
+                send = outer.send
+                value = stop.value
+                continue
             except VmpiError:
                 raise
             except BaseException as exc:
@@ -404,55 +497,14 @@ class VmpiEngine:
                 value = None
                 continue
             if kind is tuple:
-                batch = [op, 0, [None] * len(op), False]
-                self._batch[r] = batch
-                if not self._advance_batch(r, batch):
-                    return
-            elif not self._dispatch(r, op):
+                # Park at the head of the batch: once every rank stands
+                # at one, ``_sweep`` runs them column by column.
+                self._parked[r] = op
+                return
+            if not self._dispatch(r, op):
                 return  # blocked; resumes later via _wake
             value = resume[r]
             resume[r] = None
-
-    def _advance_batch(self, r: int, batch: list) -> bool:
-        """Drive a tuple batch; True once every element completed."""
-        ops, results = batch[0], batch[2]
-        resume = self._resume
-        if batch[3]:  # a blocked element just resumed
-            results[batch[1] - 1] = resume[r]
-            resume[r] = None
-            batch[3] = False
-        n = len(ops)
-        i = batch[1]
-        ck = self._ck
-        clocks = self.clocks
-        trace = self.traces[r]
-        compute = trace.compute
-        while i < n:
-            op = ops[i]
-            i += 1
-            kind = type(op)
-            if kind is Compute:
-                # Completed Computes leave no resume value, so the
-                # pre-filled None already stands.
-                dt = op.__dict__.get(ck)
-                if dt is None:
-                    dt = self._price(r, op)
-                trace.ops += 1
-                clocks[r] += dt
-                compute[op.label] += dt
-                continue
-            batch[1] = i
-            if kind is tuple:
-                raise VmpiError(f"rank {r} yielded a nested op batch")
-            if self._dispatch(r, op):
-                results[i - 1] = resume[r]
-                resume[r] = None
-                continue
-            batch[3] = True
-            return False
-        del self._batch[r]
-        resume[r] = results
-        return True
 
     def _dispatch(self, r: int, op: Op) -> bool:
         """Process one non-Compute op; True if the rank may continue."""
@@ -680,18 +732,12 @@ class VmpiEngine:
     def _post_exchange(self, r: int, op: Exchange) -> bool:
         """Buffer an exchange; the member completing a round finishes it."""
         sk = (op.comm_id, op.tag)
-        st = self._xst.get(sk)
-        if st is None:
-            members = self._comms.get(op.comm_id)
-            if members is None:
-                raise VmpiError(f"unknown communicator id {op.comm_id}")
-            st = self._xst[sk] = [defaultdict(int), {}, members, len(members)]
-        seq, rounds, members, nmem = st
+        seq, rounds, members, nmem = self._xst.get(sk) or self._xstate(*sk)
         rnd = seq[r]
         seq[r] = rnd + 1
         nb = op.__dict__.get("_nbytes_total")
         if nb is None:
-            nb = _exchange_bytes(op)
+            nb = exchange_bytes(op)
         self.traces[r].bytes_sent += nb
         try:
             pend = rounds[rnd]
@@ -704,6 +750,17 @@ class VmpiEngine:
         # No per-rank blocked marker: buffered ranks are found through
         # ``_xst`` (and drained by ``_quiesce`` before any deadlock).
         return False
+
+    def _xstate(self, cid: int, tag: int) -> list:
+        """The (created on first use) round state of ``(comm, tag)``."""
+        st = self._xst.get((cid, tag))
+        if st is None:
+            members = self._comms.get(cid)
+            if members is None:
+                raise VmpiError(f"unknown communicator id {cid}")
+            st = self._xst[cid, tag] = [defaultdict(int), {}, members,
+                                        len(members)]
+        return st
 
     def _finish_round(self, members: tuple[int, ...],
                       key: tuple[int, int, int],
@@ -722,48 +779,16 @@ class VmpiEngine:
                         self._wake(r)
             return caller_done
         clocks = self.clocks
-        nmem = len(members)
-        if plan.contig:
-            posts = np.array(clocks[:nmem], dtype=np.float64)
-        else:
-            posts = np.fromiter((clocks[g] for g in members),
-                                dtype=np.float64, count=nmem)
-        if plan.nedges:
-            sposts = posts[plan.src_idx]
-            recv_done = np.maximum(sposts, posts[plan.dst_idx]) + plan.t
-            send_done = np.where(plan.eager, sposts + plan.t, recv_done)
-            done = posts.copy()
-            np.maximum.at(done, plan.src_idx, send_done)
-            np.maximum.at(done, plan.dst_idx, recv_done)
-            done_list = done.tolist()
-            waited_list = np.maximum(done - posts, 0.0).tolist()
-        else:
-            done_list = posts.tolist()
-            waited_list = [0.0] * nmem
-        traces = self.traces
-        resume = self._resume
-        batches = self._batch
-        labels = plan.labels
-        results = plan.results
-        push = self._heap.push
-        for i, g in enumerate(members):
-            d = done_list[i]
+        done, waited = plan.complete(np.fromiter(
+            map(clocks.__getitem__, members), np.float64, len(members)))
+        traces, resume, push = self.traces, self._resume, self._heap.push
+        for g, d, w, label, got in zip(members, done.tolist(), waited.tolist(),
+                                       plan.labels, plan.results):
             clocks[g] = d
-            traces[g].comm[labels[i]] += waited_list[i]
+            traces[g].comm[label] += w
+            resume[g] = list(got)
             if g != caller:
-                # If the member blocked on this exchange as the last op
-                # of a batch, complete the batch here: on wake the rank
-                # resumes straight into its generator.
-                b = batches.get(g)
-                if b is not None and b[3] and b[1] == len(b[0]):
-                    b[2][b[1] - 1] = list(results[i])
-                    del batches[g]
-                    resume[g] = b[2]
-                else:
-                    resume[g] = list(results[i])
                 push(d, g)
-            else:
-                resume[g] = list(results[i])
         return True
 
     def _round_plan(self, key: tuple[int, int, int],

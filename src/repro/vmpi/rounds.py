@@ -21,7 +21,7 @@ import numpy as np
 from .ops import Exchange, nbytes_of
 
 __all__ = ["CollRound", "PLAN_LIMIT", "XchgPlan", "build_plan",
-           "list_template"]
+           "edge_seconds", "exchange_bytes", "list_template"]
 
 #: replay plans kept per communicator; a program whose collectives
 #: change every round (HPL's shrinking panel broadcasts) starts over
@@ -46,7 +46,22 @@ class XchgPlan:
     eager: np.ndarray       # per-edge bool: send completes locally
     labels: tuple[str, ...]  # per-member comm-trace label
     results: tuple[list, ...]  # per-member received payloads, recvs order
-    contig: bool            # members are exactly ranks 0..n-1
+
+    def complete(self, posts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(done, waited)`` per member of one round posted at ``posts``:
+        a receive completes at ``max(both posts) + t``, a send likewise
+        unless it is eager (``post + t``), and a member leaves at the
+        latest of its edges.  The one place a round is timed, for a
+        round filled rank by rank and for a column sweep alike."""
+        if not self.nedges:
+            return posts, np.zeros(len(posts))
+        sposts = posts[self.src_idx]
+        recv_done = np.maximum(sposts, posts[self.dst_idx]) + self.t
+        send_done = np.where(self.eager, sposts + self.t, recv_done)
+        done = posts.copy()
+        np.maximum.at(done, self.src_idx, send_done)
+        np.maximum.at(done, self.dst_idx, recv_done)
+        return done, np.maximum(done - posts, 0.0)
 
 
 class CollRound:
@@ -72,6 +87,17 @@ class CollRound:
         self.posts = [0.0] * self.nmem
         self.count = 0
         self.plans: dict[int, tuple] = {}
+
+
+def exchange_bytes(op: Exchange) -> float:
+    """Total send bytes of an exchange (left fold, cached on the op)."""
+    total = op.__dict__.get("_nbytes_total")
+    if total is None:
+        total = 0.0
+        for _, payload in op.sends:
+            total = total + nbytes_of(payload)
+        object.__setattr__(op, "_nbytes_total", total)
+    return total
 
 
 def list_template(results: list) -> tuple[list, list | None]:
@@ -144,17 +170,16 @@ def build_plan(members: tuple[int, ...], pend: dict[int, Exchange],
         nedges=nedges,
         src_idx=src_idx,
         dst_idx=dst_idx,
-        t=_edge_seconds(node_of, src_idx, dst_idx, sizes, p2p_params),
+        t=edge_seconds(node_of, src_idx, dst_idx, sizes, p2p_params),
         eager=sizes <= eager_limit,
         labels=tuple(o.label for o in ops),
         results=tuple(slots[lo:hi] for lo, hi in zip(bounds, bounds[1:])),
-        contig=members[0] == 0 and members[-1] == nmem - 1,
     )
 
 
-def _edge_seconds(node_of: np.ndarray, src_idx: np.ndarray,
-                  dst_idx: np.ndarray, sizes: np.ndarray,
-                  p2p_params: Callable) -> np.ndarray:
+def edge_seconds(node_of: np.ndarray, src_idx: np.ndarray,
+                 dst_idx: np.ndarray, sizes: np.ndarray,
+                 p2p_params: Callable) -> np.ndarray:
     """Per-edge ``alpha + n/beta``: the engine's ``_p2p_seconds``,
     vectorized (one model query per distinct node pair, same IEEE
     operations)."""

@@ -17,7 +17,11 @@ from repro.check import (
     render_json,
     render_sarif,
 )
-from repro.check.protocol import DEFAULT_SIZES, EAGER_LIMIT
+from repro.check.protocol import (
+    DEFAULT_SIZES,
+    EAGER_LIMIT,
+    unresolved_replays,
+)
 from repro.check.rules import expand_rule_prefixes, rule_ids
 from repro.check.rules.comm import ID_DESCRIPTIONS, ID_SEVERITY
 from repro.vmpi.comm import Comm
@@ -381,3 +385,37 @@ def test_repo_has_zero_comm_findings_at_head():
     assert not report.active, [f.render() for f in report.active]
     assert not any(f.rule.startswith("COMM")
                    for f in report.baselined)
+
+
+def test_every_rank_program_of_the_repo_is_replayed():
+    """Unresolvable programs stay quiet, so a construct the interpreter
+    stops modelling silently drops their protocol check: PR 12's
+    ``comm._interned`` probe in ``halo_exchange_op`` cost 40 of the 148
+    (program, size) replays -- every halo program -- unnoticed.  Pinned
+    at zero: each rank program under ``apps/``, ``synthetic/`` and
+    ``vmpi/`` replays at every default size."""
+    src = REPO_ROOT / "src"
+    modules = [(path.relative_to(src).as_posix(),
+                ast.parse(path.read_text(encoding="utf-8")))
+               for sub in ("apps", "synthetic", "vmpi")
+               for path in sorted((src / "repro" / sub).rglob("*.py"))]
+    programs = {(relpath, fn.name) for relpath, tree in modules
+                for fn in rank_programs(tree)}
+    assert len(programs) >= 37          # the hoisted ones included
+    assert {"halo_exchange", "chroma_timing_program",
+            "megatron_timing_program"} <= {name for _, name in programs}
+    assert unresolved_replays(modules) == []
+
+
+def test_unresolved_replays_name_program_size_and_reason():
+    source = """
+        def prog(comm):
+            yield comm.barrier()
+            yield comm.no_such_method()
+    """
+    tree = ast.parse(textwrap.dedent(source))
+    assert analyze_modules([("prog.py", tree)], sizes=(2, 3)) == []
+    assert unresolved_replays([("prog.py", tree)], sizes=(2, 3)) == [
+        ("prog.py", "prog", size,
+         "_Unresolvable: unknown Comm attribute 'no_such_method'")
+        for size in (2, 3)]

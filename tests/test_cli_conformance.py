@@ -112,6 +112,35 @@ def test_bad_numbers_are_argparse_usage_errors(argv, complaint, capsys):
     assert stderr.rstrip().endswith(complaint)
 
 
+@pytest.mark.parametrize("argv, complaint", [
+    (["fig3", "--nodes", "937"],
+     "Arbor cannot run on 937 nodes: JUWELS Booster has 936"),
+    (["fig3", "--nodes", "8,5000"],
+     "Arbor cannot run on 5000 nodes: JUWELS Booster has 936"),
+    (["run", "STREAM", "--nodes", "5000"],
+     "STREAM cannot run on 5000 nodes: JUWELS Booster has 936"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_unplaceable_node_count_is_one_line_exit_2(
+        argv, complaint, capsys, monkeypatch):
+    """More nodes than the modelled system has: refused up front, before
+    any kernel runs (not a ValueError traceback out of the first one)."""
+    from repro.core.benchmark import Benchmark
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(Benchmark, "run", never)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"jubench: error: {complaint}\n"
+    assert captured.out == ""
+
+
+def test_the_whole_modelled_system_is_placeable(capsys):
+    assert main(["run", "STREAM", "--nodes", "936"]) == 0
+    assert "nodes     : 936" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["report", "history", "regress"])
 def test_missing_or_directory_input_is_one_line_exit_2(
         command, tmp_path, capsys):

@@ -111,6 +111,41 @@ class TestVmpiOrdinals:
         assert runs == {("HPL", 1), ("HPL", 2)}
 
 
+    def test_run_ordinals_never_rescan_the_event_list(self, monkeypatch):
+        """Numbering a run is O(1): the tracer keeps the last ordinal per
+        benchmark as events arrive (directly emitted ones included)
+        instead of ``emit_vmpi``/``reemit_events`` copying and rescanning
+        every event once per task -- quadratic over a sweep, and paid by
+        untraced runs too."""
+        from repro.telemetry.export import reemit_events
+
+        tracer = Tracer(clock=ManualClock())
+        tracer.emit({"type": "vmpi", "benchmark": "HPL", "nodes": 1,
+                     "rank": 0, "run": 4, "bucket": "comm",
+                     "label": "bcast", "seconds": 1.0})
+        worker = Tracer(clock=ManualClock())
+        emit_vmpi(worker, "HPL", 2, _Spmd())
+        emit_vmpi(worker, "HPL", 3, _Spmd())
+        adopted = worker.events()
+
+        def rescan():
+            raise AssertionError("the event list was copied")
+
+        monkeypatch.setattr(tracer, "events", rescan)
+        assert tracer.last_vmpi_run("HPL") == 4
+        assert tracer.last_vmpi_run("Arbor") == 0
+        emit_vmpi(tracer, "HPL", 1, _Spmd())        # run 5
+        emit_vmpi(tracer, "Arbor", 1, _Spmd())      # run 1
+        reemit_events(tracer, adopted)              # runs 6 and 7
+        assert tracer.last_vmpi_run("HPL") == 7
+        assert tracer.last_vmpi_run("Arbor") == 1
+        monkeypatch.undo()
+        runs = sorted({(e["benchmark"], e["run"], e["nodes"])
+                       for e in tracer.events()})
+        assert runs == [("Arbor", 1, 1), ("HPL", 4, 1), ("HPL", 5, 1),
+                        ("HPL", 6, 2), ("HPL", 7, 3)]
+
+
 class TestChromeTrace:
     def test_ranks_become_tids_with_back_to_back_slices(self):
         tracer = Tracer(clock=ManualClock())

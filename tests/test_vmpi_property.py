@@ -6,7 +6,9 @@ deadlock-free by construction) and asserts the invariants on each:
 virtual clocks advance monotonically, no spurious
 :class:`DeadlockError` is raised, and the engine and the reference step
 scheduler (:mod:`tests.vmpi_reference`) agree exactly on final clocks,
-payloads and traces.
+payloads and traces.  A second generator wraps phases into tuple
+batches -- the programs the engine runs as column sweeps
+(:mod:`repro.vmpi.sweep`) or lowers.
 """
 
 import numpy as np
@@ -40,37 +42,90 @@ PHASES = st.one_of(
 )
 
 
+# Phases that are one op, so they can also stand inside a tuple batch:
+# the families a column sweep runs in lockstep -- rank-skewed compute,
+# collectives on the world and on two families of sub-communicators
+# (``rank % 2`` interleaved, ``rank // 2`` contiguous), ring sendrecvs
+# of any shift -- next to ones it has to lower (a real payload).
+SUBS = st.integers(min_value=0, max_value=1)
+BATCHABLE = st.one_of(
+    PHASES.filter(lambda phase: phase[0] != "p2p_pair"),
+    st.tuples(st.just("skew"), st.sampled_from([1e9, 7e9])),
+    st.tuples(st.just("sub_allreduce"), SUBS, st.sampled_from([64.0, 2e6])),
+    st.tuples(st.just("sub_barrier"), SUBS),
+    st.tuples(st.just("sub_ring"), SUBS, st.sampled_from([128.0, 1e6])),
+    st.tuples(st.just("real_allreduce")),
+)
+#: (ops of one step, times the step repeats in the tuple, batches yielded)
+BATCH = st.tuples(st.just("batch"),
+                  st.lists(BATCHABLE, min_size=1, max_size=4),
+                  st.integers(min_value=1, max_value=3),
+                  st.integers(min_value=1, max_value=3))
+
+
+def one_op(comm, subs, phase):
+    """The op of a single-op phase."""
+    kind = phase[0]
+    if kind == "compute":
+        return comm.compute(flops=phase[1], efficiency=phase[2])
+    if kind == "skew":
+        return comm.compute(flops=phase[1] * (1 + comm.rank % 3),
+                            efficiency=0.5, label="skew")
+    if kind == "elapse":
+        return comm.elapse(phase[1])
+    if kind == "allreduce":
+        return comm.allreduce(Phantom(phase[1]))
+    if kind == "real_allreduce":
+        return comm.allreduce(np.arange(3.0) * comm.rank)
+    if kind == "barrier":
+        return comm.barrier()
+    if kind == "allgather":
+        return comm.allgather(Phantom(phase[1]))
+    if kind == "sub_allreduce":
+        return subs[phase[1]].allreduce(Phantom(phase[2]), label="sub")
+    if kind == "sub_barrier":
+        return subs[phase[1]].barrier(label="sub")
+    if kind in ("ring", "sub_ring"):
+        ring = comm if kind == "ring" else subs[phase[1]]
+        shift = phase[1] if kind == "ring" else 1
+        return ring.sendrecv((ring.rank + shift) % ring.size,
+                             Phantom(phase[2]),
+                             (ring.rank - shift) % ring.size)
+    assert kind == "exchange", kind
+    shift, size = phase[1], phase[2]
+    return comm.exchange((((comm.rank + shift) % comm.size, Phantom(size)),),
+                         ((comm.rank - shift) % comm.size,))
+
+
+def fold(got):
+    """A number that depends on everything an op resumed with."""
+    if isinstance(got, Phantom):
+        return got.nbytes
+    if isinstance(got, np.ndarray):
+        return float(got.sum())
+    if isinstance(got, list):
+        return len(got) + sum(fold(x) for x in got)
+    assert got is None, got
+    return 0.0
+
+
 def build_program(phases):
     """An SPMD generator executing the drawn phase list on every rank."""
 
     def prog(comm):
         out = 0.0
+        subs = ()
+        if any(phase[0] == "batch" for phase in phases):
+            subs = ((yield comm.split(comm.rank % 2)),
+                    (yield comm.split(comm.rank // 2)))
         for phase in phases:
             kind = phase[0]
-            if kind == "compute":
-                yield comm.compute(flops=phase[1], efficiency=phase[2])
-            elif kind == "elapse":
-                yield comm.elapse(phase[1])
-            elif kind == "allreduce":
-                got = yield comm.allreduce(Phantom(phase[1]))
-                out += got.nbytes
-            elif kind == "barrier":
-                yield comm.barrier()
-            elif kind == "allgather":
-                got = yield comm.allgather(Phantom(phase[1]))
-                out += len(got)
-            elif kind == "ring":
-                shift, size = phase[1], phase[2]
-                right = (comm.rank + shift) % comm.size
-                left = (comm.rank - shift) % comm.size
-                got = yield comm.sendrecv(right, Phantom(size), left)
-                out += got.nbytes
-            elif kind == "exchange":
-                shift, size = phase[1], phase[2]
-                dest = (comm.rank + shift) % comm.size
-                src = (comm.rank - shift) % comm.size
-                got = yield comm.exchange(((dest, Phantom(size)),), (src,))
-                out += got[0].nbytes
+            if kind == "batch":
+                step = tuple(one_op(comm, subs, inner) for inner in phase[1])
+                for _ in range(phase[3]):
+                    got = yield step * phase[2]
+                    assert len(got) == len(step) * phase[2]
+                    out += fold(got)
             elif kind == "p2p_pair":
                 peer = comm.rank ^ 1
                 if peer < comm.size:
@@ -78,6 +133,8 @@ def build_program(phases):
                     rreq = yield comm.irecv(peer)
                     got = yield comm.waitall([sreq, rreq])
                     out += got[1].nbytes
+            else:
+                out += fold((yield one_op(comm, subs, phase)))
         return out
 
     return prog
@@ -97,6 +154,28 @@ def test_random_programs_agree_across_cores(phases, nranks):
     for ts, te in zip(step.traces, event.traces):
         assert dict(ts.compute) == dict(te.compute)
         assert dict(ts.comm) == dict(te.comm)
+        assert ts.bytes_sent == te.bytes_sent
+        assert ts.ops == te.ops
+
+
+@given(phases=st.lists(st.one_of(BATCH, BATCH, PHASES), min_size=1,
+                       max_size=5),
+       nranks=st.integers(min_value=1, max_value=9))
+@settings(max_examples=60, deadline=None)
+def test_random_batched_programs_agree_across_cores(phases, nranks):
+    """Tuple batches -- multiplied, mixed with plain phases, on the world
+    and on sub-communicators -- whether they run as column sweeps or are
+    lowered: values, clocks, traces and the insertion order of the trace
+    buckets (``compute_seconds`` sums in it) all equal the reference's."""
+    prog = build_program(phases)
+    m = machine(nranks)
+    step = run_reference(prog, machine=m)
+    event = run_spmd(prog, machine=m)
+    assert step.clocks == event.clocks
+    assert step.values == event.values
+    for ts, te in zip(step.traces, event.traces):
+        assert list(ts.compute.items()) == list(te.compute.items())
+        assert list(ts.comm.items()) == list(te.comm.items())
         assert ts.bytes_sent == te.bytes_sent
         assert ts.ops == te.ops
 

@@ -23,14 +23,16 @@ from repro.vmpi.collectives import (
     collective_results,
     validate_collective,
 )
-from repro.vmpi.engine import VmpiEngine, _exchange_bytes
+from repro.vmpi.engine import VmpiEngine
 from repro.vmpi.ops import Compute, nbytes_of
+from repro.vmpi.rounds import exchange_bytes
 
 
 class ReferenceEngine(VmpiEngine):
     def __init__(self, machine, eager_limit=None):
         super().__init__(machine, eager_limit=eager_limit)
         self._ready = deque()
+        self._batch = {}          # rank -> [ops, idx, results, waiting]
         self._coll_seq = defaultdict(int)    # (comm, rank) -> next sequence
         self._coll_pending = {}   # (comm, seq) -> {local: (op, post time)}
         self._xseq = defaultdict(int)        # (comm, tag, rank) -> next round
@@ -119,7 +121,7 @@ class ReferenceEngine(VmpiEngine):
         ekey = (op.comm_id, op.tag)
         rnd = self._xseq[ekey + (r,)]
         self._xseq[ekey + (r,)] = rnd + 1
-        self.traces[r].bytes_sent += _exchange_bytes(op)
+        self.traces[r].bytes_sent += exchange_bytes(op)
         return self._decompose_exchange(r, op, ekey + (rnd,))
 
     def _post_collective(self, r, op):
