@@ -28,9 +28,11 @@ the codebase silently assumes:
   the schema, CLI flags are documented in the README, rule ids are
   registered exactly once.
 
-Run it as ``jubench check`` or ``python -m repro.check``; pass a cache
-(``--cache-dir``) for incremental warm runs and ``--workers`` for
-parallel analysis.
+Run it as ``jubench check`` or ``python -m repro.check``.  With
+``--cache-dir`` every result is keyed on the bytes it read, so an
+unchanged tree is hashed and looked up, never parsed; ``--workers``
+is accepted, but the rules are GIL-bound and it is measured to buy
+nothing.
 """
 
 from .._lazy import lazy_exports

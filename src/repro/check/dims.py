@@ -317,6 +317,8 @@ def module_signatures(tree: ast.Module) -> dict[str, tuple[str, ...]]:
     up with method calls.  Methods are keyed both bare and as
     ``Class.method``.
     """
+    from .rules.base import nodes  # the rules package imports this module
+
     out: dict[str, tuple[str, ...]] = {}
 
     def params_of(fn: ast.AST) -> tuple[str, ...]:
@@ -325,13 +327,12 @@ def module_signatures(tree: ast.Module) -> dict[str, tuple[str, ...]]:
             names = names[1:]
         return tuple(names)
 
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            for stmt in node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    out[f"{node.name}.{stmt.name}"] = params_of(stmt)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.setdefault(node.name, params_of(node))
+    for node in nodes(tree, ast.ClassDef):
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out[f"{node.name}.{stmt.name}"] = params_of(stmt)
+    for node in nodes(tree, ast.FunctionDef):
+        out.setdefault(node.name, params_of(node))
     return out
 
 

@@ -15,13 +15,12 @@ carry no justification text: an exemption without a reason is a bug.
 
 from __future__ import annotations
 
-import ast
 import functools
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
 from ..exec.cache import CODE_VERSION, ResultCache, stable_hash
 from .dims import build_registry
@@ -96,6 +95,15 @@ class _ParseErrorRule(Rule):
     description = "A source file under analysis failed to parse."
 
 
+def _decode(value: Any) -> list[Finding] | None:
+    """The findings of a cached value; None -- a miss -- for an absent
+    entry (``None``) and for one that is torn or of the wrong shape."""
+    try:
+        return [Finding.from_dict(d) for d in value]
+    except (KeyError, TypeError, ValueError, AttributeError):
+        return None
+
+
 class Analyzer:
     """Run a set of rules over a source tree.
 
@@ -146,64 +154,105 @@ class Analyzer:
         parent, so findings read ``repro/...``); pass the repository
         root to get ``src/repro/...`` paths that match the baseline.
 
-        ``workers`` > 1 analyzes modules with *local* rules from a
-        thread pool; ``cache`` enables incremental analysis -- each
-        module's local-rule findings are stored under a content hash of
-        its source, the rule-set version (the check package's own
-        sources), the enabled rule ids and the project annotation
-        registry, so a warm run only re-analyzes what changed.
-        Project-scoped rules (cross-module state) always run.
-        Classification is order-insensitive, so cold, warm and parallel
-        runs produce identical reports.
+        ``cache`` makes the run incremental: every result is keyed on
+        the bytes it read and nothing is parsed until one misses.  The
+        *project entry* -- parse errors, project-scope rules' findings,
+        the registry hash and rule fingerprints that module keys need --
+        is keyed on every file's digest, the enabled ids, the rule-set
+        version and the side inputs rules declare; a module's
+        local-rule findings on its own digest plus what that entry
+        carries (DESIGN.md §8).  ``workers`` > 1 computes the modules
+        that missed from a thread pool.  Classification runs live on
+        the raw findings and is order-insensitive, so cold, warm and
+        parallel runs produce identical reports.
         """
         root = Path(root).resolve()
         base = Path(rel_base).resolve() if rel_base else root.parent
         out = Collector()
         modules: list[ModuleInfo] = []
-        parse_rule = _ParseErrorRule()
-        files = sorted(p for p in root.rglob("*.py") if p.is_file())
-        for path in files:
+        for path in sorted(p for p in root.rglob("*.py") if p.is_file()):
             try:
                 relpath = path.relative_to(base).as_posix()
             except ValueError:
                 relpath = path.as_posix()
-            text = path.read_text(encoding="utf-8")
-            lines = text.splitlines()
-            out.register_source(relpath, lines)
-            try:
-                tree = ast.parse(text, filename=str(path))
-            except SyntaxError as exc:
-                out.add(parse_rule, relpath, exc.lineno or 1,
-                        f"syntax error: {exc.msg}")
-                continue
-            modules.append(ModuleInfo(path=path, relpath=relpath,
-                                      tree=tree, lines=lines))
-        ctx = ProjectContext(root=root, rel_base=base, modules=modules,
-                             registry=build_registry(
-                                 (m.relpath, m.tree) for m in modules))
-        for rule in self.rules:
-            rule.prepare(ctx)
+            out._sources[relpath] = path
+            modules.append(ModuleInfo(relpath, path.read_bytes()))
+        inputs = {name: (base / name).read_text(encoding="utf-8")
+                  if (base / name).is_file() else None
+                  for rule in self.rules for name in rule.inputs}
         local = [r for r in self.rules if r.scope == "local"]
-        project = [r for r in self.rules if r.scope != "local"]
-        registry_hash = stable_hash(ctx.registry.content())
-        # rules with cross-module state (interprocedural summaries)
-        # contribute a fingerprint so editing a helper in one module
-        # invalidates cached verdicts that depended on it
-        fingerprints = {r.id: fp for r in local
-                        if (fp := r.cache_fingerprint())}
 
-        stats_before = (cache.stats.snapshot() if cache is not None
-                        else None)
+        @functools.cache
+        def prepare() -> tuple[list[ModuleInfo], Collector, str]:
+            """Parse every file, build the registry, prepare the rules:
+            what the first result that misses the cache pays, once."""
+            parsed, col = [], Collector(_sources=out._sources)
+            for module in modules:
+                try:
+                    module.tree
+                except SyntaxError as exc:
+                    col.add(_ParseErrorRule(), module.relpath,
+                            exc.lineno or 1, f"syntax error: {exc.msg}")
+                else:
+                    parsed.append(module)
+            ctx = ProjectContext(
+                modules=parsed, inputs=inputs, registry=build_registry(
+                    (m.relpath, m.tree) for m in parsed))
+            for rule in self.rules:
+                rule.prepare(ctx)
+            return parsed, col, stable_hash(ctx.registry.content())
 
-        def analyze(module: ModuleInfo) -> list[Finding]:
+        whole_tree = project_key = None
+        if cache is not None:
+            project_key = "check-project-" + stable_hash({
+                "ruleset": _ruleset_fingerprint(),
+                "rules": sorted(self._enabled_ids),
+                "files": [(m.relpath, m.digest) for m in modules],
+                "inputs": inputs})
+            entry = cache.get(project_key)[1]
+            try:
+                registry_hash = entry["registry"]
+                fingerprints = dict(entry["fingerprints"])
+                whole_tree = _decode(entry["findings"])
+            except (KeyError, TypeError, ValueError):
+                pass    # absent, torn or of another shape: a miss
+        if whole_tree is None:
+            parsed, col, registry_hash = prepare()
+            for module in parsed:
+                for rule in self.rules:
+                    if rule.scope != "local" and \
+                            rule.applies_to(module.relpath):
+                        rule.check_module(module, col)
+            for rule in self.rules:
+                rule.finalize(col)
+            whole_tree = col.findings
+            # rules with cross-module state (interprocedural summaries)
+            # contribute a fingerprint so editing a helper in one module
+            # invalidates cached verdicts that depended on it
+            fingerprints = {r.id: fp for r in local
+                            if (fp := r.cache_fingerprint())}
+            if cache is not None:
+                cache.put(project_key, {
+                    "registry": registry_hash,
+                    "fingerprints": fingerprints,
+                    "findings": [f.to_dict() for f in whole_tree]})
+        out.findings.extend(whole_tree)
+        unparsed = {f.path for f in whole_tree
+                    if f.rule == _ParseErrorRule.id}
+
+        # look every module up first: the misses are then computed
+        # (by the pool, if any) after one prepare() on this thread
+        hits = 0
+        missed: list[tuple[ModuleInfo, list[Rule], str | None]] = []
+        for module in modules:
             rules = [r for r in local if r.applies_to(module.relpath)]
-            if not rules:
-                return []
-            key = None
+            if not rules or module.relpath in unparsed:
+                continue
+            key = found = None
             if cache is not None:
                 key = "check-" + stable_hash({
                     "relpath": module.relpath,
-                    "source": "\n".join(module.lines),
+                    "source": module.digest,
                     "ruleset": _ruleset_fingerprint(),
                     "registry": registry_hash,
                     "rules": sorted(i for r in rules
@@ -213,35 +262,35 @@ class Analyzer:
                                      for r in rules
                                      if r.id in fingerprints},
                 })
-                found, value = cache.get(key)
-                if found:
-                    return [Finding.from_dict(d) for d in value]
+                found = _decode(cache.get(key)[1])
+            if found is None:
+                missed.append((module, rules, key))
+            else:
+                hits += 1
+                out.findings.extend(found)
+
+        def analyze(job) -> list[Finding]:
+            module, rules, key = job
             col = Collector(_sources=out._sources)
             for rule in rules:
                 rule.check_module(module, col)
-            if cache is not None and key is not None:
+            if key is not None:
                 cache.put(key, [f.to_dict() for f in col.findings])
             return col.findings
 
-        if workers > 1 and len(modules) > 1:
+        if missed:
+            prepare()
+        if workers > 1 and len(missed) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                for findings in pool.map(analyze, modules):
-                    out.findings.extend(findings)
+                computed = list(pool.map(analyze, missed))
         else:
-            for module in modules:
-                out.findings.extend(analyze(module))
-        for module in modules:
-            for rule in project:
-                if rule.applies_to(module.relpath):
-                    rule.check_module(module, out)
-        for rule in self.rules:
-            rule.finalize(out)
-        report = self._classify(out, files_checked=len(files))
+            computed = [analyze(job) for job in missed]
+        for findings in computed:
+            out.findings.extend(findings)
+        report = self._classify(out, files_checked=len(modules))
         report.rules_run = list(self.rules)
-        if cache is not None and stats_before is not None:
-            report.cache_hits = cache.stats.hits - stats_before["hits"]
-            report.cache_misses = (cache.stats.misses -
-                                   stats_before["misses"])
+        if cache is not None:
+            report.cache_hits, report.cache_misses = hits, len(missed)
         return report
 
     # -- classification ------------------------------------------------------
@@ -283,7 +332,7 @@ class Analyzer:
         preceding pure-comment line.  Returns the justification text
         (possibly empty) when a matching allow comment exists.
         """
-        lines = out._sources.get(finding.path)
+        lines = out.lines(finding.path)
         if not lines:
             return None
         candidates = []

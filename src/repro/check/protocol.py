@@ -246,22 +246,17 @@ class _Continue(Exception):
 
 
 def _is_generator(fn: ast.FunctionDef) -> bool:
-    for node in _own_nodes(fn):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-    return False
-
-
-def _own_nodes(fn: ast.AST) -> Iterable[ast.AST]:
-    """Nodes of a function excluding nested function/class scopes."""
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
+    """Does ``fn`` yield, nested function/class scopes aside?  Asked at
+    every call a replay resolves; answered once per def."""
+    try:
+        return fn._is_generator
+    except AttributeError:
+        fn._is_generator = any(
+            isinstance(node, (ast.Yield, ast.YieldFrom))
+            for node in iter_direct_body(fn, lambda n: isinstance(n, (
+                ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                ast.Lambda))))
+        return fn._is_generator
 
 
 def _contains(nodes: Iterable[ast.stmt], *types) -> bool:
@@ -291,25 +286,6 @@ def rank_programs(tree: ast.Module) -> list[ast.FunctionDef]:
             if isinstance(stmt, ast.FunctionDef) and is_rank_program(stmt)]
 
 
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    # local copy of rules.base.import_aliases to keep this layer
-    # importable without the rules package
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                aliases[a.asname or a.name.split(".")[0]] = \
-                    a.name if a.asname else a.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            for a in node.names:
-                if a.name == "*":
-                    continue
-                full = f"{base}.{a.name}" if base else a.name
-                aliases[a.asname or a.name] = full
-    return aliases
-
-
 class ProjectIndex:
     """Cross-module view: function definitions and module constants."""
 
@@ -323,7 +299,7 @@ class ProjectIndex:
         self._module_envs: dict[str, dict[str, AV]] = {}
         for relpath, tree in self.modules:
             self.trees[relpath] = tree
-            self.aliases[relpath] = _import_aliases(tree)
+            self.aliases[relpath] = import_aliases(tree)
             parts = tuple(relpath[:-3].split("/")) \
                 if relpath.endswith(".py") else tuple(relpath.split("/"))
             for stmt in tree.body:
@@ -2256,3 +2232,7 @@ def _replay_program(index: ProjectIndex, relpath: str,
         return [], True, f"{type(exc).__name__}: {exc}"
     approx = any(interp.approx for interp in interps)
     return replay.events, approx, None
+
+
+# last, because rules.comm imports names defined above
+from .rules.base import import_aliases, iter_direct_body  # noqa: E402

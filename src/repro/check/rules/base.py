@@ -11,6 +11,8 @@ applies inline suppressions and the baseline afterwards.
 from __future__ import annotations
 
 import ast
+import functools
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -21,35 +23,40 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dims import DimRegistry
 
 
-@dataclass
 class ModuleInfo:
-    """One parsed source module under analysis."""
+    """One source module under analysis.
 
-    path: Path
-    relpath: str          # posix path relative to the repository root
-    tree: ast.Module
-    lines: list[str]
+    ``digest`` (SHA-256 of the file's bytes) is its identity in every
+    cache key; ``tree`` is parsed on first access -- a run served from
+    the cache never parses -- and releases the bytes it was parsed from.
+    """
 
-    def segments(self) -> tuple[str, ...]:
-        return tuple(self.relpath.split("/"))
+    def __init__(self, relpath: str, source: bytes) -> None:
+        self.relpath = relpath    # posix, relative to the repository root
+        self.digest = hashlib.sha256(source).hexdigest()
+        self._source: bytes | None = source
+
+    @functools.cached_property
+    def tree(self) -> ast.Module:
+        tree = ast.parse(self._source, filename=self.relpath)
+        self._source = None
+        return tree
 
 
 @dataclass
 class ProjectContext:
     """The whole-project view handed to :meth:`Rule.prepare`.
 
-    Built once per run, after parsing and before any rule executes:
-    the dimension-annotation registry aggregated over every module,
-    plus the roots rules need to reach sibling artifacts (README for
-    XLY402, ...).  ``rel_base`` is the directory findings' paths are
-    relative to -- the repository root in real runs, the fixture root
-    in tests.
+    Built at most once per run, when the first result misses the
+    cache: the dimension-annotation registry aggregated over every
+    module that parses, plus the text of every side input a rule
+    declared (:attr:`Rule.inputs`; None for a missing file).  There is
+    no path in it on purpose: what a rule reads must be in a cache key.
     """
 
-    root: Path
-    rel_base: Path
     registry: "DimRegistry"
     modules: list[ModuleInfo] = field(default_factory=list)
+    inputs: dict[str, str | None] = field(default_factory=dict)
 
 
 @dataclass
@@ -57,17 +64,24 @@ class Collector:
     """Finding sink handed to rules; snippets come from module sources."""
 
     findings: list[Finding] = field(default_factory=list)
-    _sources: dict[str, list[str]] = field(default_factory=dict)
+    #: per file its lines, or the path to read them from when asked
+    _sources: dict[str, list[str] | Path] = field(default_factory=dict)
 
-    def register_source(self, relpath: str, lines: list[str]) -> None:
-        self._sources[relpath] = lines
+    def lines(self, relpath: str) -> list[str]:
+        """Source lines of a file, read and split on first lookup --
+        only files with findings ever are."""
+        lines = self._sources.get(relpath, [])
+        if isinstance(lines, Path):
+            lines = self._sources[relpath] = lines.read_text(
+                encoding="utf-8", errors="replace").splitlines()
+        return lines
 
     def add(self, rule: "Rule", relpath: str, line: int,
             message: str, *, severity: Severity | None = None,
             snippet: str | None = None, rule_id: str | None = None,
             trace: list[str] | None = None) -> None:
         if snippet is None:
-            lines = self._sources.get(relpath, ())
+            lines = self.lines(relpath)
             snippet = (lines[line - 1].strip()
                        if 0 < line <= len(lines) else "")
         self.findings.append(Finding(
@@ -93,10 +107,15 @@ class Rule:
     #: dataflow rule owns UNIT301..UNIT305)
     ids: tuple[str, ...] = ()
     #: "local" rules look at one module at a time and emit nothing from
-    #: finalize -- their per-module findings are safe to cache and to
-    #: compute from worker threads.  "project" rules accumulate
-    #: cross-module state and always run.
+    #: finalize -- their findings are cached per module and may be
+    #: computed from worker threads.  "project" rules accumulate
+    #: cross-module state; their findings are cached as one entry keyed
+    #: on every file's digest, so they run whenever anything changed.
     scope: str = "local"
+    #: files besides the modules that the rule reads, relative to
+    #: ``rel_base``: hashed into the project cache key, their text handed
+    #: to :meth:`prepare`.  Opening a file undeclared is unsound.
+    inputs: tuple[str, ...] = ()
     #: ids left enabled after ``--rules``/``--disable`` filtering; None
     #: means all.  Set by the engine; multi-id rules consult
     #: :meth:`emits` before reporting under a given id.
@@ -127,7 +146,7 @@ class Rule:
         return ""
 
     def prepare(self, ctx: ProjectContext) -> None:
-        """Receive the whole-project view before any module runs."""
+        """Receive the whole-project view before any rule computes."""
 
     def check_module(self, module: ModuleInfo, out: Collector) -> None:
         raise NotImplementedError
@@ -138,6 +157,35 @@ class Rule:
 
 # -- shared AST helpers ------------------------------------------------------
 
+#: 40 % of all nodes, and asked for by no whole-module loop
+_UNINDEXED = (ast.expr_context, ast.operator, ast.unaryop, ast.boolop,
+              ast.cmpop, ast.Constant)
+#: indexed under another class's key, to keep their relative walk order
+_INDEXED_AS = {ast.AsyncFunctionDef: ast.FunctionDef,
+               ast.ImportFrom: ast.Import}
+
+
+def nodes(tree: ast.Module, cls: type) -> list:
+    """Every ``cls`` node of a module, in :func:`ast.walk` order.
+
+    The one walk a module gets: the first call indexes the tree by node
+    class and keeps the index on it; every whole-module loop of every
+    rule reads that.  ``ast.FunctionDef`` lists async defs too and
+    ``ast.Import`` the from-imports; :data:`_UNINDEXED` is left out.
+    """
+    try:
+        index = tree._nodes_by_class
+    except AttributeError:
+        index = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, _UNINDEXED):
+                kind = type(node)
+                index.setdefault(_INDEXED_AS.get(kind, kind),
+                                 []).append(node)
+        tree._nodes_by_class = index
+    return index.get(cls, [])
+
+
 def import_aliases(tree: ast.Module) -> dict[str, str]:
     """Map local names to canonical dotted origins.
 
@@ -147,7 +195,7 @@ def import_aliases(tree: ast.Module) -> dict[str, str]:
     (``from ..units import GIGA`` -> ``GIGA: units.GIGA``).
     """
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes(tree, ast.Import):
         if isinstance(node, ast.Import):
             for a in node.names:
                 if a.asname:
@@ -155,7 +203,7 @@ def import_aliases(tree: ast.Module) -> dict[str, str]:
                 else:
                     head = a.name.split(".")[0]
                     aliases[head] = head
-        elif isinstance(node, ast.ImportFrom):
+        else:
             base = node.module or ""
             for a in node.names:
                 if a.name == "*":
@@ -202,8 +250,7 @@ def assigned_names(target: ast.AST) -> list[ast.Name]:
 
 def walk_functions(tree: ast.Module) -> list[ast.FunctionDef]:
     """Every function/method in the module, including nested ones."""
-    return [n for n in ast.walk(tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return nodes(tree, ast.FunctionDef)
 
 
 def iter_direct_body(fn: ast.AST,

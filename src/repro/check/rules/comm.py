@@ -80,7 +80,7 @@ class CommProtocolRule(Rule):
     description = ID_DESCRIPTIONS["COMM501"]
     #: project scope: verdicts depend on *all* modules (helpers are
     #: inlined across module boundaries), so per-module caching would
-    #: be unsound -- and cold/warm output is trivially identical
+    #: be unsound; they are cached as part of the project entry
     scope = "project"
 
     #: communicator sizes each program is replayed at

@@ -22,6 +22,8 @@ from .base import (
     assigned_names,
     canonical_name,
     import_aliases,
+    nodes,
+    walk_functions,
 )
 
 LOCK_FACTORIES = frozenset({"threading.Lock", "threading.RLock"})
@@ -36,14 +38,6 @@ CONTAINER_FACTORIES = frozenset({
     "list", "dict", "set", "collections.defaultdict", "collections.deque",
     "collections.OrderedDict", "collections.Counter",
 })
-
-
-def _creates_lock(tree: ast.Module, aliases: dict[str, str]) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and \
-                canonical_name(node.func, aliases) in LOCK_FACTORIES:
-            return True
-    return False
 
 
 def _module_containers(tree: ast.Module,
@@ -87,12 +81,12 @@ class UnlockedModuleStateRule(Rule):
 
     def check_module(self, module: ModuleInfo, out: Collector) -> None:
         aliases = import_aliases(module.tree)
-        if not _creates_lock(module.tree, aliases):
+        if not any(canonical_name(node.func, aliases) in LOCK_FACTORIES
+                   for node in nodes(module.tree, ast.Call)):
             return
         containers = _module_containers(module.tree, aliases)
-        for fn in ast.walk(module.tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_function(fn, containers, module, out)
+        for fn in walk_functions(module.tree):
+            self._check_function(fn, containers, module, out)
 
     def _check_function(self, fn: ast.AST, containers: set[str],
                         module: ModuleInfo, out: Collector) -> None:

@@ -29,6 +29,9 @@ from .base import (
     canonical_name,
     dotted_parts,
     import_aliases,
+    iter_direct_body,
+    nodes,
+    walk_functions,
 )
 
 #: memory fraction per MemoryVariant member (mirrors core.variants)
@@ -69,9 +72,8 @@ class FomDeclaredRule(Rule):
         if module.relpath.endswith("registry.py"):
             self._saw_registry = True
             self._registry_names |= set(registry_info_calls(module).keys())
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                self._record_class(node, module)
+        for node in nodes(module.tree, ast.ClassDef):
+            self._record_class(node, module)
 
     def _record_class(self, node: ast.ClassDef, module: ModuleInfo) -> None:
         name_value: str | None = None
@@ -126,9 +128,7 @@ class FomDeclaredRule(Rule):
 def registry_info_calls(module: ModuleInfo) -> dict[str, ast.Call]:
     """``BenchmarkInfo(...)`` calls in a registry module, keyed by name."""
     out: dict[str, ast.Call] = {}
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in nodes(module.tree, ast.Call):
         parts = dotted_parts(node.func)
         if not parts or parts[-1] != "BenchmarkInfo":
             continue
@@ -258,14 +258,9 @@ class ParamResolutionRule(Rule):
                    "must name a parameter defined in the same spec.")
 
     def check_module(self, module: ModuleInfo, out: Collector) -> None:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Dict):
-                self._check_spec_dict(node, module, out)
-        scopes: list[ast.AST] = [module.tree]
-        scopes += [n for n in ast.walk(module.tree)
-                   if isinstance(n, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef))]
-        for scope in scopes:
+        for node in nodes(module.tree, ast.Dict):
+            self._check_spec_dict(node, module, out)
+        for scope in (module.tree, *walk_functions(module.tree)):
             self._check_builder_scope(scope, module, out)
 
     # -- declarative dict specs --------------------------------------------
@@ -310,15 +305,8 @@ class ParamResolutionRule(Rule):
         refs: list[tuple[str, int]] = []
         # Stay inside this scope: nested functions are scanned as their
         # own scopes, so stop descending at their boundary.
-        stack = list(ast.iter_child_nodes(scope))
-        nodes: list[ast.AST] = []
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            nodes.append(node)
-            stack.extend(ast.iter_child_nodes(node))
-        for node in nodes:
+        for node in iter_direct_body(scope, lambda n: isinstance(
+                n, (ast.FunctionDef, ast.AsyncFunctionDef))):
             if not isinstance(node, ast.Call):
                 continue
             if not (isinstance(node.func, ast.Attribute) and
@@ -378,9 +366,8 @@ class UnitArithmeticRule(Rule):
                 return last
             return None
 
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.BinOp) or \
-                    not isinstance(node.op, (ast.Add, ast.Sub)):
+        for node in nodes(module.tree, ast.BinOp):
+            if not isinstance(node.op, (ast.Add, ast.Sub)):
                 continue
             left = is_unit_const(node.left)
             right = is_unit_const(node.right)

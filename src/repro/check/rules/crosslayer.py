@@ -14,8 +14,9 @@ Three contracts that no single module can check on its own:
   duplicate or orphan rules silently skew reports.
 
 All three accumulate sightings in :meth:`check_module` and judge in
-:meth:`finalize`, so they are ``scope = "project"`` and exempt from
-the incremental per-module cache.  On trees that lack the counterpart
+:meth:`finalize`, so they are ``scope = "project"``: cached in the
+project entry, keyed on every file's digest and (XLY402) the README it
+declares as a side input.  On trees that lack the counterpart
 artifact (fixture trees without a schema module, a README, or a rule
 registry) they emit nothing.
 """
@@ -24,10 +25,9 @@ from __future__ import annotations
 
 import ast
 import re
-from pathlib import Path
 
 from ..findings import Severity
-from .base import Collector, ModuleInfo, ProjectContext, Rule
+from .base import Collector, ModuleInfo, ProjectContext, Rule, nodes
 
 
 def _dict_const(node: ast.Dict, key: str) -> str | None:
@@ -58,12 +58,10 @@ class TelemetryEventTypeRule(Rule):
         if module.relpath.endswith("telemetry/schema.py"):
             self._schema_types = _schema_event_types(module.tree)
             return
-        for node in ast.walk(module.tree):
-            for event in _emitted_event_dicts(node):
-                etype = _dict_const(event, "type")
-                if etype is not None:
-                    self._emitted.append(
-                        (etype, module.relpath, event.lineno))
+        for event in _emitted_event_dicts(module.tree):
+            etype = _dict_const(event, "type")
+            if etype is not None:
+                self._emitted.append((etype, module.relpath, event.lineno))
 
     def finalize(self, out: Collector) -> None:
         if self._schema_types is None:
@@ -94,16 +92,15 @@ def _schema_event_types(tree: ast.Module) -> set[str]:
     return set()
 
 
-def _emitted_event_dicts(node: ast.AST) -> list[ast.Dict]:
+def _emitted_event_dicts(tree: ast.Module) -> list[ast.Dict]:
     """Event-shaped dict literals: ``.emit({...})`` arguments and
     ``return {"type": ...}`` bodies of event builders."""
-    if isinstance(node, ast.Call) and \
-            isinstance(node.func, ast.Attribute) and \
-            node.func.attr == "emit":
-        return [a for a in node.args if isinstance(a, ast.Dict)]
-    if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
-        return [node.value]
-    return []
+    emitted = [arg for call in nodes(tree, ast.Call)
+               if isinstance(call.func, ast.Attribute) and
+               call.func.attr == "emit"
+               for arg in call.args if isinstance(arg, ast.Dict)]
+    return emitted + [ret.value for ret in nodes(tree, ast.Return)
+                      if isinstance(ret.value, ast.Dict)]
 
 
 class CliFlagDocumentedRule(Rule):
@@ -113,6 +110,7 @@ class CliFlagDocumentedRule(Rule):
     name = "cli-flag-documented"
     severity = Severity.WARNING
     scope = "project"
+    inputs = ("README.md",)
     description = ("Every --flag registered in cli.py must be "
                    "mentioned in README.md; flags that exist only in "
                    "--help go stale and unadvertised.")
@@ -122,16 +120,13 @@ class CliFlagDocumentedRule(Rule):
         self._flags: list[tuple[str, str, int]] = []
 
     def prepare(self, ctx: ProjectContext) -> None:
-        readme = Path(ctx.rel_base) / "README.md"
-        if readme.is_file():
-            self._readme = readme.read_text(encoding="utf-8")
+        self._readme = ctx.inputs["README.md"]
 
     def check_module(self, module: ModuleInfo, out: Collector) -> None:
         if not module.relpath.endswith("cli.py"):
             return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute) and \
+        for node in nodes(module.tree, ast.Call):
+            if isinstance(node.func, ast.Attribute) and \
                     node.func.attr == "add_argument" and node.args:
                 first = node.args[0]
                 if isinstance(first, ast.Constant) and \

@@ -52,6 +52,7 @@ from .base import (
     Rule,
     canonical_name,
     import_aliases,
+    walk_functions,
 )
 
 #: per-id severities; prefix mixing is style-adjacent, the rest are
@@ -172,9 +173,8 @@ class _ModuleFlow:
         module_env: dict[str, DimValue] = {}
         self._exec_block(self.module.tree.body, module_env,
                          expect_return=None, func_label=None)
-        for node in ast.walk(self.module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_function(node, dict(module_env))
+        for node in walk_functions(self.module.tree):
+            self._check_function(node, dict(module_env))
 
     # -- function-level flow -------------------------------------------------
 

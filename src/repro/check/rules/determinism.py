@@ -16,7 +16,14 @@ from __future__ import annotations
 import ast
 
 from ..findings import Severity
-from .base import Collector, ModuleInfo, Rule, canonical_name, import_aliases
+from .base import (
+    Collector,
+    ModuleInfo,
+    Rule,
+    canonical_name,
+    import_aliases,
+    nodes,
+)
 
 #: path segments that mark model code (cache-key relevant)
 MODEL_SEGMENTS = frozenset({"vmpi", "apps", "synthetic", "core"})
@@ -73,9 +80,7 @@ class WallClockRule(Rule):
 
     def check_module(self, module: ModuleInfo, out: Collector) -> None:
         aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in nodes(module.tree, ast.Call):
             name = canonical_name(node.func, aliases)
             if name in WALL_CLOCKS:
                 out.add(self, module.relpath, node.lineno,
@@ -99,14 +104,14 @@ class UnseededRngRule(Rule):
 
     def check_module(self, module: ModuleInfo, out: Collector) -> None:
         aliases = import_aliases(module.tree)
-        call_funcs = {id(n.func) for n in ast.walk(module.tree)
-                      if isinstance(n, ast.Call)}
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                self._check_call(node, aliases, module, out)
-            elif isinstance(node, (ast.Attribute, ast.Name)) and \
-                    id(node) not in call_funcs:
-                self._check_reference(node, aliases, module, out)
+        calls = nodes(module.tree, ast.Call)
+        call_funcs = {id(n.func) for n in calls}
+        for node in calls:
+            self._check_call(node, aliases, module, out)
+        for kind in (ast.Attribute, ast.Name):
+            for node in nodes(module.tree, kind):
+                if id(node) not in call_funcs:
+                    self._check_reference(node, aliases, module, out)
 
     def _check_call(self, node: ast.Call, aliases: dict[str, str],
                     module: ModuleInfo, out: Collector) -> None:

@@ -459,6 +459,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     repo_root = package_root.parent.parent
     baseline_path = Path(args.baseline) if args.baseline \
         else repo_root / "check-baseline.json"
+    if args.baseline and not args.write_baseline and \
+            not baseline_path.is_file():
+        # only the default baseline may be absent (= empty)
+        raise _UsageError(f"no baseline file {args.baseline}")
+    try:
+        baseline = chk.load_baseline(baseline_path)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise _UsageError(f"{baseline_path}: not a baseline file "
+                          f"({exc!r})") from None
     only = [r.strip() for r in args.rules.split(",") if r.strip()] \
         if args.rules else []
     disable = [r.strip() for r in args.disable.split(",") if r.strip()] \
@@ -475,11 +484,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             disable.extend(rid for rid in chk.expand_rule_prefixes(
                 [p.strip() for p in args.ignore.split(",") if p.strip()])
                 if rid not in disable)
-    except ValueError as exc:
-        print(f"check: {exc}", file=sys.stderr)
-        return 2
-    analyzer = chk.Analyzer(baseline=chk.load_baseline(baseline_path),
-                            only=only, disable=disable)
+        analyzer = chk.Analyzer(baseline=baseline, only=only,
+                                disable=disable)
+    except ValueError as exc:  # a prefix or id that names no rule
+        raise _UsageError(str(exc)) from None
     cache = DiskCache(Path(args.cache_dir)) if args.cache_dir else None
     report = analyzer.run(package_root, rel_base=repo_root,
                           workers=args.workers, cache=cache)

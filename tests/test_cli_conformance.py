@@ -153,3 +153,36 @@ def test_missing_or_directory_input_is_one_line_exit_2(
         assert str(path) in err and err.count("\n") == 1
     # a read-only command never creates the database it was asked for
     assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("flag, complaint", [
+    ("--rules", "unknown rule id(s): NOPE; known: "),
+    ("--disable", "unknown rule id(s): NOPE; known: "),
+    ("--select", "rule prefix 'NOPE' matches no known rule id"),
+    ("--ignore", "rule prefix 'NOPE' matches no known rule id"),
+])
+def test_check_unknown_rule_is_one_line_exit_2(flag, complaint, capsys):
+    """All four rule filters fail alike, before anything is analysed."""
+    assert main(["check", flag, "NOPE"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"jubench: error: {complaint}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("content", [
+    None,                                   # named, but not there
+    '{"entries": [',                        # torn JSON
+    "[1, 2]",                               # JSON, not a baseline
+    '{"entries": [{"rule": "DET001"}]}',    # an entry without its keys
+], ids=["missing", "torn", "list", "keys"])
+def test_check_bad_baseline_is_one_line_exit_2(content, tmp_path, capsys):
+    """A baseline the user names must exist and parse: silently using
+    an empty one would turn every baselined finding active."""
+    path = tmp_path / "baseline.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["check", "--no-runtime", "--baseline", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("jubench: error: ")
+    assert str(path) in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
