@@ -940,9 +940,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="analyze modules in parallel (findings are "
                         "identical for any count)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="incremental analysis: reuse per-module "
-                        "findings from DIR when source, rule set and "
-                        "annotations are unchanged")
+                   help="incremental analysis: reuse findings from DIR, "
+                        "each keyed on the digests of what it read (one "
+                        "module, or the whole tree for project rules) "
+                        "and the rule set")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("chaos",

@@ -11,7 +11,9 @@ re-execution.  This package provides that layer:
 * :mod:`repro.exec.cache` -- content-addressed result caching keyed on
   (benchmark, parameters, platform, code version), memory and disk
   backends with hit/miss/eviction statistics,
-* :mod:`repro.exec.journal` -- the structured per-task run journal.
+* :mod:`repro.exec.journal` -- the structured per-task run journal,
+* :mod:`repro.exec.jsonl` -- the torn-tail rule every append-only JSONL
+  store reads by (history DB, service results, telemetry traces).
 
 :class:`JupiterBenchmarkSuite`, :class:`JubeRuntime` and
 :class:`ContinuousBenchmarking` all accept an

@@ -36,7 +36,24 @@ CODE_VERSION = "jupiter-repro-1"
 
 
 def _canonical(obj: Any) -> Any:
-    """Reduce a value to a canonical JSON-representable form."""
+    """Reduce a value to a canonical JSON-representable form.
+
+    Exact builtin types are dispatched first: they are what content
+    addresses are made of, and for them the ``isinstance`` ladder below
+    would return the same value.  A ``str``-keyed dict is left for
+    :data:`_ENCODER` to sort.  Subclasses (enums, ``numpy.float64``),
+    sets, non-``str`` keys and foreign objects take the ladder, so the
+    bytes hashed for any input are the same as before the fast path.
+    """
+    kind = type(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is float:
+        return repr(obj)
+    if kind is list or kind is tuple:
+        return [_canonical(v) for v in obj]
+    if kind is dict and all(type(k) is str for k in obj):
+        return {k: _canonical(v) for k, v in obj.items()}
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in sorted(obj.items(),
                                                          key=lambda i: str(i[0]))}
@@ -54,10 +71,13 @@ def _canonical(obj: Any) -> Any:
     return str(obj)
 
 
+#: the canonical encoding: sorted keys, no whitespace, ASCII only
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def stable_hash(obj: Any) -> str:
     """A stable SHA-256 content hash of an arbitrary (JSON-like) value."""
-    blob = json.dumps(_canonical(obj), sort_keys=True,
-                      separators=(",", ":")).encode()
+    blob = _ENCODER.encode(_canonical(obj)).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -201,7 +221,10 @@ class DiskCache:
             if key in self._order or path.exists():
                 try:
                     value = json.loads(path.read_text())["value"]
-                except (OSError, ValueError, KeyError):
+                except (OSError, ValueError, KeyError, TypeError):
+                    # torn, not JSON, or not a {"value": ...} object:
+                    # drop it; the caller recomputes and rewrites it
+                    path.unlink(missing_ok=True)
                     self._order.pop(key, None)
                     self.stats.misses += 1
                     return False, None

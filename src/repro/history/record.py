@@ -18,6 +18,9 @@ Two derived identities matter:
   the code fingerprint: successive commits land on the same series, so
   the detector can compare them over time.
 
+Both are computed once per record, on first use: assigning a field
+they are hashed from drops them, and they cannot be assigned.
+
 Wall-clock measurements (bench harness timings, host names) are
 provenance, not results: they live in :attr:`RunRecord.volatile` and
 are excluded from :meth:`RunRecord.canonical`, which is how canonical
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -36,6 +40,12 @@ from ..exec.cache import CODE_VERSION, stable_hash
 #: History database schema identity (meta header of every JSONL DB).
 HISTORY_SCHEMA = "repro.history/v1"
 HISTORY_VERSION = 1
+
+#: the fields :attr:`RunRecord.series_key` / ``record_key`` hash, and
+#: the read-only attributes derived from them
+_KEY_FIELDS = frozenset({"benchmark", "params", "machine_hash", "vmpi_mode",
+                         "code", "code_version", "seed"})
+_DERIVED = frozenset({"series_key", "record_key", "value"})
 
 
 def machine_config_hash(system: Any) -> str:
@@ -144,7 +154,21 @@ class RunRecord:
 
     # -- identity -----------------------------------------------------------
 
-    @property
+    def __setattr__(self, name: str, value: Any) -> None:
+        # the keys are memoised on first use; assigning a field they
+        # are computed from drops them (the store only assigns ``seq``).
+        # record_key reads series_key, so it is never memoised alone.
+        state = self.__dict__
+        if name in _KEY_FIELDS:
+            if "series_key" in state:
+                del state["series_key"]
+                state.pop("record_key", None)
+        elif name in _DERIVED:
+            raise AttributeError(f"RunRecord.{name} is derived from the "
+                                 f"record's fields and cannot be set")
+        state[name] = value
+
+    @cached_property
     def series_key(self) -> str:
         """Trajectory identity: same benchmark, parameters, machine
         and engine core -- across code versions."""
@@ -156,7 +180,7 @@ class RunRecord:
                        for c in self.benchmark)
         return f"{slug}-{digest[:16]}"
 
-    @property
+    @cached_property
     def record_key(self) -> str:
         """Content address of this exact run (series + code identity)."""
         digest = stable_hash({"series": self.series_key, "code": self.code,

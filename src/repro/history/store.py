@@ -19,11 +19,11 @@ a warm-cache rerun all export byte-identical documents (the CI
 from __future__ import annotations
 
 import json
-import sys
 import threading
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from ..exec.jsonl import JsonlReader, cut_torn_tail
 from .record import HISTORY_SCHEMA, HISTORY_VERSION, RunRecord
 
 
@@ -69,38 +69,23 @@ class HistoryStore:
     # -- ingestion ----------------------------------------------------------
 
     def _read(self, path: Path) -> Iterable[RunRecord]:
-        with open(path, "rb") as fh:
-            first = True
-            complete = 0   # bytes of the file in newline-terminated lines
-            for lineno, raw in enumerate(fh, start=1):
-                if not raw.endswith(b"\n"):
-                    self._torn_at = complete
-                    print(f"history: warning: {path}: dropped {len(raw)} "
-                          f"byte(s) of a torn final line (an append was "
-                          f"cut short)", file=sys.stderr)
-                    break
-                complete += len(raw)
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError as exc:   # not JSON, or not UTF-8
+        lines = JsonlReader(path, HistoryError, "history")
+        first = True
+        for lineno, obj in lines:
+            if first:
+                first = False
+                if obj.get("type") != "history-meta" or \
+                        obj.get("schema") != HISTORY_SCHEMA:
                     raise HistoryError(
-                        f"{path}:{lineno}: not JSON: {exc}") from exc
-                if first:
-                    first = False
-                    if obj.get("type") != "history-meta" or \
-                            obj.get("schema") != HISTORY_SCHEMA:
-                        raise HistoryError(
-                            f"{path}:{lineno}: not a history database "
-                            f"(expected a {HISTORY_SCHEMA!r} meta header)")
-                    continue
-                try:
-                    yield RunRecord.from_line(obj)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise HistoryError(
-                        f"{path}:{lineno}: bad record: {exc}") from exc
+                        f"{path}:{lineno}: not a history database "
+                        f"(expected a {HISTORY_SCHEMA!r} meta header)")
+                continue
+            try:
+                yield RunRecord.from_line(obj)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise HistoryError(
+                    f"{path}:{lineno}: bad record: {exc}") from exc
+        self._torn_at = lines.torn_at
 
     @staticmethod
     def _write_header(path: Path) -> None:
@@ -130,11 +115,10 @@ class HistoryStore:
             self._series_len[key] = rec.seq + 1
             self._records.append(rec)
             if self.path is not None:
-                if self._torn_at:
-                    with open(self.path, "r+b") as fh:
-                        fh.truncate(self._torn_at)
-                elif self._torn_at == 0 or not self.path.exists():
+                if self._torn_at == 0 or not self.path.exists():
                     self._write_header(self.path)  # even the header tore
+                else:
+                    cut_torn_tail(self.path, self._torn_at)
                 self._torn_at = None
                 with open(self.path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps(rec.to_line(), sort_keys=True,

@@ -23,6 +23,7 @@ the same cache direct runs use, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any
 
 from ..exec.cache import stable_hash
@@ -89,10 +90,11 @@ class TaskEnvelope:
         if self.seq < 0:
             raise EnvelopeError("task envelope seq must be >= 0")
 
-    @property
+    @cached_property
     def task_id(self) -> str:
         """Content address of this submission (stable across field
-        order, processes and replays)."""
+        order, processes and replays).  Computed once per envelope: it
+        is frozen, and :meth:`with_seq` builds a new one."""
         digest = stable_hash({
             "schema": self.schema, "client": self.client,
             "benchmark": self.benchmark, "key": self.key,

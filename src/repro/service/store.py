@@ -3,7 +3,9 @@
 Every result envelope the interchange completes is appended here --
 in-memory always, and as crash-safe JSONL when the store was opened on
 a path (one wire document per line, ``meta`` header first, the same
-append-only discipline as :mod:`repro.history`).  The store is a
+append-only discipline as :mod:`repro.history`: a torn final line is
+dropped with a warning on reopen and cut off by the next append, see
+:mod:`repro.exec.jsonl`).  The store is a
 *journal*: a task that was first rejected and later accepted leaves
 both records, and :meth:`ResultStore.final` resolves the last state
 per task id.
@@ -23,6 +25,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..exec.jsonl import JsonlReader, cut_torn_tail
 from .envelope import (
     SERVICE_SCHEMA,
     SERVICE_VERSION,
@@ -43,6 +46,8 @@ class ResultStore:
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._records: list[ResultEnvelope] = []
+        #: byte length of the complete-line prefix of a torn file
+        self._torn_at: int | None = None
         if self.path is not None and self.path.exists():
             self._records = list(self._read(self.path))
 
@@ -50,27 +55,22 @@ class ResultStore:
     def open(cls, path: str | Path) -> "ResultStore":
         return cls(path)
 
-    @staticmethod
-    def _read(path: Path) -> Iterable[ResultEnvelope]:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    wire = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise EnvelopeError(
-                        f"{path}:{lineno}: not JSON: {exc}") from exc
-                if wire.get("kind") == "meta":
-                    continue
-                try:
-                    yield ResultEnvelope.from_wire(wire)
-                except EnvelopeError as exc:
-                    raise EnvelopeError(f"{path}:{lineno}: {exc}") from exc
+    def _read(self, path: Path) -> Iterable[ResultEnvelope]:
+        lines = JsonlReader(path, EnvelopeError, "service")
+        for lineno, wire in lines:
+            if wire.get("kind") == "meta":
+                continue
+            try:
+                yield ResultEnvelope.from_wire(wire)
+            except EnvelopeError as exc:
+                raise EnvelopeError(f"{path}:{lineno}: {exc}") from exc
+        self._torn_at = lines.torn_at
 
     def append(self, envelope: ResultEnvelope) -> None:
         if self.path is not None:
+            # an append cut short by a crash: back to the last newline
+            cut_torn_tail(self.path, self._torn_at)
+            self._torn_at = None
             fresh = not self.path.exists() or not self._records
             with open(self.path, "a", encoding="utf-8") as fh:
                 if fresh:

@@ -35,8 +35,9 @@ CI smoke job runs ``python -m repro.telemetry.schema trace.jsonl``.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Iterator
+
+from ..exec.jsonl import JsonlReader
 
 SCHEMA_VERSION = 1
 SCHEMA_NAME = "repro.telemetry/v1"
@@ -141,20 +142,16 @@ def _validate_task_fields(fields: dict[str, Any], *, where: str) -> None:
 
 
 def read_events(path: Any) -> Iterator[dict[str, Any]]:
-    """Yield validated events from a JSONL trace file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: not JSON: {exc}") from exc
-            try:
-                yield validate_event(obj)
-            except SchemaError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+    """Yield validated events from a JSONL trace file.
+
+    A trace cut mid-line by a crash yields its complete events, with one
+    warning on stderr for the dropped tail (:mod:`repro.exec.jsonl`).
+    """
+    for lineno, obj in JsonlReader(path, SchemaError, "telemetry"):
+        try:
+            yield validate_event(obj)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
 
 
 def validate_file(path: Any) -> dict[str, int]:

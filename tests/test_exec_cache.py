@@ -137,6 +137,37 @@ class TestDiskCache:
         (tmp_path / "k.json").write_text("{not json")
         assert cache.get("k") == (False, None)
 
+    @pytest.mark.parametrize("content", [
+        '{"key": "k", "val', "[]", '"value"', "7", "null", '{"key": "k"}',
+    ], ids=["torn", "list", "string", "number", "null", "no-value"])
+    def test_torn_or_wrong_shaped_entry_is_a_dropped_miss(self, tmp_path,
+                                                          content):
+        """Anything that does not decode to ``{"value": ...}`` is a miss;
+        the entry is dropped so the recomputed value can replace it."""
+        cache = DiskCache(tmp_path)
+        cache.put("k", 1)
+        (tmp_path / "k.json").write_text(content)
+        assert cache.get("k") == (False, None)
+        assert not (tmp_path / "k.json").exists() and len(cache) == 0
+        cache.put("k", 2)
+        assert DiskCache(tmp_path).get("k") == (True, 2)
+
+    def test_suite_recomputes_a_wrong_shaped_entry(self, tmp_path, capsys):
+        """``jubench suite --cache-dir D`` with one entry overwritten by
+        ``[]``: the same stdout as the cold run, and the entry rewritten."""
+        from repro.cli import main
+
+        argv = ["suite", "--benchmarks", "Arbor,STREAM", "--cache-dir",
+                str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        entry = sorted(tmp_path.glob("Arbor-*.json"))[0]
+        written = entry.read_text()
+        entry.write_text("[]")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert entry.read_text() == written
+
     def test_values_stored_as_json(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.put("k", [1, 2.5, "x"])

@@ -15,6 +15,7 @@ from repro.telemetry import (
     Tracer,
     chrome_trace_events,
     emit_vmpi,
+    read_events,
     validate_event,
     validate_file,
     write_chrome_trace,
@@ -249,3 +250,43 @@ class TestOfflineReport:
         assert "run journal -- 1 tasks" in report
         assert "cost centres" in report
         assert "channels" in report
+
+    def test_a_trace_cut_at_any_byte_reads_its_complete_events(
+            self, tmp_path, capsys):
+        """A run killed mid-write: every complete event loads and one
+        warning line names the dropped bytes."""
+        data = GOLDEN_TRACE.read_bytes()
+        events = list(read_events(GOLDEN_TRACE))
+        ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        assert len(ends) == len(events)
+        path = tmp_path / "torn.jsonl"
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            complete = [end for end in ends if end <= cut]
+            assert list(read_events(path)) == events[:len(complete)], cut
+            start = complete[-1] if complete else 0
+            err = capsys.readouterr().err
+            if cut == start:
+                assert err == ""
+            else:
+                assert err == (f"telemetry: warning: {path}: dropped "
+                               f"{cut - start} byte(s) of a torn final line "
+                               f"(an append was cut short)\n")
+
+    def test_report_renders_a_trace_cut_short(self, tmp_path, capsys):
+        from repro.cli import main
+
+        data = GOLDEN_TRACE.read_bytes()
+        last = data.rindex(b"\n", 0, -1) + 1   # where the last event starts
+        prefix = tmp_path / "prefix.jsonl"
+        prefix.write_bytes(data[:last])
+        assert main(["report", str(prefix)]) == 0
+        expected = capsys.readouterr().out
+        path = tmp_path / "torn.jsonl"
+        for cut in range(last + 1, len(data)):
+            path.write_bytes(data[:cut])
+            assert main(["report", str(path)]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == expected, cut
+            assert captured.err.count("\n") == 1
+            assert f"dropped {cut - last} byte(s)" in captured.err
