@@ -8,8 +8,8 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "juqcs_program", "qubits_for_memory", "state_vector_bytes"
     ),
     "distributed": (
-        "AMP_BYTES", "DistState", "dist_apply", "dist_gather",
-        "dist_zero_state", "reference_state"
+        "AMP_BYTES", "DistState", "dist_apply", "dist_circuit", "dist_gather",
+        "dist_zero_state", "gate_plan", "reference_state"
     ),
     "statevector": (
         "Circuit", "H", "I2", "S", "T", "X", "Y", "Z", "apply_controlled",

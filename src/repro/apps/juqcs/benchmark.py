@@ -25,7 +25,7 @@ from ...core.variants import MemoryVariant
 from ...units import BYTES_PER_COMPLEX128
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark, pow2_floor
-from .distributed import dist_apply, dist_gather, dist_zero_state, reference_state
+from .distributed import dist_circuit, dist_gather, dist_zero_state, reference_state
 from .statevector import H
 
 import numpy as np
@@ -58,23 +58,14 @@ def juqcs_program(comm, n_qubits: int, gates: int, real: bool):
     """The benchmark kernel: ``gates`` single-qubit gates, each targeting
     a logical qubit currently held in the rank bits (maximal transfers).
 
-    Returns (max |psi - psi_ref|, #non-local gates) in real mode, or
-    (None, #non-local) in phantom mode.
+    Always the *top* rank bit: the partner is half the machine away, so
+    every gate moves half of all memory across the widest cut (the
+    benchmark's "large memory transfers" rule).  Returns (max |psi -
+    psi_ref|, #non-local gates) in real mode, or (None, #non-local) in
+    phantom mode, where the whole circuit is one op batch.
     """
     state = dist_zero_state(comm, n_qubits, real=real)
-    p = state.rank_bits
-    m = state.local_bits
-    nonlocal_count = 0
-    for _i in range(gates):
-        if p > 0:
-            # always the *top* rank bit: the partner is half the machine
-            # away, so every gate moves half of all memory across the
-            # widest cut (the benchmark's "large memory transfers" rule)
-            target = state.layout[m + p - 1]
-        else:
-            target = state.layout[m - 1]
-        was_nonlocal = yield from dist_apply(comm, state, H, target)
-        nonlocal_count += int(was_nonlocal)
+    nonlocal_count = yield from dist_circuit(comm, state, H, gates)
     if not real:
         return None, nonlocal_count
     full = yield from dist_gather(comm, state)

@@ -17,14 +17,18 @@ shipping results back:
   recorded in the ``layout`` permutation (physical bit -> logical qubit);
 * the gate then applies locally on the top local bit.
 
-The same generator runs with real NumPy amplitudes (verified exactly
-against :mod:`.statevector`) or with :class:`~repro.vmpi.ops.Phantom`
-payloads for at-scale timing.
+Where each gate lands is one pure plan (:func:`gate_plan`).  Real NumPy
+amplitudes (verified exactly against :mod:`.statevector`) go through it
+gate by gate in :func:`dist_apply`; a :class:`~repro.vmpi.ops.Phantom`
+register at scale runs the whole planned circuit as one op batch
+(:func:`dist_circuit`), which the engine sweeps for all ranks at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -95,6 +99,37 @@ def dist_zero_state(comm: Comm, n_qubits: int, real: bool = True) -> DistState:
     return DistState(n_qubits=n_qubits, rank_bits=p, local=local)
 
 
+@lru_cache(maxsize=256)
+def gate_plan(n_qubits: int, rank_bits: int, gates: int | tuple[int, ...],
+              layout: tuple[int, ...] | None = None):
+    """Route single-qubit gates through the distributed layout (pure).
+
+    ``gates`` lists the logical target qubits, or is a count: that many
+    gates, each on the qubit then at the top physical bit -- a rank bit
+    whenever ``rank_bits > 0``, so every gate moves half of all memory
+    (the benchmark circuit).  Starting from ``layout`` (identity if
+    None), returns ``(steps, layout)``: per gate ``(qubit, position,
+    rank bit)`` -- the physical bit holding the qubit and, for a
+    non-local gate, the rank bit the partners differ in (``None`` for a
+    local gate) -- and the layout after the last gate.
+    """
+    m = n_qubits - rank_bits
+    lay = list(range(n_qubits)) if layout is None else list(layout)
+    steps = []
+    for qubit in (repeat(None, gates) if type(gates) is int else gates):
+        qubit = lay[-1] if qubit is None else qubit
+        pos = lay.index(qubit)
+        bit = None
+        if pos >= m:
+            if m < 1:
+                raise ValueError("non-local gate needs at least one local bit")
+            bit = pos - m
+            # The top local bit and the global bit swap logical roles.
+            lay[pos], lay[m - 1] = lay[m - 1], lay[pos]
+        steps.append((qubit, pos, bit))
+    return tuple(steps), tuple(lay)
+
+
 def _local_apply(local: np.ndarray, u: np.ndarray, pos: int) -> None:
     view = local.reshape(-1, 2, 1 << pos)
     a0 = view[:, 0, :].copy()
@@ -103,56 +138,95 @@ def _local_apply(local: np.ndarray, u: np.ndarray, pos: int) -> None:
     view[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
 
 
+def _swap(comm: Comm, rank_bit: int, outgoing):
+    """The half-register exchange with the partner across ``rank_bit``."""
+    partner = comm.rank ^ (1 << rank_bit)
+    return comm.sendrecv(partner, outgoing, partner, tag=77)
+
+
+def _gate(comm: Comm, state: DistState, gate_efficiency: float):
+    """The cost of one gate on the local amplitudes."""
+    amps = state.local_amplitudes
+    return comm.compute(flops=14.0 * amps, bytes_moved=3.0 * AMP_BYTES * amps,
+                        efficiency=gate_efficiency, label="gate")
+
+
 def dist_apply(comm: Comm, state: DistState, u: np.ndarray, qubit: int,
                gate_efficiency: float = 0.6):
     """Apply a single-qubit gate (generator; use ``yield from``).
 
     Returns ``True`` if the gate was non-local (needed communication).
+    A phantom register runs it as a one-gate :func:`dist_circuit`.
     """
     if not is_unitary(np.asarray(u)):
         raise ValueError("gate is not unitary")
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} outside register")
+    if not isinstance(state.local, np.ndarray):
+        return bool((yield from dist_circuit(comm, state, u, (qubit,),
+                                             gate_efficiency)))
     state.history.append((np.asarray(u, dtype=np.complex128), qubit))
-    m = state.local_bits
-    pos = state.position_of(qubit)
-    real = isinstance(state.local, np.ndarray)
-    nonlocal_gate = pos >= m
-    if nonlocal_gate:
-        if m < 1:
-            raise ValueError("non-local gate needs at least one local bit")
-        rank_bit = pos - m
-        partner = comm.rank ^ (1 << rank_bit)
+    ((_, pos, rank_bit),), layout = gate_plan(
+        state.n_qubits, state.rank_bits, (qubit,), tuple(state.layout))
+    if rank_bit is not None:
         my_bit = (comm.rank >> rank_bit) & 1
         half = state.local_amplitudes // 2
-        if real:
-            # bit 0 rank ships its upper half, keeps/receives lower halves;
-            # bit 1 rank symmetric with the halves swapped.
-            outgoing = state.local[half:].copy() if my_bit == 0 \
-                else state.local[:half].copy()
-            incoming = yield comm.sendrecv(partner, outgoing, partner,
-                                           tag=77)
-            if my_bit == 0:
-                # keep own lower half (global bit 0), store the partner's
-                # lower half (global bit 1) above it
-                state.local[half:] = incoming
-            else:
-                # keep own upper half (global bit 1), store the partner's
-                # upper half (global bit 0) below it
-                state.local[:half] = incoming
+        # bit 0 rank ships its upper half, keeps/receives lower halves;
+        # bit 1 rank symmetric with the halves swapped.
+        outgoing = state.local[half:].copy() if my_bit == 0 \
+            else state.local[:half].copy()
+        incoming = yield _swap(comm, rank_bit, outgoing)
+        if my_bit == 0:
+            # keep own lower half (global bit 0), store the partner's
+            # lower half (global bit 1) above it
+            state.local[half:] = incoming
         else:
-            yield comm.sendrecv(partner, Phantom(half * AMP_BYTES), partner,
-                                tag=77)
-        # The top local bit and the global bit swap logical roles.
-        state.layout[pos], state.layout[m - 1] = (
-            state.layout[m - 1], state.layout[pos])
-        pos = m - 1
-    if real:
-        _local_apply(state.local, np.asarray(u, dtype=np.complex128), pos)
-    amps = state.local_amplitudes
-    yield comm.compute(flops=14.0 * amps, bytes_moved=3.0 * AMP_BYTES * amps,
-                       efficiency=gate_efficiency, label="gate")
-    return nonlocal_gate
+            # keep own upper half (global bit 1), store the partner's
+            # upper half (global bit 0) below it
+            state.local[:half] = incoming
+        pos = state.local_bits - 1      # applies at the top local bit
+    state.layout[:] = layout
+    _local_apply(state.local, np.asarray(u, dtype=np.complex128), pos)
+    yield _gate(comm, state, gate_efficiency)
+    return rank_bit is not None
+
+
+def dist_circuit(comm: Comm, state: DistState, u: np.ndarray,
+                 gates: int | tuple[int, ...], gate_efficiency: float = 0.6):
+    """Apply ``u`` along a :func:`gate_plan` (generator; returns the
+    number of non-local gates).  ``gates`` is as for :func:`gate_plan`:
+    target qubits, or a count of gates on the top physical bit (the
+    benchmark circuit).
+
+    Both modes follow the one plan and build their ops with the same
+    helpers, so they cannot drift apart.  Real amplitudes run gate by
+    gate through :func:`dist_apply`; a phantom register yields the whole
+    circuit as *one* batch -- per gate a ``Sendrecv`` with the partner
+    if it is non-local, then the gate's ``Compute`` -- which the engine
+    runs for all ranks as a column sweep.
+    """
+    if not is_unitary(np.asarray(u)):
+        raise ValueError("gate is not unitary")
+    steps, layout = gate_plan(state.n_qubits, state.rank_bits, gates,
+                              tuple(state.layout))
+    if isinstance(state.local, np.ndarray):
+        for qubit, _pos, _bit in steps:
+            yield from dist_apply(comm, state, u, qubit, gate_efficiency)
+    else:
+        half = Phantom(state.local_amplitudes // 2 * AMP_BYTES)
+        gate = _gate(comm, state, gate_efficiency)
+        batch, swap = [], {}
+        for _qubit, _pos, bit in steps:
+            if bit is not None:
+                if bit not in swap:     # one op per partner, reused
+                    swap[bit] = _swap(comm, bit, half)
+                batch.append(swap[bit])
+            batch.append(gate)
+        yield tuple(batch)
+        u = np.asarray(u, dtype=np.complex128)
+        state.history += [(u, qubit) for qubit, _pos, _bit in steps]
+        state.layout[:] = layout
+    return sum(bit is not None for _qubit, _pos, bit in steps)
 
 
 def dist_gather(comm: Comm, state: DistState):

@@ -19,8 +19,6 @@ dims_create` chooses surface-optimally.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ...core.benchmark import BenchmarkResult

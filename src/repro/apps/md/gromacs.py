@@ -28,7 +28,6 @@ from ...core.variants import MemoryVariant
 from ...core.verification import ModelVerifier
 from ...vmpi import Phantom
 from ...vmpi.decomposition import CartGrid, halo_batch, phantom_faces
-from ...vmpi.machine import Machine
 from ..base import AppBenchmark
 from .engine import MdEngine, MdSystem
 from .forcefield import EwaldParams, LjParams

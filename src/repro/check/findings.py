@@ -152,7 +152,11 @@ def load_baseline(path: str | Path) -> Baseline:
 
 
 def save_baseline(path: str | Path, baseline: Baseline) -> int:
-    """Write a baseline file; returns the number of entries."""
+    """Write a baseline file; returns the number of entries.
+
+    Written to a sibling temp file and renamed over ``path``, so a write
+    that fails part-way leaves the previous baseline byte for byte.
+    """
     payload = {
         "_meta": {
             "description": "Known, justified repro.check findings; "
@@ -162,7 +166,12 @@ def save_baseline(path: str | Path, baseline: Baseline) -> int:
         },
         "entries": [e.to_dict() for e in baseline.entries],
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    target = Path(path)
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
+        tmp.replace(target)
+    finally:
+        tmp.unlink(missing_ok=True)     # only left over if the write failed
     return len(baseline.entries)

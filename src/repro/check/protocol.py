@@ -228,6 +228,11 @@ class _Unresolvable(Exception):
         self.reason = reason
 
 
+class _JobTable(_Unresolvable):
+    """Code read the per-job memo ``Comm._job``: the plain helper doing
+    so replays as an empty table (see ``_Interp._call_plain``)."""
+
+
 class _Return(Exception):
     def __init__(self, value: AV) -> None:
         self.value = value
@@ -1062,6 +1067,8 @@ class _Interp:
                 return AV({}, False)
             if node.attr == "_intern":
                 return AV(("intern",), False)
+            if node.attr == "_job":
+                raise _JobTable("per-job table read outside a helper")
             raise _Unresolvable(f"unknown Comm attribute {node.attr!r}")
         if isinstance(value, PhantomV):
             if node.attr == "nbytes":
@@ -1187,6 +1194,12 @@ class _Interp:
                 yield from self.exec_block(fnnode.body, env)
             except _Return as ret:
                 return ret.value
+            except _JobTable:
+                # A job-level table (the halo pairing) is not folded: it
+                # replays as a table without rows, so every rank takes
+                # its reader's off-table path -- no neighbours, the model
+                # halo helpers always had.
+                return AV([], False)
             return AV(None, False)
         finally:
             self.relpath = prev

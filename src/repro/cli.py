@@ -44,6 +44,7 @@ from __future__ import annotations
 # (DESIGN.md, "Import layering"), so ``jubench list|history|regress|
 # report`` never load numpy, a kernel or the suite.
 import argparse
+import errno
 import os
 import sys
 
@@ -184,6 +185,20 @@ def _make_engine(args: argparse.Namespace):
                            cache=cache, retries=retries or 0,
                            tracer=ambient if ambient.enabled else None,
                            faults=faults, backoff=backoff, breaker=breaker)
+
+
+def _check_output(path: str) -> None:
+    """Refuse, before anything runs, an output file that would only be
+    opened after the run and fail there: its directory must exist (none
+    is created) and it must not be a directory itself."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _history_store(args: argparse.Namespace):
@@ -1090,6 +1105,9 @@ def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     trace_out = getattr(args, "trace_out", None)
     want_metrics = getattr(args, "metrics", False)
+    for path in (getattr(args, "journal", None), trace_out):
+        if path and path != "-":    # refused before anything runs
+            _check_output(path)
     tracer = sink = registry = prev_registry = None
     if trace_out or want_metrics:
         from .telemetry.export import JsonlSink, write_chrome_trace

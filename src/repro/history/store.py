@@ -74,12 +74,16 @@ class HistoryStore:
         for lineno, obj in lines:
             if first:
                 first = False
-                if obj.get("type") != "history-meta" or \
+                if not isinstance(obj, dict) or \
+                        obj.get("type") != "history-meta" or \
                         obj.get("schema") != HISTORY_SCHEMA:
                     raise HistoryError(
                         f"{path}:{lineno}: not a history database "
                         f"(expected a {HISTORY_SCHEMA!r} meta header)")
                 continue
+            if not isinstance(obj, dict):
+                raise HistoryError(f"{path}:{lineno}: bad record: not a "
+                                   f"JSON object: {json.dumps(obj)[:40]}")
             try:
                 yield RunRecord.from_line(obj)
             except (KeyError, TypeError, ValueError) as exc:

@@ -19,7 +19,6 @@ from ..core.variants import MemoryVariant
 from ..units import register_dims
 from ..vmpi import Phantom
 from ..vmpi.decomposition import CartGrid, halo_batch, phantom_faces
-from ..vmpi.machine import Machine
 from .base import SyntheticBenchmark
 
 #: dimension annotations consumed by ``repro.check``'s UNIT3xx rules;

@@ -89,6 +89,8 @@ class Comm:
         #: object* back and the engine's identity-pinned caches hit
         #: (see DESIGN.md section 10); dies with the communicator
         self._interned: dict[tuple, Any] = {}
+        #: per-job tables (halo pairing): one dict per engine run
+        self._job: dict[tuple, Any] = {}
 
     def __repr__(self) -> str:
         return f"Comm(id={self.comm_id}, rank={self.rank}/{self.size})"

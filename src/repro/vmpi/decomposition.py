@@ -9,6 +9,7 @@ NAStJA and DynQCD").  This module provides those rules as reusable code:
   Cartesian grid (the MPI_Dims_create contract, plus an aspect-aware
   variant that minimises communication surface for a given domain),
 * :class:`CartGrid` -- rank <-> coordinate maps and neighbour lookup,
+* :func:`halo_table` -- every rank's halo pairing, built once per job,
 * :func:`halo_exchange` -- non-blocking face exchange for NumPy blocks
   (used by NAStJA, PIConGPU, ParFlow, ICON and the lattice codes).
 """
@@ -23,8 +24,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .comm import Comm
-from .ops import Phantom
+from .comm import _INTERN_LIMIT, Comm
+from .ops import Exchange, Phantom
 
 
 def block_partition(n: int, parts: int) -> list[tuple[int, int]]:
@@ -127,7 +128,6 @@ class CartGrid:
     def ndims(self) -> int:
         return len(self.dims)
 
-    @lru_cache(maxsize=262144)
     def coords(self, rank: int) -> tuple[int, ...]:
         """Grid coordinates of a rank (row-major, like MPI_Cart_coords)."""
         if not 0 <= rank < self.size:
@@ -145,7 +145,6 @@ class CartGrid:
             rank = rank * d + (c % d)
         return rank
 
-    @lru_cache(maxsize=262144)
     def neighbor(self, rank: int, dim: int, direction: int) -> int | None:
         """Neighbouring rank one step along ``dim`` (+1/-1).
 
@@ -167,6 +166,43 @@ class CartGrid:
         return tuple(out)
 
 
+def halo_table(comm: Comm, cart: CartGrid,
+               keys: tuple[tuple[int, int], ...]) -> list[tuple]:
+    """Every rank's halo pairing on ``cart`` for the faces ``keys``: row
+    ``r`` is ``(send keys, destinations, sources, receive keys)``, sends
+    in sorted face order, receives in mirrored ``(dim, -direction)``
+    order, so a neighbour's k-th send towards a rank is that rank's k-th
+    receive from it.  Built with NumPy for all ranks at once, kept in
+    the job memo ``comm._job`` (one per engine run, bounded)."""
+    memo = comm._job
+    rows = memo.get((cart, keys))
+    if rows is not None:
+        return rows
+    ordered = tuple(sorted(keys))
+    if any(d not in (-1, 1) for _, d in ordered):
+        raise ValueError("face direction must be -1 or +1")
+    mirror = sorted(range(len(ordered)),
+                    key=lambda i: (ordered[i][0], -ordered[i][1]))
+    coords = np.indices(cart.dims).reshape(cart.ndims, -1)
+    peers = np.empty((len(ordered), cart.size), dtype=np.int64)
+    for peer, (dim, d) in zip(peers, ordered):  # -1 beyond an open wall
+        c = coords.copy()
+        c[dim] += d
+        peer[:] = np.ravel_multi_index(c, cart.dims, mode="wrap")
+        if not cart.periodic[dim]:
+            peer[(c[dim] < 0) | (c[dim] >= cart.dims[dim])] = -1
+    rows = []
+    for out in peers.T.tolist():
+        s = [i for i, p in enumerate(out) if p >= 0]
+        r = [i for i in mirror if out[i] >= 0]
+        rows.append((tuple(ordered[i] for i in s), tuple(out[i] for i in s),
+                     tuple(out[i] for i in r), tuple(ordered[i] for i in r)))
+    if len(memo) >= _INTERN_LIMIT:
+        memo.clear()
+    memo[cart, keys] = rows
+    return rows
+
+
 def halo_exchange_op(comm: Comm, cart: CartGrid,
                      faces: dict[tuple[int, int], Any], tag: int = 100,
                      label: str = "p2p"):
@@ -186,10 +222,11 @@ def halo_exchange_op(comm: Comm, cart: CartGrid,
     any other payload type rebuild the op as before.
 
     Edge pairing relies on every member building its op through this
-    function: sends are emitted in sorted face order, receives in
-    mirrored ``(dim, -direction)`` order, so the k-th send a neighbour
-    makes towards us is exactly our k-th receive from it -- including
-    the doubled edges of periodic dimensions of extent 1 or 2.
+    function, from its row of :func:`halo_table`: sends in sorted face
+    order, receives in mirrored ``(dim, -direction)`` order, so the k-th
+    send a neighbour makes towards us is exactly our k-th receive from
+    it -- including the doubled edges of periodic dimensions of extent 1
+    or 2.
     """
     memo_key = (cart, tag, label)
     # (a bool tag equals an int one as a key but must still be rejected)
@@ -197,23 +234,16 @@ def halo_exchange_op(comm: Comm, cart: CartGrid,
     if hit is not None and len(faces) == len(hit[0]) and \
             all(map(is_, map(faces.get, hit[0]), hit[1])):
         return hit[2], hit[3]
-    sends = []
-    for (dim, direction), payload in sorted(faces.items()):
-        if direction not in (-1, 1):
-            raise ValueError("face direction must be -1 or +1")
-        dest = cart.neighbor(comm.rank, dim, direction)
-        if dest is not None:
-            sends.append((dest, payload))
-    recvs = []
-    keys = []
-    for (dim, direction) in sorted(faces, key=lambda k: (k[0], -k[1])):
-        src = cart.neighbor(comm.rank, dim, direction)
-        if src is not None:
-            # The neighbour in direction d sent its (-d) face towards us.
-            recvs.append(src)
-            keys.append((dim, direction))
-    op = comm.exchange(tuple(sends), tuple(recvs), tag=tag, label=label)
-    keys = tuple(keys)
+    if faces and comm.rank >= cart.size and min(faces)[1] in (-1, 1):
+        cart.coords(comm.rank)      # off the grid: raises, before pairing
+    rows = halo_table(comm, cart, tuple(faces))
+    send_keys, dests, recvs, keys = rows[comm.rank] \
+        if comm.rank < len(rows) else ((), (), (), ())
+    if cart.size > comm.size:       # a peer may lie outside the comm
+        for peer in dests + recvs:
+            comm._check_peer(peer)
+    op = Exchange(sends=tuple(zip(dests, map(faces.__getitem__, send_keys))),
+                  recvs=recvs, tag=tag, comm_id=comm.comm_id, label=label)
     payloads = tuple(faces.values())
     if all(isinstance(p, (Phantom, np.ndarray)) for p in payloads):
         # Pinning the payload objects keeps them alive, so the identity
@@ -277,7 +307,18 @@ def ghost_faces(field: np.ndarray, width: int = 1) -> dict[tuple[int, int], np.n
 
 def phantom_faces(local_shape: tuple[int, ...], itemsize: int = 8,
                   width: int = 1) -> dict[tuple[int, int], Phantom]:
-    """Size-only face payloads for model-only (large-scale) runs."""
+    """Size-only face payloads for model-only (large-scale) runs.
+
+    A fresh dict each call, of :class:`~repro.vmpi.ops.Phantom` objects
+    shared per ``(shape, itemsize, width)``: every rank of a job ships
+    the same payloads, so its persistent ops hit.
+    """
+    return dict(_phantom_faces(tuple(local_shape), itemsize, width))
+
+
+@lru_cache(maxsize=64)
+def _phantom_faces(local_shape: tuple[int, ...], itemsize: int,
+                   width: int) -> dict[tuple[int, int], Phantom]:
     out: dict[tuple[int, int], Phantom] = {}
     for dim in range(len(local_shape)):
         area = width * itemsize

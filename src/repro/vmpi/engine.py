@@ -273,11 +273,13 @@ class VmpiEngine:
              rank_kwargs: list[dict] | None) -> SpmdResult:
         n = self.machine.nranks
         kwargs = kwargs or {}
+        job: dict[tuple, Any] = {}      # the world communicators' memo
         for r in range(n):
             kw = dict(kwargs)
             if rank_kwargs is not None:
                 kw.update(rank_kwargs[r])
             comm = Comm(comm_id=0, rank=r, members=self._comms[0])
+            comm._job = job
             gen = fn(comm, *args, **kw)
             if not inspect.isgenerator(gen):
                 raise TypeError(

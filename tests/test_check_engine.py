@@ -88,6 +88,45 @@ def test_baseline_file_round_trips_on_disk(tmp_path):
     assert load_baseline(tmp_path / "missing.json").entries == []
 
 
+class Killed(BaseException):
+    """A simulated kill: not an ``Exception``, so nothing may catch it."""
+
+
+def test_baseline_write_killed_part_way_keeps_the_previous_file(
+        tmp_path, monkeypatch):
+    """``--write-baseline`` writes a temp file and renames it: a write
+    cut after any byte leaves the old baseline byte for byte."""
+    from repro.check import BaselineEntry
+    path = tmp_path / "check-baseline.json"
+    old = Baseline(entries=[BaselineEntry(
+        rule="DET001", path="apps/a.py", snippet="t = time.time()",
+        justification="old")])
+    new = Baseline(entries=[*old.entries, BaselineEntry(
+        rule="CON102", path="core/b.py", snippet="X()", justification="new")])
+    save_baseline(path, old)
+    before = path.read_bytes()
+    real_write = Path.write_text
+
+    for k in (0, 1, len(before) // 2, len(before) - 1, len(before) + 40):
+        def write_then_die(self, data, *args, **kw):
+            real_write(self, data[:k], *args, **kw)
+            raise Killed(k)
+
+        monkeypatch.setattr(Path, "write_text", write_then_die)
+        try:
+            save_baseline(path, new)
+        except Killed:
+            pass
+        else:
+            raise AssertionError("the write was not cut")
+        assert path.read_bytes() == before, k
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    monkeypatch.setattr(Path, "write_text", real_write)
+    assert save_baseline(path, new) == 2
+    assert [e.justification for e in load_baseline(path).entries] == \
+        ["old", "new"]
+
+
 # -- engine edge cases -------------------------------------------------------
 
 def test_syntax_error_becomes_finding(tmp_path):

@@ -136,6 +136,37 @@ def test_unplaceable_node_count_is_one_line_exit_2(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, name", [
+    ("--journal", "journal.jsonl"),
+    ("--trace-out", "trace.json"),       # Chrome export, written at the end
+    ("--trace-out", "trace.jsonl"),      # streamed, opened up front
+], ids=["journal", "chrome", "jsonl"])
+@pytest.mark.parametrize("parent", ["missing", "file"])
+@pytest.mark.parametrize("argv", [["suite"], ["fig3", "--nodes", "8,936"]],
+                         ids=lambda argv: argv[0])
+def test_unwritable_output_fails_before_any_benchmark_runs(
+        argv, parent, flag, name, tmp_path, capsys, monkeypatch):
+    """An output written after the run is checked before it: a missing
+    parent directory (never created) or one that is a file is one error
+    line, and no benchmark has run."""
+    from repro.core.benchmark import Benchmark
+
+    ran = []
+    monkeypatch.setattr(Benchmark, "run", lambda *a, **kw: ran.append(a))
+    where = tmp_path / "out"
+    if parent == "file":
+        where.write_text("")
+    path = where / name
+    assert main([*argv, flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    why = "No such file or directory" if parent == "missing" \
+        else "Not a directory"
+    assert captured.err == f"jubench: error: [Errno " \
+        f"{2 if parent == 'missing' else 20}] {why}: '{path}'\n"
+    assert captured.out == "" and ran == []
+    assert where.exists() == (parent == "file")
+
+
 def test_the_whole_modelled_system_is_placeable(capsys):
     assert main(["run", "STREAM", "--nodes", "936"]) == 0
     assert "nodes     : 936" in capsys.readouterr().out

@@ -217,6 +217,25 @@ class TestHistoryCommand:
             assert err.startswith("jubench: error: ") and where in err, err
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("garbage", ["[]", "1", '"x"', "null"])
+    @pytest.mark.parametrize("lineno", [1, 3])
+    @pytest.mark.parametrize("command", [
+        ["history"], ["regress"], ["report"], ["run", "STREAM", "--history"]],
+        ids=lambda argv: argv[0])
+    def test_a_line_that_is_json_but_not_an_object_is_one_error_line(
+            self, command, lineno, garbage, tmp_path, capsys):
+        """Valid JSON that is not an object -- as the header or as a
+        record -- names its line, like any other malformed line."""
+        db = tmp_path / "h.jsonl"
+        synthetic_db(db, n=3)
+        lines = db.read_text().splitlines(keepends=True)
+        lines[lineno - 1] = garbage + "\n"
+        db.write_text("".join(lines))
+        assert main([*command, str(db)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"jubench: error: {db}:{lineno}: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestReportTrajectorySection:
     def test_report_renders_history_db_directly(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.apps.lattice.chroma import chroma_timing_program
 from repro.cluster import juwels_booster, juwels_cluster
+from repro.vmpi import decomposition
 from repro.vmpi import engine as engine_module
 from repro.vmpi import (
     Collective,
@@ -122,8 +123,12 @@ def test_halo_op_is_persistent_per_comm():
     assert halo_exchange_op(comm, cart, faces, tag=101)[0] is not op
     assert halo_exchange_op(comm, cart, faces, label="x")[0] is not op
     assert halo_exchange_op(other, cart, faces)[0] is not op
+    # phantom_faces shares its payloads, so asking again is the same op;
     # equal-valued but distinct payload objects are a different request
-    assert halo_exchange_op(comm, cart, phantom_faces((8, 8)))[0] is not op
+    assert phantom_faces((8, 8)) is not faces
+    assert halo_exchange_op(comm, cart, phantom_faces((8, 8)))[0] is op
+    fresh = {k: Phantom(v.nbytes) for k, v in faces.items()}
+    assert halo_exchange_op(comm, cart, fresh)[0] is not op
 
 
 def test_unsized_payloads_are_never_remembered():
@@ -324,19 +329,23 @@ def test_compute_price_never_crosses_machines(shared):
 def test_chroma_builds_plans_and_ops_once(monkeypatch):
     builds = []
     exchanges = []
+    seen = {}
     real_build = engine_module.build_plan
-    real_exchange = Comm.exchange
+    real_halo_op = decomposition.halo_exchange_op
 
     def counting_build(members, *args):
         builds.append(len(members))
         return real_build(members, *args)
 
-    def counting_exchange(self, *args, **kw):
-        exchanges.append(self.rank)
-        return real_exchange(self, *args, **kw)
+    def counting_halo_op(comm, *args, **kw):
+        op, keys = real_halo_op(comm, *args, **kw)
+        if id(op) not in seen:          # a newly built Exchange
+            seen[id(op)] = op           # (kept alive: ids stay unique)
+            exchanges.append(comm.rank)
+        return op, keys
 
     monkeypatch.setattr(engine_module, "build_plan", counting_build)
-    monkeypatch.setattr(Comm, "exchange", counting_exchange)
+    monkeypatch.setattr(decomposition, "halo_exchange_op", counting_halo_op)
     m = Machine.booster(16)
     trajectories, md_steps, cg_iters = 2, 2, 4
     spmd = run_spmd(chroma_timing_program, machine=m,
