@@ -1060,13 +1060,6 @@ class _Interp:
                 return AV(value.comm_id, False)
             if node.attr in COMM_METHODS:
                 return AV(("commop", value, node.attr), False)
-            # The persistent-descriptor memo (see ``Comm._interned``)
-            # replays as always empty: a probe misses and the helper
-            # builds its op, which is all the protocol depends on.
-            if node.attr == "_interned":
-                return AV({}, False)
-            if node.attr == "_intern":
-                return AV(("intern",), False)
             if node.attr == "_job":
                 raise _JobTable("per-job table read outside a helper")
             raise _Unresolvable(f"unknown Comm attribute {node.attr!r}")
@@ -1122,8 +1115,6 @@ class _Interp:
                 target[0] == "method":
             return self._apply_method(target[1], target[2], args,
                                       kwargs)
-        if target == ("intern",) and len(args) == 2:
-            return args[1]  # Comm._intern(key, value) returns value
         if isinstance(target, tuple) and target and target[0] == "fn":
             resolved = self.index.resolve(self.relpath, target[1])
             if resolved is None:

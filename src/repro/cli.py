@@ -707,7 +707,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ``--faults`` / ``--fault-seed`` map node crashes onto endpoints by
     registration index, exercising lease expiry and requeue.
     """
-    import json
     from pathlib import Path
 
     from .core.suite import load_suite
@@ -718,7 +717,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import (
         BenchmarkService,
         Capabilities,
-        EnvelopeError,
         LocalEndpoint,
         ResultStore,
         TaskEnvelope,
@@ -730,11 +728,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"jubench serve: no task envelopes in "
                          f"{spool} (run 'jubench submit --spool "
                          f"{spool}' first)")
-    try:
-        envelopes = [TaskEnvelope.from_wire(
-            json.loads(f.read_text(encoding="utf-8"))) for f in files]
-    except EnvelopeError as exc:
-        raise SystemExit(f"jubench serve: {exc}")
+    envelopes = [TaskEnvelope.from_file(f) for f in files]
     plan = _fault_plan(args)
     store = ResultStore(args.results) if args.results else ResultStore()
     service = BenchmarkService(
@@ -1105,7 +1099,10 @@ def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     trace_out = getattr(args, "trace_out", None)
     want_metrics = getattr(args, "metrics", False)
-    for path in (getattr(args, "journal", None), trace_out):
+    outputs = [getattr(args, "journal", None), trace_out]
+    if args.command != "report":    # report reads its --history
+        outputs.append(getattr(args, "history", None))
+    for path in outputs:
         if path and path != "-":    # refused before anything runs
             _check_output(path)
     tracer = sink = registry = prev_registry = None

@@ -93,7 +93,6 @@ class HistoryStore:
 
     @staticmethod
     def _write_header(path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(_meta_line(), sort_keys=True,
                                 separators=(",", ":")) + "\n")

@@ -22,8 +22,10 @@ the same cache direct runs use, and
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from pathlib import Path
 from typing import Any
 
 from ..exec.cache import stable_hash
@@ -147,6 +149,19 @@ class TaskEnvelope:
                 f"content address {env.task_id!r}; the envelope was "
                 f"altered in transit -- re-pack it from its source")
         return env
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> "TaskEnvelope":
+        """Decode one spool file; a file that is not UTF-8 JSON or not a
+        valid envelope is an :class:`EnvelopeError` naming it."""
+        try:
+            wire = json.loads(Path(path).read_bytes())
+        except ValueError as exc:   # not JSON, or not UTF-8
+            raise EnvelopeError(f"{path}: not JSON: {exc}") from exc
+        try:
+            return cls.from_wire(wire)
+        except (TypeError, ValueError) as exc:
+            raise EnvelopeError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ class ResultStore:
     def _read(self, path: Path) -> Iterable[ResultEnvelope]:
         lines = JsonlReader(path, EnvelopeError, "service")
         for lineno, wire in lines:
-            if wire.get("kind") == "meta":
+            if isinstance(wire, dict) and wire.get("kind") == "meta":
                 continue
             try:
                 yield ResultEnvelope.from_wire(wire)

@@ -51,10 +51,11 @@ def bisection_program(comm, message_bytes: float, rounds: int):
         yield comm.barrier(label="stop")
         return 0.0
     partner = comm.rank + half if comm.rank < half else comm.rank - half
-    yield comm.barrier(label="start")
-    for _ in range(rounds):
-        yield comm.sendrecv(partner, Phantom(message_bytes), partner, tag=9)
-    yield comm.barrier(label="stop")
+    # the whole bounce loop is one batch, so the engine runs it for
+    # every pair at once (a column sweep)
+    bounce = comm.sendrecv(partner, Phantom(message_bytes), partner, tag=9)
+    yield (comm.barrier(label="start"),) + (bounce,) * rounds + \
+        (comm.barrier(label="stop"),)
     return rounds * message_bytes
 
 

@@ -18,15 +18,10 @@ the engine in :mod:`repro.vmpi.engine` interprets them.  Helper
 *generators* that themselves communicate (e.g. ring shifts) must be
 delegated to with ``yield from``.
 
-Immutable descriptors are *persistent* (MPI persistent-request style):
-``compute`` and the size-only (``Phantom`` or payload-free) collectives
-return the same op object when a rank asks again for the same
-descriptor, so a stepping loop written the obvious way posts one op per
-distinct request for the whole run and the engine replays what it
-planned and priced the first time.  Ops carrying real payloads are
-always built fresh.  Yielding a loop-invariant step as one *tuple* of
-such ops goes further: the engine then runs the step for every rank in
-lockstep (:mod:`repro.vmpi.sweep`) instead of resuming each rank per op.
+Every call builds a fresh op.  A loop-invariant timing step yielded as
+one *tuple* of ops is what the engine runs fast: once every rank stands
+at such a batch, the step executes for all ranks in lockstep
+(:mod:`repro.vmpi.sweep`) instead of resuming each rank per op.
 """
 
 from __future__ import annotations
@@ -61,14 +56,6 @@ DIMS = register_dims(__name__, {
 })
 
 
-#: persistent descriptors remembered per communicator.  Loop-invariant
-#: programs need a handful; one whose descriptors change every step
-#: (HPL's shrinking panels) would otherwise grow the memo with its step
-#: count, so a full memo starts over -- invariant descriptors are simply
-#: interned again, at the price of one plan rebuild in the engine.
-_INTERN_LIMIT = 64
-
-
 class Comm:
     """A communicator: a set of global ranks with local numbering.
 
@@ -84,11 +71,6 @@ class Comm:
         self.members = members
         #: number of ranks in the communicator
         self.size = len(members)
-        #: persistent descriptors: immutable ops this rank already asked
-        #: for, so a stepping loop that re-requests one gets the *same
-        #: object* back and the engine's identity-pinned caches hit
-        #: (see DESIGN.md section 10); dies with the communicator
-        self._interned: dict[tuple, Any] = {}
         #: per-job tables (halo pairing): one dict per engine run
         self._job: dict[tuple, Any] = {}
 
@@ -111,21 +93,9 @@ class Comm:
 
     def compute(self, flops: float = 0.0, bytes_moved: float = 0.0,
                 efficiency: float = 0.25, label: str = "compute") -> Compute:
-        """Charge roofline compute time on this rank's device.
-
-        Interned: asking again for the same kernel returns the same op.
-        """
-        key = (flops, bytes_moved, efficiency, label)
-        try:
-            op = self._interned.get(key)
-        except TypeError:  # an unhashable amount: nothing to intern on
-            key = None
-        else:
-            if op is not None:
-                return op
-        op = Compute(flops=flops, bytes_moved=bytes_moved,
-                     efficiency=efficiency, label=label)
-        return op if key is None else self._intern(key, op)
+        """Charge roofline compute time on this rank's device."""
+        return Compute(flops=flops, bytes_moved=bytes_moved,
+                       efficiency=efficiency, label=label)
 
     def elapse(self, seconds: float, label: str = "elapse") -> Elapse:
         """Charge a fixed wall-clock duration (I/O, setup, ...)."""
@@ -178,8 +148,8 @@ class Comm:
         ranks; the op resumes with the received payloads in ``recvs``
         order.  Equivalent to posting the isends/irecvs and a waitall,
         but as one descriptor -- yielding the same op object every step
-        lets the engine replay a cached exchange plan (halo loops get
-        that from :func:`~repro.vmpi.decomposition.halo_exchange_op`).
+        (built once, before the loop) lets the engine replay a cached
+        exchange plan.
         """
         out = tuple((int(d), p) for d, p in sends)
         srcs = tuple(int(s) for s in recvs)
@@ -194,24 +164,9 @@ class Comm:
 
     def _collective(self, kind: str, payload: Any, label: str,
                     reduce_op: str = "sum", root: int = 0) -> Collective:
-        """Build a collective op; size-only ones are interned.
-
-        A ``Phantom`` (or no) payload makes the descriptor immutable, so
-        a loop that asks for it every step gets the same op back and the
-        engine replays the round's plan.  Real payloads always get a
-        fresh op: their content may change under an unchanged object.
-        """
-        key = None
-        # (a bool root equals an int one as a key but must be rejected)
-        if (payload is None or type(payload) is Phantom) \
-                and type(root) is int:
-            key = (kind, payload, reduce_op, root, label)
-            op = self._interned.get(key)
-            if op is not None:
-                return op
-        op = Collective(kind=kind, payload=payload, reduce_op=reduce_op,
-                        root=root, comm_id=self.comm_id, label=label)
-        return op if key is None else self._intern(key, op)
+        """Build a collective op on this communicator."""
+        return Collective(kind=kind, payload=payload, reduce_op=reduce_op,
+                          root=root, comm_id=self.comm_id, label=label)
 
     def allreduce(self, payload: Any, op: str = "sum",
                   label: str = "allreduce") -> Collective:
@@ -281,14 +236,6 @@ class Comm:
                           comm_id=self.comm_id, label="split")
 
     # -- internals ----------------------------------------------------------------
-
-    def _intern(self, key: tuple, value: Any) -> Any:
-        """Remember ``value`` under ``key`` (bounded, see _INTERN_LIMIT)."""
-        memo = self._interned
-        if len(memo) >= _INTERN_LIMIT:
-            memo.clear()
-        memo[key] = value
-        return value
 
     def _check_peer(self, local_rank: int) -> None:
         if not 0 <= local_rank < self.size:

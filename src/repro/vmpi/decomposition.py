@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import is_
 from typing import Any, Iterator
 
 import numpy as np
 
-from .comm import _INTERN_LIMIT, Comm
+from .comm import Comm
 from .ops import Exchange, Phantom
+from .rounds import PLAN_LIMIT
 
 
 def block_partition(n: int, parts: int) -> list[tuple[int, int]]:
@@ -197,7 +197,7 @@ def halo_table(comm: Comm, cart: CartGrid,
         r = [i for i in mirror if out[i] >= 0]
         rows.append((tuple(ordered[i] for i in s), tuple(out[i] for i in s),
                      tuple(out[i] for i in r), tuple(ordered[i] for i in r)))
-    if len(memo) >= _INTERN_LIMIT:
+    if len(memo) >= PLAN_LIMIT:
         memo.clear()
     memo[cart, keys] = rows
     return rows
@@ -211,15 +211,8 @@ def halo_exchange_op(comm: Comm, cart: CartGrid,
     Returns ``(op, keys)``: the exchange op and the ``(dim, direction)``
     key of each received payload, aligned with the op's result order.
 
-    The op is *persistent* (MPI persistent-request style): asking again
-    on the same communicator for the same grid, tag and label with the
-    *identical* face payload objects returns the same op, so a stepping
-    loop that calls this (or :func:`halo_exchange`) every step posts one
-    descriptor for the whole run and the engine replays one cached
-    round plan.  Only faces whose payloads are all
-    :class:`~repro.vmpi.ops.Phantom` or ``ndarray`` objects (fixed wire
-    size) are remembered; fresh arrays each step, a changed face set or
-    any other payload type rebuild the op as before.
+    Every call builds a fresh op; a timing loop builds it once, before
+    its steps (see :func:`halo_batch`).
 
     Edge pairing relies on every member building its op through this
     function, from its row of :func:`halo_table`: sends in sorted face
@@ -228,12 +221,6 @@ def halo_exchange_op(comm: Comm, cart: CartGrid,
     it -- including the doubled edges of periodic dimensions of extent 1
     or 2.
     """
-    memo_key = (cart, tag, label)
-    # (a bool tag equals an int one as a key but must still be rejected)
-    hit = comm._interned.get(memo_key) if type(tag) is int else None
-    if hit is not None and len(faces) == len(hit[0]) and \
-            all(map(is_, map(faces.get, hit[0]), hit[1])):
-        return hit[2], hit[3]
     if faces and comm.rank >= cart.size and min(faces)[1] in (-1, 1):
         cart.coords(comm.rank)      # off the grid: raises, before pairing
     rows = halo_table(comm, cart, tuple(faces))
@@ -244,11 +231,6 @@ def halo_exchange_op(comm: Comm, cart: CartGrid,
             comm._check_peer(peer)
     op = Exchange(sends=tuple(zip(dests, map(faces.__getitem__, send_keys))),
                   recvs=recvs, tag=tag, comm_id=comm.comm_id, label=label)
-    payloads = tuple(faces.values())
-    if all(isinstance(p, (Phantom, np.ndarray)) for p in payloads):
-        # Pinning the payload objects keeps them alive, so the identity
-        # test above can never be fooled by a recycled ``id``.
-        comm._intern(memo_key, (tuple(faces), payloads, op, keys))
     return op, keys
 
 
@@ -275,9 +257,7 @@ def halo_exchange(comm: Comm, cart: CartGrid, faces: dict[tuple[int, int], Any],
     our ``d``-side boundary.  All faces travel in one fused
     :class:`~repro.vmpi.ops.Exchange`, exactly like the production
     stencil codes' neighbourhood collectives.  Use as
-    ``recv = yield from halo_exchange(...)``.  Calling this every step
-    is fine for real-data loops: :func:`halo_exchange_op` hands back the
-    same persistent op for loop-invariant faces.  A loop-invariant
+    ``recv = yield from halo_exchange(...)``.  A loop-invariant
     *timing* loop splices :func:`halo_batch` into one batch per step
     instead, which the engine can run for all ranks in lockstep.
     """
@@ -311,7 +291,7 @@ def phantom_faces(local_shape: tuple[int, ...], itemsize: int = 8,
 
     A fresh dict each call, of :class:`~repro.vmpi.ops.Phantom` objects
     shared per ``(shape, itemsize, width)``: every rank of a job ships
-    the same payloads, so its persistent ops hit.
+    the same payload objects instead of building its own.
     """
     return dict(_phantom_faces(tuple(local_shape), itemsize, width))
 

@@ -13,26 +13,16 @@ It schedules and prices the way a discrete-event simulator does:
   :class:`~repro.vmpi.heap.EventHeap` keyed by their virtual clock, so
   execution sweeps virtual time in causal order;
 * **cost caches** -- point-to-point alpha-beta parameters are cached
-  per node pair, roofline compute times per ``(device, kernel)`` (and,
-  on homogeneous jobs, pinned on the op object itself), collective
-  costs per ``(comm, kind, bytes)``: the machine model is consulted
-  once per distinct question instead of once per op;
+  per node pair, roofline compute times per ``(device, kernel)``,
+  collective costs per ``(comm, kind, bytes)``: the machine model is
+  consulted once per distinct question instead of once per op;
 * **vectorized exchange rounds** -- fused
   :class:`~repro.vmpi.ops.Exchange` ops are buffered per
   ``(comm, tag, round)`` and, once every member has posted, the whole
   round's clock advance is one closed-form alpha-beta sweep over NumPy
-  edge arrays (:mod:`repro.vmpi.rounds`) rather than per-edge requests;
-* **persistent descriptors** -- round plans and pinned prices are keyed
-  on op *identity*, and the :class:`~repro.vmpi.comm.Comm` facade and
-  :func:`~repro.vmpi.decomposition.halo_exchange_op` hand a rank the
-  same op again whenever it re-requests an immutable descriptor, so an
-  ordinary stepping loop is built, paired and priced once per run;
-* **collective plans** -- a communicator has one round in flight
-  (collectives synchronise); a round whose members re-post the ops of a
-  size-only round seen before skips validation, reduction, sizing and
-  costing and replays them;
-* **paired sendrecv** -- two ranks naming each other as destination
-  and source complete in closed form, without per-transfer requests;
+  edge arrays (:mod:`repro.vmpi.rounds`) rather than per-edge requests,
+  and a round whose members re-post the previous round's op objects
+  replays its plan;
 * **column sweeps** -- a rank that yields a tuple batch parks at its
   head, and once every rank stands at one the batches run *column by
   column* over NumPy arrays indexed by global rank instead of rank by
@@ -63,10 +53,9 @@ Heap invariants (the discrete-event contract):
 Exchange rounds that can never fill (only a subset of the communicator
 exchanges) are drained by :meth:`VmpiEngine._quiesce`: when the heap
 runs dry, pending rounds are decomposed through the per-edge machinery,
-which completes every matched transfer before deadlock is declared.  A
-parked Sendrecv whose partner never pairs with it is lowered the same
-way, there or as soon as anything else touches its channel, and so
-are parked batches that cannot run as columns (:meth:`VmpiEngine._sweep`).
+which completes every matched transfer before deadlock is declared.
+Parked batches that cannot run as columns are lowered the same way
+(:meth:`VmpiEngine._sweep`).
 
 Semantics (documented divergences from real MPI):
 
@@ -86,9 +75,7 @@ Semantics (documented divergences from real MPI):
 * Collectives are synchronising: completion is ``max(post times) +
   model cost``; all ranks leave with the same clock.
 * A rank may yield a *tuple* of ops (a batch): the ops run in order
-  and the rank resumes once with the list of their results.  Plan reuse
-  does not need it -- the facade returns the same op for a re-requested
-  immutable descriptor (see :mod:`repro.vmpi.comm`) -- but a stepping
+  and the rank resumes once with the list of their results.  A stepping
   loop hoisted into one batch per step is what lets the engine run the
   step for all ranks at once (a column sweep) instead of once per rank.
 * Scheduling is deterministic, so runs are exactly reproducible -- a
@@ -98,7 +85,6 @@ Semantics (documented divergences from real MPI):
 from __future__ import annotations
 
 import inspect
-import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from heapq import heappop
@@ -130,7 +116,6 @@ from .ops import (
     Irecv,
     Isend,
     Op,
-    Phantom,
     Recv,
     Request,
     Send,
@@ -145,7 +130,6 @@ from .rounds import (
     XchgPlan,
     build_plan,
     exchange_bytes,
-    list_template,
 )
 from .sweep import SweepPlan, plan_sweep
 from .trace import RankTrace, SpmdResult
@@ -158,11 +142,6 @@ __all__ = [
     "VmpiError",
     "run_spmd",
 ]
-
-#: engine-unique attribute names for op-pinned compute times; a fresh
-#: name per engine (never reused) means an op hoisted across engines or
-#: machines can never serve a time priced for a different device
-_CACHE_KEYS = itertools.count()
 
 
 @dataclass
@@ -232,18 +211,12 @@ class VmpiEngine:
         self._rid = 0
         self._node = machine.nodes_of_rank
         self._devkey = [id(d) for d in machine.devices]
-        #: homogeneous jobs may pin compute times on the op itself
-        self._homog = len(set(self._devkey)) == 1
-        self._ck = f"_evdt{next(_CACHE_KEYS)}"
         self._p2p_cache: dict[tuple[int, int], tuple[float, float]] = {}
         self._compute_cache: dict[tuple, float] = {}
         self._cost_cache: dict[tuple, float] = {}
         self._node_sets: dict[int, tuple[int, ...]] = {}
-        #: comm -> the collective round in flight and its replay plans
+        #: comm -> the collective round in flight
         self._cst: dict[int, CollRound] = {}
-        #: (comm, poster, partner, tag) -> a symmetric Sendrecv whose
-        #: partner has not arrived yet (no Requests allocated so far)
-        self._srwait: dict[tuple[int, int, int, int], Sendrecv] = {}
         #: (comm, tag) -> [next round per rank, {round: {rank: op}},
         #: members, len(members)] -- buffered exchange rounds
         self._xst: dict[tuple[int, int], list] = {}
@@ -314,26 +287,23 @@ class VmpiEngine:
         """Lower stalled buffered state onto the per-request path.
 
         Runs when the heap is dry but ranks are unfinished: every
-        buffered exchange round -- fillable or not -- and every
-        unpartnered Sendrecv is lowered onto per-edge FIFO matching,
-        completing whatever has a counterpart.  Progress may post fresh
-        ops, so the run loop calls this until it returns False.
+        buffered exchange round -- fillable or not -- is lowered onto
+        per-edge FIFO matching, completing whatever has a counterpart.
+        Progress may post fresh ops, so the run loop calls this until it
+        returns False.
         """
         stalled = []
         for (cid, tag), st in self._xst.items():
             for rnd, pend in st[1].items():
                 stalled.append(((cid, tag, rnd), pend))
             st[1] = {}
-        unpartnered = sorted(self._srwait)
-        if not stalled and not unpartnered:
+        if not stalled:
             return False
         stalled.sort(key=lambda e: e[0])
         for key, pend in stalled:
             for r in sorted(pend):
                 if self._decompose_exchange(r, pend[r], key):
                     self._wake(r)
-        for key in unpartnered:
-            self._lower_sendrecv(key)
         return True
 
     def _sweep(self) -> bool:
@@ -427,15 +397,13 @@ class VmpiEngine:
         return params[0] + nbytes / params[1]
 
     def _price(self, r: int, op: Compute) -> float:
-        """First pricing of a Compute on this engine (pins homogeneous)."""
+        """Roofline time of a Compute on rank ``r``'s device."""
         key = (self._devkey[r], op.flops, op.bytes_moved, op.efficiency)
         dt = self._compute_cache.get(key)
         if dt is None:
             dt = self.machine.compute_seconds(r, op.flops, op.bytes_moved,
                                               op.efficiency)
             self._compute_cache[key] = dt
-        if self._homog:
-            object.__setattr__(op, self._ck, dt)
         return dt
 
     def _collective_cost(self, members: tuple[int, ...],
@@ -462,7 +430,6 @@ class VmpiEngine:
             return
         send = self._gens[r].send
         resume = self._resume
-        ck = self._ck
         clocks = self.clocks
         trace = self.traces[r]
         compute = trace.compute
@@ -488,11 +455,7 @@ class VmpiEngine:
                 raise RankFailedError(r, exc) from exc
             kind = type(op)
             if kind is Compute:
-                # Op-pinned time first: a persistent descriptor is
-                # priced once per run, not once per step.
-                dt = op.__dict__.get(ck)
-                if dt is None:
-                    dt = self._price(r, op)
+                dt = self._price(r, op)
                 trace.ops += 1
                 clocks[r] += dt
                 compute[op.label] += dt
@@ -517,7 +480,7 @@ class VmpiEngine:
         if kind is Collective:
             return self._post_collective(r, op)
         if kind is Sendrecv:
-            return self._post_sendrecv(r, op)
+            return self._sendrecv_requests(r, op)
         if kind is Elapse:
             self.clocks[r] += op.seconds
             self.traces[r].compute[op.label] += op.seconds
@@ -552,8 +515,6 @@ class VmpiEngine:
     def _post_send(self, r: int, dest_local: int, payload: Any, tag: int,
                    comm_id: int) -> Request:
         dest = self._global(comm_id, dest_local)
-        if self._srwait:
-            self._lower_sendrecv((comm_id, dest, r, tag))
         self._rid += 1
         nbytes = nbytes_of(payload)
         req = Request(rank=r, is_send=True, peer=dest, tag=tag,
@@ -579,8 +540,6 @@ class VmpiEngine:
     def _post_recv(self, r: int, source_local: int, tag: int,
                    comm_id: int) -> Request:
         source = self._global(comm_id, source_local)
-        if self._srwait:
-            self._lower_sendrecv((comm_id, source, r, tag))
         self._rid += 1
         req = Request(rank=r, is_send=False, peer=source, tag=tag,
                       comm_id=comm_id, post_time=self.clocks[r], rid=self._rid)
@@ -591,6 +550,12 @@ class VmpiEngine:
         else:
             self._recvs[key].append(req)
         return req
+
+    def _sendrecv_requests(self, r: int, op: Sendrecv) -> bool:
+        """A Sendrecv on the per-request path: one send, one receive."""
+        sreq = self._post_send(r, op.dest, op.payload, op.tag, op.comm_id)
+        rreq = self._post_recv(r, op.source, op.tag, op.comm_id)
+        return self._wait_on(r, (sreq, rreq), single=False, sendrecv=True)
 
     def _complete_transfer(self, send: Request, recv: Request) -> None:
         dt = self._p2p_seconds(send.rank, recv.rank, send.nbytes)
@@ -657,77 +622,6 @@ class VmpiEngine:
         else:
             self._resume[r] = [req.result if not req.is_send else None
                                for req in reqs]
-
-    # -- paired sendrecv -------------------------------------------------------
-
-    def _post_sendrecv(self, r: int, op: Sendrecv) -> bool:
-        """A Sendrecv; symmetric pairs complete in closed form.
-
-        When both partners name each other as destination *and* source
-        on a channel with nothing else queued, the pair is the whole
-        story of that channel: the first arrival parks its op (no
-        Requests, no wait group) and the second completes both ranks
-        with the same rendezvous/eager algebra the per-request path
-        applies.  Anything else touching the channel first lowers the
-        parked op onto that path (:meth:`_lower_sendrecv`), so FIFO
-        matching is exactly preserved.
-        """
-        cid, tag = op.comm_id, op.tag
-        dest = self._global(cid, op.dest)
-        if dest == self._global(cid, op.source) and dest != r:
-            parked = self._srwait
-            rev = (cid, dest, r, tag)
-            first = parked.pop(rev, None)
-            if first is not None:
-                self._pair_sendrecv(dest, first, r, op)
-                return True
-            fwd = (cid, r, dest, tag)
-            sends, recvs = self._sends, self._recvs
-            if not (sends.get(fwd) or recvs.get(fwd)
-                    or sends.get(rev) or recvs.get(rev)):
-                parked[fwd] = op
-                return False
-        return self._sendrecv_requests(r, op)
-
-    def _sendrecv_requests(self, r: int, op: Sendrecv) -> bool:
-        """A Sendrecv on the per-request path: one send, one receive."""
-        sreq = self._post_send(r, op.dest, op.payload, op.tag, op.comm_id)
-        rreq = self._post_recv(r, op.source, op.tag, op.comm_id)
-        return self._wait_on(r, (sreq, rreq), single=False, sendrecv=True)
-
-    def _pair_sendrecv(self, a: int, aop: Sendrecv, b: int,
-                       bop: Sendrecv) -> None:
-        """Complete ``a`` (parked, woken here) and ``b`` (the caller)."""
-        clocks, traces = self.clocks, self.traces
-        ta, tb = clocks[a], clocks[b]
-        na, nb = nbytes_of(aop.payload), nbytes_of(bop.payload)
-        # Bytes are accounted in each rank's own program order; ``a``
-        # posted nothing since it parked, so adding its bytes now is the
-        # same per-rank float sequence as adding them at post time.
-        traces[a].bytes_sent += na
-        traces[b].bytes_sent += nb
-        t_ab = self._p2p_seconds(a, b, na)
-        t_ba = self._p2p_seconds(b, a, nb)
-        start = max(ta, tb)
-        done_ab = start + t_ab
-        done_ba = start + t_ba
-        limit = self.eager_limit
-        for g, post, sent, received, payload in (
-                (a, ta, ta + t_ab if na <= limit else done_ab, done_ba,
-                 bop.payload),
-                (b, tb, tb + t_ba if nb <= limit else done_ba, done_ab,
-                 aop.payload)):
-            done = max(sent, received)
-            traces[g].comm["p2p"] += max(0.0, done - post)
-            clocks[g] = max(post, done)
-            self._resume[g] = payload
-        self._wake(a)
-
-    def _lower_sendrecv(self, key: tuple[int, int, int, int]) -> None:
-        """Hand a parked Sendrecv to the per-request machinery."""
-        op = self._srwait.pop(key, None)
-        if op is not None and self._sendrecv_requests(key[1], op):
-            self._wake(key[1])
 
     # -- fused exchanges -------------------------------------------------------
 
@@ -881,35 +775,15 @@ class VmpiEngine:
         return True
 
     def _complete_collective(self, st: CollRound, caller: int) -> None:
-        """Finish a fully-posted round, replaying its plan when the
-        members posted the very ops the plan was made from."""
+        """Finish a fully-posted round: every member leaves at the
+        latest post plus the modelled cost."""
         ops, posts, members = st.ops, st.posts, st.members
         st.ops = [None] * st.nmem
         st.count = 0
-        plan = st.plans.get(id(ops[0]))
-        if plan is not None and all(map(is_, ops, plan[0])):
-            _, label, cost, results, template, sizes = plan
-            if template is not None:
-                # one new list per round, aliased among its receivers --
-                # exactly what a freshly computed round hands out
-                fresh = list(template)
-                results = [fresh if x is template else x for x in results]
-        else:
-            validate_collective(ops)
-            results = collective_results(members, ops, self._do_split)
-            cost = self._collective_cost(members, ops)
-            first = ops[0]
-            label = first.label or first.kind
-            sizes = [nbytes_of(o.payload) for o in ops]
-            # Only size-only rounds may be replayed: a real payload can
-            # change under an unchanged op, and a split allocates.
-            if first.kind != "split" and all(
-                    o.payload is None or type(o.payload) is Phantom
-                    for o in ops):
-                if len(st.plans) >= PLAN_LIMIT:
-                    st.plans.clear()
-                st.plans[id(first)] = (ops, label, cost,
-                                       *list_template(results), sizes)
+        validate_collective(ops)
+        results = collective_results(members, ops, self._do_split)
+        cost = self._collective_cost(members, ops)
+        label = ops[0].label or ops[0].kind
         done = max(posts) + cost
         clocks, traces, resume = self.clocks, self.traces, self._resume
         push = self._heap.push
@@ -918,7 +792,7 @@ class VmpiEngine:
             clocks[g] = done
             trace = traces[g]
             trace.comm[label] += waited if waited > 0.0 else 0.0
-            trace.bytes_sent += sizes[i]
+            trace.bytes_sent += nbytes_of(ops[i].payload)
             resume[g] = results[i]
             if g != caller:
                 push(done, g)

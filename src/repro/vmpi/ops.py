@@ -222,10 +222,8 @@ class Exchange(Op):
     not match point-to-point traffic).
 
     Halo patterns yield one ``Exchange`` per step instead of one op per
-    face; posting the *same op object* again (hoisted by hand, or handed
-    back by :func:`~repro.vmpi.decomposition.halo_exchange_op` for
-    unchanged faces) lets the event engine reuse a vectorized per-round
-    plan.
+    face; posting the *same op object* again (built once, before the
+    loop) lets the engine reuse a vectorized per-round plan.
     """
 
     sends: tuple[tuple[int, Any], ...]

@@ -4,9 +4,9 @@ Plain data and pure functions the engine (:mod:`repro.vmpi.engine`)
 uses to complete a whole :class:`~repro.vmpi.ops.Exchange` or
 collective round at once: what a fully-posted round looks like when
 flattened into NumPy edge arrays (:func:`build_plan`), and the one
-round a communicator can have in flight plus the plans of rounds it has
-seen before (:class:`CollRound`).  Nothing here touches clocks, traces
-or scheduling; the engine applies the plans.
+collective round a communicator can have in flight (:class:`CollRound`).
+Nothing here touches clocks, traces or scheduling; the engine applies
+the plans.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import numpy as np
 from .ops import Exchange, nbytes_of
 
 __all__ = ["CollRound", "PLAN_LIMIT", "XchgPlan", "build_plan",
-           "edge_seconds", "exchange_bytes", "list_template"]
+           "edge_seconds", "exchange_bytes"]
 
-#: replay plans kept per communicator; a program whose collectives
-#: change every round (HPL's shrinking panel broadcasts) starts over
-#: instead of growing the table with its step count
+#: entries a per-run memo keeps (the engine's sweep plans, the tables of
+#: a job memo ``Comm._job``); a program whose batches or grids change
+#: every step starts over instead of growing the memo with its step count
 PLAN_LIMIT = 16
 
 
@@ -65,19 +65,15 @@ class XchgPlan:
 
 
 class CollRound:
-    """One communicator's collective round in flight, plus replay plans.
+    """One communicator's collective round in flight.
 
     Collectives synchronise, so a communicator has at most one round
     pending: a member cannot post round ``k+1`` before round ``k`` --
     which needs every member -- has completed.  ``ops``/``posts`` are
-    indexed by local rank.  ``plans`` maps ``id(ops[0])`` to ``(ops,
-    label, cost, results, template, sizes)`` of a replayable round; a
-    plan keeps its ops alive, and a hit is trusted only after every
-    member's op proved identical, so a recycled ``id`` cannot mislead.
+    indexed by local rank.
     """
 
-    __slots__ = ("members", "nmem", "local", "ops", "posts", "count",
-                 "plans")
+    __slots__ = ("members", "nmem", "local", "ops", "posts", "count")
 
     def __init__(self, members: tuple[int, ...]):
         self.members = members
@@ -86,7 +82,6 @@ class CollRound:
         self.ops: list = [None] * self.nmem
         self.posts = [0.0] * self.nmem
         self.count = 0
-        self.plans: dict[int, tuple] = {}
 
 
 def exchange_bytes(op: Exchange) -> float:
@@ -98,16 +93,6 @@ def exchange_bytes(op: Exchange) -> float:
             total = total + nbytes_of(payload)
         object.__setattr__(op, "_nbytes_total", total)
     return total
-
-
-def list_template(results: list) -> tuple[list, list | None]:
-    """``results`` with its (at most one, shared) list result swapped
-    for a private copy that receivers can never scribble on."""
-    shared = next((x for x in results if type(x) is list), None)
-    if shared is None:
-        return results, None
-    template = list(shared)
-    return [template if x is shared else x for x in results], template
 
 
 def _member_index(local: np.ndarray, nmem: int) -> np.ndarray:

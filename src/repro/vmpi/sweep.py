@@ -174,10 +174,8 @@ def _plan_column(eng: Any, ops: tuple, slots: dict) -> tuple | None:
                             len(slots))
     comms = eng._comms
     if kind is Compute:
-        ck = eng._ck
         return (_LOCAL, slot, np.array(
-            [o.__dict__.get(ck) or eng._price(r, o)
-             for r, o in enumerate(ops)])), None
+            [eng._price(r, o) for r, o in enumerate(ops)])), None
     if kind is Elapse:
         return (_LOCAL, slot, np.array([o.seconds for o in ops])), None
     if kind is Sendrecv:

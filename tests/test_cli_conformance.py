@@ -167,6 +167,93 @@ def test_unwritable_output_fails_before_any_benchmark_runs(
     assert where.exists() == (parent == "file")
 
 
+@pytest.mark.parametrize("case, code, why", [
+    ("missing", 2, "No such file or directory"),
+    ("file", 20, "Not a directory"),
+    ("directory", 21, "Is a directory"),
+])
+@pytest.mark.parametrize("argv", [["run", "STREAM"], ["suite"]],
+                         ids=lambda argv: argv[0])
+def test_history_into_an_unusable_path_fails_before_any_benchmark_runs(
+        argv, case, code, why, tmp_path, capsys, monkeypatch):
+    """``--history`` follows the output-path policy of ``--journal`` and
+    ``--trace-out``: refused before anything runs, no directory made."""
+    from repro.core.benchmark import Benchmark
+
+    ran = []
+    monkeypatch.setattr(Benchmark, "run", lambda *a, **kw: ran.append(a))
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    path = {"missing": tmp_path / "nodir" / "sub" / "db.jsonl",
+            "file": tmp_path / "file" / "db.jsonl",
+            "directory": tmp_path / "dir"}[case]
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--history", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"jubench: error: [Errno {code}] {why}: '{path}'\n"
+    assert captured.out == "" and ran == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def _spool(tmp_path, capsys):
+    spool = tmp_path / "spool"
+    assert main(["submit", "--spool", str(spool),
+                 "--benchmarks", "STREAM"]) == 0
+    capsys.readouterr()
+    return spool
+
+
+@pytest.fixture
+def registered(monkeypatch):
+    """Endpoints ``serve`` registered (none, when it fails up front)."""
+    from repro.service import BenchmarkService
+
+    seen = []
+    monkeypatch.setattr(BenchmarkService, "register_endpoint",
+                        lambda self, endpoint: seen.append(endpoint))
+    return seen
+
+
+@pytest.mark.parametrize("garbage", ["[]", "1", '"x"', "null"])
+@pytest.mark.parametrize("lineno", [1, 2])
+def test_serve_results_line_that_is_not_an_object_is_one_error_line(
+        garbage, lineno, tmp_path, capsys, registered):
+    spool = _spool(tmp_path, capsys)
+    results = tmp_path / "r.jsonl"
+    meta = '{"kind":"meta","schema":"repro.service/v1","version":1}\n'
+    results.write_text((meta if lineno == 2 else "") + garbage + "\n")
+    assert main(["serve", "--spool", str(spool),
+                 "--results", str(results)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"jubench: error: {results}:{lineno}: ")
+    assert "JSON object" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert registered == []
+
+
+@pytest.mark.parametrize("content, complaint", [
+    ('{"schema": "repro.ser', "not JSON"),
+    (b"\xff\xfe{", "not JSON"),
+    ("[]", "task envelope must be a JSON object, got list"),
+    ('{"schema": "nope/v0"}', "unsupported task envelope schema 'nope/v0'"),
+    ('{"schema": "repro.service/v1", "client": "c", "benchmark": "STREAM",'
+     ' "key": "k", "seq": []}', "int() argument"),
+], ids=["torn", "not-utf8", "list", "schema", "field"])
+def test_serve_malformed_spool_file_is_one_error_line(
+        content, complaint, tmp_path, capsys, registered):
+    spool = _spool(tmp_path, capsys)
+    bad = spool / "zz-bad.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
+    assert main(["serve", "--spool", str(spool)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"jubench: error: {bad}: {complaint}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert registered == []
+
+
 def test_the_whole_modelled_system_is_placeable(capsys):
     assert main(["run", "STREAM", "--nodes", "936"]) == 0
     assert "nodes     : 936" in capsys.readouterr().out

@@ -176,6 +176,11 @@ class TestHistoryStore:
         again.append(_rec(fom=102.0))
         assert [r.seq for r in again.series(_rec().series_key)] == [0, 1, 2]
 
+    def test_a_missing_directory_is_not_created(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            HistoryStore.open(tmp_path / "nodir" / "h.jsonl")
+        assert not (tmp_path / "nodir").exists()
+
     def test_meta_header_guards_foreign_files(self, tmp_path):
         bad = tmp_path / "not-history.jsonl"
         bad.write_text('{"type": "meta", "schema": "repro.telemetry/v1"}\n')

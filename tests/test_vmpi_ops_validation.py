@@ -2,8 +2,10 @@
 descriptor is built, not deep inside the engine's matching tables --
 the contract the static protocol pass folds against."""
 
+import numpy as np
 import pytest
 
+from repro.vmpi import Comm, Phantom
 from repro.vmpi.ops import (
     Collective,
     Exchange,
@@ -67,3 +69,15 @@ def test_valid_root_accepted(kind):
 def test_unknown_collective_kind_still_rejected():
     with pytest.raises(ValueError):
         Collective(kind="alltoallw")
+
+
+def test_facade_methods_validate_like_the_ops():
+    """``Comm`` builds each op directly, so a rank program meets the
+    op's own validation through the facade too."""
+    comm = Comm(comm_id=0, rank=0, members=(0, 1))
+    with pytest.raises(TypeError):
+        comm.bcast(Phantom(8.0), root=True)
+    with pytest.raises(ValueError):
+        comm.compute(flops=-1.0)
+    # an unhashable amount still builds
+    assert comm.compute(flops=np.array(2.0)).flops == 2.0

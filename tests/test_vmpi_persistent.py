@@ -1,10 +1,12 @@
-"""Persistent descriptors and round plans of the vmpi engine.
+"""Re-posted ops on the per-rank path, against the oracle.
 
-``repro.vmpi`` treats loop-invariant communication as persistent: the
-``Comm`` facade and ``halo_exchange`` hand a rank the *same op object*
-when it asks again for the same descriptor, and the engine keys its
-exchange plans, collective plans and compute prices on that identity.
-None of it may be observable: every test here pins the persistent path
+A rank program may post the *same op object* again (hoisted out of its
+loop by hand, or shared at module level) or build an equal one every
+step; it may refill a buffer it already sent, or answer a ``sendrecv``
+with plain point-to-point.  The engine keeps no per-rank memo of ops,
+collective rounds, ``Sendrecv`` pairs or prices -- only the exchange
+plan of a ``(comm, tag)``, checked by op identity -- and these programs
+guard against such a memo coming back wrong: every test pins production
 against the reference step scheduler (:mod:`tests.vmpi_reference`,
 which re-derives everything per op) or against a program that hoists
 by hand -- byte for byte, no tolerances.
@@ -23,14 +25,12 @@ from repro.vmpi import decomposition
 from repro.vmpi import engine as engine_module
 from repro.vmpi import (
     Collective,
-    Comm,
     Compute,
     DeadlockError,
     Machine,
     Phantom,
     run_spmd,
 )
-from repro.vmpi.comm import _INTERN_LIMIT
 from repro.vmpi.decomposition import (
     CartGrid,
     ghost_faces,
@@ -111,74 +111,12 @@ def test_hoisted_unhoisted_and_step_core_agree(tmp_path, name, nranks, dims,
             chrome_export_bytes(tmp_path, "ref", ref), key
 
 
-def test_halo_op_is_persistent_per_comm():
-    comm = Comm(comm_id=0, rank=0, members=tuple(range(4)))
-    other = Comm(comm_id=0, rank=1, members=tuple(range(4)))
-    cart = CartGrid.for_ranks(4, 2)
-    faces = phantom_faces((8, 8))
-    op, keys = halo_exchange_op(comm, cart, faces)
-    again, keys2 = halo_exchange_op(comm, CartGrid.for_ranks(4, 2),
-                                    dict(faces))
-    assert again is op and keys2 == keys         # equal grid, same payloads
-    assert halo_exchange_op(comm, cart, faces, tag=101)[0] is not op
-    assert halo_exchange_op(comm, cart, faces, label="x")[0] is not op
-    assert halo_exchange_op(other, cart, faces)[0] is not op
-    # phantom_faces shares its payloads, so asking again is the same op;
-    # equal-valued but distinct payload objects are a different request
-    assert phantom_faces((8, 8)) is not faces
-    assert halo_exchange_op(comm, cart, phantom_faces((8, 8)))[0] is op
-    fresh = {k: Phantom(v.nbytes) for k, v in faces.items()}
-    assert halo_exchange_op(comm, cart, fresh)[0] is not op
-
-
-def test_unsized_payloads_are_never_remembered():
-    comm = Comm(comm_id=0, rank=0, members=(0, 1))
-    cart = CartGrid.for_ranks(2, 1)
-    faces = {(0, -1): [1.0, 2.0], (0, +1): [3.0]}   # lists can grow
-    op, _ = halo_exchange_op(comm, cart, faces)
-    assert halo_exchange_op(comm, cart, faces)[0] is not op
-
-
-def test_facade_interns_immutable_descriptors_only():
-    comm = Comm(comm_id=0, rank=0, members=(0, 1))
-    assert comm.compute(flops=1e9) is comm.compute(flops=1e9)
-    assert comm.compute(flops=1e9) is not comm.compute(flops=2e9)
-    assert comm.compute(flops=1e9, label="a") is not comm.compute(flops=1e9)
-    assert comm.barrier() is comm.barrier()
-    assert comm.allreduce(Phantom(8.0)) is comm.allreduce(Phantom(8.0))
-    assert comm.allreduce(Phantom(8.0)) is not \
-        comm.allreduce(Phantom(8.0), op="max")
-    assert comm.bcast(Phantom(8.0), root=1) is not comm.bcast(Phantom(8.0))
-    buf = np.zeros(2)
-    assert comm.allreduce(buf) is not comm.allreduce(buf)   # real payload
-    assert comm.allreduce(3) is not comm.allreduce(3)
-    # validation is never skipped by a memo hit
-    with pytest.raises(TypeError):
-        comm.bcast(Phantom(8.0), root=True)
-    with pytest.raises(ValueError):
-        comm.compute(flops=-1.0)
-    # an unhashable amount still builds (and validates) a fresh op
-    assert comm.compute(flops=np.array(2.0)).flops == 2.0
-
-
-def test_memo_is_bounded():
-    comm = Comm(comm_id=0, rank=0, members=(0,))
-    keep = comm.barrier()
-    for n in range(4 * _INTERN_LIMIT):
-        comm.compute(flops=float(n + 1))
-    assert len(comm._interned) <= _INTERN_LIMIT
-    # a descriptor dropped by the reset is simply interned again
-    assert comm.barrier() == keep
-    assert comm.barrier() is comm.barrier()
-
-
-# -- (b) real-mode payloads: never a stale op, never stale data ----------------
+# -- (b) real-mode payloads: never stale data ------------------------------------
 
 def real_halo_program(comm, persistent_buffers, steps=4):
     cart = CartGrid.for_ranks(comm.size, 2, periodic=True)
     field = np.zeros((4, 4))
     buffers = ghost_faces(field)
-    ops = []          # kept alive, so their ids stay distinct
     for step in range(steps):
         field[:] = 100.0 * comm.rank + step
         if persistent_buffers:
@@ -187,7 +125,6 @@ def real_halo_program(comm, persistent_buffers, steps=4):
             faces = buffers
         else:
             faces = ghost_faces(field)             # fresh arrays each step
-        ops.append(halo_exchange_op(comm, cart, faces)[0])
         got = yield from halo_exchange(comm, cart, faces)
         for (dim, direction), ghost in got.items():
             sender = cart.neighbor(comm.rank, dim, direction)
@@ -197,7 +134,6 @@ def real_halo_program(comm, persistent_buffers, steps=4):
         # payloads are delivered by reference: nobody may refill its
         # faces before every receiver has looked at them
         yield comm.barrier()
-    return len(set(map(id, ops)))
 
 
 @pytest.mark.parametrize("persistent_buffers", [False, True])
@@ -207,8 +143,6 @@ def test_real_mode_halos_are_never_stale(persistent_buffers):
                          args=(persistent_buffers,))
     event = run_spmd(real_halo_program, machine=m, args=(persistent_buffers,))
     assert canon(step) == canon(event)
-    # persistent buffers reuse one op; fresh arrays get a fresh op a step
-    assert set(event.values) == {1 if persistent_buffers else 4}
 
 
 def changing_faces_program(comm):
@@ -292,7 +226,7 @@ def test_split_is_never_replayed():
     assert step.clocks == event.clocks
 
 
-# -- (c) an interned Compute is priced per engine and per device ---------------
+# -- (c) a re-posted Compute is priced per engine and per device ---------------
 
 KERNEL = dict(flops=4e12, bytes_moved=2e10, efficiency=0.5, label="kernel")
 #: a descriptor hoisted to module level outlives every engine
@@ -446,7 +380,7 @@ def test_unpartnered_sendrecv_deadlocks_like_the_step_core():
             _deadlock_text(program, nranks, run_reference), program.__name__
 
 
-# -- (e) Hypothesis: interned and fresh descriptors mixed ------------------------
+# -- (e) Hypothesis: re-posted and fresh descriptors mixed -----------------------
 
 PHASES = st.one_of(
     st.tuples(st.just("compute"), st.sampled_from([1e9, 2e10]),

@@ -49,6 +49,7 @@ from repro.vmpi.decomposition import (
     halo_table,
     phantom_faces,
 )
+from repro.vmpi.rounds import PLAN_LIMIT
 from tests.vmpi_reference import ReferenceEngine
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -201,10 +202,10 @@ def test_one_table_per_job_shared_by_every_rank():
     assert len(rows) == 16
     # another job (another engine run) builds its own
     assert halo_table(world(16)[0], cart, tuple(faces)) is not rows
-    # bounded like the per-rank memo
+    # bounded: a full memo starts over
     for n in range(1, 200):
         halo_table(comms[0], CartGrid.for_ranks(n, 1), ((0, 1),))
-    assert len(comms[0]._job) <= 64
+    assert len(comms[0]._job) <= PLAN_LIMIT
 
 
 def test_phantom_faces_are_shared_but_the_dict_is_fresh():

@@ -16,8 +16,12 @@ for byte --
 """
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,8 @@ from repro.cluster import juwels_booster
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFault
 from repro.synthetic.hpcg import hpcg_timing_program
+from repro.synthetic.linktest import bisection_program
+from repro.units import MIB
 from repro.vmpi import Machine, Phantom, VmpiEngine, VmpiError
 from repro.vmpi import engine as engine_module
 from repro.vmpi import sweep as sweep_module
@@ -64,6 +70,8 @@ from repro.vmpi.decomposition import (
 from repro.vmpi.rounds import PLAN_LIMIT
 from tests.test_vmpi_differential import chrome_export_bytes
 from tests.vmpi_reference import ReferenceEngine
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ranks(n):
@@ -268,6 +276,22 @@ def arbor_unhoisted(comm, cells_total, steps, exchange_every, pressure):
     return epoch
 
 
+def bisection_per_op(comm, message_bytes, rounds):
+    """LinkTest's ``bisection_program`` as it was before its bounce loop
+    became one batch."""
+    half = comm.size // 2
+    if comm.rank >= 2 * half:
+        yield comm.barrier(label="start")
+        yield comm.barrier(label="stop")
+        return 0.0
+    partner = comm.rank + half if comm.rank < half else comm.rank - half
+    yield comm.barrier(label="start")
+    for _ in range(rounds):
+        yield comm.sendrecv(partner, Phantom(message_bytes), partner, tag=9)
+    yield comm.barrier(label="stop")
+    return rounds * message_bytes
+
+
 UNHOISTED = {"megatron": megatron_unhoisted, "chroma": chroma_unhoisted,
              "arbor": arbor_unhoisted, "arbor-no-epoch": arbor_unhoisted}
 UNHOISTED_CASES = [(p, m) for p, m in CASES if p in UNHOISTED]
@@ -284,6 +308,33 @@ def test_hoisted_program_is_the_unhoisted_program(prog, mach, tmp_path):
         assert_identical(loop, swept)
     assert chrome_export_bytes(tmp_path, "loop", loop) == \
         chrome_export_bytes(tmp_path, "swept", swept)
+
+
+#: even rank counts sweep; odd ones (a spectator rank posts its barriers
+#: one by one) lower; the MSA job pairs cluster ranks with booster ranks
+BISECTION_MACHINES = {
+    "2ranks": lambda: ranks(2), "3ranks": lambda: ranks(3),
+    "4ranks": lambda: ranks(4), "5ranks": lambda: ranks(5),
+    "8ranks": lambda: ranks(8),
+    "msa": lambda: Machine.msa(cluster_nodes=1, booster_nodes=1),
+}
+
+
+@pytest.mark.parametrize("message_bytes", [4096.0, 16 * MIB],
+                         ids=["eager", "rendezvous"])
+@pytest.mark.parametrize("mach", BISECTION_MACHINES)
+def test_batched_bisection_is_the_per_op_loop(mach, message_bytes, traffic):
+    machine = BISECTION_MACHINES[mach]()
+    args = (message_bytes, 4)
+    batched = VmpiEngine(machine).run(bisection_program, args=args)
+    for engine, program in ((ReferenceEngine, bisection_per_op),
+                            (ReferenceEngine, bisection_program),
+                            (VmpiEngine, bisection_per_op)):
+        assert_identical(engine(machine).run(program, args=args), batched)
+    if machine.nranks % 2:
+        assert traffic["lowered"] and not traffic["sweeps"]
+    else:
+        assert traffic["sweeps"] == 1 and not traffic["lowered"]
 
 
 # -- (b) lowering: anything that is not columns runs as before ------------------
@@ -589,6 +640,54 @@ def test_chroma_plans_each_distinct_column_once(monkeypatch, traffic):
     assert builds == [64]
     assert traffic["sweeps"] == trajectories and not traffic["lowered"]
     assert spmd.traces[0].ops == trajectories * (md_steps * 25 + 1)
+
+
+def count_linktest() -> dict:
+    """Sweeps, ``Request``s and rank-ops of LinkTest on the whole
+    modelled Booster; run in a fresh interpreter by
+    :func:`test_linktest_at_full_scale_is_one_sweep`."""
+    from repro.synthetic.linktest import (
+        MESSAGE_BYTES,
+        ROUNDS,
+        LinktestBenchmark,
+    )
+
+    counts = Counter()
+
+    class CountedRequest(engine_module.Request):
+        def __init__(self, *args, **kw):
+            counts["requests"] += 1
+            super().__init__(*args, **kw)
+
+    real_run = sweep_module.SweepPlan.run
+
+    def counting_run(self, *args):
+        counts["sweeps"] += 1
+        return real_run(self, *args)
+
+    engine_module.Request = CountedRequest
+    sweep_module.SweepPlan.run = counting_run
+    bench = LinktestBenchmark()
+    spmd = bench.run_program(bench.machine(936), bisection_program,
+                             args=(MESSAGE_BYTES, ROUNDS))
+    counts["ranks"] = spmd.nranks
+    counts["rank_ops"] = sum(t.ops for t in spmd.traces)
+    return counts
+
+
+def test_linktest_at_full_scale_is_one_sweep():
+    code = ("import json\n"
+            "from tests.test_vmpi_sweep import count_linktest\n"
+            "print(json.dumps(count_linktest()))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT)])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    # 3 744 ranks, 1 872 pairs: barrier, four bounces, barrier -- one
+    # sweep for the whole job and not a single Request
+    assert counts == {"sweeps": 1, "ranks": 3744, "rank_ops": 6 * 3744}
 
 
 def test_sweep_plans_are_bounded(traffic):

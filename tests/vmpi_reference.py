@@ -114,9 +114,6 @@ class ReferenceEngine(VmpiEngine):
         self.traces[r].compute[op.label] += dt
         return True
 
-    def _post_sendrecv(self, r, op):
-        return self._sendrecv_requests(r, op)
-
     def _post_exchange(self, r, op):
         ekey = (op.comm_id, op.tag)
         rnd = self._xseq[ekey + (r,)]
