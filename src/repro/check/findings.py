@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..exec.jsonl import replace_file
+
 
 class Severity(enum.Enum):
     """Finding severities, mapped 1:1 onto SARIF levels."""
@@ -154,7 +156,7 @@ def load_baseline(path: str | Path) -> Baseline:
 def save_baseline(path: str | Path, baseline: Baseline) -> int:
     """Write a baseline file; returns the number of entries.
 
-    Written to a sibling temp file and renamed over ``path``, so a write
+    Written through :func:`~repro.exec.jsonl.replace_file`, so a write
     that fails part-way leaves the previous baseline byte for byte.
     """
     payload = {
@@ -166,12 +168,5 @@ def save_baseline(path: str | Path, baseline: Baseline) -> int:
         },
         "entries": [e.to_dict() for e in baseline.entries],
     }
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    try:
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-        tmp.replace(target)
-    finally:
-        tmp.unlink(missing_ok=True)     # only left over if the write failed
+    replace_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return len(baseline.entries)

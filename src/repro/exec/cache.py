@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Protocol
 
+from .jsonl import replace_file
+
 #: Code-version tag entering every cache key.  Bump on any change that
 #: alters benchmark results, so stale caches can never be replayed.
 CODE_VERSION = "jupiter-repro-1"
@@ -238,7 +240,9 @@ class DiskCache:
     def put(self, key: str, value: Any) -> None:
         with self._lock:
             payload = json.dumps({"key": key, "value": value}, sort_keys=True)
-            self._path(key).write_text(payload)
+            # atomic: another process sharing the directory never reads
+            # (and deletes as torn) a half-written entry
+            replace_file(self._path(key), payload)
             self._order[key] = None
             self._order.move_to_end(key)
             self.stats.stores += 1

@@ -165,7 +165,8 @@ def _run_guarded(fn: Callable[..., Any], args: tuple,
                  clock: Callable[[], float] = time.perf_counter,
                  guard: Callable[[int], None] | None = None,
                  backoff: Any = None, label: str = "",
-                 key: str | None = None) -> _Attempt:
+                 key: str | None = None,
+                 timelines: bool = True) -> _Attempt:
     """Run one item inside the fault boundary.
 
     Module-level so the process backend can pickle it.
@@ -194,8 +195,11 @@ def _run_guarded(fn: Callable[..., Any], args: tuple,
     suite calls) records spans even inside process workers; the batch
     travels back in :attr:`_Attempt.spans` and the parent grafts it
     under the task span (rebasing clocks for the process backend).
+    With ``timelines`` off the collector keeps no per-rank vmpi events,
+    so a run whose tracer nobody reads never builds them.
     """
     collector = Tracer(clock=clock)
+    collector.timelines = timelines
     started = clock()
     attempts = 0
     last: BaseException | None = None
@@ -281,6 +285,10 @@ class ExecutionEngine:
         self.degrade = (faults is not None) if degrade is None else degrade
         #: the span stream every processed task lands on
         self.tracer = tracer if tracer is not None else Tracer()
+        #: rank timelines are kept only in a tracer the caller handed
+        #: in; the engine's own tracer feeds the journal, which reads
+        #: task spans and never events
+        self._timelines = tracer is not None
         self.metrics = metrics if metrics is not None else default_registry()
         #: the journal consumes the engine's span stream (it is a
         #: subscriber, not a parallel bookkeeping path)
@@ -328,7 +336,7 @@ class ExecutionEngine:
                         items[i].kwargs, self._retries_for(items[i]),
                         self._timeout_for(items[i]), self.tracer.clock,
                         self._guard_for(i, items[i]), self.backoff,
-                        items[i].display(i), items[i].key)
+                        items[i].display(i), items[i].key, self._timelines)
                     for i in pending
                 }
                 for i, future in futures.items():
@@ -380,7 +388,7 @@ class ExecutionEngine:
                             self._retries_for(item),
                             self._timeout_for(item), self.tracer.clock,
                             self._guard_for(index, item), self.backoff,
-                            item.display(index), item.key)
+                            item.display(index), item.key, self._timelines)
 
     def _guard_for(self, index: int,
                    item: WorkItem) -> Callable[[int], None] | None:

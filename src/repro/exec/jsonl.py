@@ -1,4 +1,5 @@
-"""Reading append-only JSONL files that a crash may have cut short.
+"""Reading append-only JSONL files that a crash may have cut short, and
+replacing whole files so that a crash never cuts them.
 
 Every durable log of the project -- the history database, the service
 result store, the telemetry trace sink -- appends one JSON document per
@@ -9,12 +10,19 @@ is dropped with one warning on stderr that names the dropped bytes, and
 :attr:`JsonlReader.torn_at` tells a writer where to truncate before its
 next append (:func:`cut_torn_tail`).  A malformed line anywhere else is
 not a crash artifact and stays an error.
+
+Files that are rewritten whole -- a check baseline, a compacted history
+database, a disk-cache entry, a Chrome trace -- go through
+:func:`replace_file` instead: a reader sees the old bytes or the new
+ones, never a prefix.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
+import threading
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -63,3 +71,23 @@ def cut_torn_tail(path: str | Path, torn_at: int | None) -> None:
     if torn_at is not None:
         with open(path, "r+b") as fh:
             fh.truncate(torn_at)
+
+
+def replace_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically.
+
+    The bytes go to a sibling temp file that ``os.replace`` then moves
+    over ``path``, so a write that fails part-way leaves the previous
+    file byte for byte; the temp file is removed on failure.  Its name
+    (``<name>.<pid>.<thread>.tmp``) is unique per writer and matches no
+    ``*.json``/``*.jsonl`` glob, so concurrent writers of one path and
+    directory scans never see it.
+    """
+    target = Path(path)
+    tmp = target.with_name(
+        f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)     # only left over if the write failed

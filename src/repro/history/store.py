@@ -23,7 +23,7 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from ..exec.jsonl import JsonlReader, cut_torn_tail
+from ..exec.jsonl import JsonlReader, cut_torn_tail, replace_file
 from .record import HISTORY_SCHEMA, HISTORY_VERSION, RunRecord
 
 
@@ -179,15 +179,13 @@ class HistoryStore:
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
     def save(self, path: str | Path) -> int:
-        """Write the full store (meta header + every record) to a new
-        JSONL file; returns the record count."""
-        target = Path(path)
-        self._write_header(target)
+        """Write the full store (meta header + every record) as one JSONL
+        file that replaces ``path`` atomically; returns the record
+        count."""
         recs = self.records
-        with open(target, "a", encoding="utf-8") as fh:
-            for rec in recs:
-                fh.write(json.dumps(rec.to_line(), sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        replace_file(path, "".join(
+            json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
+            for line in (_meta_line(), *(rec.to_line() for rec in recs))))
         return len(recs)
 
     def compact(self, keep_last: int,
@@ -209,9 +207,7 @@ class HistoryStore:
             for rec in grouped.get(key, ())[-keep_last:]:
                 out._adopt(rec)
         if target is not None:
-            tmp = target.with_suffix(target.suffix + ".tmp")
-            out.save(tmp)
-            tmp.replace(target)
+            out.save(target)
             out.path = target
         return out
 

@@ -9,9 +9,9 @@ reduction HPCG requires.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..core.benchmark import BenchmarkResult
 from ..core.fom import FigureOfMerit
@@ -20,6 +20,9 @@ from ..units import register_dims
 from ..vmpi import Phantom
 from ..vmpi.decomposition import CartGrid, halo_batch, phantom_faces
 from .base import SyntheticBenchmark
+
+if TYPE_CHECKING:  # pragma: no cover
+    import scipy.sparse as sp
 
 #: dimension annotations consumed by ``repro.check``'s UNIT3xx rules;
 #: ITERATIONS is a count, so ``elapsed * (ITERATIONS / measured)``
@@ -32,6 +35,7 @@ DIMS = register_dims(__name__, {
 def build_27pt(n: int) -> sp.csr_matrix:
     """The HPCG operator: 27-point stencil, diagonal 26, off-diagonal
     -1, on an n^3 grid with Dirichlet truncation at the boundary."""
+    import scipy.sparse as sp  # real mode only; timing runs never load it
     if n < 2:
         raise ValueError("grid must be at least 2^3")
     idx = np.arange(n ** 3).reshape(n, n, n)
@@ -60,6 +64,8 @@ def build_27pt(n: int) -> sp.csr_matrix:
 def symgs(a: sp.csr_matrix, r: np.ndarray) -> np.ndarray:
     """One symmetric Gauss-Seidel application M^-1 r (forward sweep then
     backward sweep via triangular solves)."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     lower = sp.tril(a, 0).tocsr()
     upper = sp.triu(a, 0).tocsr()
     d = a.diagonal()

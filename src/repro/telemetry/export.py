@@ -22,6 +22,7 @@ import json
 import threading
 from typing import Any, TextIO
 
+from ..exec.jsonl import replace_file
 from .schema import meta_event
 from .spans import SpanRecord, Tracer
 
@@ -92,9 +93,10 @@ def emit_vmpi(tracer: Tracer, benchmark: str, nodes: int,
     ``spmd`` is a :class:`~repro.vmpi.trace.SpmdResult` (duck-typed:
     only ``.traces`` with ``compute``/``comm`` label buckets is read).
     Events carry a per-benchmark ``run`` ordinal so repeated runs (a
-    scaling sweep) render as separate rank timelines.
+    scaling sweep) render as separate rank timelines.  A tracer whose
+    ``timelines`` is off gets nothing: no reader would see the events.
     """
-    if not tracer.enabled:
+    if not (tracer.enabled and tracer.timelines):
         return
     run = 1 + tracer.last_vmpi_run(benchmark)
     for rank, trace in enumerate(spmd.traces):
@@ -197,7 +199,8 @@ def chrome_trace_events(spans: list[SpanRecord],
 def write_chrome_trace(path: Any, tracer: Tracer) -> int:
     """Write the tracer's retained spans + events as a Chrome trace.
 
-    Returns the number of ``trace_event`` entries written.
+    The file is replaced atomically, so an interrupted export keeps the
+    previous trace.  Returns the number of ``trace_event`` entries written.
     """
     trace = {
         "traceEvents": chrome_trace_events(tracer.finished(),
@@ -206,7 +209,5 @@ def write_chrome_trace(path: Any, tracer: Tracer) -> int:
         "otherData": {"producer": "repro.telemetry",
                       "schema": "chrome trace_event"},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace, fh, sort_keys=True)
-        fh.write("\n")
+    replace_file(path, json.dumps(trace, sort_keys=True) + "\n")
     return len(trace["traceEvents"])

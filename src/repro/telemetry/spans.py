@@ -113,6 +113,10 @@ class Tracer:
                  *, enabled: bool = True):
         self.clock = clock
         self.enabled = enabled
+        #: keep per-rank vmpi timelines (:func:`~repro.telemetry.export.
+        #: emit_vmpi`); an engine clears it on the attempt collectors of
+        #: a run whose tracer nobody reads
+        self.timelines = True
         self._lock = threading.Lock()
         self._tls = threading.local()
         self._next_id = 0

@@ -13,6 +13,7 @@ Also the consistency of the one implementation table
 facade built by ``repro._lazy.lazy_exports``.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -144,6 +145,64 @@ class TestImportBudget:
             "assert suite.run('STREAM').benchmark == 'STREAM'\n"))
         assert kernels(out["new"])[-1] == "repro.synthetic.stream"
         assert "scipy" not in out["roots"]
+
+
+def module_scope_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(lineno, module)`` of every import that runs when the module
+    is imported: module scope, including ``if``/``try`` bodies, except
+    an ``if TYPE_CHECKING:`` block."""
+    found: list[tuple[int, str]] = []
+    body = list(tree.body)
+    while body:
+        node = body.pop(0)
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module or ""))
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name)
+                    and node.test.id == "TYPE_CHECKING"):
+                body += node.body
+            body += node.orelse
+        elif isinstance(node, ast.Try):
+            body += node.body + node.orelse + node.finalbody
+            for handler in node.handlers:
+                body += handler.body
+    return found
+
+
+class TestHeavyImportsAreDeferred:
+    """DESIGN.md's rule that ``scipy`` and ``networkx`` are imported by
+    the function that calls them (real-mode kernels, ``Topology.graph``),
+    never at module scope: a timing run must not pay for them."""
+
+    def test_no_module_scope_scipy_or_networkx(self):
+        offenders = []
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offenders += [
+                f"{path.relative_to(SRC)}:{line}: {name}"
+                for line, name in module_scope_imports(tree)
+                if name.partition(".")[0] in {"scipy", "networkx"}]
+        assert offenders == []
+
+    def test_timing_suite_of_the_scipy_kernels_loads_neither(self):
+        out = child_modules("suite", "--benchmarks",
+                            "GROMACS,Amber,HPCG,Graph500")
+        assert out["code"] == 0
+        assert not {"scipy", "networkx"} & out["roots"]
+        assert {"repro.apps.md.forcefield", "repro.synthetic.hpcg",
+                "repro.synthetic.graph500"} <= set(out["new"])
+
+    @pytest.mark.parametrize("argv,needs", [
+        (("run", "HPCG", "--real"), "scipy.sparse.linalg"),
+        (("run", "Graph500", "--real"), "scipy.sparse"),
+        (("run", "GROMACS", "--real", "--scale", "0.1"), "scipy.special"),
+    ])
+    def test_real_mode_reaches_the_deferred_import(self, argv, needs):
+        out = child_modules(*argv)
+        assert out["code"] == 0
+        assert needs in out["new"]
 
 
 class TestImplementationTable:

@@ -4,13 +4,23 @@ cross-process clock rebasing, JSONL persistence and the observability
 command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.exec import ExecutionEngine, MemoryCache, RunJournal, WorkItem
 from repro.exec.journal import TaskRecord
-from repro.telemetry import JsonlSink, validate_file
+from repro.telemetry import JsonlSink, Tracer, validate_file
+from repro.telemetry.export import emit_vmpi
+from repro.telemetry.spans import current_tracer
+from repro.vmpi.trace import RankTrace, SpmdResult
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _double(x):
@@ -253,3 +263,104 @@ class TestCliObservability:
         self._run(["suite", "--benchmarks", "STREAM",
                    "--trace-out", str(tmp_path / "t.jsonl")])
         assert current_tracer() is NULL_TRACER
+
+
+def _rank_program(label):
+    """A task that records a two-rank vmpi run the way a scaling point
+    does: on the ambient tracer, which inside an engine task is the
+    attempt's collector."""
+    traces = [RankTrace(compute={"step": 1.0 + r}, comm={"halo": 0.5})
+              for r in range(2)]
+    emit_vmpi(current_tracer(), label, 2,
+              SpmdResult(values=[None, None], clocks=[1.5, 2.5],
+                         traces=traces))
+    return label
+
+
+def _vmpi_events(engine):
+    return [e for e in engine.tracer.events() if e.get("type") == "vmpi"]
+
+
+class TestRankTimelinesOnlyWhenRead:
+    """Per-rank vmpi events are built only into a tracer the engine was
+    handed; its own tracer feeds the journal, which reads spans only."""
+
+    @pytest.mark.parametrize("workers,backend", [
+        (1, "serial"), (2, "thread"), (2, "process")])
+    def test_engine_keeps_timelines_only_for_a_handed_tracer(
+            self, workers, backend):
+        items = [WorkItem(fn=_rank_program, args=(name,), label=name)
+                 for name in ("A", "B")]
+        own = ExecutionEngine(workers=workers, backend=backend)
+        assert own.run(items) == ["A", "B"]
+        assert _vmpi_events(own) == []
+        handed = ExecutionEngine(workers=workers, backend=backend,
+                                 tracer=Tracer())
+        assert handed.run(items) == ["A", "B"]
+        assert len(_vmpi_events(handed)) == 2 * 2 * 2   # tasks x ranks x 2
+        assert _task_tree(own) == _task_tree(handed)
+
+    def test_own_tracer_still_records_attempts_and_faults(self):
+        from repro.exec.resilience import BackoffPolicy
+        from repro.faults import FaultInjector, FaultPlan, TaskFaultRule
+
+        plan = FaultPlan(tasks=(TaskFaultRule(match="A", attempts=(1,)),))
+        engine = ExecutionEngine(workers=1, retries=1,
+                                 faults=FaultInjector(plan),
+                                 backoff=BackoffPolicy(seed=3))
+        engine.map([WorkItem(fn=_rank_program, args=("A",), label="A")])
+        attempts = [s for s in engine.tracer.finished()
+                    if s.name == "attempt"]
+        assert [s.attrs["status"] for s in attempts] == ["error", "ok"]
+        assert "backoff" in attempts[0].attrs
+        faults = [e for e in engine.tracer.events()
+                  if e.get("type") == "fault"]
+        assert [(e["category"], e["action"]) for e in faults] == \
+            [("task", "inject")]
+        assert _vmpi_events(engine) == []
+
+    def test_untraced_command_makes_no_emit_calls(self, tmp_path):
+        """Count guard in a fresh interpreter: an untraced ``fig3``
+        calls ``Tracer.emit`` zero times; the same command traced
+        calls it for every rank timeline (so the counter is live)."""
+        code = (
+            "import contextlib, io, sys\n"
+            "from repro.telemetry.spans import Tracer\n"
+            "calls = [0]\n"
+            "emit = Tracer.emit\n"
+            "def counted(self, event):\n"
+            "    calls[0] += 1\n"
+            "    return emit(self, event)\n"
+            "Tracer.emit = counted\n"
+            "from repro.cli import main\n"
+            "counts = []\n"
+            "for extra in ([], ['--trace-out', sys.argv[1]]):\n"
+            "    calls[0] = 0\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(['fig3', '--nodes', '8', *extra]) == 0\n"
+            "    counts.append(calls[0])\n"
+            "print(*counts)\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "t.jsonl")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        untraced, traced = map(int, proc.stdout.split())
+        assert untraced == 0
+        assert traced > 0
+
+    def test_traced_vmpi_events_match_serial_on_every_backend(
+            self, tmp_path):
+        from repro.cli import main
+
+        def vmpi(*extra):
+            path = tmp_path / f"t{len(list(tmp_path.iterdir()))}.jsonl"
+            assert main(["fig3", "--nodes", "8,16", *extra,
+                         "--trace-out", str(path)]) == 0
+            return Counter(line for line in path.read_text().splitlines()
+                           if '"type":"vmpi"' in line)
+
+        serial = vmpi()
+        assert sum(serial.values()) > 0
+        assert vmpi("--workers", "2", "--backend", "thread") == serial
+        assert vmpi("--workers", "2", "--backend", "process") == serial

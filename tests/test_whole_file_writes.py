@@ -1,0 +1,118 @@
+"""Whole-file artifacts are replaced atomically.
+
+A check baseline, a compacted history database, a disk-cache entry and
+a Chrome trace are each rewritten in full through one helper,
+:func:`repro.exec.jsonl.replace_file`.  A simulated kill after byte *k*
+of the write must leave the previous file byte for byte and no temp
+file behind, and the temp file must never look like an artifact to a
+directory scan (``*.json``/``*.jsonl``).
+"""
+
+from fnmatch import fnmatch
+from pathlib import Path
+
+import pytest
+
+from repro.check import Baseline, BaselineEntry
+from repro.check.findings import save_baseline
+from repro.exec import DiskCache
+from repro.history import HistoryStore
+from repro.telemetry import write_chrome_trace
+from tests.regen_goldens import build_telemetry_tracer
+
+KILL_AFTER = (0, 1, 17, 200, 10 ** 9)
+
+
+class Killed(BaseException):
+    """A simulated kill: not an ``Exception``, so nothing may catch it."""
+
+
+def _baseline(tmp_path):
+    path = tmp_path / "check-baseline.json"
+    entry = BaselineEntry(rule="DET001", path="apps/a.py",
+                          snippet="t = time.time()", justification="old")
+    save_baseline(path, Baseline(entries=[entry]))
+    new = Baseline(entries=[entry, BaselineEntry(
+        rule="CON102", path="core/b.py", snippet="X()",
+        justification="new")])
+    return path, lambda: save_baseline(path, new)
+
+
+def _history_compact(tmp_path):
+    path = tmp_path / "db.jsonl"
+    store = HistoryStore.open(path)
+    for i in range(6):
+        store.record_and_append("STREAM", 1.0 + 0.01 * i,
+                                params={"nodes": 1 + i % 2})
+    return path, lambda: HistoryStore.open(path).compact(1)
+
+
+def _disk_cache_put(tmp_path):
+    cache = DiskCache(tmp_path)
+    cache.put("k", {"fom": 1.0})
+    return tmp_path / "k.json", lambda: cache.put("k", {"fom": [2.0] * 99})
+
+
+def _chrome_trace(tmp_path):
+    path = tmp_path / "trace.json"
+    write_chrome_trace(path, build_telemetry_tracer())
+    bigger = build_telemetry_tracer()
+    with bigger.span("extra"):
+        pass
+    return path, lambda: write_chrome_trace(path, bigger)
+
+
+WRITERS = {"check baseline": _baseline,
+           "history compact": _history_compact,
+           "disk-cache entry": _disk_cache_put,
+           "chrome trace": _chrome_trace}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_write_killed_part_way_keeps_the_previous_file(
+        writer, tmp_path, monkeypatch):
+    path, rewrite = WRITERS[writer](tmp_path)
+    before = path.read_bytes()
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    real_write = Path.write_text
+    temp_names = []
+
+    for k in KILL_AFTER:
+        def write_then_die(self, data, *args, **kw):
+            temp_names.append(self.name)
+            real_write(self, data[:k], *args, **kw)
+            raise Killed(k)
+
+        monkeypatch.setattr(Path, "write_text", write_then_die)
+        with pytest.raises(Killed):
+            rewrite()
+        monkeypatch.setattr(Path, "write_text", real_write)
+        assert path.read_bytes() == before, k
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing, k
+
+    assert temp_names and not any(
+        fnmatch(name, "*.json") or fnmatch(name, "*.jsonl")
+        for name in temp_names)
+    rewrite()
+    assert path.read_bytes() != before
+
+
+def test_a_killed_cache_put_is_invisible_to_a_second_process(
+        tmp_path, monkeypatch):
+    """Another process sharing the directory sees the old entry, never
+    a torn one it would delete."""
+    _path, rewrite = _disk_cache_put(tmp_path)
+    real_write = Path.write_text
+
+    def die(self, data, *args, **kw):
+        real_write(self, data[:5], *args, **kw)
+        raise Killed
+
+    monkeypatch.setattr(Path, "write_text", die)
+    with pytest.raises(Killed):
+        rewrite()
+    monkeypatch.undo()
+    other = DiskCache(tmp_path)
+    assert other.keys() == ["k"]
+    assert other.get("k") == (True, {"fom": 1.0})
+
