@@ -62,47 +62,49 @@ TOKENS_PER_STEP = 2048 * GPT_SEQ
 TP_SIZE = 4  # tensor parallelism within a node (NVLink)
 
 
-def megatron_timing_program(comm, steps: int):
-    """3D-parallel GPT training steps (phantom costs).
+def megatron_timing_program(world, steps: int):
+    """3D-parallel GPT training steps (phantom costs; a job program,
+    :mod:`repro.vmpi.job`).
 
     TP group = the node's 4 GPUs; PP stages split the layer stack over
     nodes (up to 12); DP replicates the rest.  Per step: the GEMM work
     of 6 * params * tokens FLOPs spread over all ranks, TP allreduces
     per layer, PP boundary sendrecvs, and the DP gradient allreduce.
     """
-    tp = yield comm.split(comm.rank // TP_SIZE)           # node-local
-    nodes = comm.size // TP_SIZE
+    n = world.size
+    nodes = n // TP_SIZE
     pp_stages = min(12, max(1, nodes))
-    node_id = comm.rank // TP_SIZE
-    pp = yield comm.split(node_id % max(1, nodes // pp_stages),
-                          key=node_id)
-    dp = yield comm.split((comm.rank % TP_SIZE) * pp_stages +
-                          (node_id // max(1, nodes // pp_stages)) % pp_stages)
-    flops_per_rank = 6.0 * GPT_PARAMS * TOKENS_PER_STEP / comm.size
+    stride = max(1, nodes // pp_stages)
+    node_id = [r // TP_SIZE for r in range(n)]
+    tp_split, tp = world.split(node_id)                   # node-local
+    pp_split, pp = world.split([i % stride for i in node_id], key=node_id)
+    dp_split, dp = world.split([(r % TP_SIZE) * pp_stages +
+                                (i // stride) % pp_stages
+                                for r, i in enumerate(node_id)])
+    flops_per_rank = 6.0 * GPT_PARAMS * TOKENS_PER_STEP / n
     layers_per_stage = GPT_LAYERS / pp_stages
-    micro_tokens = TOKENS_PER_STEP / max(1, dp.size) / 8.0  # 8 microbatches
-    act_bytes = micro_tokens * GPT_HIDDEN * 2.0
+    # activations of one of 8 microbatches of each rank's DP share
+    act_bytes = [TOKENS_PER_STEP / max(1, c.size) / 8.0 * GPT_HIDDEN * 2.0
+                 for c in dp]
     # GEMMs (forward + backward + recompute)
-    gemm = comm.compute(flops=flops_per_rank / BF16_FACTOR,
-                        bytes_moved=flops_per_rank / 300.0,
-                        efficiency=GEMM_EFFICIENCY, label="gemm")
+    gemm = world.compute(flops=flops_per_rank / BF16_FACTOR,
+                         bytes_moved=flops_per_rank / 300.0,
+                         efficiency=GEMM_EFFICIENCY, label="gemm")
     # tensor-parallel allreduces: ~4 per layer per microbatch,
     # aggregated here into one op per microbatch over the stage
-    micro = (tp.allreduce(Phantom(4.0 * layers_per_stage * act_bytes / 8.0),
-                          label="tp-allreduce"),)
-    if pp.size > 1:
-        nxt = (pp.rank + 1) % pp.size
-        prv = (pp.rank - 1) % pp.size
-        micro += (pp.sendrecv(nxt, Phantom(act_bytes), prv, tag=7),)
+    micro = (tuple(c.allreduce(Phantom(4.0 * layers_per_stage * a / 8.0),
+                               label="tp-allreduce")
+                   for c, a in zip(tp, act_bytes)),)
+    ring = tuple(c.sendrecv((c.rank + 1) % c.size, Phantom(a),
+                            (c.rank - 1) % c.size, tag=7)
+                 if c.size > 1 else None for c, a in zip(pp, act_bytes))
+    if ring.count(None) < n:
+        micro += (ring,)
     # data-parallel gradient allreduce (sharded parameters)
-    grads = dp.allreduce(Phantom(2.0 * GPT_PARAMS / (TP_SIZE * pp_stages)),
-                         label="dp-allreduce")
-    # The step is a constant program: one batch, so the engine runs it
-    # for all ranks in lockstep (see DESIGN.md section 10).
-    step = (gemm,) + micro * 8 + (grads,)
-    for _step in range(steps):
-        yield step
-    return pp_stages
+    grads = Phantom(2.0 * GPT_PARAMS / (TP_SIZE * pp_stages))
+    step = (gemm,) + micro * 8 + (
+        tuple(c.allreduce(grads, label="dp-allreduce") for c in dp),)
+    return ((tp_split, pp_split, dp_split), step, steps, ()), pp_stages
 
 
 class MegatronBenchmark(AppBenchmark):
@@ -165,28 +167,27 @@ CLIP_GLOBAL_BATCH = 4096
 CLIP_EMBED_DIM = 768
 
 
-def mmoclip_timing_program(comm, steps: int):
-    """Data-parallel contrastive training with the feature allgather."""
-    batch_local = CLIP_GLOBAL_BATCH / comm.size
+def mmoclip_timing_program(world, steps: int):
+    """Data-parallel contrastive training with the feature allgather
+    (a job program, :mod:`repro.vmpi.job`)."""
+    batch_local = CLIP_GLOBAL_BATCH / world.size
     flops = CLIP_FLOPS_PER_PAIR * batch_local
     feature_bytes = batch_local * CLIP_EMBED_DIM * 2.0 * 2  # both towers
     step = (
-        comm.compute(flops=flops / BF16_FACTOR,
-                     bytes_moved=flops / 300.0,
-                     efficiency=GEMM_EFFICIENCY, label="towers"),
+        world.compute(flops=flops / BF16_FACTOR,
+                      bytes_moved=flops / 300.0,
+                      efficiency=GEMM_EFFICIENCY, label="towers"),
         # the CLIP-specific step: allgather all ranks' embeddings to
         # build the global similarity matrix
-        comm.allgather(Phantom(feature_bytes), label="feature-gather"),
-        comm.compute(flops=CLIP_GLOBAL_BATCH * batch_local *
-                     CLIP_EMBED_DIM * 4.0 / BF16_FACTOR,
-                     bytes_moved=CLIP_GLOBAL_BATCH * batch_local * 4.0,
-                     efficiency=GEMM_EFFICIENCY, label="similarity"),
-        comm.allreduce(Phantom(2.0 * CLIP_PARAMS / comm.size),
-                       label="dp-allreduce"),
+        world.allgather(Phantom(feature_bytes), label="feature-gather"),
+        world.compute(flops=CLIP_GLOBAL_BATCH * batch_local *
+                      CLIP_EMBED_DIM * 4.0 / BF16_FACTOR,
+                      bytes_moved=CLIP_GLOBAL_BATCH * batch_local * 4.0,
+                      efficiency=GEMM_EFFICIENCY, label="similarity"),
+        world.allreduce(Phantom(2.0 * CLIP_PARAMS / world.size),
+                        label="dp-allreduce"),
     )
-    for _step in range(steps):
-        yield step
-    return batch_local
+    return ((), step, steps, ()), batch_local
 
 
 class MmoclipBenchmark(AppBenchmark):
@@ -252,20 +253,19 @@ RESNET_IMAGES = 25_600_000       # the fixed training workload
 RESNET_GLOBAL_BATCH = 2048
 
 
-def resnet_timing_program(comm, steps: int):
-    """Horovod-style data-parallel ResNet-50 training."""
-    batch_local = RESNET_GLOBAL_BATCH / comm.size
+def resnet_timing_program(world, steps: int):
+    """Horovod-style data-parallel ResNet-50 training (a job program,
+    :mod:`repro.vmpi.job`)."""
+    batch_local = RESNET_GLOBAL_BATCH / world.size
     step = (
-        comm.compute(
+        world.compute(
             flops=RESNET_FLOPS_PER_IMAGE * batch_local / BF16_FACTOR,
             bytes_moved=batch_local * 150e6 / 10.0,
             efficiency=GEMM_EFFICIENCY * 0.6,  # convs attain less
             label="conv"),
-        comm.allreduce(Phantom(2.0 * RESNET_PARAMS), label="grad-allreduce"),
+        world.allreduce(Phantom(2.0 * RESNET_PARAMS), label="grad-allreduce"),
     )
-    for _step in range(steps):
-        yield step
-    return batch_local
+    return ((), step, steps, ()), batch_local
 
 
 class ResnetBenchmark(AppBenchmark):

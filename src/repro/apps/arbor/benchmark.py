@@ -45,37 +45,34 @@ OTHER_SHARE = 1.0 - CHANNEL_SHARE - CABLE_SHARE
 FLOPS_PER_COMP_STEP = 400.0
 
 
-def arbor_timing_program(comm, cells_total: float, steps: int,
+def arbor_timing_program(world, cells_total: float, steps: int,
                          exchange_every: int, pressure: float):
-    """Phantom-cost ring-network integration.
+    """Phantom-cost ring-network integration (a job program,
+    :mod:`repro.vmpi.job`).
 
     The integration kernels are bandwidth-bound streaming sweeps over
     the compartment state (hence the high bandwidth efficiency);
     ``pressure`` > 1 adds the allocator/fragmentation degradation of
     running at the memory limit (the Fig. 2 four-node point).
     """
-    cells_local = cells_total / comm.size
+    cells_local = cells_total / world.size
     comps = cells_local * COMPARTMENTS_PER_CELL
     step = tuple(
-        comm.compute(flops=share * FLOPS_PER_COMP_STEP * comps,
-                     bytes_moved=share * BYTES_PER_COMPARTMENT * comps *
-                     0.3 * pressure,
-                     efficiency=0.60, label=label)
+        world.compute(flops=share * FLOPS_PER_COMP_STEP * comps,
+                      bytes_moved=share * BYTES_PER_COMPARTMENT * comps *
+                      0.3 * pressure,
+                      efficiency=0.60, label=label)
         for share, label in ((CHANNEL_SHARE, "channels"),
                              (CABLE_SHARE, "cable"),
                              (OTHER_SHARE, "other")))
     # spike exchange: tiny payloads, fully hidden behind compute
-    spikes = comm.allgather(Phantom(64.0 * cells_local * 0.01),
-                            label="spike-exchange")
-    # one batch per communication epoch, the steps after the last
-    # exchange in a final shorter one
-    epoch = step * exchange_every + (spikes,)
+    spikes = world.allgather(Phantom(64.0 * cells_local * 0.01),
+                             label="spike-exchange")
+    # one step per communication epoch, the steps after the last
+    # exchange as the epilogue
     epochs = steps // exchange_every
-    for _epoch in range(epochs):
-        yield epoch
-    if steps % exchange_every:
-        yield step * (steps % exchange_every)
-    return epochs
+    return ((), step * exchange_every + (spikes,), epochs,
+            step * (steps % exchange_every)), epochs
 
 
 def arbor_real_program(comm, network: RingNetwork, t_end: float,

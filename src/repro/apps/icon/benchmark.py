@@ -23,7 +23,7 @@ from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...core.verification import ModelVerifier
 from ...units import MIB, TERA
-from ...vmpi.decomposition import CartGrid, halo_batch, phantom_faces
+from ...vmpi.decomposition import CartGrid, phantom_faces
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark
 from .dynamics import gaussian_hill, geostrophic_state, step_rk3
@@ -44,33 +44,29 @@ FLOPS_PER_CELL_LEVEL = 1200.0
 BYTES_PER_CELL_LEVEL = 2000.0
 
 
-def icon_timing_program(comm, cells: float, input_bytes: float,
+def icon_timing_program(world, cells: float, input_bytes: float,
                         steps: int, io_seconds: float):
-    """Input staging + horizontally decomposed forecast stepping."""
-    cart = CartGrid.for_ranks(comm.size, 2, periodic=True)
-    cells_local = cells / comm.size
+    """Input staging + horizontally decomposed forecast stepping (a job
+    program, :mod:`repro.vmpi.job`)."""
+    cart = CartGrid.for_ranks(world.size, 2, periodic=True)
+    cells_local = cells / world.size
     cols = max(cells_local ** 0.5, 1.0)
     local_dims = (int(cols) + 1, int(cols) + 1)
     faces = phantom_faces(local_dims,
                           itemsize=int(8 * VERTICAL_LEVELS * 3))
     # parallel read of the initial state (every rank takes its share)
-    yield comm.elapse(io_seconds, label="input-staging")
-    yield comm.barrier(label="startup")
+    staging = (world.elapse(io_seconds, label="input-staging"),
+               world.barrier(label="startup"))
     work = cells_local * VERTICAL_LEVELS
-    # The forecast step is a constant program: hoist its ops once
-    # (persistent-request style) and yield them as one fused batch.
-    halo, _keys = halo_batch(comm, cart, faces)
     forecast_step = (
-        comm.compute(flops=work * FLOPS_PER_CELL_LEVEL * 0.7,
-                     bytes_moved=work * BYTES_PER_CELL_LEVEL * 0.7,
-                     efficiency=0.35, label="dynamics"),
-        comm.compute(flops=work * FLOPS_PER_CELL_LEVEL * 0.3,
-                     bytes_moved=work * BYTES_PER_CELL_LEVEL * 0.3,
-                     efficiency=0.35, label="physics"),
-    ) + halo
-    for _step in range(steps):
-        yield forecast_step
-    return cells_local
+        world.compute(flops=work * FLOPS_PER_CELL_LEVEL * 0.7,
+                      bytes_moved=work * BYTES_PER_CELL_LEVEL * 0.7,
+                      efficiency=0.35, label="dynamics"),
+        world.compute(flops=work * FLOPS_PER_CELL_LEVEL * 0.3,
+                      bytes_moved=work * BYTES_PER_CELL_LEVEL * 0.3,
+                      efficiency=0.35, label="physics"),
+    ) + world.halo(cart, faces)
+    return (staging, forecast_step, steps, ()), cells_local
 
 
 class IconBenchmark(AppBenchmark):

@@ -26,7 +26,7 @@ from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...core.verification import ToleranceVerifier
 from ...vmpi import Phantom
-from ...vmpi.decomposition import CartGrid, dims_create, halo_batch, phantom_faces
+from ...vmpi.decomposition import CartGrid, dims_create, phantom_faces
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark, pow2_floor
 from .cg import conjugate_gradient
@@ -61,33 +61,31 @@ def local_lattice_dims(bytes_per_device: float) -> tuple[int, int, int, int]:
     return (edge, edge, edge, edge)
 
 
-def chroma_timing_program(comm, local_dims: tuple[int, int, int, int],
+def chroma_timing_program(world, local_dims: tuple[int, int, int, int],
                           trajectories: int, md_steps: int, cg_iters: int):
-    """Phantom-cost HMC trajectories on a 4D-decomposed lattice.
+    """Phantom-cost HMC trajectories on a 4D-decomposed lattice (a job
+    program, :mod:`repro.vmpi.job`).
 
     Each rank owns ``local_dims`` sites; one MD step = gauge force +
     fermion CG (two Dslash halo exchanges + three reductions per
     iteration).  Returns the number of charged Dslash applications.
     """
-    cart = CartGrid.for_ranks(comm.size, 4, periodic=True)
+    cart = CartGrid.for_ranks(world.size, 4, periodic=True)
     faces = phantom_faces(local_dims, itemsize=HALO_BYTES_PER_SITE)
     local_sites = float(np.prod(local_dims))
-    halo, _keys = halo_batch(comm, cart, faces)
-    force = comm.compute(flops=FORCE_FLOPS_PER_SITE * local_sites,
-                         bytes_moved=600.0 * local_sites,
-                         efficiency=0.30, label="gauge-force")
-    dslash = halo + (
-        comm.compute(flops=DSLASH_FLOPS_PER_SITE * local_sites,
-                     bytes_moved=DSLASH_BYTES_PER_SITE * local_sites,
-                     efficiency=0.35, label="dslash"),)
-    reduce = comm.allreduce(Phantom(16.0), label="cg-reduce")
+    force = world.compute(flops=FORCE_FLOPS_PER_SITE * local_sites,
+                          bytes_moved=600.0 * local_sites,
+                          efficiency=0.30, label="gauge-force")
+    dslash = world.halo(cart, faces) + (
+        world.compute(flops=DSLASH_FLOPS_PER_SITE * local_sites,
+                      bytes_moved=DSLASH_BYTES_PER_SITE * local_sites,
+                      efficiency=0.35, label="dslash"),)
+    reduce = world.allreduce(Phantom(16.0), label="cg-reduce")
     cg_iter = dslash * 2 + (reduce, reduce)  # D then D^+, two dots
-    # a trajectory is a constant program: one batch each
     trajectory = ((force,) + cg_iter * cg_iters) * md_steps + (
-        comm.allreduce(Phantom(8.0), label="metropolis"),)
-    for _traj in range(trajectories):
-        yield trajectory
-    return trajectories * md_steps * cg_iters * 2
+        world.allreduce(Phantom(8.0), label="metropolis"),)
+    return ((), trajectory, trajectories, ()), \
+        trajectories * md_steps * cg_iters * 2
 
 
 def verification_program(comm, gauge: GaugeField):

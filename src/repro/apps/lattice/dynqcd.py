@@ -21,7 +21,7 @@ from ...core.benchmark import BenchmarkResult
 from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...vmpi import Phantom
-from ...vmpi.decomposition import CartGrid, halo_batch, phantom_faces
+from ...vmpi.decomposition import CartGrid, phantom_faces
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark, pow2_floor
 from .cg import conjugate_gradient
@@ -40,22 +40,19 @@ DSLASH_FLOPS_PER_SITE = 1464.0
 DSLASH_BYTES_PER_SITE = 2880.0
 
 
-def dynqcd_timing_program(comm, local_dims, propagators: int, cg_iters: int):
-    """Phantom-cost propagator generation on the CPU module."""
-    cart = CartGrid.for_ranks(comm.size, 4, periodic=True)
+def dynqcd_timing_program(world, local_dims, propagators: int, cg_iters: int):
+    """Phantom-cost propagator generation on the CPU module (a job
+    program, :mod:`repro.vmpi.job`)."""
+    cart = CartGrid.for_ranks(world.size, 4, periodic=True)
     faces = phantom_faces(local_dims, itemsize=HALO_BYTES_PER_SITE)
     local_sites = float(np.prod(local_dims))
-    halo, _keys = halo_batch(comm, cart, faces)
-    dslash = halo + (
-        comm.compute(flops=DSLASH_FLOPS_PER_SITE * local_sites,
-                     bytes_moved=DSLASH_BYTES_PER_SITE * local_sites,
-                     efficiency=0.65, label="dslash"),)  # bandwidth-bound
-    reduce = comm.allreduce(Phantom(16.0), label="cg-reduce")
-    # one propagator's CG is a constant program: one batch each
+    dslash = world.halo(cart, faces) + (
+        world.compute(flops=DSLASH_FLOPS_PER_SITE * local_sites,
+                      bytes_moved=DSLASH_BYTES_PER_SITE * local_sites,
+                      efficiency=0.65, label="dslash"),)  # bandwidth-bound
+    reduce = world.allreduce(Phantom(16.0), label="cg-reduce")
     propagator = (dslash * 2 + (reduce, reduce)) * cg_iters
-    for _prop in range(propagators):
-        yield propagator
-    return propagators * cg_iters
+    return ((), propagator, propagators, ()), propagators * cg_iters
 
 
 class DynqcdBenchmark(AppBenchmark):

@@ -22,7 +22,7 @@ from ...core.benchmark import BenchmarkResult
 from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...core.verification import ModelVerifier
-from ...vmpi.decomposition import CartGrid, halo_batch, phantom_faces
+from ...vmpi.decomposition import CartGrid, phantom_faces
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark
 from .potts import checkerboard_tissue
@@ -36,21 +36,19 @@ FLOPS_PER_VOXEL = 120.0
 BYTES_PER_VOXEL = 160.0
 
 
-def nastja_timing_program(comm, domain: tuple[int, int, int], steps: int):
-    """Block-decomposed MC sweeps with per-sweep halo exchange."""
-    cart = CartGrid.for_ranks(comm.size, 3, extents=domain, periodic=False)
-    voxels_local = float(np.prod(domain)) / comm.size
+def nastja_timing_program(world, domain: tuple[int, int, int], steps: int):
+    """Block-decomposed MC sweeps with per-sweep halo exchange (a job
+    program, :mod:`repro.vmpi.job`)."""
+    cart = CartGrid.for_ranks(world.size, 3, extents=domain, periodic=False)
+    voxels_local = float(np.prod(domain)) / world.size
     local_dims = tuple(max(1, int(d / g))
                        for d, g in zip(domain, cart.dims))
     faces = phantom_faces(local_dims, itemsize=8)
-    halo, _keys = halo_batch(comm, cart, faces)
-    step = (comm.compute(flops=FLOPS_PER_VOXEL * voxels_local,
-                         bytes_moved=BYTES_PER_VOXEL * voxels_local,
-                         efficiency=0.08,  # irregular access pattern
-                         label="mc-sweep"),) + halo
-    for _step in range(steps):
-        yield step
-    return voxels_local
+    step = (world.compute(flops=FLOPS_PER_VOXEL * voxels_local,
+                          bytes_moved=BYTES_PER_VOXEL * voxels_local,
+                          efficiency=0.08,  # irregular access pattern
+                          label="mc-sweep"),) + world.halo(cart, faces)
+    return ((), step, steps, ()), voxels_local
 
 
 class NastjaBenchmark(AppBenchmark):

@@ -25,7 +25,7 @@ from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...core.verification import ModelVerifier
 from ...vmpi import Phantom
-from ...vmpi.decomposition import CartGrid, halo_batch, phantom_faces
+from ...vmpi.decomposition import CartGrid, phantom_faces
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark
 from .mesh import StripMesh, solve_poisson
@@ -50,11 +50,12 @@ PRESSURE_ITERS = 30
 VELOCITY_ITERS = 3 * 8
 
 
-def nekrs_timing_program(comm, elements_total: float, steps: int,
+def nekrs_timing_program(world, elements_total: float, steps: int,
                          pressure_iters: int, velocity_iters: int):
-    """Phantom-cost RBC time stepping."""
-    cart = CartGrid.for_ranks(comm.size, 3, periodic=(True, True, False))
-    e_local = elements_total / comm.size
+    """Phantom-cost RBC time stepping (a job program,
+    :mod:`repro.vmpi.job`)."""
+    cart = CartGrid.for_ranks(world.size, 3, periodic=(True, True, False))
+    e_local = elements_total / world.size
     flops_eval = flops_per_element(POINTS) * e_local
     points_local = e_local * POINTS ** 3
     # gather-scatter face traffic: shared element faces on rank surface
@@ -62,19 +63,17 @@ def nekrs_timing_program(comm, elements_total: float, steps: int,
     face_bytes = edge * edge * (POINTS ** 2) * 8.0
     faces = phantom_faces((int(edge) + 1,) * 3, itemsize=1)
     faces = {k: Phantom(face_bytes) for k in faces}
-    halo, _keys = halo_batch(comm, cart, faces)
-    cg_iter = (comm.compute(flops=flops_eval,
-                            bytes_moved=points_local * 8.0 * 6.0,
-                            efficiency=0.35, label="sem-operator"),) \
-        + halo + (comm.allreduce(Phantom(16.0), label="cg-dot"),)
+    cg_iter = (world.compute(flops=flops_eval,
+                             bytes_moved=points_local * 8.0 * 6.0,
+                             efficiency=0.35, label="sem-operator"),) \
+        + world.halo(cart, faces) \
+        + (world.allreduce(Phantom(16.0), label="cg-dot"),)
     step = cg_iter * (pressure_iters + velocity_iters) + (
         # advection + forcing evaluation once per step
-        comm.compute(flops=flops_eval * 3.0,
-                     bytes_moved=points_local * 8.0 * 9.0,
-                     efficiency=0.35, label="advection"),)
-    for _step in range(steps):
-        yield step
-    return e_local
+        world.compute(flops=flops_eval * 3.0,
+                      bytes_moved=points_local * 8.0 * 9.0,
+                      efficiency=0.35, label="advection"),)
+    return ((), step, steps, ()), e_local
 
 
 def conduction_nusselt(n_elements: int = 3, n: int = 8) -> float:

@@ -17,7 +17,7 @@ from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...core.verification import ModelVerifier
 from ...vmpi import Phantom
-from ...vmpi.decomposition import CartGrid, halo_batch, phantom_faces
+from ...vmpi.decomposition import CartGrid, phantom_faces
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark
 from .multigrid import mgcg_solve
@@ -33,27 +33,25 @@ FLOPS_PER_CELL = 60.0
 BYTES_PER_CELL = 120.0
 
 
-def parflow_timing_program(comm, domain, steps: int, newton: int,
+def parflow_timing_program(world, domain, steps: int, newton: int,
                            mgcg: int):
-    """Phantom-cost Newton-Krylov stepping on the ClayL domain."""
-    cart = CartGrid.for_ranks(comm.size, 3, extents=domain, periodic=False)
-    cells_local = float(np.prod(domain)) / comm.size
+    """Phantom-cost Newton-Krylov stepping on the ClayL domain (a job
+    program, :mod:`repro.vmpi.job`)."""
+    cart = CartGrid.for_ranks(world.size, 3, extents=domain, periodic=False)
+    cells_local = float(np.prod(domain)) / world.size
     local_dims = tuple(max(1, int(d / g)) for d, g in zip(domain, cart.dims))
     faces = phantom_faces(local_dims, itemsize=8)
-    halo, _keys = halo_batch(comm, cart, faces)
-    mgcg_iter = (comm.compute(flops=FLOPS_PER_CELL * cells_local,
-                              bytes_moved=BYTES_PER_CELL * cells_local,
-                              efficiency=0.35, label="mgcg"),) \
-        + halo + (comm.allreduce(Phantom(16.0), label="cg-dot"),)
+    mgcg_iter = (world.compute(flops=FLOPS_PER_CELL * cells_local,
+                               bytes_moved=BYTES_PER_CELL * cells_local,
+                               efficiency=0.35, label="mgcg"),) \
+        + world.halo(cart, faces) \
+        + (world.allreduce(Phantom(16.0), label="cg-dot"),)
     # nonlinear residual + Jacobian setup, then the linear solve
-    newton_iter = (comm.compute(flops=3 * FLOPS_PER_CELL * cells_local,
-                                bytes_moved=3 * BYTES_PER_CELL * cells_local,
-                                efficiency=0.3, label="newton"),) \
+    newton_iter = (world.compute(flops=3 * FLOPS_PER_CELL * cells_local,
+                                 bytes_moved=3 * BYTES_PER_CELL * cells_local,
+                                 efficiency=0.3, label="newton"),) \
         + mgcg_iter * mgcg
-    step = newton_iter * newton
-    for _step in range(steps):
-        yield step
-    return cells_local
+    return ((), newton_iter * newton, steps, ()), cells_local
 
 
 class ParflowBenchmark(AppBenchmark):

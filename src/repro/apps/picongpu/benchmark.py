@@ -23,7 +23,7 @@ from ...core.benchmark import BenchmarkResult
 from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...core.verification import FrameworkVerifier
-from ...vmpi.decomposition import CartGrid, dims_create, halo_batch, phantom_faces
+from ...vmpi.decomposition import CartGrid, dims_create, phantom_faces
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark
 from .fields import YeeGrid2D
@@ -54,26 +54,24 @@ BYTES_PER_PARTICLE = 64.0
 BYTES_PER_CELL = 9 * 4.0  # E, B, J single precision
 
 
-def picongpu_timing_program(comm, grid: tuple[int, int, int], steps: int):
-    """Phantom-cost KHI stepping on a 3D-decomposed domain."""
-    cart = CartGrid.for_ranks(comm.size, 3, extents=grid, periodic=True)
-    cells_local = float(np.prod(grid)) / comm.size
+def picongpu_timing_program(world, grid: tuple[int, int, int], steps: int):
+    """Phantom-cost KHI stepping on a 3D-decomposed domain (a job
+    program, :mod:`repro.vmpi.job`)."""
+    cart = CartGrid.for_ranks(world.size, 3, extents=grid, periodic=True)
+    cells_local = float(np.prod(grid)) / world.size
     particles_local = cells_local * PARTICLES_PER_CELL
     local_dims = tuple(int(g / d) for g, d in zip(grid, cart.dims))
     # field halos: 2 ghost layers of E/B/J, plus particle migration
     faces = phantom_faces(local_dims, itemsize=int(BYTES_PER_CELL * 2))
-    halo, _keys = halo_batch(comm, cart, faces)
     step = (
-        comm.compute(flops=particles_local * 230.0,
-                     bytes_moved=particles_local * BYTES_PER_PARTICLE,
-                     efficiency=0.18, label="push-deposit"),
-        comm.compute(flops=cells_local * 80.0,
-                     bytes_moved=cells_local * BYTES_PER_CELL * 2,
-                     efficiency=0.4, label="fdtd"),
-    ) + halo
-    for _step in range(steps):
-        yield step
-    return particles_local
+        world.compute(flops=particles_local * 230.0,
+                      bytes_moved=particles_local * BYTES_PER_PARTICLE,
+                      efficiency=0.18, label="push-deposit"),
+        world.compute(flops=cells_local * 80.0,
+                      bytes_moved=cells_local * BYTES_PER_CELL * 2,
+                      efficiency=0.4, label="fdtd"),
+    ) + world.halo(cart, faces)
+    return ((), step, steps, ()), particles_local
 
 
 def khi_setup_2d(nx: int, ny: int, ppc: int, shear_u: float,

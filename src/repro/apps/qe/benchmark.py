@@ -73,20 +73,20 @@ def qe_real_program(comm, psi_full: np.ndarray, v_r: np.ndarray):
     return float(np.max(np.abs(h_psi - ref)))
 
 
-def qe_timing_program(comm, mesh: tuple[int, int, int], bands: int,
+def qe_timing_program(world, mesh: tuple[int, int, int], bands: int,
                       steps: int):
     """Phantom-cost CP stepping: per band two distributed FFTs with
-    their transpose alltoalls, plus subspace GEMMs and an allreduce."""
+    their transpose alltoalls, plus subspace GEMMs and an allreduce (a
+    job program, :mod:`repro.vmpi.job`)."""
     nz, ny, nx = mesh
     points = float(nz * ny * nx)
-    points_local = points / comm.size
+    points_local = points / world.size
     transpose_bytes = points_local * 16.0  # complex128 slab per transpose
-    # Constant ops, hoisted out of the step loop and fused into batches;
-    # the uniform-Phantom alltoall states the per-pair volume directly.
-    transpose = comm.alltoall(Phantom(16 * transpose_bytes / comm.size),
-                              label="fft-transpose")
+    # the uniform-Phantom alltoall states the per-pair volume directly
+    transpose = world.alltoall(Phantom(16 * transpose_bytes / world.size),
+                               label="fft-transpose")
     band_block = (
-        comm.compute(
+        world.compute(
             flops=16 * 5.0 * points_local * np.log2(max(points, 2)),
             bytes_moved=16 * points_local * 32.0,
             efficiency=0.25, label="fft"),
@@ -96,16 +96,14 @@ def qe_timing_program(comm, mesh: tuple[int, int, int], bands: int,
     # subspace diagonalisation / orthonormalisation (ELPA-ish GEMM);
     # the operand block is bands x points_local complex128 elements
     subspace = (
-        comm.compute(flops=2.0 * bands ** 2 * points_local / 16,
-                     bytes_moved=bands * points_local * 16.0,
-                     efficiency=0.5, label="subspace"),
-        comm.allreduce(Phantom(bands * bands * 16.0 / comm.size),
-                       label="subspace-reduce"),
+        world.compute(flops=2.0 * bands ** 2 * points_local / 16,
+                      bytes_moved=bands * points_local * 16.0,
+                      efficiency=0.5, label="subspace"),
+        world.allreduce(Phantom(bands * bands * 16.0 / world.size),
+                        label="subspace-reduce"),
     )
     step = band_block * max(1, bands // 16) + subspace  # blocked bands
-    for _step in range(steps):
-        yield step
-    return points_local
+    return ((), step, steps, ()), points_local
 
 
 class QuantumEspressoBenchmark(AppBenchmark):

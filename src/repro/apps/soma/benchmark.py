@@ -30,21 +30,20 @@ FLOPS_PER_BEAD_MOVE = 90.0
 BYTES_PER_BEAD = 48.0
 
 
-def soma_timing_program(comm, chains: int, beads: int, grid: int,
+def soma_timing_program(world, chains: int, beads: int, grid: int,
                         sweeps: int):
-    """Phantom-cost SCMF sweeps: local chain moves + field allreduce."""
-    chains_local = chains / comm.size
+    """Phantom-cost SCMF sweeps: local chain moves + field allreduce (a
+    job program, :mod:`repro.vmpi.job`)."""
+    chains_local = chains / world.size
     beads_local = chains_local * beads
     field_bytes = float(grid ** 3 * 4)  # single-precision densities
     sweep = (
-        comm.compute(flops=FLOPS_PER_BEAD_MOVE * beads_local,
-                     bytes_moved=BYTES_PER_BEAD * beads_local,
-                     efficiency=0.1, label="chain-moves"),
-        comm.allreduce(Phantom(field_bytes), label="field-reduce"),
+        world.compute(flops=FLOPS_PER_BEAD_MOVE * beads_local,
+                      bytes_moved=BYTES_PER_BEAD * beads_local,
+                      efficiency=0.1, label="chain-moves"),
+        world.allreduce(Phantom(field_bytes), label="field-reduce"),
     )
-    for _sweep in range(sweeps):
-        yield sweep
-    return chains_local
+    return ((), sweep, sweeps, ()), chains_local
 
 
 class SomaBenchmark(AppBenchmark):

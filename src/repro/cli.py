@@ -844,8 +844,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fig2)
 
     p = sub.add_parser("fig3", help="High-Scaling weak scaling (Fig. 3)")
-    p.add_argument("--nodes", type=_node_counts, default="8,16,32,64,128",
-                   help="comma-separated node counts")
+    p.add_argument("--nodes", type=_node_counts,
+                   default="8,16,32,64,128,256,512,936",
+                   help="comma-separated node counts (default: 8 to the "
+                        "whole 936-node Booster)")
     _add_engine_options(p)
     p.set_defaults(fn=_cmd_fig3)
 

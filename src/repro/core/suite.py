@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from ..exec.cache import result_key
+from ..exec.cache import machine_config_hash, result_key
 from ..exec.engine import ExecutionEngine, WorkItem
 from ..telemetry.export import emit_vmpi
 from ..telemetry.metrics import default_registry
@@ -175,7 +175,8 @@ class JupiterBenchmarkSuite:
         params = {"nodes": nodes, "scale": scale, "real": real,
                   "variant": variant.value if variant else None,
                   "kind": kind}
-        return result_key(name, params, platform=bench.system().name)
+        return result_key(name, params,
+                          platform=machine_config_hash(bench.system()))
 
     def run_all(self, names: Sequence[str] | None = None, *,
                 nodes: int | None = None,

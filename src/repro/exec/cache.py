@@ -21,12 +21,14 @@ assert on ("a warm rerun performs zero executions").
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterator, Protocol
 
@@ -81,6 +83,28 @@ def stable_hash(obj: Any) -> str:
     """A stable SHA-256 content hash of an arbitrary (JSON-like) value."""
     blob = _ENCODER.encode(_canonical(obj)).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def machine_config_hash(system: Any) -> str:
+    """Stable content hash of a machine configuration.
+
+    Accepts a :class:`~repro.cluster.hardware.SystemSpec` (hashed
+    field-by-field via ``dataclasses.asdict``) or any JSON-like value;
+    two runs share the hash exactly when every modelled hardware
+    quantity matches.  A frozen system is hashed once: equal systems
+    share the memo entry, a changed quantity makes a new one.
+    """
+    if dataclasses.is_dataclass(system) and not isinstance(system, type):
+        try:
+            return _system_hash(system)
+        except TypeError:           # not hashable: nothing to memoise on
+            return stable_hash(dataclasses.asdict(system))[:16]
+    return stable_hash(system)[:16]
+
+
+@lru_cache(maxsize=64)
+def _system_hash(system: Any) -> str:
+    return stable_hash(dataclasses.asdict(system))[:16]
 
 
 def hash_fraction(*parts: Any) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fnmatch import fnmatchcase
 from typing import Any
 
@@ -32,6 +32,8 @@ from ..exec.cache import hash_fraction
 
 #: link-class slugs a :class:`LinkFault` may target (plus ``"*"``).
 LINK_CLASSES = ("intra_node", "intra_cell", "inter_cell")
+#: task-fault kinds: a transient fault fails the attempt, a retry may pass
+TASK_FAULT_KINDS = ("transient",)
 
 
 class FaultPlanError(ValueError):
@@ -70,6 +72,9 @@ class TaskFaultRule:
             raise ValueError("attempts must be 1-based ordinals")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("rate must be within [0, 1]")
+        if self.kind not in TASK_FAULT_KINDS:
+            raise ValueError(f"unknown task fault kind {self.kind!r}; "
+                             f"choose from {TASK_FAULT_KINDS}")
 
     def applies(self, label: str, attempt: int) -> bool:
         if attempt not in self.attempts:
@@ -242,6 +247,17 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FaultPlan":
+        """The plan ``to_dict`` wrote; a key it would not write, or a
+        value its fields reject, is a ``ValueError`` naming it."""
+        data = _entry(data, cls, "the plan")
+        tasks = [_entry(r, TaskFaultRule, f"tasks[{i}]")
+                 for i, r in enumerate(data.get("tasks", ()))]
+        nodes = [_entry(f, NodeFault, f"nodes[{i}]")
+                 for i, f in enumerate(data.get("nodes", ()))]
+        stragglers = [_entry(f, StragglerFault, f"stragglers[{i}]")
+                      for i, f in enumerate(data.get("stragglers", ()))]
+        links = [_entry(f, LinkFault, f"links[{i}]")
+                 for i, f in enumerate(data.get("links", ()))]
         return cls(
             seed=int(data.get("seed", 0)),
             tasks=tuple(TaskFaultRule(
@@ -251,21 +267,21 @@ class FaultPlan:
                 seed=int(r.get("seed", 0)),
                 kind=str(r.get("kind", "transient")),
                 message=str(r.get("message", "")))
-                for r in data.get("tasks", ())),
+                for r in tasks),
             nodes=tuple(NodeFault(
                 node=int(f["node"]), at=float(f["at"]),
                 duration=None if f.get("duration") is None
                 else float(f["duration"]))
-                for f in data.get("nodes", ())),
+                for f in nodes),
             stragglers=tuple(StragglerFault(
                 node=int(f["node"]), factor=float(f["factor"]),
                 at=float(f.get("at", 0.0)),
                 duration=None if f.get("duration") is None
                 else float(f["duration"]))
-                for f in data.get("stragglers", ())),
+                for f in stragglers),
             links=tuple(LinkFault(link=str(f["link"]),
                                   factor=float(f["factor"]))
-                        for f in data.get("links", ())),
+                        for f in links),
         )
 
     def to_json(self) -> str:
@@ -337,3 +353,17 @@ class FaultPlan:
 
     def with_seed(self, seed: int) -> "FaultPlan":
         return replace(self, seed=seed)
+
+
+def _entry(data: Any, kind: type, where: str) -> dict[str, Any]:
+    """``data`` as one ``kind`` of a plan file: an object whose keys are
+    all fields of ``kind`` (a misspelt key must not drop a fault)."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{where} must be an object, "
+                        f"got {type(data).__name__}")
+    known = [f.name for f in fields(kind)]
+    for key in data:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {where}; "
+                             f"expected {', '.join(known)}")
+    return data

@@ -29,13 +29,12 @@ exports stay byte-identical across worker counts and replays.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any
 
-from ..exec.cache import CODE_VERSION, stable_hash
+from ..exec.cache import CODE_VERSION, machine_config_hash, stable_hash
 
 #: History database schema identity (meta header of every JSONL DB).
 HISTORY_SCHEMA = "repro.history/v1"
@@ -46,19 +45,6 @@ HISTORY_VERSION = 1
 _KEY_FIELDS = frozenset({"benchmark", "params", "machine_hash", "vmpi_mode",
                          "code", "code_version", "seed"})
 _DERIVED = frozenset({"series_key", "record_key", "value"})
-
-
-def machine_config_hash(system: Any) -> str:
-    """Stable content hash of a machine configuration.
-
-    Accepts a :class:`~repro.cluster.hardware.SystemSpec` (hashed
-    field-by-field via ``dataclasses.asdict``) or any JSON-like value;
-    two runs share the hash exactly when every modelled hardware
-    quantity matches.
-    """
-    if dataclasses.is_dataclass(system) and not isinstance(system, type):
-        return stable_hash(dataclasses.asdict(system))[:16]
-    return stable_hash(system)[:16]
 
 
 def _git_head(root: Path) -> str | None:

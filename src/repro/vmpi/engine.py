@@ -26,7 +26,8 @@ It schedules and prices the way a discrete-event simulator does:
 * **column sweeps** -- a rank that yields a tuple batch parks at its
   head, and once every rank stands at one the batches run *column by
   column* over NumPy arrays indexed by global rank instead of rank by
-  rank, op by op (:mod:`repro.vmpi.sweep`).
+  rank, op by op (:mod:`repro.vmpi.sweep`); a job program
+  (:mod:`repro.vmpi.job`) is columns from the start and steps no rank.
 
 Every fast path lowers onto the *per-request machinery* (FIFO channels,
 :class:`~repro.vmpi.ops.Request`, wait groups) whenever it cannot
@@ -131,7 +132,8 @@ from .rounds import (
     build_plan,
     exchange_bytes,
 )
-from .sweep import SweepPlan, plan_sweep
+from .job import World, job_rank
+from .sweep import SweepPlan, plan_columns, plan_sweep
 from .trace import RankTrace, SpmdResult
 
 __all__ = [
@@ -225,12 +227,15 @@ class VmpiEngine:
 
     # -- public --------------------------------------------------------------
 
-    def run(self, fn: Callable[..., Iterator[Op]], *,
+    def run(self, fn: Callable, *,
             args: tuple = (), kwargs: dict | None = None,
             rank_kwargs: list[dict] | None = None,
             tracer: Any = None) -> SpmdResult:
         """Execute ``fn(comm, *args, **kwargs)`` on every rank.
 
+        A generator function is a rank program, run once per rank; any
+        other function is a job program (:mod:`repro.vmpi.job`), called
+        once with the :class:`~repro.vmpi.job.World`.
         ``rank_kwargs`` optionally supplies per-rank keyword overrides;
         ``tracer`` (a :class:`~repro.telemetry.Tracer`) wraps the run in
         a ``vmpi.run`` span.  Returns the per-rank return values, final
@@ -241,24 +246,27 @@ class VmpiEngine:
                 return self._run(fn, args, kwargs, rank_kwargs)
         return self._run(fn, args, kwargs, rank_kwargs)
 
-    def _run(self, fn: Callable[..., Iterator[Op]], args: tuple,
-             kwargs: dict | None,
+    def _run(self, fn: Callable, args: tuple, kwargs: dict | None,
              rank_kwargs: list[dict] | None) -> SpmdResult:
-        n = self.machine.nranks
         kwargs = kwargs or {}
+        if not inspect.isgeneratorfunction(fn):
+            if rank_kwargs is not None:
+                raise TypeError(f"job program {fn.__name__!r} takes no "
+                                f"rank_kwargs")
+            return self._run_job(fn, args, kwargs)
         job: dict[tuple, Any] = {}      # the world communicators' memo
-        for r in range(n):
+        for r in range(self.machine.nranks):
             kw = dict(kwargs)
             if rank_kwargs is not None:
                 kw.update(rank_kwargs[r])
             comm = Comm(comm_id=0, rank=r, members=self._comms[0])
             comm._job = job
-            gen = fn(comm, *args, **kw)
-            if not inspect.isgenerator(gen):
-                raise TypeError(
-                    f"rank program {fn.__name__!r} must be a generator function")
-            self._gens.append(gen)
-        for r in range(n):
+            self._gens.append(fn(comm, *args, **kw))
+        return self._drive()
+
+    def _drive(self) -> SpmdResult:
+        """Run the rank programs in ``_gens`` to completion."""
+        for r in range(self.machine.nranks):
             self._wake(r)
         self._loop()
         while not all(self._finished) and (self._sweep() or self._quiesce()):
@@ -267,6 +275,35 @@ class VmpiEngine:
             self._raise_stuck()
         return SpmdResult(values=self._values, clocks=self.clocks,
                           traces=self.traces)
+
+    def _run_job(self, fn: Callable, args: tuple, kwargs: dict) -> SpmdResult:
+        """A job program (:mod:`repro.vmpi.job`): called once, its
+        phases planned as columns, the step plan run ``steps`` times,
+        each rank's trace and value written once at the end."""
+        out = fn(World(self), *args, **kwargs)
+        try:
+            (prologue, step, steps, epilogue), value = out
+        except (TypeError, ValueError):
+            raise TypeError(
+                f"job program {fn.__name__!r} must return ((prologue, step, "
+                f"steps, epilogue), value)") from None
+        slots: dict[tuple[str, str], int] = {}
+        live = step if steps > 0 else ()    # a step never run books nothing
+        plans = self._job_plans((prologue, live, epilogue), slots)
+        if plans is None:       # the per-rank path runs (and reports) it
+            self._gens = [job_rank(r, prologue, step, steps, epilogue, value)
+                          for r in range(self.machine.nranks)]
+            return self._drive()
+        self._columns([(p, k) for p, k in zip(plans, (1, steps, 1))
+                       if p.columns], list(slots))
+        self._values = [value] * self.machine.nranks
+        return SpmdResult(values=self._values, clocks=self.clocks,
+                          traces=self.traces)
+
+    def _job_plans(self, phases: tuple, slots: dict) -> list | None:
+        """One column plan per phase (slots shared), or None."""
+        plans = [plan_columns(self, list(cols), slots) for cols in phases]
+        return None if any(p is None for p in plans) else plans
 
     # -- scheduling ------------------------------------------------------------
 
@@ -328,29 +365,38 @@ class VmpiEngine:
         for st, nrounds in plan.rounds:     # in step: advance in unison
             for g in st[2]:
                 st[0][g] += nrounds
-        traces = self.traces
-        buckets = {"compute": [t.compute for t in traces],
-                   "comm": [t.comm for t in traces]}
-        tables = [buckets[bucket] for bucket, _ in plan.slots]
-        acc = [np.array([d.get(label, 0.0) for d in dicts])
-               for dicts, (_, label) in zip(tables, plan.slots)]
-        clk = np.array(self.clocks)
-        sent = np.array([t.bytes_sent for t in traces])
-        plan.run(clk, acc, sent)
-        # Slots are in first-touch order, so a label new to a rank lands
-        # in its trace dict where the per-rank path would have put it.
-        for dicts, (_, label), values in zip(tables, plan.slots, acc):
-            for d, v in zip(dicts, values.tolist()):
-                d[label] = v
-        self.clocks[:] = clk.tolist()
-        nops = len(plan.columns)
-        for r, (trace, nbytes, row) in enumerate(
-                zip(traces, sent.tolist(), plan.result_rows())):
-            trace.bytes_sent = nbytes
-            trace.ops += nops
+        self._columns([(plan, 1)], plan.slots)
+        for r, row in enumerate(plan.result_rows()):
             self._resume[r] = row
             self._wake(r)
         return True
+
+    def _columns(self, runs: list[tuple[SweepPlan, int]],
+                 slots: list[tuple[str, str]]) -> None:
+        """Run each ``(plan, times)`` in turn over arrays gathered from
+        the clocks and traces, and write them back once."""
+        traces = self.traces
+        buckets = {"compute": [t.compute for t in traces],
+                   "comm": [t.comm for t in traces]}
+        tables = [buckets[bucket] for bucket, _ in slots]
+        acc = [np.array([d.get(label, 0.0) for d in dicts])
+               for dicts, (_, label) in zip(tables, slots)]
+        clk = np.array(self.clocks)
+        sent = np.array([t.bytes_sent for t in traces])
+        nops = 0
+        for plan, times in runs:
+            for _ in range(times):
+                plan.run(clk, acc, sent)
+            nops += times * len(plan.columns)
+        # Slots are in first-touch order, so a label new to a rank lands
+        # in its trace dict where the per-rank path would have put it.
+        for dicts, (_, label), values in zip(tables, slots, acc):
+            for d, v in zip(dicts, values.tolist()):
+                d[label] = v
+        self.clocks[:] = clk.tolist()
+        for trace, nbytes in zip(traces, sent.tolist()):
+            trace.bytes_sent = nbytes
+            trace.ops += nops
 
     def _sweep_plan(self, parked: dict[int, tuple]) -> SweepPlan | None:
         """The column plan the parked batches run under, or None to

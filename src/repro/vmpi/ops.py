@@ -54,9 +54,9 @@ def nbytes_of(payload: Any) -> float:
     if isinstance(payload, (bool, int, float, complex, np.generic)):
         return 8.0
     if isinstance(payload, (list, tuple)):
-        return float(sum(nbytes_of(p) for p in payload))
+        return float(sum(map(nbytes_of, payload)))
     if isinstance(payload, dict):
-        return float(sum(nbytes_of(v) for v in payload.values()))
+        return float(sum(map(nbytes_of, payload.values())))
     raise TypeError(f"cannot size payload of type {type(payload).__name__}")
 
 

@@ -8,10 +8,12 @@ column to float64 arrays indexed by global rank (clocks, one
 accumulator per trace label, ``bytes_sent``).  A column qualifies when
 all its ops have one type and one trace label and are
 
-* ``Compute`` / ``Elapse``: ``clk += dt``, priced per rank (a
-  heterogeneous machine is just a non-constant vector);
-* ``Collective``: size-only, not ``split``, over any partition of the
-  job into *complete* communicators -- ``max + cost`` per group;
+* ``Compute`` / ``Elapse``: ``clk += dt``, priced per rank, or per
+  device for one op on every rank (a heterogeneous machine is just a
+  non-constant vector);
+* ``Collective``: size-only (or a job program's ``split``), over any
+  partition of the job into *complete* communicators -- ``max + cost``
+  per group;
 * ``Exchange``: complete ``(comm, tag)`` groups, paired by
   :func:`~repro.vmpi.rounds.build_plan` and timed by
   :meth:`~repro.vmpi.rounds.XchgPlan.complete`;
@@ -26,7 +28,8 @@ network closed forms -- so clocks, traces and results are byte
 identical (DESIGN.md section 10).  Whatever does not qualify makes
 :func:`plan_sweep` return ``None`` and the engine *lowers* the batches
 onto the per-rank path, which alone defines the semantics and raises
-the errors.
+the errors.  A job program's phases (:mod:`repro.vmpi.job`) are columns
+from the start: :func:`plan_columns` plans them without any batch.
 """
 
 from __future__ import annotations
@@ -38,10 +41,19 @@ from typing import Any
 import numpy as np
 
 from .collectives import VmpiError, collective_results, validate_collective
-from .ops import Collective, Compute, Elapse, Exchange, Phantom, Sendrecv, nbytes_of
+from .ops import (
+    Collective,
+    Compute,
+    Elapse,
+    Exchange,
+    Op,
+    Phantom,
+    Sendrecv,
+    nbytes_of,
+)
 from .rounds import edge_seconds, exchange_bytes
 
-__all__ = ["SweepPlan", "plan_sweep"]
+__all__ = ["SweepPlan", "plan_columns", "plan_sweep"]
 
 _LOCAL, _COLL, _XCHG, _SRECV = range(4)
 
@@ -111,36 +123,53 @@ def plan_sweep(eng: Any, batches: list[tuple]) -> SweepPlan | None:
     length = len(batches[0])
     if not length or any(len(b) != length for b in batches):
         return None
-    slots: dict[tuple[str, str], int] = {}
-    planned: dict[tuple, tuple | None] = {}
-    columns, results = [], []
+    columns = list(zip(*batches))
+    # a split resumes with communicators, allocated as the round completes
+    if any(type(c[0]) is Collective and c[0].kind == "split"
+           for c in columns):
+        return None
+    return plan_columns(eng, columns, {}, [tuple(map(id, c)) for c in columns],
+                        results=True)
+
+
+def plan_columns(eng: Any, columns: list, slots: dict,
+                 keys: list | None = None,
+                 results: bool = False) -> SweepPlan | None:
+    """Plan each distinct column once -- ``keys``, by default the column
+    object's identity, say which are the same -- or None.  An
+    :class:`~repro.vmpi.ops.Op` column is that op on every rank; the
+    resume values are planned only if ``results``."""
+    n = len(eng.clocks)
+    planned: dict[Any, tuple | None] = {}
+    cols, specs = [], []
     try:
-        for ops in zip(*batches):
-            key = tuple(map(id, ops))
+        for ops, key in zip(columns, keys or map(id, columns)):
             if key not in planned:
-                planned[key] = _plan_column(eng, ops, slots)
+                got = _plan_column(eng, (ops,) * n if isinstance(ops, Op)
+                                   else ops, slots)
+                planned[key] = got and (
+                    got[0], _result_spec(got[1]) if results else None)
             if planned[key] is None:
                 return None
-            columns.append(planned[key][0])
-            results.append(planned[key][1])
+            cols.append(planned[key][0])
+            specs.append(planned[key][1])
     except (VmpiError, LookupError, TypeError, ValueError):
         # mismatched collective, unknown comm or peer, unsizable payload:
         # the per-rank path reports it where (and as what) it happens
         return None
     rounds: dict[int, list] = {}
-    for col in columns:
+    for col in cols:
         for _idx, _xplan, state in col[2] if col[0] == _XCHG else ():
             rounds.setdefault(id(state), [state, 0])[1] += 1
-    return SweepPlan(len(batches), list(slots), columns, results,
-                     list(rounds.values()),
-                     any(col[0] == _SRECV for col in columns))
+    return SweepPlan(n, list(slots), cols, specs, list(rounds.values()),
+                     any(col[0] == _SRECV for col in cols))
 
 
-def _result_spec(values: list) -> tuple | None:
+def _result_spec(values: list | None) -> tuple | None:
     """Per-rank resume values as ``(pool, nlists, index)``: rank ``r``
     resumes with ``pool[index[r]]``, and the first ``nlists`` pool
     entries are lists (copied afresh for every sweep)."""
-    if all(v is None for v in values):
+    if values is None or all(v is None for v in values):
         return None
     lists: dict[int, Any] = {}
     consts: dict[int, Any] = {}
@@ -152,7 +181,8 @@ def _result_spec(values: list) -> tuple | None:
 
 
 def _plan_column(eng: Any, ops: tuple, slots: dict) -> tuple | None:
-    """``(column, result spec)`` of one batch position, or None."""
+    """``(column, resume values or None)`` of one batch position, or
+    None."""
     n = len(ops)
     first = ops[0]
     kind = type(first)
@@ -166,7 +196,8 @@ def _plan_column(eng: Any, ops: tuple, slots: dict) -> tuple | None:
     else:
         label = "p2p" if kind is Sendrecv else first.label
         same = kind is Sendrecv or all(o.label == label for o in ops)
-    if not same or (kind in (Collective, Sendrecv) and not all(
+    sized = kind is Sendrecv or (kind is Collective and first.kind != "split")
+    if not same or (sized and not all(
             o.payload is None or type(o.payload) is Phantom for o in ops)):
         return None
     local = kind is Compute or kind is Elapse
@@ -174,6 +205,12 @@ def _plan_column(eng: Any, ops: tuple, slots: dict) -> tuple | None:
                             len(slots))
     comms = eng._comms
     if kind is Compute:
+        dev = eng._devkey
+        if ops.count(first) == n:   # one op everywhere: priced per device
+            dt = {k: eng._price(dev.index(k), first)
+                  for k in dict.fromkeys(dev)}
+            return (_LOCAL, slot, np.array(list(map(dt.__getitem__, dev)))), \
+                None
         return (_LOCAL, slot, np.array(
             [eng._price(r, o) for r, o in enumerate(ops)])), None
     if kind is Elapse:
@@ -189,11 +226,9 @@ def _plan_column(eng: Any, ops: tuple, slots: dict) -> tuple | None:
                          nbytes, eng._p2p_params)
         return ((_SRECV, slot, np.array(dst), np.array(src), t,
                  nbytes <= eng.eager_limit, nbytes),
-                _result_spec([ops[s].payload for s in src]))
+                [ops[s].payload for s in src])
     # Collective / Exchange: the groups must partition the job into
     # complete communicators
-    if kind is Collective and any(o.kind == "split" for o in ops):
-        return None
     keys = [(o.comm_id, o.tag) if kind is Exchange else (o.comm_id,)
             for o in ops]
     values: list = [None] * n
@@ -213,7 +248,9 @@ def _plan_column(eng: Any, ops: tuple, slots: dict) -> tuple | None:
                            else np.array(members), xplan, eng._xstate(*key)))
         else:
             validate_collective(mine)
-            res = collective_results(members, mine, None)
+            # a split's communicators are the job program's to allocate
+            res = collective_results(members, mine,
+                                     lambda m, _p: [None] * len(m))
             groups.append((len(order), eng._collective_cost(members, mine)))
         order.extend(members)
         for g, value in zip(members, res):
@@ -222,13 +259,11 @@ def _plan_column(eng: Any, ops: tuple, slots: dict) -> tuple | None:
         return None         # someone posted on a communicator it is not in
     if kind is Exchange:
         return ((_XCHG, slot, groups,
-                 np.array([exchange_bytes(o) for o in ops])),
-                _result_spec(values))
+                 np.array([exchange_bytes(o) for o in ops])), values)
     starts = [g[0] for g in groups]
     group = np.empty(n, dtype=np.intp)
     group[order] = np.repeat(np.arange(len(groups)), np.diff(starts + [n]))
     return ((_COLL, slot,
              None if order == list(range(n)) else np.array(order),
              np.array(starts), group, np.array([g[1] for g in groups]),
-             np.array([nbytes_of(o.payload) for o in ops])),
-            _result_spec(values))
+             np.array([nbytes_of(o.payload) for o in ops])), values)

@@ -133,22 +133,15 @@ class TestDistributedFft:
         program (the dimensional-analysis pass caught the bare
         element count)."""
         from repro.apps.qe.benchmark import qe_timing_program
-        from repro.vmpi.comm import Comm
+        from repro.vmpi import Machine, VmpiEngine
+        from repro.vmpi.job import World
         from repro.vmpi.ops import Compute
 
-        comm = Comm(comm_id=0, rank=0, members=(0, 1, 2, 3))
+        comm = World(VmpiEngine(Machine.booster(1)))
         mesh, bands = (12, 12, 12), 32
-        gen = qe_timing_program(comm, mesh, bands, 1)
-        ops = []
-        try:
-            op = gen.send(None)
-            while True:
-                # hoisted batches arrive as tuples of ops
-                ops.extend(op) if isinstance(op, tuple) else ops.append(op)
-                op = gen.send(None if not isinstance(op, tuple)
-                              else [None] * len(op))
-        except StopIteration:
-            pass
+        (prologue, step, _steps, epilogue), _value = qe_timing_program(
+            comm, mesh, bands, 1)
+        ops = list(prologue + step + epilogue)
         points_local = (12 * 12 * 12) / comm.size
         subspace = [o for o in ops if isinstance(o, Compute) and
                     o.label == "subspace"]

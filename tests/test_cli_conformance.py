@@ -304,3 +304,34 @@ def test_check_bad_baseline_is_one_line_exit_2(content, tmp_path, capsys):
     assert captured.err.startswith("jubench: error: ")
     assert str(path) in captured.err
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("plan, complaint", [
+    ('{"task": [{"match": "*", "kind": "permanent"}]}',
+     "unknown key 'task' in the plan; expected seed, tasks, nodes, "
+     "stragglers, links"),
+    ('{"tasks": [{"match": "*", "kind": "nope"}]}',
+     "unknown task fault kind 'nope'; choose from ('transient',)"),
+    ('{"tasks": [{"match": "*", "attempt": [1]}]}',
+     "unknown key 'attempt' in tasks[0]; expected match, attempts, rate, "
+     "seed, kind, message"),
+    ('{"links": [{"link": "*", "factor": 0.5, "fator": 0.1}]}',
+     "unknown key 'fator' in links[0]; expected link, factor"),
+], ids=["top-level-key", "kind", "rule-key", "link-key"])
+@pytest.mark.parametrize("argv", [["suite"], ["fig2"], ["fig3"]],
+                         ids=lambda argv: argv[0])
+def test_a_fault_plan_with_unknown_keys_or_kinds_is_refused(
+        argv, plan, complaint, tmp_path, capsys, monkeypatch):
+    """A misspelt key or kind would otherwise run fault-free and exit 0:
+    the plan file is closed, refused before any benchmark runs."""
+    from repro.core.benchmark import Benchmark
+
+    ran = []
+    monkeypatch.setattr(Benchmark, "run", lambda *a, **kw: ran.append(a))
+    path = tmp_path / "plan.json"
+    path.write_text(plan)
+    assert main([*argv, "--faults", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"jubench: error: {path}: not a fault plan: "
+                            f"ValueError: {complaint}\n")
+    assert captured.out == "" and ran == []

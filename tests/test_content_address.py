@@ -235,15 +235,19 @@ def test_hash_fraction_and_result_key_equal_the_oracle(parts):
 # -- (b) digests pinned before the change -------------------------------------
 
 COMMIT = "3fa7277d20e669171200a878822d719ca5050cef"
+#: ``result_key`` -- and with it ``task_id`` and ``to_wire``, which carry
+#: the key -- re-pinned when the key started hashing the machine
+#: configuration instead of the system's name; everything else is as
+#: pinned at ``COMMIT``
 PINNED = {
-    "result_key": "Arbor-e4ae08921686e3ab64672598a0729c23",
+    "result_key": "Arbor-3928851fba281bec3a1b9f36f2703dc0",
     "machine_hash": "a26b7ca07453c035",
     "series_key": "Arbor-f1eaaffdd567b985",
     "record_key": "Arbor-f1eaaffdd567b985-09f857ef3a992877",
-    "task_id": "Arbor-661748330768c5e9a623cd3a",
+    "task_id": "Arbor-268c4b057474e1ca4abe50d6",
     # sha256 of the sorted-key compact JSON of each serialised form
     "to_line": "ea2804f4ccf84c279fab5356fb64427d3dfe957471523696fdeb668ae7ca7e18",
-    "to_wire": "a52151bfa5ab5573e6d7bebd9f0a7139c7ce7fcfc2ba484af69be71c9891e218",
+    "to_wire": "5b04d9e052282a67c6847ec498f93ad84d21c3b09f1305a4ea081c3092d6b965",
 }
 
 

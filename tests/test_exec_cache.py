@@ -181,3 +181,28 @@ class TestDiskCache:
         cache.clear()
         assert len(cache) == 0
         assert not list(tmp_path.glob("*.json"))
+
+
+def test_a_changed_machine_model_misses_the_disk_cache(tmp_path,
+                                                       monkeypatch, capsys):
+    """The result key hashes the machine configuration, not its name:
+    after halving the A100's memory bandwidth a warm ``--cache-dir``
+    run recomputes and prints what an uncached run prints (it used to
+    replay the results of the old machine)."""
+    from dataclasses import replace
+
+    from repro.cli import main
+    from repro.cluster import hardware
+
+    def run(*extra):
+        assert main(["suite", "--benchmarks", "STREAM,Arbor", *extra]) == 0
+        return capsys.readouterr().out
+
+    cache = str(tmp_path / "cache")
+    before = run("--cache-dir", cache)
+    assert run("--cache-dir", cache) == before          # a plain warm hit
+    monkeypatch.setattr(hardware, "A100", replace(
+        hardware.A100, mem_bandwidth=hardware.A100.mem_bandwidth / 2))
+    warm = run("--cache-dir", cache)
+    assert warm == run("--no-cache")
+    assert warm != before

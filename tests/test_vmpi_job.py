@@ -1,0 +1,682 @@
+"""Job programs against the per-rank generators they replaced.
+
+Thirteen timing programs are job programs (:mod:`repro.vmpi.job`): one
+call builds every op once, as a column for all ranks, and the engine
+plans each distinct column once and runs the step plan ``steps`` times
+over NumPy arrays.  Their per-rank generators are kept below verbatim
+(module constants qualified) as the oracle:
+
+(a) old and new, on :class:`~repro.vmpi.VmpiEngine` and on the
+    reference scheduler (:mod:`tests.vmpi_reference`, which lowers a
+    job program onto the per-rank path), at 1/2/3/4/8 ranks, on a
+    mixed-device MSA job and under a straggler fault plan: canonical
+    JSON of values, clocks and traces, and trace key order, byte-equal;
+(b) the same at every point ``fig2`` and ``fig3 --nodes 16,128`` run
+    (production engine only: the reference is too slow at 960 ranks);
+(c) a column that is not columns -- a mismatched collective, a
+    Sendrecv that does not match, an unpaired halo -- runs rank by rank
+    and fails with the per-rank path's error class and text;
+(d) fresh-interpreter count guards: ``fig2`` and ``fig3 --nodes 936``
+    step no rank of a job program and plan each distinct column once.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.analysis.figures import FIG2_APPS, FIG3_APPS, figure2, figure3
+from repro.apps.ai import benchmarks as ai
+from repro.apps.arbor import benchmark as arbor
+from repro.apps.base import AppBenchmark
+from repro.apps.icon import benchmark as icon
+from repro.apps.lattice import chroma, dynqcd
+from repro.apps.nastja import benchmark as nastja
+from repro.apps.nekrs import benchmark as nekrs
+from repro.apps.parflow import benchmark as parflow
+from repro.apps.picongpu import benchmark as picongpu
+from repro.apps.qe import benchmark as qe
+from repro.apps.soma import benchmark as soma
+from repro.cluster import juwels_booster
+from repro.core.suite import JupiterBenchmarkSuite
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
+from repro.vmpi import Machine, Phantom, VmpiEngine, VmpiError
+from repro.vmpi import sweep as sweep_module
+from repro.vmpi.decomposition import CartGrid, halo_batch, phantom_faces
+from repro.vmpi.trace import _canon
+from tests.vmpi_reference import ReferenceEngine
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# -- the per-rank generators, verbatim -----------------------------------------
+
+def icon_per_rank(comm, cells: float, input_bytes: float,
+                  steps: int, io_seconds: float):
+    """Input staging + horizontally decomposed forecast stepping."""
+    cart = CartGrid.for_ranks(comm.size, 2, periodic=True)
+    cells_local = cells / comm.size
+    cols = max(cells_local ** 0.5, 1.0)
+    local_dims = (int(cols) + 1, int(cols) + 1)
+    faces = phantom_faces(local_dims,
+                          itemsize=int(8 * icon.VERTICAL_LEVELS * 3))
+    # parallel read of the initial state (every rank takes its share)
+    yield comm.elapse(io_seconds, label="input-staging")
+    yield comm.barrier(label="startup")
+    work = cells_local * icon.VERTICAL_LEVELS
+    # The forecast step is a constant program: hoist its ops once
+    # (persistent-request style) and yield them as one fused batch.
+    halo, _keys = halo_batch(comm, cart, faces)
+    forecast_step = (
+        comm.compute(flops=work * icon.FLOPS_PER_CELL_LEVEL * 0.7,
+                     bytes_moved=work * icon.BYTES_PER_CELL_LEVEL * 0.7,
+                     efficiency=0.35, label="dynamics"),
+        comm.compute(flops=work * icon.FLOPS_PER_CELL_LEVEL * 0.3,
+                     bytes_moved=work * icon.BYTES_PER_CELL_LEVEL * 0.3,
+                     efficiency=0.35, label="physics"),
+    ) + halo
+    for _step in range(steps):
+        yield forecast_step
+    return cells_local
+
+
+def megatron_per_rank(comm, steps: int):
+    """3D-parallel GPT training steps (phantom costs).
+
+    TP group = the node's 4 GPUs; PP stages split the layer stack over
+    nodes (up to 12); DP replicates the rest.  Per step: the GEMM work
+    of 6 * params * tokens FLOPs spread over all ranks, TP allreduces
+    per layer, PP boundary sendrecvs, and the DP gradient allreduce.
+    """
+    tp = yield comm.split(comm.rank // ai.TP_SIZE)           # node-local
+    nodes = comm.size // ai.TP_SIZE
+    pp_stages = min(12, max(1, nodes))
+    node_id = comm.rank // ai.TP_SIZE
+    pp = yield comm.split(node_id % max(1, nodes // pp_stages),
+                          key=node_id)
+    dp = yield comm.split((comm.rank % ai.TP_SIZE) * pp_stages +
+                          (node_id // max(1, nodes // pp_stages)) % pp_stages)
+    flops_per_rank = 6.0 * ai.GPT_PARAMS * ai.TOKENS_PER_STEP / comm.size
+    layers_per_stage = ai.GPT_LAYERS / pp_stages
+    micro_tokens = ai.TOKENS_PER_STEP / max(1, dp.size) / 8.0  # 8 microbatches
+    act_bytes = micro_tokens * ai.GPT_HIDDEN * 2.0
+    # GEMMs (forward + backward + recompute)
+    gemm = comm.compute(flops=flops_per_rank / ai.BF16_FACTOR,
+                        bytes_moved=flops_per_rank / 300.0,
+                        efficiency=ai.GEMM_EFFICIENCY, label="gemm")
+    # tensor-parallel allreduces: ~4 per layer per microbatch,
+    # aggregated here into one op per microbatch over the stage
+    micro = (tp.allreduce(Phantom(4.0 * layers_per_stage * act_bytes / 8.0),
+                          label="tp-allreduce"),)
+    if pp.size > 1:
+        nxt = (pp.rank + 1) % pp.size
+        prv = (pp.rank - 1) % pp.size
+        micro += (pp.sendrecv(nxt, Phantom(act_bytes), prv, tag=7),)
+    # data-parallel gradient allreduce (sharded parameters)
+    grads = dp.allreduce(Phantom(2.0 * ai.GPT_PARAMS / (ai.TP_SIZE * pp_stages)),
+                         label="dp-allreduce")
+    # The step is a constant program: one batch, so the engine runs it
+    # for all ranks in lockstep (see DESIGN.md section 10).
+    step = (gemm,) + micro * 8 + (grads,)
+    for _step in range(steps):
+        yield step
+    return pp_stages
+
+
+def mmoclip_per_rank(comm, steps: int):
+    """Data-parallel contrastive training with the feature allgather."""
+    batch_local = ai.CLIP_GLOBAL_BATCH / comm.size
+    flops = ai.CLIP_FLOPS_PER_PAIR * batch_local
+    feature_bytes = batch_local * ai.CLIP_EMBED_DIM * 2.0 * 2  # both towers
+    step = (
+        comm.compute(flops=flops / ai.BF16_FACTOR,
+                     bytes_moved=flops / 300.0,
+                     efficiency=ai.GEMM_EFFICIENCY, label="towers"),
+        # the CLIP-specific step: allgather all ranks' embeddings to
+        # build the global similarity matrix
+        comm.allgather(Phantom(feature_bytes), label="feature-gather"),
+        comm.compute(flops=ai.CLIP_GLOBAL_BATCH * batch_local *
+                     ai.CLIP_EMBED_DIM * 4.0 / ai.BF16_FACTOR,
+                     bytes_moved=ai.CLIP_GLOBAL_BATCH * batch_local * 4.0,
+                     efficiency=ai.GEMM_EFFICIENCY, label="similarity"),
+        comm.allreduce(Phantom(2.0 * ai.CLIP_PARAMS / comm.size),
+                       label="dp-allreduce"),
+    )
+    for _step in range(steps):
+        yield step
+    return batch_local
+
+
+def resnet_per_rank(comm, steps: int):
+    """Horovod-style data-parallel ResNet-50 training."""
+    batch_local = ai.RESNET_GLOBAL_BATCH / comm.size
+    step = (
+        comm.compute(
+            flops=ai.RESNET_FLOPS_PER_IMAGE * batch_local / ai.BF16_FACTOR,
+            bytes_moved=batch_local * 150e6 / 10.0,
+            efficiency=ai.GEMM_EFFICIENCY * 0.6,  # convs attain less
+            label="conv"),
+        comm.allreduce(Phantom(2.0 * ai.RESNET_PARAMS), label="grad-allreduce"),
+    )
+    for _step in range(steps):
+        yield step
+    return batch_local
+
+
+def qe_per_rank(comm, mesh: tuple[int, int, int], bands: int,
+                steps: int):
+    """Phantom-cost CP stepping: per band two distributed FFTs with
+    their transpose alltoalls, plus subspace GEMMs and an allreduce."""
+    nz, ny, nx = mesh
+    points = float(nz * ny * nx)
+    points_local = points / comm.size
+    transpose_bytes = points_local * 16.0  # complex128 slab per transpose
+    # Constant ops, hoisted out of the step loop and fused into batches;
+    # the uniform-Phantom alltoall states the per-pair volume directly.
+    transpose = comm.alltoall(Phantom(16 * transpose_bytes / comm.size),
+                              label="fft-transpose")
+    band_block = (
+        comm.compute(
+            flops=16 * 5.0 * points_local * np.log2(max(points, 2)),
+            bytes_moved=16 * points_local * 32.0,
+            efficiency=0.25, label="fft"),
+        transpose,  # forward + inverse transpose
+        transpose,
+    )
+    # subspace diagonalisation / orthonormalisation (ELPA-ish GEMM);
+    # the operand block is bands x points_local complex128 elements
+    subspace = (
+        comm.compute(flops=2.0 * bands ** 2 * points_local / 16,
+                     bytes_moved=bands * points_local * 16.0,
+                     efficiency=0.5, label="subspace"),
+        comm.allreduce(Phantom(bands * bands * 16.0 / comm.size),
+                       label="subspace-reduce"),
+    )
+    step = band_block * max(1, bands // 16) + subspace  # blocked bands
+    for _step in range(steps):
+        yield step
+    return points_local
+
+
+def chroma_per_rank(comm, local_dims: tuple[int, int, int, int],
+                    trajectories: int, md_steps: int, cg_iters: int):
+    """Phantom-cost HMC trajectories on a 4D-decomposed lattice.
+
+    Each rank owns ``local_dims`` sites; one MD step = gauge force +
+    fermion CG (two Dslash halo exchanges + three reductions per
+    iteration).  Returns the number of charged Dslash applications.
+    """
+    cart = CartGrid.for_ranks(comm.size, 4, periodic=True)
+    faces = phantom_faces(local_dims, itemsize=chroma.HALO_BYTES_PER_SITE)
+    local_sites = float(np.prod(local_dims))
+    halo, _keys = halo_batch(comm, cart, faces)
+    force = comm.compute(flops=chroma.FORCE_FLOPS_PER_SITE * local_sites,
+                         bytes_moved=600.0 * local_sites,
+                         efficiency=0.30, label="gauge-force")
+    dslash = halo + (
+        comm.compute(flops=chroma.DSLASH_FLOPS_PER_SITE * local_sites,
+                     bytes_moved=chroma.DSLASH_BYTES_PER_SITE * local_sites,
+                     efficiency=0.35, label="dslash"),)
+    reduce = comm.allreduce(Phantom(16.0), label="cg-reduce")
+    cg_iter = dslash * 2 + (reduce, reduce)  # D then D^+, two dots
+    # a trajectory is a constant program: one batch each
+    trajectory = ((force,) + cg_iter * cg_iters) * md_steps + (
+        comm.allreduce(Phantom(8.0), label="metropolis"),)
+    for _traj in range(trajectories):
+        yield trajectory
+    return trajectories * md_steps * cg_iters * 2
+
+
+def dynqcd_per_rank(comm, local_dims, propagators: int, cg_iters: int):
+    """Phantom-cost propagator generation on the CPU module."""
+    cart = CartGrid.for_ranks(comm.size, 4, periodic=True)
+    faces = phantom_faces(local_dims, itemsize=dynqcd.HALO_BYTES_PER_SITE)
+    local_sites = float(np.prod(local_dims))
+    halo, _keys = halo_batch(comm, cart, faces)
+    dslash = halo + (
+        comm.compute(flops=dynqcd.DSLASH_FLOPS_PER_SITE * local_sites,
+                     bytes_moved=dynqcd.DSLASH_BYTES_PER_SITE * local_sites,
+                     efficiency=0.65, label="dslash"),)  # bandwidth-bound
+    reduce = comm.allreduce(Phantom(16.0), label="cg-reduce")
+    # one propagator's CG is a constant program: one batch each
+    propagator = (dslash * 2 + (reduce, reduce)) * cg_iters
+    for _prop in range(propagators):
+        yield propagator
+    return propagators * cg_iters
+
+
+def nekrs_per_rank(comm, elements_total: float, steps: int,
+                   pressure_iters: int, velocity_iters: int):
+    """Phantom-cost RBC time stepping."""
+    cart = CartGrid.for_ranks(comm.size, 3, periodic=(True, True, False))
+    e_local = elements_total / comm.size
+    flops_eval = nekrs.flops_per_element(nekrs.POINTS) * e_local
+    points_local = e_local * nekrs.POINTS ** 3
+    # gather-scatter face traffic: shared element faces on rank surface
+    edge = max(e_local ** (1.0 / 3.0), 1.0)
+    face_bytes = edge * edge * (nekrs.POINTS ** 2) * 8.0
+    faces = phantom_faces((int(edge) + 1,) * 3, itemsize=1)
+    faces = {k: Phantom(face_bytes) for k in faces}
+    halo, _keys = halo_batch(comm, cart, faces)
+    cg_iter = (comm.compute(flops=flops_eval,
+                            bytes_moved=points_local * 8.0 * 6.0,
+                            efficiency=0.35, label="sem-operator"),) \
+        + halo + (comm.allreduce(Phantom(16.0), label="cg-dot"),)
+    step = cg_iter * (pressure_iters + velocity_iters) + (
+        # advection + forcing evaluation once per step
+        comm.compute(flops=flops_eval * 3.0,
+                     bytes_moved=points_local * 8.0 * 9.0,
+                     efficiency=0.35, label="advection"),)
+    for _step in range(steps):
+        yield step
+    return e_local
+
+
+def nastja_per_rank(comm, domain: tuple[int, int, int], steps: int):
+    """Block-decomposed MC sweeps with per-sweep halo exchange."""
+    cart = CartGrid.for_ranks(comm.size, 3, extents=domain, periodic=False)
+    voxels_local = float(np.prod(domain)) / comm.size
+    local_dims = tuple(max(1, int(d / g))
+                       for d, g in zip(domain, cart.dims))
+    faces = phantom_faces(local_dims, itemsize=8)
+    halo, _keys = halo_batch(comm, cart, faces)
+    step = (comm.compute(flops=nastja.FLOPS_PER_VOXEL * voxels_local,
+                         bytes_moved=nastja.BYTES_PER_VOXEL * voxels_local,
+                         efficiency=0.08,  # irregular access pattern
+                         label="mc-sweep"),) + halo
+    for _step in range(steps):
+        yield step
+    return voxels_local
+
+
+def picongpu_per_rank(comm, grid: tuple[int, int, int], steps: int):
+    """Phantom-cost KHI stepping on a 3D-decomposed domain."""
+    cart = CartGrid.for_ranks(comm.size, 3, extents=grid, periodic=True)
+    cells_local = float(np.prod(grid)) / comm.size
+    particles_local = cells_local * picongpu.PARTICLES_PER_CELL
+    local_dims = tuple(int(g / d) for g, d in zip(grid, cart.dims))
+    # field halos: 2 ghost layers of E/B/J, plus particle migration
+    faces = phantom_faces(local_dims, itemsize=int(picongpu.BYTES_PER_CELL * 2))
+    halo, _keys = halo_batch(comm, cart, faces)
+    step = (
+        comm.compute(flops=particles_local * 230.0,
+                     bytes_moved=particles_local * picongpu.BYTES_PER_PARTICLE,
+                     efficiency=0.18, label="push-deposit"),
+        comm.compute(flops=cells_local * 80.0,
+                     bytes_moved=cells_local * picongpu.BYTES_PER_CELL * 2,
+                     efficiency=0.4, label="fdtd"),
+    ) + halo
+    for _step in range(steps):
+        yield step
+    return particles_local
+
+
+def parflow_per_rank(comm, domain, steps: int, newton: int,
+                     mgcg: int):
+    """Phantom-cost Newton-Krylov stepping on the ClayL domain."""
+    cart = CartGrid.for_ranks(comm.size, 3, extents=domain, periodic=False)
+    cells_local = float(np.prod(domain)) / comm.size
+    local_dims = tuple(max(1, int(d / g)) for d, g in zip(domain, cart.dims))
+    faces = phantom_faces(local_dims, itemsize=8)
+    halo, _keys = halo_batch(comm, cart, faces)
+    mgcg_iter = (comm.compute(flops=parflow.FLOPS_PER_CELL * cells_local,
+                              bytes_moved=parflow.BYTES_PER_CELL * cells_local,
+                              efficiency=0.35, label="mgcg"),) \
+        + halo + (comm.allreduce(Phantom(16.0), label="cg-dot"),)
+    # nonlinear residual + Jacobian setup, then the linear solve
+    newton_iter = (comm.compute(flops=3 * parflow.FLOPS_PER_CELL * cells_local,
+                                bytes_moved=3 * parflow.BYTES_PER_CELL * cells_local,
+                                efficiency=0.3, label="newton"),) \
+        + mgcg_iter * mgcg
+    step = newton_iter * newton
+    for _step in range(steps):
+        yield step
+    return cells_local
+
+
+def soma_per_rank(comm, chains: int, beads: int, grid: int,
+                  sweeps: int):
+    """Phantom-cost SCMF sweeps: local chain moves + field allreduce."""
+    chains_local = chains / comm.size
+    beads_local = chains_local * beads
+    field_bytes = float(grid ** 3 * 4)  # single-precision densities
+    sweep = (
+        comm.compute(flops=soma.FLOPS_PER_BEAD_MOVE * beads_local,
+                     bytes_moved=soma.BYTES_PER_BEAD * beads_local,
+                     efficiency=0.1, label="chain-moves"),
+        comm.allreduce(Phantom(field_bytes), label="field-reduce"),
+    )
+    for _sweep in range(sweeps):
+        yield sweep
+    return chains_local
+
+
+def arbor_per_rank(comm, cells_total: float, steps: int,
+                   exchange_every: int, pressure: float):
+    """Phantom-cost ring-network integration.
+
+    The integration kernels are bandwidth-bound streaming sweeps over
+    the compartment state (hence the high bandwidth efficiency);
+    ``pressure`` > 1 adds the allocator/fragmentation degradation of
+    running at the memory limit (the Fig. 2 four-node point).
+    """
+    cells_local = cells_total / comm.size
+    comps = cells_local * arbor.COMPARTMENTS_PER_CELL
+    step = tuple(
+        comm.compute(flops=share * arbor.FLOPS_PER_COMP_STEP * comps,
+                     bytes_moved=share * arbor.BYTES_PER_COMPARTMENT * comps *
+                     0.3 * pressure,
+                     efficiency=0.60, label=label)
+        for share, label in ((arbor.CHANNEL_SHARE, "channels"),
+                             (arbor.CABLE_SHARE, "cable"),
+                             (arbor.OTHER_SHARE, "other")))
+    # spike exchange: tiny payloads, fully hidden behind compute
+    spikes = comm.allgather(Phantom(64.0 * cells_local * 0.01),
+                            label="spike-exchange")
+    # one batch per communication epoch, the steps after the last
+    # exchange in a final shorter one
+    epoch = step * exchange_every + (spikes,)
+    epochs = steps // exchange_every
+    for _epoch in range(epochs):
+        yield epoch
+    if steps % exchange_every:
+        yield step * (steps % exchange_every)
+    return epochs
+
+
+#: ``name -> (job program, per-rank generator, small args)``
+PROGRAMS = {
+    "icon": (icon.icon_timing_program, icon_per_rank, (1e6, 1e9, 3, 0.5)),
+    "megatron": (ai.megatron_timing_program, megatron_per_rank, (3,)),
+    "mmoclip": (ai.mmoclip_timing_program, mmoclip_per_rank, (3,)),
+    "resnet": (ai.resnet_timing_program, resnet_per_rank, (3,)),
+    "qe": (qe.qe_timing_program, qe_per_rank, ((32, 32, 32), 64, 2)),
+    "chroma": (chroma.chroma_timing_program, chroma_per_rank,
+               ((4, 4, 4, 4), 2, 2, 3)),
+    "dynqcd": (dynqcd.dynqcd_timing_program, dynqcd_per_rank,
+               ((4, 4, 4, 4), 2, 3)),
+    "nekrs": (nekrs.nekrs_timing_program, nekrs_per_rank, (1e5, 2, 3, 2)),
+    "nastja": (nastja.nastja_timing_program, nastja_per_rank,
+               ((64, 64, 64), 3)),
+    "picongpu": (picongpu.picongpu_timing_program, picongpu_per_rank,
+                 ((64, 64, 64), 3)),
+    "parflow": (parflow.parflow_timing_program, parflow_per_rank,
+                ((64, 64, 32), 2, 2, 3)),
+    "soma": (soma.soma_timing_program, soma_per_rank, (1000, 32, 16, 3)),
+    "arbor": (arbor.arbor_timing_program, arbor_per_rank, (1e6, 7, 3, 1.3)),
+}
+#: the per-rank generator each job program replaced
+PER_RANK = {job: old for job, old, _ in PROGRAMS.values()}
+
+
+def straggling(machine):
+    """``machine`` under a fault plan: node 0 straggles (its devices run
+    2.5x slower, so compute columns differ per rank) and inter-cell
+    links keep 37 % of their bandwidth."""
+    plan = FaultPlan(stragglers=(StragglerFault(node=0, factor=2.5),),
+                     links=(LinkFault("inter_cell", 0.37),))
+    slow = {f.node: f.factor for f in plan.stragglers}
+    devices = tuple(d.degraded(slow[node]) if node in slow else d
+                    for d, node in zip(machine.devices,
+                                       machine.nodes_of_rank))
+    return replace(machine, devices=devices, network=machine.network.degraded(
+        FaultInjector(plan).degradation()))
+
+
+MACHINES = {
+    **{f"{n}ranks": (lambda n=n: Machine.on(juwels_booster(), n))
+       for n in (1, 2, 3, 4, 8)},
+    "msa": lambda: Machine.msa(cluster_nodes=1, booster_nodes=1),
+    "straggler": lambda: straggling(Machine.booster(2)),
+}
+
+
+def snapshot(spmd):
+    """Values, clocks and traces as JSON, each trace bucket in insertion
+    order (the order ``sum()`` over it sees)."""
+    return json.dumps([[_canon(v) for v in spmd.values], spmd.clocks,
+                       [[t.compute, t.comm, t.bytes_sent, t.ops]
+                        for t in spmd.traces]])
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """Counts ranks the production engine steps one op at a time."""
+    seen = Counter()
+    real = VmpiEngine._step_rank
+
+    def counting(self, r):
+        seen[type(self).__name__] += 1
+        return real(self, r)
+
+    monkeypatch.setattr(VmpiEngine, "_step_rank", counting)
+    return seen
+
+
+# -- (a) small machines, both schedulers ---------------------------------------
+
+@pytest.mark.parametrize("mach", MACHINES)
+@pytest.mark.parametrize("prog", PROGRAMS)
+def test_job_program_is_the_per_rank_program(prog, mach, stepped):
+    job, old, args = PROGRAMS[prog]
+    machine = MACHINES[mach]()
+    new = VmpiEngine(machine).run(job, args=args)
+    assert stepped["VmpiEngine"] == 0       # columns, never a rank step
+    want = snapshot(new)
+    for engine, program in ((VmpiEngine, old), (ReferenceEngine, old),
+                            (ReferenceEngine, job)):
+        assert snapshot(engine(machine).run(program, args=args)) == want, \
+            (engine.__name__, program.__name__)
+    assert sum(t.ops for t in new.traces) > 0
+
+
+# -- (c) what is not columns runs rank by rank -----------------------------------
+
+def skewed(comm):
+    return comm.compute(flops=(comm.rank + 1) * 1e9, efficiency=0.5,
+                        label="skew")
+
+
+def mismatch_job(world):
+    n = world.size
+    ops = tuple(world.barrier() if r else world.allreduce(Phantom(8.0))
+                for r in range(n))
+    return ((), (world.compute(flops=1e9, label="k"), ops), 2, ()), None
+
+
+def mismatch_per_rank(comm):
+    step = (comm.compute(flops=1e9, label="k"),
+            comm.barrier() if comm.rank else comm.allreduce(Phantom(8.0)))
+    for _ in range(2):
+        yield step
+
+
+def unmatched_job(world):
+    # everyone sends to rank 0 and receives from its left: no matching
+    ring = tuple(world.sendrecv(0, Phantom(8.0), (r - 1) % world.size)
+                 for r in range(world.size))
+    return ((world.barrier(),), (ring,), 1, ()), None
+
+
+def unmatched_per_rank(comm):
+    yield comm.barrier()
+    yield (comm.sendrecv(0, Phantom(8.0), (comm.rank - 1) % comm.size),)
+
+
+#: one face per dimension on an open grid: a rank on the low wall has
+#: nothing to send, its right neighbour waits for it
+ONE_SIDED = ((0, -1), (1, -1))
+
+
+def unpaired_job(world):
+    cart = CartGrid.for_ranks(world.size, 2, periodic=False)
+    faces = {k: Phantom(64.0) for k in ONE_SIDED}
+    return ((), (world.compute(flops=1e9, label="k"),)
+            + world.halo(cart, faces), 2, ()), None
+
+
+def unpaired_per_rank(comm):
+    cart = CartGrid.for_ranks(comm.size, 2, periodic=False)
+    faces = {k: Phantom(64.0) for k in ONE_SIDED}
+    halo, _keys = halo_batch(comm, cart, faces)
+    step = (comm.compute(flops=1e9, label="k"),) + halo
+    for _ in range(2):
+        yield step
+
+
+FAILURES = {"mismatched_collective": (mismatch_job, mismatch_per_rank, 3),
+            "unmatched_sendrecv": (unmatched_job, unmatched_per_rank, 4),
+            "unpaired_halo": (unpaired_job, unpaired_per_rank, 6)}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_what_is_not_columns_fails_like_the_per_rank_path(case):
+    job, old, nranks = FAILURES[case]
+    machine = Machine.on(juwels_booster(), nranks)
+    errors = set()
+    for engine in (VmpiEngine, ReferenceEngine):
+        for program in (job, old):
+            with pytest.raises(VmpiError) as err:
+                engine(machine).run(program)
+            errors.add((type(err.value).__name__, str(err.value)))
+    assert len(errors) == 1, errors
+
+
+def test_a_job_program_must_return_a_schedule():
+    def not_a_job(world):
+        return None
+
+    with pytest.raises(TypeError, match="must return"):
+        VmpiEngine(Machine.on(juwels_booster(), 2)).run(not_a_job)
+    with pytest.raises(TypeError, match="takes no rank_kwargs"):
+        VmpiEngine(Machine.on(juwels_booster(), 2)).run(
+            soma.soma_timing_program, args=(10, 2, 2, 1),
+            rank_kwargs=[{}, {}])
+
+
+def test_a_halo_grid_must_tile_the_world():
+    def job(world):
+        cart = CartGrid.for_ranks(world.size + 1, 2)
+        return ((), world.halo(cart, phantom_faces((4, 4))), 1, ()), None
+
+    with pytest.raises(ValueError, match="does not tile"):
+        VmpiEngine(Machine.on(juwels_booster(), 3)).run(job)
+
+
+def test_zero_steps_books_no_step_label():
+    """A label only the step touches must not appear when it never ran."""
+    job, old, _ = PROGRAMS["arbor"]
+    machine = Machine.on(juwels_booster(), 4)
+    args = (1e6, 2, 3, 1.0)                 # no epoch: the epilogue only
+    new = VmpiEngine(machine).run(job, args=args)
+    assert "spike-exchange" not in new.traces[0].comm
+    assert snapshot(new) == snapshot(VmpiEngine(machine).run(old, args=args))
+
+
+# -- (b) and (d): the figures, in a fresh interpreter ----------------------------
+
+#: what the child runs: the points of the first two are checked against
+#: the per-rank generators, the last one only counted
+FIGURES = (("fig2",), ("fig3", "--nodes", "16,128"), ("fig3", "--nodes", "936"))
+
+
+def figure_runs() -> dict:
+    """Per figure and job program: runs, rank steps, phases planned,
+    columns planned against distinct columns -- and the points whose
+    per-rank generator disagrees.  Run in a fresh interpreter by
+    :func:`test_figures_run_job_programs_as_columns`."""
+    from repro.cli import main
+    from repro.vmpi import engine as engine_module
+
+    counts: dict = {}
+    current, points = [], []
+    real_run, real_step = VmpiEngine._run, VmpiEngine._step_rank
+    real_plans, real_column = engine_module.plan_columns, \
+        sweep_module._plan_column
+    real_program = AppBenchmark.run_program
+
+    def run(self, fn, *args):
+        current.append(counts[figure].setdefault(fn.__name__, Counter()))
+        current[-1]["runs"] += 1
+        try:
+            return real_run(self, fn, *args)
+        finally:
+            current.pop()
+
+    def step(self, r):
+        if current:
+            current[-1]["rank_steps"] += 1
+        return real_step(self, r)
+
+    def plans(eng, columns, slots):
+        current[-1]["phases"] += 1
+        current[-1]["distinct"] += len(set(map(id, columns)))
+        return real_plans(eng, columns, slots)
+
+    def column(eng, ops, slots):
+        current[-1]["planned"] += 1
+        return real_column(eng, ops, slots)
+
+    def program(self, machine, fn, *, args=(), kwargs=None):
+        spmd = real_program(self, machine, fn, args=args, kwargs=kwargs)
+        if fn in PER_RANK and figure != FIGURES[-1]:
+            points.append((machine, fn, args, snapshot(spmd)))
+        return spmd
+
+    VmpiEngine._run, VmpiEngine._step_rank = run, step
+    engine_module.plan_columns, sweep_module._plan_column = plans, column
+    AppBenchmark.run_program = program
+    for figure in FIGURES:
+        counts[figure] = {}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(figure)) == 0
+    VmpiEngine._run, VmpiEngine._step_rank = real_run, real_step
+    engine_module.plan_columns, sweep_module._plan_column = \
+        real_plans, real_column
+    AppBenchmark.run_program = real_program
+    mismatches = [
+        (fn.__name__, machine.nranks) for machine, fn, args, want in points
+        if snapshot(VmpiEngine(machine).run(PER_RANK[fn], args=args)) != want]
+    return {"counts": {" ".join(f): c for f, c in counts.items()},
+            "points": len(points), "max_ranks": max(p[0].nranks
+                                                     for p in points),
+            "mismatches": mismatches}
+
+
+def test_figures_run_job_programs_as_columns():
+    """Every point ``fig2`` and ``fig3 --nodes 16,128`` run is its
+    per-rank generator (production engine: the reference is too slow
+    at 960 ranks); no figure steps a rank of a job program, and each
+    job plans every distinct column once."""
+    code = ("import json\n"
+            "from tests.test_vmpi_job import figure_runs\n"
+            "print(json.dumps(figure_runs()))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT)])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["mismatches"] == []
+    assert out["points"] == 74 and out["max_ranks"] == 960
+    jobs = {p.__name__ for p in PER_RANK}
+    for figure, expected in (("fig2", 13), ("fig3 --nodes 16,128", 4),
+                             ("fig3 --nodes 936", 4)):
+        counts = out["counts"][figure]
+        assert len(jobs & set(counts)) == expected, figure
+        for name in jobs & set(counts):
+            c = counts[name]
+            assert c.get("rank_steps", 0) == 0, (figure, name)
+            assert c["phases"] == 3 * c["runs"], (figure, name)
+            assert c["planned"] == c["distinct"], (figure, name)
+        # the per-rank programs still step their ranks
+        assert counts["juqcs_program"]["rank_steps"] > 0

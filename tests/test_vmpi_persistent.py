@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.apps.lattice.chroma import chroma_timing_program
 from repro.cluster import juwels_booster, juwels_cluster
-from repro.vmpi import decomposition
 from repro.vmpi import engine as engine_module
 from repro.vmpi import (
     Collective,
@@ -38,6 +37,7 @@ from repro.vmpi.decomposition import (
     halo_exchange_op,
     phantom_faces,
 )
+from repro.vmpi.job import World
 from tests.test_vmpi_differential import chrome_export_bytes
 from tests.vmpi_reference import run_reference
 
@@ -262,24 +262,21 @@ def test_compute_price_never_crosses_machines(shared):
 
 def test_chroma_builds_plans_and_ops_once(monkeypatch):
     builds = []
-    exchanges = []
-    seen = {}
+    columns = []
     real_build = engine_module.build_plan
-    real_halo_op = decomposition.halo_exchange_op
+    real_halo = World.halo
 
     def counting_build(members, *args):
         builds.append(len(members))
         return real_build(members, *args)
 
-    def counting_halo_op(comm, *args, **kw):
-        op, keys = real_halo_op(comm, *args, **kw)
-        if id(op) not in seen:          # a newly built Exchange
-            seen[id(op)] = op           # (kept alive: ids stay unique)
-            exchanges.append(comm.rank)
-        return op, keys
+    def counting_halo(world, *args, **kw):
+        halo = real_halo(world, *args, **kw)
+        columns.extend(halo)
+        return halo
 
     monkeypatch.setattr(engine_module, "build_plan", counting_build)
-    monkeypatch.setattr(decomposition, "halo_exchange_op", counting_halo_op)
+    monkeypatch.setattr(World, "halo", counting_halo)
     m = Machine.booster(16)
     trajectories, md_steps, cg_iters = 2, 2, 4
     spmd = run_spmd(chroma_timing_program, machine=m,
@@ -287,7 +284,8 @@ def test_chroma_builds_plans_and_ops_once(monkeypatch):
     sweeps = trajectories * md_steps * cg_iters * 2
     assert spmd.values == [sweeps] * 64 and sweeps == 32
     assert builds == [64]                 # one (comm, tag), one plan
-    assert sorted(exchanges) == list(range(64))   # one Exchange per rank
+    # one halo column for the job: one Exchange per rank, built once
+    assert len(columns) == 1 and len(set(map(id, columns[0]))) == 64
     step = run_reference(
         chroma_timing_program, machine=m,
         args=((4, 4, 4, 4), trajectories, md_steps, cg_iters))

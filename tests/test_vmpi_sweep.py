@@ -69,6 +69,7 @@ from repro.vmpi.decomposition import (
 )
 from repro.vmpi.rounds import PLAN_LIMIT
 from tests.test_vmpi_differential import chrome_export_bytes
+from tests.test_vmpi_job import megatron_per_rank
 from tests.vmpi_reference import ReferenceEngine
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,8 +101,9 @@ MACHINES = {
     "2cells": lambda: degraded(Machine.booster(50)),
 }
 
-#: ``id -> (program, args)``: every timing program whose stepping loop
-#: is hoisted into batches
+#: ``id -> (program, args)``: every timing program whose step runs as
+#: columns -- the job programs (``repro.vmpi.job``) and the generators
+#: that hoist their stepping loop into batches
 HOISTED = {
     "megatron": (megatron_timing_program, (3,)),
     "mmoclip": (mmoclip_timing_program, (3,)),
@@ -588,7 +590,7 @@ def test_megatron_allocates_no_requests_and_resumes_once_per_step(
             super().__init__(*args, **kw)
 
     def counted(comm, steps):
-        gen = megatron_timing_program(comm, steps)
+        gen = megatron_per_rank(comm, steps)
         value = None
         while True:
             resumes[comm.rank] += 1

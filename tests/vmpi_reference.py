@@ -1,8 +1,9 @@
 """The reference step scheduler: the oracle the vmpi engine is tested against.
 
 :class:`ReferenceEngine` executes a rank program the slow, obvious way:
-a FIFO ready deque drives each rank until it blocks, every op asks the
-machine model for its cost again, every ``Exchange`` and ``Sendrecv``
+a FIFO ready deque drives each rank until it blocks, a job program runs
+as the per-rank programs it stands for, every op asks the machine model
+for its cost again, every ``Exchange`` and ``Sendrecv``
 becomes per-edge requests, and collectives wait in a per-``(comm,
 sequence)`` table.  It keeps no heap, cache, plan or parked op.  What it
 shares with :class:`~repro.vmpi.engine.VmpiEngine` is the per-request
@@ -91,6 +92,11 @@ class ReferenceEngine(VmpiEngine):
         del self._batch[r]
         self._resume[r] = results
         return True
+
+    # -- job programs: lowered onto the rank programs they stand for -----------
+
+    def _job_plans(self, phases, slots):
+        return None
 
     # -- costs: ask the machine model every time -------------------------------
 
