@@ -5,7 +5,8 @@ from ..._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "benchmark": (
         "BASE_QUBITS", "EXA_QUBITS", "HS_QUBITS", "JuqcsBenchmark",
-        "juqcs_program", "qubits_for_memory", "state_vector_bytes"
+        "juqcs_program", "juqcs_timing_program", "qubits_for_memory",
+        "state_vector_bytes"
     ),
     "distributed": (
         "AMP_BYTES", "DistState", "dist_apply", "dist_circuit", "dist_gather",

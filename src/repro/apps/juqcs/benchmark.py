@@ -23,9 +23,20 @@ from ...core.benchmark import BenchmarkResult
 from ...core.fom import FigureOfMerit
 from ...core.variants import MemoryVariant
 from ...units import BYTES_PER_COMPLEX128
+from ...vmpi import Comm, Phantom
 from ...vmpi.machine import Machine
 from ..base import AppBenchmark, pow2_floor
-from .distributed import dist_circuit, dist_gather, dist_zero_state, reference_state
+from .distributed import (
+    AMP_BYTES,
+    GATE_EFFICIENCY,
+    _gate,
+    _swap,
+    dist_circuit,
+    dist_gather,
+    dist_zero_state,
+    gate_plan,
+    reference_state,
+)
 from .statevector import H
 
 import numpy as np
@@ -54,23 +65,44 @@ def qubits_for_memory(total_bytes: float) -> int:
     return int(math.floor(math.log2(total_bytes / BYTES_PER_COMPLEX128)))
 
 
-def juqcs_program(comm, n_qubits: int, gates: int, real: bool):
-    """The benchmark kernel: ``gates`` single-qubit gates, each targeting
-    a logical qubit currently held in the rank bits (maximal transfers).
+def juqcs_program(comm, n_qubits: int, gates: int):
+    """The benchmark kernel on real amplitudes: ``gates`` single-qubit
+    gates, each targeting a logical qubit currently held in the rank
+    bits (maximal transfers).
 
     Always the *top* rank bit: the partner is half the machine away, so
     every gate moves half of all memory across the widest cut (the
     benchmark's "large memory transfers" rule).  Returns (max |psi -
-    psi_ref|, #non-local gates) in real mode, or (None, #non-local) in
-    phantom mode, where the whole circuit is one op batch.
+    psi_ref|, #non-local gates).
     """
-    state = dist_zero_state(comm, n_qubits, real=real)
+    state = dist_zero_state(comm, n_qubits)
     nonlocal_count = yield from dist_circuit(comm, state, H, gates)
-    if not real:
-        return None, nonlocal_count
     full = yield from dist_gather(comm, state)
     ref = reference_state(n_qubits, state.history)
     return float(np.max(np.abs(full - ref))), nonlocal_count
+
+
+def juqcs_timing_program(world, n_qubits: int,
+                         gates: int | tuple[int, ...]):
+    """:func:`juqcs_program`'s circuit on a phantom register (a job
+    program, :mod:`repro.vmpi.job`), from the same :func:`gate_plan`.
+
+    Every gate is one shared ``Compute``; a non-local gate is first the
+    half-register ``Sendrecv`` with the partner across its rank bit, one
+    column per distinct bit, built rank by rank on views of the world
+    communicator.  Returns (None, #non-local gates).
+    """
+    state = dist_zero_state(world, n_qubits, real=False)
+    steps, _layout = gate_plan(n_qubits, state.rank_bits, gates)
+    ranks = [Comm(world.comm_id, r, world.members) for r in range(world.size)]
+    half = Phantom(state.local_amplitudes // 2 * AMP_BYTES)
+    swaps = {bit: tuple(_swap(comm, bit, half) for comm in ranks)
+             for bit in dict.fromkeys(b for _, _, b in steps if b is not None)}
+    gate = _gate(world, state, GATE_EFFICIENCY)
+    circuit = tuple(op for _qubit, _pos, bit in steps
+                    for op in ((gate,) if bit is None else (swaps[bit], gate)))
+    return ((), circuit, 1, ()), \
+        (None, sum(bit is not None for _qubit, _pos, bit in steps))
 
 
 class JuqcsBenchmark(AppBenchmark):
@@ -120,8 +152,9 @@ class JuqcsBenchmark(AppBenchmark):
                 n = capacity_qubits
                 clamped = True
         gates = DEFAULT_GATES
-        spmd = self.run_program(machine, juqcs_program,
-                                args=(n, gates, real))
+        spmd = self.run_program(
+            machine, juqcs_program if real else juqcs_timing_program,
+            args=(n, gates))
         verified: bool | None = None
         verification = ""
         if real:
@@ -152,7 +185,9 @@ class JuqcsBenchmark(AppBenchmark):
             raise ValueError("MSA split must give a power-of-two rank count")
         p = int(math.log2(ranks))
         n = qubits if qubits is not None else (p + 6 if real else 34)
-        spmd = self.run_program(machine, juqcs_program, args=(n, gates, real))
+        spmd = self.run_program(
+            machine, juqcs_program if real else juqcs_timing_program,
+            args=(n, gates))
         verified = None
         verification = ""
         if real:

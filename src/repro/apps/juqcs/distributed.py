@@ -19,9 +19,12 @@ shipping results back:
 
 Where each gate lands is one pure plan (:func:`gate_plan`).  Real NumPy
 amplitudes (verified exactly against :mod:`.statevector`) go through it
-gate by gate in :func:`dist_apply`; a :class:`~repro.vmpi.ops.Phantom`
-register at scale runs the whole planned circuit as one op batch
-(:func:`dist_circuit`), which the engine sweeps for all ranks at once.
+gate by gate in :func:`dist_apply` / :func:`dist_circuit`; timing mode
+builds the same plan's ops once, as columns for all ranks, in the job
+program :func:`~repro.apps.juqcs.benchmark.juqcs_timing_program`, from
+the same :func:`_swap` and :func:`_gate` helpers.  A
+:class:`~repro.vmpi.ops.Phantom` register has no amplitudes to apply a
+gate to.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .statevector import is_unitary, zero_state
 
 #: complex128 amplitude size
 AMP_BYTES = 16
+#: roofline efficiency of a gate's sweep over the local amplitudes
+GATE_EFFICIENCY = 0.6
 
 
 @dataclass
@@ -151,20 +156,24 @@ def _gate(comm: Comm, state: DistState, gate_efficiency: float):
                         efficiency=gate_efficiency, label="gate")
 
 
+def _require_amplitudes(state: DistState) -> None:
+    if not isinstance(state.local, np.ndarray):
+        raise ValueError("a phantom register has no amplitudes to apply a "
+                         "gate to (timing mode is juqcs_timing_program)")
+
+
 def dist_apply(comm: Comm, state: DistState, u: np.ndarray, qubit: int,
-               gate_efficiency: float = 0.6):
-    """Apply a single-qubit gate (generator; use ``yield from``).
+               gate_efficiency: float = GATE_EFFICIENCY):
+    """Apply a single-qubit gate to a real register (generator; use
+    ``yield from``).
 
     Returns ``True`` if the gate was non-local (needed communication).
-    A phantom register runs it as a one-gate :func:`dist_circuit`.
     """
     if not is_unitary(np.asarray(u)):
         raise ValueError("gate is not unitary")
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} outside register")
-    if not isinstance(state.local, np.ndarray):
-        return bool((yield from dist_circuit(comm, state, u, (qubit,),
-                                             gate_efficiency)))
+    _require_amplitudes(state)
     state.history.append((np.asarray(u, dtype=np.complex128), qubit))
     ((_, pos, rank_bit),), layout = gate_plan(
         state.n_qubits, state.rank_bits, (qubit,), tuple(state.layout))
@@ -192,40 +201,21 @@ def dist_apply(comm: Comm, state: DistState, u: np.ndarray, qubit: int,
 
 
 def dist_circuit(comm: Comm, state: DistState, u: np.ndarray,
-                 gates: int | tuple[int, ...], gate_efficiency: float = 0.6):
-    """Apply ``u`` along a :func:`gate_plan` (generator; returns the
-    number of non-local gates).  ``gates`` is as for :func:`gate_plan`:
-    target qubits, or a count of gates on the top physical bit (the
-    benchmark circuit).
-
-    Both modes follow the one plan and build their ops with the same
-    helpers, so they cannot drift apart.  Real amplitudes run gate by
-    gate through :func:`dist_apply`; a phantom register yields the whole
-    circuit as *one* batch -- per gate a ``Sendrecv`` with the partner
-    if it is non-local, then the gate's ``Compute`` -- which the engine
-    runs for all ranks as a column sweep.
+                 gates: int | tuple[int, ...],
+                 gate_efficiency: float = GATE_EFFICIENCY):
+    """Apply ``u`` to a real register along a :func:`gate_plan`, gate by
+    gate through :func:`dist_apply` (generator; returns the number of
+    non-local gates).  ``gates`` is as for :func:`gate_plan`: target
+    qubits, or a count of gates on the top physical bit (the benchmark
+    circuit).
     """
     if not is_unitary(np.asarray(u)):
         raise ValueError("gate is not unitary")
-    steps, layout = gate_plan(state.n_qubits, state.rank_bits, gates,
-                              tuple(state.layout))
-    if isinstance(state.local, np.ndarray):
-        for qubit, _pos, _bit in steps:
-            yield from dist_apply(comm, state, u, qubit, gate_efficiency)
-    else:
-        half = Phantom(state.local_amplitudes // 2 * AMP_BYTES)
-        gate = _gate(comm, state, gate_efficiency)
-        batch, swap = [], {}
-        for _qubit, _pos, bit in steps:
-            if bit is not None:
-                if bit not in swap:     # one op per partner, reused
-                    swap[bit] = _swap(comm, bit, half)
-                batch.append(swap[bit])
-            batch.append(gate)
-        yield tuple(batch)
-        u = np.asarray(u, dtype=np.complex128)
-        state.history += [(u, qubit) for qubit, _pos, _bit in steps]
-        state.layout[:] = layout
+    _require_amplitudes(state)
+    steps, _layout = gate_plan(state.n_qubits, state.rank_bits, gates,
+                               tuple(state.layout))
+    for qubit, _pos, _bit in steps:
+        yield from dist_apply(comm, state, u, qubit, gate_efficiency)
     return sum(bit is not None for _qubit, _pos, bit in steps)
 
 

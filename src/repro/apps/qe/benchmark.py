@@ -70,7 +70,7 @@ def qe_real_program(comm, psi_full: np.ndarray, v_r: np.ndarray):
     kinetic = yield from dist_ifft3(comm, kin_g, nz, ny)
     h_psi = kinetic + v_r[zlo:zhi] * local
     ref = apply_hamiltonian_serial(psi_full, v_r)[zlo:zhi]
-    return float(np.max(np.abs(h_psi - ref)))
+    return float(np.max(np.abs(h_psi - ref), initial=0.0))
 
 
 def qe_timing_program(world, mesh: tuple[int, int, int], bands: int,

@@ -222,15 +222,16 @@ class RunJournal:
     # -- persistence (telemetry JSONL schema) -------------------------------
 
     def to_jsonl(self, path: Any) -> int:
-        """Write the journal as schema-valid JSONL; returns the record
-        count.  ``jubench report PATH`` renders the file offline."""
+        """Write the journal as schema-valid JSONL, atomically; returns
+        the record count.  ``jubench report PATH`` renders the file
+        offline."""
         from ..telemetry.schema import meta_event  # avoid import cycle
+        from .jsonl import replace_file
 
         recs = self.records
-        with open(path, "w", encoding="utf-8") as fh:
-            for obj in [meta_event()] + [r.to_event() for r in recs]:
-                fh.write(json.dumps(obj, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        replace_file(path, "".join(
+            json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+            for obj in [meta_event()] + [r.to_event() for r in recs]))
         return len(recs)
 
     @classmethod

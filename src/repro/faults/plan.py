@@ -288,8 +288,10 @@ class FaultPlan:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def save(self, path: Any) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        """Write the plan atomically (:func:`~repro.exec.jsonl.replace_file`)."""
+        from ..exec.jsonl import replace_file
+
+        replace_file(path, self.to_json())
 
     @classmethod
     def load(cls, path: Any) -> "FaultPlan":

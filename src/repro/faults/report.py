@@ -83,11 +83,12 @@ def chaos_trace_events(journal: RunJournal,
 
 def write_chaos_trace(path: Any, journal: RunJournal,
                       plan: FaultPlan) -> int:
-    """Write the deterministic chaos Chrome trace; returns the event
-    count.  Open the file in ``chrome://tracing`` / Perfetto."""
+    """Write the deterministic chaos Chrome trace, atomically; returns
+    the event count.  Open the file in ``chrome://tracing`` / Perfetto."""
+    from ..exec.jsonl import replace_file
+
     events = chaos_trace_events(journal, plan)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"traceEvents": events, "displayTimeUnit": "ms"},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    replace_file(path, json.dumps(
+        {"traceEvents": events, "displayTimeUnit": "ms"},
+        indent=1, sort_keys=True) + "\n")
     return len(events)

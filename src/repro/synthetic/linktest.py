@@ -36,27 +36,22 @@ DIMS = register_dims(__name__, {
 })
 
 
-def bisection_program(comm, message_bytes: float, rounds: int):
+def bisection_program(world, message_bytes: float, rounds: int):
     """Pair rank i of the lower half with rank i of the upper half and
-    bounce bidirectional messages (generator; returns per-rank seconds
-    of exchange time for bandwidth extraction)."""
-    half = comm.size // 2
-    if comm.rank >= 2 * half:
-        # the odd rank out sits the bounce loop out but must still post
-        # the same barrier *sequence* as the paired ranks: barriers
-        # match by position on the communicator, so posting only one
-        # leaves everyone else's second barrier incomplete (deadlock at
-        # odd rank counts -- caught by COMM501 and the step engine)
-        yield comm.barrier(label="start")
-        yield comm.barrier(label="stop")
-        return 0.0
-    partner = comm.rank + half if comm.rank < half else comm.rank - half
-    # the whole bounce loop is one batch, so the engine runs it for
-    # every pair at once (a column sweep)
-    bounce = comm.sendrecv(partner, Phantom(message_bytes), partner, tag=9)
-    yield (comm.barrier(label="start"),) + (bounce,) * rounds + \
-        (comm.barrier(label="stop"),)
-    return rounds * message_bytes
+    bounce bidirectional messages (a job program, :mod:`repro.vmpi.job`;
+    returns the bytes each pair sent one way, for bandwidth extraction).
+
+    At an odd rank count the rank out has ``None`` in the bounce column
+    but posts both barriers (barriers match by position on the
+    communicator), so such a job runs rank by rank.
+    """
+    half = world.size // 2
+    payload = Phantom(message_bytes)
+    bounce = tuple(world.sendrecv(partner, payload, partner, tag=9)
+                   for partner in (*range(half, 2 * half), *range(half))) \
+        + (None,) * (world.size % 2)
+    return ((world.barrier(label="start"),), (bounce,), rounds,
+            (world.barrier(label="stop"),)), rounds * message_bytes
 
 
 class LinktestBenchmark(SyntheticBenchmark):

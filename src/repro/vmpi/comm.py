@@ -18,10 +18,11 @@ the engine in :mod:`repro.vmpi.engine` interprets them.  Helper
 *generators* that themselves communicate (e.g. ring shifts) must be
 delegated to with ``yield from``.
 
-Every call builds a fresh op.  A loop-invariant timing step yielded as
-one *tuple* of ops is what the engine runs fast: once every rank stands
-at such a batch, the step executes for all ranks in lockstep
-(:mod:`repro.vmpi.sweep`) instead of resuming each rank per op.
+Every call builds a fresh op; a *tuple* of ops yielded as one batch runs
+in order and resumes the rank once, with the list of results.  A timing
+program whose every rank runs the same schedule is written as a job
+program instead (:mod:`repro.vmpi.job`): the engine builds and runs each
+op once, as a column for all ranks, and steps no rank.
 """
 
 from __future__ import annotations

@@ -259,7 +259,7 @@ def halo_exchange(comm: Comm, cart: CartGrid, faces: dict[tuple[int, int], Any],
     stencil codes' neighbourhood collectives.  Use as
     ``recv = yield from halo_exchange(...)``.  A loop-invariant
     *timing* loop splices :func:`halo_batch` into one batch per step
-    instead, which the engine can run for all ranks in lockstep.
+    instead.
     """
     ops, keys = halo_batch(comm, cart, faces, tag=tag_base)
     results = (yield ops[0]) if ops else ()

@@ -23,11 +23,10 @@ It schedules and prices the way a discrete-event simulator does:
   edge arrays (:mod:`repro.vmpi.rounds`) rather than per-edge requests,
   and a round whose members re-post the previous round's op objects
   replays its plan;
-* **column sweeps** -- a rank that yields a tuple batch parks at its
-  head, and once every rank stands at one the batches run *column by
-  column* over NumPy arrays indexed by global rank instead of rank by
-  rank, op by op (:mod:`repro.vmpi.sweep`); a job program
-  (:mod:`repro.vmpi.job`) is columns from the start and steps no rank.
+* **job programs** -- a job program (:mod:`repro.vmpi.job`) builds
+  each op once as a *column* for all ranks; the columns run over NumPy
+  arrays indexed by global rank (:mod:`repro.vmpi.sweep`) and no rank
+  is stepped.
 
 Every fast path lowers onto the *per-request machinery* (FIFO channels,
 :class:`~repro.vmpi.ops.Request`, wait groups) whenever it cannot
@@ -55,8 +54,6 @@ Exchange rounds that can never fill (only a subset of the communicator
 exchanges) are drained by :meth:`VmpiEngine._quiesce`: when the heap
 runs dry, pending rounds are decomposed through the per-edge machinery,
 which completes every matched transfer before deadlock is declared.
-Parked batches that cannot run as columns are lowered the same way
-(:meth:`VmpiEngine._sweep`).
 
 Semantics (documented divergences from real MPI):
 
@@ -76,9 +73,7 @@ Semantics (documented divergences from real MPI):
 * Collectives are synchronising: completion is ``max(post times) +
   model cost``; all ranks leave with the same clock.
 * A rank may yield a *tuple* of ops (a batch): the ops run in order
-  and the rank resumes once with the list of their results.  A stepping
-  loop hoisted into one batch per step is what lets the engine run the
-  step for all ranks at once (a column sweep) instead of once per rank.
+  and the rank resumes once with the list of their results.
 * Scheduling is deterministic, so runs are exactly reproducible -- a
   suite requirement (replicability, Sec. II-A).
 """
@@ -126,14 +121,13 @@ from .ops import (
     nbytes_of,
 )
 from .rounds import (
-    PLAN_LIMIT,
     CollRound,
     XchgPlan,
     build_plan,
     exchange_bytes,
 )
 from .job import World, job_rank
-from .sweep import SweepPlan, plan_columns, plan_sweep
+from .sweep import SweepPlan, plan_columns
 from .trace import RankTrace, SpmdResult
 
 __all__ = [
@@ -203,13 +197,8 @@ class VmpiEngine:
         self._wait_groups: dict[Request, _WaitGroup] = {}
         self._comms: dict[int, tuple[int, ...]] = {0: tuple(range(n))}
         self._next_comm_id = 1
-        #: rank -> the tuple batch it yielded and has not started: run
-        #: as a column sweep once every rank is here, lowered otherwise
-        self._parked: dict[int, tuple] = {}
         #: rank -> its program, while ``_gens`` holds a lowered batch
         self._outer: dict[int, Iterator[Op]] = {}
-        #: id(rank 0's batch) -> (batches, their plan or None to lower)
-        self._sweeps: dict[int, tuple[list[tuple], SweepPlan | None]] = {}
         self._rid = 0
         self._node = machine.nodes_of_rank
         self._devkey = [id(d) for d in machine.devices]
@@ -269,7 +258,7 @@ class VmpiEngine:
         for r in range(self.machine.nranks):
             self._wake(r)
         self._loop()
-        while not all(self._finished) and (self._sweep() or self._quiesce()):
+        while not all(self._finished) and self._quiesce():
             self._loop()
         if not all(self._finished):
             self._raise_stuck()
@@ -343,34 +332,6 @@ class VmpiEngine:
                     self._wake(r)
         return True
 
-    def _sweep(self) -> bool:
-        """Run the parked batches in lockstep, or lower them.
-
-        Runs when the heap is dry.  If every rank of the job is parked
-        and :func:`~repro.vmpi.sweep.plan_sweep` can read the batches as
-        columns, they execute over NumPy arrays indexed by global rank;
-        otherwise each parked rank runs its batch on the per-rank path,
-        op by op (:func:`_lowered`).  False if nothing was parked.
-        """
-        parked, self._parked = self._parked, {}
-        if not parked:
-            return False
-        plan = self._sweep_plan(parked)
-        if plan is None:
-            for r in sorted(parked):
-                self._outer[r] = self._gens[r]
-                self._gens[r] = _lowered(r, parked[r])
-                self._wake(r)
-            return True
-        for st, nrounds in plan.rounds:     # in step: advance in unison
-            for g in st[2]:
-                st[0][g] += nrounds
-        self._columns([(plan, 1)], plan.slots)
-        for r, row in enumerate(plan.result_rows()):
-            self._resume[r] = row
-            self._wake(r)
-        return True
-
     def _columns(self, runs: list[tuple[SweepPlan, int]],
                  slots: list[tuple[str, str]]) -> None:
         """Run each ``(plan, times)`` in turn over arrays gathered from
@@ -397,29 +358,6 @@ class VmpiEngine:
         for trace, nbytes in zip(traces, sent.tolist()):
             trace.bytes_sent = nbytes
             trace.ops += nops
-
-    def _sweep_plan(self, parked: dict[int, tuple]) -> SweepPlan | None:
-        """The column plan the parked batches run under, or None to
-        lower them.  Plans are pinned on batch identity; what has to be
-        looked at every time is that p2p channels are idle (a Sendrecv
-        column) and exchange round counters in step."""
-        n = len(self.clocks)
-        if len(parked) != n:
-            return None
-        batches = [parked[r] for r in range(n)]
-        hit = self._sweeps.get(id(batches[0]))
-        if hit is None or not all(map(is_, batches, hit[0])):
-            if len(self._sweeps) >= PLAN_LIMIT:
-                self._sweeps.clear()
-            hit = self._sweeps[id(batches[0])] = \
-                (batches, plan_sweep(self, batches))
-        plan = hit[1]
-        if plan is None or (plan.p2p and (any(self._sends.values())
-                                          or any(self._recvs.values()))):
-            return None
-        if any(len({st[0][g] for g in st[2]}) != 1 for st, _ in plan.rounds):
-            return None
-        return plan
 
     # -- cached cost queries ---------------------------------------------------
     # First use goes through the machine model, later uses replay the
@@ -508,10 +446,13 @@ class VmpiEngine:
                 value = None
                 continue
             if kind is tuple:
-                # Park at the head of the batch: once every rank stands
-                # at one, ``_sweep`` runs them column by column.
-                self._parked[r] = op
-                return
+                # a batch runs op by op; the program resumes once, with
+                # the results, when the batch runs out
+                self._outer[r] = self._gens[r]
+                self._gens[r] = batch = _lowered(r, op)
+                send = batch.send
+                value = None
+                continue
             if not self._dispatch(r, op):
                 return  # blocked; resumes later via _wake
             value = resume[r]

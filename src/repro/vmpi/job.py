@@ -16,8 +16,10 @@ then the epilogue, and returns ``value``.  Each entry of a phase is a
 tuple with one op per global rank (``None`` where a rank posts
 nothing).  The engine plans each distinct column once over NumPy arrays
 (:mod:`repro.vmpi.sweep`) and runs the step plan ``steps`` times; a
-schedule it cannot read as columns runs rank by rank, op by op, on the
-per-rank path, which defines the semantics and raises the errors.
+schedule it cannot read as columns -- a column with a ``None`` among
+them -- runs rank by rank, op by op, on the per-rank path, which
+defines the semantics and raises the errors.  This is the engine's one
+column mechanism: a rank program's tuple batch always runs op by op.
 """
 
 from __future__ import annotations

@@ -23,9 +23,9 @@ from .ops import Exchange, nbytes_of
 __all__ = ["CollRound", "PLAN_LIMIT", "XchgPlan", "build_plan",
            "edge_seconds", "exchange_bytes"]
 
-#: entries a per-run memo keeps (the engine's sweep plans, the tables of
-#: a job memo ``Comm._job``); a program whose batches or grids change
-#: every step starts over instead of growing the memo with its step count
+#: entries a per-run memo keeps (the tables of a job memo ``Comm._job``);
+#: a program whose grids change every step starts over instead of
+#: growing the memo with its step count
 PLAN_LIMIT = 16
 
 
@@ -52,7 +52,7 @@ class XchgPlan:
         a receive completes at ``max(both posts) + t``, a send likewise
         unless it is eager (``post + t``), and a member leaves at the
         latest of its edges.  The one place a round is timed, for a
-        round filled rank by rank and for a column sweep alike."""
+        round filled rank by rank and for a job's column alike."""
         if not self.nedges:
             return posts, np.zeros(len(posts))
         sposts = posts[self.src_idx]

@@ -147,7 +147,7 @@ class TestDistributed:
         gate = H.copy()
 
         def prog(comm, corrupt_at):
-            st_ = dist_zero_state(comm, 4, real=False)
+            st_ = dist_zero_state(comm, 4, real=True)
             top = st_.layout[-1]                # non-local: needs sendrecv
             for i in range(4):
                 if i == corrupt_at and comm.rank == 0:

@@ -21,7 +21,6 @@ import pytest
 
 from repro.check.protocol import analyze_modules
 from repro.cluster import juwels_booster
-from repro.synthetic.linktest import bisection_program
 from repro.units import MIB
 from repro.vmpi import Machine, run_spmd
 from repro.vmpi.collectives import (
@@ -29,6 +28,7 @@ from repro.vmpi.collectives import (
     DeadlockError,
     VmpiError,
 )
+from tests.test_vmpi_job import bisection_per_rank
 from tests.vmpi_reference import run_reference
 
 FIXTURES = Path(__file__).parent / "fixtures" / "comm"
@@ -142,6 +142,7 @@ def test_linktest_bisection_completes_at_odd_rank_counts(nranks):
     """The odd rank out used to post one barrier against everyone
     else's two, deadlocking the stop barrier at odd rank counts --
     found by COMM501, fixed by making the spectator post the same
-    barrier sequence."""
-    result = _run_on_both(bisection_program, nranks, args=(16 * MIB, 2))
+    barrier sequence.  LinkTest is a job program now; this is its
+    generator as it was, kept verbatim."""
+    result = _run_on_both(bisection_per_rank, nranks, args=(16 * MIB, 2))
     assert result.elapsed > 0.0

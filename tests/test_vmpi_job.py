@@ -1,6 +1,6 @@
 """Job programs against the per-rank generators they replaced.
 
-Thirteen timing programs are job programs (:mod:`repro.vmpi.job`): one
+Fifteen timing programs are job programs (:mod:`repro.vmpi.job`): one
 call builds every op once, as a column for all ranks, and the engine
 plans each distinct column once and runs the step plan ``steps`` times
 over NumPy arrays.  Their per-rank generators are kept below verbatim
@@ -10,7 +10,9 @@ over NumPy arrays.  Their per-rank generators are kept below verbatim
     reference scheduler (:mod:`tests.vmpi_reference`, which lowers a
     job program onto the per-rank path), at 1/2/3/4/8 ranks, on a
     mixed-device MSA job and under a straggler fault plan: canonical
-    JSON of values, clocks and traces, and trace key order, byte-equal;
+    JSON of values, clocks and traces, and trace key order, byte-equal
+    (JUQCS and LinkTest at 1/2/4/8 ranks and on MSA, with eager and
+    rendezvous messages);
 (b) the same at every point ``fig2`` and ``fig3 --nodes 16,128`` run
     (production engine only: the reference is too slow at 960 ranks);
 (c) a column that is not columns -- a mismatched collective, a
@@ -38,6 +40,15 @@ from repro.apps.ai import benchmarks as ai
 from repro.apps.arbor import benchmark as arbor
 from repro.apps.base import AppBenchmark
 from repro.apps.icon import benchmark as icon
+from repro.apps.juqcs.benchmark import juqcs_timing_program
+from repro.apps.juqcs.distributed import (
+    AMP_BYTES,
+    _gate,
+    _swap,
+    dist_zero_state,
+    gate_plan,
+)
+from repro.apps.juqcs.statevector import H, is_unitary
 from repro.apps.lattice import chroma, dynqcd
 from repro.apps.nastja import benchmark as nastja
 from repro.apps.nekrs import benchmark as nekrs
@@ -49,6 +60,8 @@ from repro.cluster import juwels_booster
 from repro.core.suite import JupiterBenchmarkSuite
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
+from repro.synthetic.linktest import bisection_program
+from repro.units import KIB, MIB
 from repro.vmpi import Machine, Phantom, VmpiEngine, VmpiError
 from repro.vmpi import sweep as sweep_module
 from repro.vmpi.decomposition import CartGrid, halo_batch, phantom_faces
@@ -393,6 +406,60 @@ def arbor_per_rank(comm, cells_total: float, steps: int,
     return epochs
 
 
+def dist_circuit_batch(comm, state, u, gates, gate_efficiency=0.6):
+    """``dist_circuit`` on a phantom register: the whole planned circuit
+    as *one* batch -- per gate a ``Sendrecv`` with the partner if it is
+    non-local, then the gate's ``Compute``."""
+    if not is_unitary(np.asarray(u)):
+        raise ValueError("gate is not unitary")
+    steps, layout = gate_plan(state.n_qubits, state.rank_bits, gates,
+                              tuple(state.layout))
+    half = Phantom(state.local_amplitudes // 2 * AMP_BYTES)
+    gate = _gate(comm, state, gate_efficiency)
+    batch, swap = [], {}
+    for _qubit, _pos, bit in steps:
+        if bit is not None:
+            if bit not in swap:     # one op per partner, reused
+                swap[bit] = _swap(comm, bit, half)
+            batch.append(swap[bit])
+        batch.append(gate)
+    yield tuple(batch)
+    u = np.asarray(u, dtype=np.complex128)
+    state.history += [(u, qubit) for qubit, _pos, _bit in steps]
+    state.layout[:] = layout
+    return sum(bit is not None for _qubit, _pos, bit in steps)
+
+
+def juqcs_per_rank(comm, n_qubits, gates):
+    """``juqcs_program`` in phantom mode (``real=False``)."""
+    state = dist_zero_state(comm, n_qubits, real=False)
+    nonlocal_count = yield from dist_circuit_batch(comm, state, H, gates)
+    return None, nonlocal_count
+
+
+def bisection_per_rank(comm, message_bytes: float, rounds: int):
+    """Pair rank i of the lower half with rank i of the upper half and
+    bounce bidirectional messages (generator; returns per-rank seconds
+    of exchange time for bandwidth extraction)."""
+    half = comm.size // 2
+    if comm.rank >= 2 * half:
+        # the odd rank out sits the bounce loop out but must still post
+        # the same barrier *sequence* as the paired ranks: barriers
+        # match by position on the communicator, so posting only one
+        # leaves everyone else's second barrier incomplete (deadlock at
+        # odd rank counts -- caught by COMM501 and the step engine)
+        yield comm.barrier(label="start")
+        yield comm.barrier(label="stop")
+        return 0.0
+    partner = comm.rank + half if comm.rank < half else comm.rank - half
+    # the whole bounce loop is one batch, so the engine runs it for
+    # every pair at once (a column sweep)
+    bounce = comm.sendrecv(partner, Phantom(message_bytes), partner, tag=9)
+    yield (comm.barrier(label="start"),) + (bounce,) * rounds + \
+        (comm.barrier(label="stop"),)
+    return rounds * message_bytes
+
+
 #: ``name -> (job program, per-rank generator, small args)``
 PROGRAMS = {
     "icon": (icon.icon_timing_program, icon_per_rank, (1e6, 1e9, 3, 0.5)),
@@ -415,7 +482,9 @@ PROGRAMS = {
     "arbor": (arbor.arbor_timing_program, arbor_per_rank, (1e6, 7, 3, 1.3)),
 }
 #: the per-rank generator each job program replaced
-PER_RANK = {job: old for job, old, _ in PROGRAMS.values()}
+PER_RANK = {job: old for job, old, _ in PROGRAMS.values()} | {
+    juqcs_timing_program: juqcs_per_rank,
+    bisection_program: bisection_per_rank}
 
 
 def straggling(machine):
@@ -476,6 +545,51 @@ def test_job_program_is_the_per_rank_program(prog, mach, stepped):
                             (ReferenceEngine, job)):
         assert snapshot(engine(machine).run(program, args=args)) == want, \
             (engine.__name__, program.__name__)
+    assert sum(t.ops for t in new.traces) > 0
+
+
+#: JUQCS needs a power-of-two rank count; the MSA job mixes devices and
+#: pairs cluster ranks with booster ranks
+COLUMN_MACHINES = {k: MACHINES[k]
+                   for k in ("1ranks", "2ranks", "4ranks", "8ranks", "msa")}
+
+
+def column_args(prog, nranks, message_bytes):
+    """Arguments that move ``message_bytes`` per Sendrecv: JUQCS ships
+    half of a rank's ``2**m`` amplitudes."""
+    if prog is juqcs_timing_program:
+        local_qubits = int(np.log2(message_bytes / AMP_BYTES)) + 1
+        return (int(np.log2(nranks)) + local_qubits, 12)
+    return (message_bytes, 4)
+
+
+@pytest.mark.parametrize("message_bytes", [4 * KIB, 16 * MIB],
+                         ids=["eager", "rendezvous"])
+@pytest.mark.parametrize("mach", COLUMN_MACHINES)
+@pytest.mark.parametrize("prog", [juqcs_timing_program, bisection_program],
+                         ids=["juqcs", "bisection"])
+def test_juqcs_and_linktest_are_their_batched_generators(prog, mach,
+                                                         message_bytes,
+                                                         stepped):
+    machine = COLUMN_MACHINES[mach]()
+    args = column_args(prog, machine.nranks, message_bytes)
+    new = VmpiEngine(machine).run(prog, args=args)
+    old = PER_RANK[prog]
+    odd = prog is bisection_program and machine.nranks % 2
+    # an odd rank count has a None in the bounce column: rank by rank
+    assert (stepped["VmpiEngine"] > 0) == bool(odd)
+    if odd:
+        # the job returns one value for all ranks; the generator's odd
+        # rank out returned 0.0
+        assert new.values[-1] == 4 * message_bytes
+        new.values[-1] = 0.0
+    want = snapshot(new)
+    for engine, program in ((VmpiEngine, old), (ReferenceEngine, old),
+                            (ReferenceEngine, prog)):
+        got = engine(machine).run(program, args=args)
+        if odd and program is prog:
+            got.values[-1] = 0.0
+        assert snapshot(got) == want, (engine.__name__, program.__name__)
     assert sum(t.ops for t in new.traces) > 0
 
 
@@ -667,10 +781,10 @@ def test_figures_run_job_programs_as_columns():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["mismatches"] == []
-    assert out["points"] == 74 and out["max_ranks"] == 960
+    assert out["points"] == 81 and out["max_ranks"] == 960
     jobs = {p.__name__ for p in PER_RANK}
-    for figure, expected in (("fig2", 13), ("fig3 --nodes 16,128", 4),
-                             ("fig3 --nodes 936", 4)):
+    for figure, expected in (("fig2", 14), ("fig3 --nodes 16,128", 5),
+                             ("fig3 --nodes 936", 5)):
         counts = out["counts"][figure]
         assert len(jobs & set(counts)) == expected, figure
         for name in jobs & set(counts):
@@ -678,5 +792,5 @@ def test_figures_run_job_programs_as_columns():
             assert c.get("rank_steps", 0) == 0, (figure, name)
             assert c["phases"] == 3 * c["runs"], (figure, name)
             assert c["planned"] == c["distinct"], (figure, name)
-        # the per-rank programs still step their ranks
-        assert counts["juqcs_program"]["rank_steps"] > 0
+        # JUQCS's circuit is columns too
+        assert counts["juqcs_timing_program"].get("rank_steps", 0) == 0

@@ -9,9 +9,9 @@ Two pieces of per-rank set-up became job-level computations:
     it replaced, kept verbatim below, rank by rank -- ops, keys and the
     error a rank raises;
 (b) JUQCS's gate schedule: one pure :func:`~repro.apps.juqcs.distributed.
-    gate_plan` serves real mode gate by gate and timing mode as one op
-    batch.  The batched program is checked against the per-gate program
-    it replaced (kept verbatim) on the reference scheduler.
+    gate_plan` serves real mode gate by gate and timing mode as the
+    columns of a job program.  Both are checked against the per-gate
+    program they replaced (kept verbatim) on the reference scheduler.
 
 Plus fresh-interpreter count guards on what the change is for.
 """
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.apps.juqcs.benchmark import juqcs_program
+from repro.apps.juqcs.benchmark import juqcs_program, juqcs_timing_program
 from repro.apps.juqcs.distributed import (
     AMP_BYTES,
     _local_apply,
@@ -217,7 +217,7 @@ def test_phantom_faces_are_shared_but_the_dict_is_fresh():
     assert phantom_faces((4, 6, 8), itemsize=4)[(0, 1)].nbytes == 4 * 48
 
 
-# -- (b) JUQCS: one batch == the per-gate program ---------------------------------
+# -- (b) JUQCS: the job program == the per-gate program ---------------------------
 
 def dist_apply_per_gate(comm, state, u, qubit, gate_efficiency=0.6):
     """``dist_apply`` as it was before the gate plan."""
@@ -311,11 +311,11 @@ def key_order(spmd):
 def test_batched_juqcs_is_the_per_gate_program(mach, local_qubits):
     machine = MACHINES[mach]()
     n = int(np.log2(machine.nranks)) + local_qubits
-    args = (n, 12, False)
-    batched = VmpiEngine(machine).run(juqcs_program, args=args)
-    for engine, program in ((ReferenceEngine, juqcs_per_gate),
-                            (ReferenceEngine, juqcs_program),
-                            (VmpiEngine, juqcs_per_gate)):
+    batched = VmpiEngine(machine).run(juqcs_timing_program, args=(n, 12))
+    for engine, program, args in (
+            (ReferenceEngine, juqcs_per_gate, (n, 12, False)),
+            (ReferenceEngine, juqcs_timing_program, (n, 12)),
+            (VmpiEngine, juqcs_per_gate, (n, 12, False))):
         oracle = engine(machine).run(program, args=args)
         assert oracle.clocks == batched.clocks, (engine, program)
         assert canon(oracle) == canon(batched)
@@ -328,30 +328,51 @@ def test_batched_juqcs_is_the_per_gate_program(mach, local_qubits):
 def test_real_mode_follows_the_same_plan(nranks):
     machine = Machine.on(juwels_booster(), nranks)
     n = int(np.log2(nranks)) + 4
-    new = VmpiEngine(machine).run(juqcs_program, args=(n, 7, True))
+    new = VmpiEngine(machine).run(juqcs_program, args=(n, 7))
     old = ReferenceEngine(machine).run(juqcs_per_gate, args=(n, 7, True))
     assert canon(new) == canon(old)
     assert new.values[0][0] == 0.0
 
 
 @pytest.mark.parametrize("nranks", [1, 2, 8])
-def test_phantom_dist_apply_is_a_one_gate_circuit(nranks):
-    """Gate by gate, a phantom register goes through the batch path and
-    costs what the per-gate program did: same clocks, same ledger."""
-    def prog(comm, apply):
+def test_phantom_gates_are_the_per_gate_program(nranks):
+    """Any gate sequence -- local and non-local gates, several rank
+    bits -- costs in the job program what the per-gate program did:
+    same clocks, same ledger."""
+    def prog(comm):
         state = dist_zero_state(comm, n, real=False)
-        out = []
+        count = 0
         for q in qubits:
-            out.append((yield from apply(comm, state, rx(0.2), q)))
-        return out, state.layout
+            count += yield from dist_apply_per_gate(comm, state, rx(0.2), q)
+        return None, count
 
     machine = Machine.on(juwels_booster(), nranks)
     n = int(np.log2(nranks)) + 4
-    qubits = [n - 1, 0, n - 2, n - 1, 1, n - 1]
-    new = VmpiEngine(machine).run(prog, args=(dist_apply,))
-    old = ReferenceEngine(machine).run(prog, args=(dist_apply_per_gate,))
+    qubits = (n - 1, 0, n - 2, n - 1, 1, n - 1)
+    new = VmpiEngine(machine).run(juqcs_timing_program, args=(n, qubits))
+    old = ReferenceEngine(machine).run(prog)
     assert new.clocks == old.clocks and new.values == old.values
     assert canon(new) == canon(old) and key_order(new) == key_order(old)
+
+
+@pytest.mark.parametrize("apply", ["dist_apply", "dist_circuit"])
+def test_a_phantom_register_is_refused(apply):
+    """Timing mode is the job program: a phantom register has no
+    amplitudes to apply a gate to, and says so before communicating."""
+    posted = []
+
+    def prog(comm):
+        state = dist_zero_state(comm, 4, real=False)
+        gen = dist_apply(comm, state, H, 3) if apply == "dist_apply" \
+            else dist_circuit(comm, state, H, 3)
+        with pytest.raises(ValueError, match="phantom register") as err:
+            posted.append(next(gen))
+        yield comm.barrier()
+        return str(err.value)
+
+    spmd = VmpiEngine(Machine.on(juwels_booster(), 2)).run(prog)
+    assert posted == []
+    assert spmd.values == [spmd.values[0]] * 2
 
 
 def test_gate_plan_routes_like_the_layout_walk():
@@ -404,7 +425,6 @@ def count_prologue() -> dict:
     from repro.vmpi import sweep as sweep_module
 
     counts = Counter()
-    resumes = Counter()
 
     class CountedRequest(engine_module.Request):
         def __init__(self, *args, **kw):
@@ -413,6 +433,7 @@ def count_prologue() -> dict:
 
     real_run, real_neighbor = sweep_module.SweepPlan.run, CartGrid.neighbor
     real_table = decomposition.halo_table
+    real_step = VmpiEngine._step_rank
     tables = set()
 
     def counting_run(self, *args):
@@ -428,27 +449,20 @@ def count_prologue() -> dict:
         tables.add(id(rows))
         return rows
 
-    def counted(comm, *args):
-        gen = juqcs_program(comm, *args)
-        value = None
-        while True:
-            resumes[comm.rank] += 1
-            try:
-                op = gen.send(value)
-            except StopIteration as stop:
-                return stop.value
-            value = yield op
+    def counting_step(self, r):
+        counts["rank_steps"] += 1
+        return real_step(self, r)
 
     engine_module.Request = CountedRequest
     sweep_module.SweepPlan.run = counting_run
     CartGrid.neighbor = counting_neighbor
     decomposition.halo_table = counting_table
+    VmpiEngine._step_rank = counting_step
     machine = Machine.booster(128)
     n = JuqcsBenchmark().qubits_for(128, None)
-    spmd = VmpiEngine(machine).run(counted, args=(n, 12, False))
+    spmd = VmpiEngine(machine).run(juqcs_timing_program, args=(n, 12))
     assert spmd.values == [(None, 12)] * 512
     out = {"juqcs_" + k: v for k, v in counts.items()}
-    out["juqcs_max_resumes"] = max(resumes.values())
     counts.clear()
     spmd = VmpiEngine(machine).run(chroma_timing_program,
                                    args=((4, 4, 4, 4), 2, 2, 3))
@@ -467,12 +481,13 @@ def test_prologue_is_per_job():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout.splitlines()[-1])
-    # JUQCS: the whole circuit is one sweep -- no Request, no per-gate
-    # generator round trip (start, then resume with the results)
+    # JUQCS: the whole circuit is one column plan, run once -- no rank
+    # step and no Request
     assert counts["juqcs_sweeps"] == 1
+    assert counts.get("juqcs_rank_steps", 0) == 0
     assert counts.get("juqcs_requests", 0) == 0
-    assert counts["juqcs_max_resumes"] <= 2
     # Chroma: one pairing table for 512 ranks, no neighbour walk
     assert counts["chroma_tables"] == 1
     assert counts.get("chroma_neighbor", 0) == 0
+    assert counts.get("chroma_rank_steps", 0) == 0
     assert counts["chroma_sweeps"] == 2          # one per trajectory

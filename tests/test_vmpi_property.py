@@ -7,8 +7,7 @@ virtual clocks advance monotonically, no spurious
 :class:`DeadlockError` is raised, and the engine and the reference step
 scheduler (:mod:`tests.vmpi_reference`) agree exactly on final clocks,
 payloads and traces.  A second generator wraps phases into tuple
-batches -- the programs the engine runs as column sweeps
-(:mod:`repro.vmpi.sweep`) or lowers.
+batches, which the engine lowers op by op the moment they are yielded.
 """
 
 import numpy as np
@@ -43,10 +42,10 @@ PHASES = st.one_of(
 
 
 # Phases that are one op, so they can also stand inside a tuple batch:
-# the families a column sweep runs in lockstep -- rank-skewed compute,
+# the families a job program runs as columns -- rank-skewed compute,
 # collectives on the world and on two families of sub-communicators
 # (``rank % 2`` interleaved, ``rank // 2`` contiguous), ring sendrecvs
-# of any shift -- next to ones it has to lower (a real payload).
+# of any shift -- next to ones no column carries (a real payload).
 SUBS = st.integers(min_value=0, max_value=1)
 BATCHABLE = st.one_of(
     PHASES.filter(lambda phase: phase[0] != "p2p_pair"),
@@ -164,9 +163,9 @@ def test_random_programs_agree_across_cores(phases, nranks):
 @settings(max_examples=60, deadline=None)
 def test_random_batched_programs_agree_across_cores(phases, nranks):
     """Tuple batches -- multiplied, mixed with plain phases, on the world
-    and on sub-communicators -- whether they run as column sweeps or are
-    lowered: values, clocks, traces and the insertion order of the trace
-    buckets (``compute_seconds`` sums in it) all equal the reference's."""
+    and on sub-communicators -- lowered op by op: values, clocks, traces
+    and the insertion order of the trace buckets (``compute_seconds``
+    sums in it) all equal the reference's."""
     prog = build_program(phases)
     m = machine(nranks)
     step = run_reference(prog, machine=m)

@@ -1,18 +1,18 @@
-"""Column sweeps against the oracle.
+"""Columns and batches against the oracle.
 
-When every rank parks at a tuple batch the engine runs the batches
-column by column over NumPy arrays (:mod:`repro.vmpi.sweep`); whatever
-it cannot read as columns is *lowered* onto the per-rank path.  Neither
-may be observable: this suite compares production with the reference
-step scheduler (:mod:`tests.vmpi_reference`, which never sweeps) byte
-for byte --
+A job program (:mod:`repro.vmpi.job`) runs column by column over NumPy
+arrays (:mod:`repro.vmpi.sweep`); a rank program's tuple batch is
+*lowered* onto the per-rank path, op by op, the moment it is yielded.
+Neither may be observable: this suite compares production with the
+reference step scheduler (:mod:`tests.vmpi_reference`, which runs every
+op rank by rank) byte for byte --
 
 (a) every hoisted timing program, on several machines, and for three of
     them against the un-hoisted loop kept here verbatim;
-(b) every lowering case, error text included;
+(b) every batch a rank program yields, error text included;
 (c) (the random programs live in ``test_vmpi_property.py``);
-(d) noise-free count guards on what the sweep is for: no ``Request``,
-    no per-op generator round trip, one plan per distinct column.
+(d) noise-free count guards on what columns are for: no ``Request``,
+    no rank step, one plan per distinct column.
 """
 
 import json
@@ -67,9 +67,7 @@ from repro.vmpi.decomposition import (
     halo_exchange,
     phantom_faces,
 )
-from repro.vmpi.rounds import PLAN_LIMIT
 from tests.test_vmpi_differential import chrome_export_bytes
-from tests.test_vmpi_job import megatron_per_rank
 from tests.vmpi_reference import ReferenceEngine
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,9 +99,9 @@ MACHINES = {
     "2cells": lambda: degraded(Machine.booster(50)),
 }
 
-#: ``id -> (program, args)``: every timing program whose step runs as
-#: columns -- the job programs (``repro.vmpi.job``) and the generators
-#: that hoist their stepping loop into batches
+#: ``id -> (program, args)``: every timing program that hoists its step
+#: -- the job programs (``repro.vmpi.job``), whose step runs as columns,
+#: and the generators that yield it as one batch per step
 HOISTED = {
     "megatron": (megatron_timing_program, (3,)),
     "mmoclip": (mmoclip_timing_program, (3,)),
@@ -155,15 +153,16 @@ def assert_identical(ref, spmd):
 
 @pytest.fixture
 def traffic(monkeypatch):
-    """Counts sweeps run and batches lowered by production engines."""
+    """Counts column plans run and batches lowered by production
+    engines."""
     seen = Counter()
     real_run = sweep_module.SweepPlan.run
     real_lower = engine_module._lowered
 
-    def counting_run(self, *args):
+    def counting_run(self, clk, *args):
         seen["sweeps"] += 1
-        seen["swept_ops"] += self.nranks * len(self.columns)
-        return real_run(self, *args)
+        seen["swept_ops"] += len(clk) * len(self.columns)
+        return real_run(self, clk, *args)
 
     def counting_lower(r, ops):
         seen["lowered"] += 1
@@ -176,11 +175,8 @@ def traffic(monkeypatch):
 
 # -- (a) hoisted programs == the oracle ---------------------------------------
 
-#: what runs in lockstep: everything but the personalised (tuple
-#: payload) alltoalls of GROMACS, and Amber beyond one node, where the
-#: idle ranks' batches are shorter than the computing ranks'
-LOWERED = {("gromacs", m) for m in MACHINES} | \
-    {("amber", m) for m in MACHINES if m not in ("1rank", "2ranks", "1node")}
+#: the generators: their batches run op by op, never as columns
+LOWERED = {(p, m) for p in ("gromacs", "amber", "hpcg") for m in MACHINES}
 
 
 @pytest.mark.parametrize("prog,mach", CASES,
@@ -195,7 +191,7 @@ def test_hoisted_program_matches_the_reference(prog, mach, traffic):
         assert traffic["lowered"] and not traffic["sweeps"]
     else:
         assert traffic["sweeps"] and not traffic["lowered"]
-        # the sweeps carried the stepping loop: all but the prologue ops
+        # the columns carried the stepping loop: all but the prologue ops
         assert traffic["swept_ops"] >= total - 3 * spmd.nranks
 
 
@@ -280,7 +276,7 @@ def arbor_unhoisted(comm, cells_total, steps, exchange_every, pressure):
 
 def bisection_per_op(comm, message_bytes, rounds):
     """LinkTest's ``bisection_program`` as it was before its bounce loop
-    became one batch."""
+    became one batch (and then a job program)."""
     half = comm.size // 2
     if comm.rank >= 2 * half:
         yield comm.barrier(label="start")
@@ -312,8 +308,8 @@ def test_hoisted_program_is_the_unhoisted_program(prog, mach, tmp_path):
         chrome_export_bytes(tmp_path, "swept", swept)
 
 
-#: even rank counts sweep; odd ones (a spectator rank posts its barriers
-#: one by one) lower; the MSA job pairs cluster ranks with booster ranks
+#: even rank counts run as columns; odd ones (a spectator rank has no
+#: bounce) rank by rank; the MSA job pairs cluster ranks with booster ranks
 BISECTION_MACHINES = {
     "2ranks": lambda: ranks(2), "3ranks": lambda: ranks(3),
     "4ranks": lambda: ranks(4), "5ranks": lambda: ranks(5),
@@ -328,18 +324,26 @@ BISECTION_MACHINES = {
 def test_batched_bisection_is_the_per_op_loop(mach, message_bytes, traffic):
     machine = BISECTION_MACHINES[mach]()
     args = (message_bytes, 4)
+    odd = machine.nranks % 2
     batched = VmpiEngine(machine).run(bisection_program, args=args)
+    if odd:
+        # the job's one value; the loop's spectator rank returned 0.0
+        assert batched.values[-1] == 4 * message_bytes
+        batched.values[-1] = 0.0
     for engine, program in ((ReferenceEngine, bisection_per_op),
                             (ReferenceEngine, bisection_program),
                             (VmpiEngine, bisection_per_op)):
-        assert_identical(engine(machine).run(program, args=args), batched)
-    if machine.nranks % 2:
+        got = engine(machine).run(program, args=args)
+        if odd and program is bisection_program:
+            got.values[-1] = 0.0
+        assert_identical(got, batched)
+    if odd:
         assert traffic["lowered"] and not traffic["sweeps"]
-    else:
-        assert traffic["sweeps"] == 1 and not traffic["lowered"]
+    else:   # start barrier, four bounces, stop barrier
+        assert traffic["sweeps"] == 6 and not traffic["lowered"]
 
 
-# -- (b) lowering: anything that is not columns runs as before ------------------
+# -- (b) batches: a rank program's batch runs op by op ---------------------------
 
 def skewed(comm):
     """Per-rank compute, so no two clocks are equal."""
@@ -473,6 +477,7 @@ LOWERING = [
     ("half_never_batch", prog_half_never_batch, 5),
     ("rank_returns_early", prog_rank_returns_early, 5),
     ("eager_send_ahead_of_sendrecv", prog_eager_send_ahead_of_sendrecv, 4),
+    ("mutated_results", prog_mutated_results, 4),
 ]
 
 
@@ -481,32 +486,7 @@ LOWERING = [
 def test_lowered_batches_match_the_reference(name, program, nranks, traffic):
     ref, spmd = run_both(program, ranks(nranks))
     assert_identical(ref, spmd)
-    assert traffic["lowered"], "expected the per-rank path"
-
-
-def test_mutated_result_lists_never_leak_into_the_next_sweep(traffic):
-    ref, spmd = run_both(prog_mutated_results, ranks(4))
-    assert_identical(ref, spmd)
-    assert traffic["sweeps"] == 3 and not traffic["lowered"]
-    assert spmd.values[1] == [[4, 1, 4, None]] * 3
-    assert spmd.values[0] == [[4, 1, None, None]] * 3
-
-
-def test_sweep_results_alias_like_a_computed_round():
-    """One allgather round hands every receiver the *same* list; two
-    rounds (or two positions of one batch) never share one."""
-    rows = {}
-
-    def prog(comm):
-        ag = comm.allgather(Phantom(8.0))
-        first = yield (ag, ag)
-        rows[comm.rank] = [first, (yield (ag, ag))]
-
-    VmpiEngine(ranks(3)).run(prog)
-    first, second = rows[0]
-    assert first[0] is rows[1][0][0] is rows[2][0][0]
-    assert first[0] is not first[1] and first[0] is not second[0]
-    assert first[0] == first[1] == second[0] == [Phantom(8.0)] * 3
+    assert traffic["lowered"] and not traffic["sweeps"]
 
 
 def prog_collective_mismatch(comm):
@@ -576,43 +556,7 @@ def test_an_unreducible_payload_fails_like_the_reference():
     assert errors[0] == errors[1]
 
 
-# -- (d) count guards: what the sweep is for --------------------------------------
-
-def test_megatron_allocates_no_requests_and_resumes_once_per_step(
-        monkeypatch, traffic):
-    requests = []
-    resumes = Counter()
-    steps = 5
-
-    class CountedRequest(engine_module.Request):
-        def __init__(self, *args, **kw):
-            requests.append(self)
-            super().__init__(*args, **kw)
-
-    def counted(comm, steps):
-        gen = megatron_per_rank(comm, steps)
-        value = None
-        while True:
-            resumes[comm.rank] += 1
-            try:
-                op = gen.send(value)
-            except StopIteration as stop:
-                return stop.value
-            value = yield op
-
-    monkeypatch.setattr(engine_module, "Request", CountedRequest)
-    machine = Machine.booster(64)
-    spmd = VmpiEngine(machine).run(counted, args=(steps,))
-    assert spmd.values == [12] * 256        # 12 pipeline stages: rings
-    assert requests == []
-    # three splits, one batch per step, the return
-    assert set(resumes.values()) == {steps + 4}
-    assert traffic["sweeps"] == steps and not traffic["lowered"]
-    assert traffic["swept_ops"] == sum(t.ops for t in spmd.traces) - 3 * 256
-    ref = ReferenceEngine(machine).run(megatron_timing_program, args=(steps,))
-    assert requests                         # the oracle does allocate them
-    assert_identical(ref, spmd)
-
+# -- (d) count guards: what columns are for ----------------------------------------
 
 def test_chroma_plans_each_distinct_column_once(monkeypatch, traffic):
     planned = []
@@ -645,7 +589,7 @@ def test_chroma_plans_each_distinct_column_once(monkeypatch, traffic):
 
 
 def count_linktest() -> dict:
-    """Sweeps, ``Request``s and rank-ops of LinkTest on the whole
+    """Rank steps, ``Request``s and rank-ops of LinkTest on the whole
     modelled Booster; run in a fresh interpreter by
     :func:`test_linktest_at_full_scale_is_one_sweep`."""
     from repro.synthetic.linktest import (
@@ -661,14 +605,14 @@ def count_linktest() -> dict:
             counts["requests"] += 1
             super().__init__(*args, **kw)
 
-    real_run = sweep_module.SweepPlan.run
+    real_step = VmpiEngine._step_rank
 
-    def counting_run(self, *args):
-        counts["sweeps"] += 1
-        return real_run(self, *args)
+    def counting_step(self, r):
+        counts["rank_steps"] += 1
+        return real_step(self, r)
 
     engine_module.Request = CountedRequest
-    sweep_module.SweepPlan.run = counting_run
+    VmpiEngine._step_rank = counting_step
     bench = LinktestBenchmark()
     spmd = bench.run_program(bench.machine(936), bisection_program,
                              args=(MESSAGE_BYTES, ROUNDS))
@@ -687,36 +631,9 @@ def test_linktest_at_full_scale_is_one_sweep():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout.splitlines()[-1])
-    # 3 744 ranks, 1 872 pairs: barrier, four bounces, barrier -- one
-    # sweep for the whole job and not a single Request
-    assert counts == {"sweeps": 1, "ranks": 3744, "rank_ops": 6 * 3744}
-
-
-def test_sweep_plans_are_bounded(traffic):
-    def prog(comm):
-        for step in range(3 * PLAN_LIMIT):
-            # a fresh batch (and op) every step: nothing to reuse
-            yield (comm.compute(flops=1e9 + step, label="k"), comm.barrier())
-
-    engine = VmpiEngine(ranks(3))
-    engine.run(prog)
-    assert traffic["sweeps"] == 3 * PLAN_LIMIT
-    assert len(engine._sweeps) <= PLAN_LIMIT
-
-
-def test_ineligible_batches_are_planned_once(monkeypatch, traffic):
-    plans = []
-    real_plan = engine_module.plan_sweep
-
-    def counting_plan(eng, batches):
-        plans.append(len(batches))
-        return real_plan(eng, batches)
-
-    monkeypatch.setattr(engine_module, "plan_sweep", counting_plan)
-    ref, spmd = run_both(prog_heterogeneous_labels, ranks(6))
-    assert_identical(ref, spmd)
-    assert plans == [6]                     # the verdict is remembered
-    assert traffic["lowered"] and not traffic["sweeps"]
+    # 3 744 ranks, 1 872 pairs: barrier, four bounces, barrier -- as
+    # columns for the whole job: no rank step and not a single Request
+    assert counts == {"ranks": 3744, "rank_ops": 6 * 3744}
 
 
 def test_halo_batch_is_the_no_neighbours_rule():

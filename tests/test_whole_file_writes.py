@@ -1,7 +1,8 @@
 """Whole-file artifacts are replaced atomically.
 
-A check baseline, a compacted history database, a disk-cache entry and
-a Chrome trace are each rewritten in full through one helper,
+A check baseline, a compacted history database, a disk-cache entry, a
+Chrome trace, a fault plan, a run journal and a chaos trace are each
+rewritten in full through one helper,
 :func:`repro.exec.jsonl.replace_file`.  A simulated kill after byte *k*
 of the write must leave the previous file byte for byte and no temp
 file behind, and the temp file must never look like an artifact to a
@@ -16,9 +17,11 @@ import pytest
 from repro.check import Baseline, BaselineEntry
 from repro.check.findings import save_baseline
 from repro.exec import DiskCache
+from repro.exec.journal import RunJournal, TaskRecord
+from repro.faults import FaultPlan, write_chaos_trace
 from repro.history import HistoryStore
 from repro.telemetry import write_chrome_trace
-from tests.regen_goldens import build_telemetry_tracer
+from tests.regen_goldens import build_telemetry_tracer, chaos_plan
 
 KILL_AFTER = (0, 1, 17, 200, 10 ** 9)
 
@@ -62,10 +65,39 @@ def _chrome_trace(tmp_path):
     return path, lambda: write_chrome_trace(path, bigger)
 
 
+def _fault_plan(tmp_path):
+    path = tmp_path / "plan.json"
+    FaultPlan(seed=1).save(path)
+    return path, lambda: chaos_plan().save(path)
+
+
+def _journal(n):
+    journal = RunJournal()
+    for i in range(n):
+        journal.append(TaskRecord(index=i, label=f"run:B{i}", status="ok",
+                                  cache="miss", finished=1.0 + i))
+    return journal
+
+
+def _run_journal(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    _journal(1).to_jsonl(path)
+    return path, lambda: _journal(5).to_jsonl(path)
+
+
+def _chaos_trace(tmp_path):
+    path = tmp_path / "chaos_trace.json"
+    write_chaos_trace(path, _journal(1), FaultPlan(seed=1))
+    return path, lambda: write_chaos_trace(path, _journal(3), chaos_plan())
+
+
 WRITERS = {"check baseline": _baseline,
            "history compact": _history_compact,
            "disk-cache entry": _disk_cache_put,
-           "chrome trace": _chrome_trace}
+           "chrome trace": _chrome_trace,
+           "fault plan": _fault_plan,
+           "run journal": _run_journal,
+           "chaos trace": _chaos_trace}
 
 
 @pytest.mark.parametrize("writer", WRITERS)
