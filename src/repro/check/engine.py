@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -281,6 +280,9 @@ class Analyzer:
         if missed:
             prepare()
         if workers > 1 and len(missed) > 1:
+            # imported here: a serial or warm run never pays for it
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 computed = list(pool.map(analyze, missed))
         else:

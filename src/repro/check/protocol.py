@@ -2,12 +2,12 @@
 
 A *rank program* is a generator ``def prog(comm, ...)`` yielding
 :mod:`repro.vmpi.ops` descriptors.  This module lifts such programs out
-of their modules **statically** -- no engine, no payloads -- and replays
-their communication skeleton at small concrete sizes, mirroring the
-engine's matching semantics exactly:
+of their modules **statically** -- no engine, no payloads, no import of
+:mod:`repro.vmpi` -- and replays their communication skeleton at small
+concrete sizes, mirroring the engine's matching semantics exactly:
 
 * per-``(comm, src, dst, tag)`` FIFO channels for point-to-point, with
-  the engine's eager/rendezvous split (``VmpiEngine.EAGER_LIMIT``);
+  the engine's eager/rendezvous split (:data:`EAGER_LIMIT`);
 * collectives matched by per-rank sequence counters on a communicator,
   completing only when **all** members post, validated on kind, reduce
   op and root (labels are not validated, like the engine);
@@ -16,12 +16,22 @@ engine's matching semantics exactly:
 * ``split`` computes the actual subcommunicators, so collectives on
   derived communicators are verified too.
 
+What the replay knows of the simulator is a literal mirror kept here
+(:data:`COMM_METHODS`, :data:`ROOTED_KINDS`, :data:`REDUCING_KINDS`,
+:data:`EAGER_LIMIT`): every input of a verdict is then a source of this
+package, which the incremental cache fingerprints, and the analyser
+never pays for importing numpy.  Tests hold the mirror to the ``Comm``
+facade and to ``VmpiEngine.EAGER_LIMIT``.
+
 The replay is an abstract interpretation of the AST, per rank, at a
 concrete communicator size: ``comm.rank``/``comm.size`` are concrete,
 arithmetic is folded, project-local helpers (``yield from`` chains and
 plain calls) are inlined through a cross-module function index, and
 everything else becomes an :data:`UNKNOWN` tainted with whether it *may
-differ across ranks*.  The soundness discipline:
+differ across ranks*.  Expressions evaluate with plain calls; only the
+statement executor is a generator, and a ``yield`` met inside an
+expression suspends it there (see :meth:`_Interp._value`).  The
+soundness discipline:
 
 * a branch on a concrete condition is taken exactly (this is how
   rank-divergent control flow is explored);
@@ -45,12 +55,10 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
-
-from ..vmpi.engine import VmpiEngine
-from ..vmpi.ops import COMM_METHODS, REDUCING_KINDS, ROOTED_KINDS
 
 #: communicator sizes every rank program is replayed at; odd sizes are
 #: deliberately included (pairing/halving programs break there first)
@@ -61,8 +69,52 @@ UNROLL_CAP = 64
 MAX_STEPS = 60_000
 #: inlined-call depth ceiling
 MAX_DEPTH = 16
-#: eager/rendezvous threshold, mirrored from the engine
-EAGER_LIMIT = VmpiEngine.EAGER_LIMIT
+#: eager/rendezvous threshold in bytes, mirrored from
+#: ``VmpiEngine.EAGER_LIMIT``
+EAGER_LIMIT = 64 * 1024
+
+#: The :class:`~repro.vmpi.comm.Comm` facade as the replay binds it:
+#: method name -> op kind and the facade's positional parameter names
+#: (with defaults).  Call-site arguments are bound against these
+#: signatures; a test asserts each entry matches ``Comm``'s real one.
+#:
+#: Parameter names are semantic: ``dest``/``source``/``root`` are
+#: comm-local ranks, ``tag`` a channel tag, ``payload``/``payloads`` the
+#: data, ``op`` a reduce op, ``color``/``key`` the split arguments.
+COMM_METHODS: dict[str, dict] = {
+    name: {"kind": name, "params": tuple(params.split()),
+           "defaults": defaults}
+    for name, params, defaults in (
+        ("compute", "flops bytes_moved efficiency label",
+         {"flops": 0.0, "bytes_moved": 0.0, "efficiency": 0.25,
+          "label": "compute"}),
+        ("elapse", "seconds label", {"label": "elapse"}),
+        ("send", "dest payload tag", {"tag": 0}),
+        ("recv", "source tag", {"tag": 0}),
+        ("isend", "dest payload tag", {"tag": 0}),
+        ("irecv", "source tag", {"tag": 0}),
+        ("wait", "request", {}),
+        ("waitall", "requests", {}),
+        ("sendrecv", "dest payload source tag", {"tag": 0}),
+        ("exchange", "sends recvs tag label", {"tag": 0, "label": "p2p"}),
+        ("allreduce", "payload op label",
+         {"op": "sum", "label": "allreduce"}),
+        ("allgather", "payload label", {"label": "allgather"}),
+        ("alltoall", "payloads label", {"label": "alltoall"}),
+        ("bcast", "payload root label", {"root": 0, "label": "bcast"}),
+        ("reduce", "payload op root label",
+         {"op": "sum", "root": 0, "label": "reduce"}),
+        ("gather", "payload root label", {"root": 0, "label": "gather"}),
+        ("scatter", "payloads root label", {"root": 0, "label": "scatter"}),
+        ("barrier", "label", {"label": "barrier"}),
+        ("split", "color key", {"key": None}),
+    )
+}
+
+#: collective kinds that carry a meaningful root
+ROOTED_KINDS = frozenset({"bcast", "reduce", "gather", "scatter"})
+#: collective kinds that carry a meaningful reduce op
+REDUCING_KINDS = frozenset({"allreduce", "reduce"})
 
 
 # ---------------------------------------------------------------------------
@@ -81,17 +133,31 @@ class _Unknown:
 UNKNOWN = _Unknown()
 
 
-@dataclass(frozen=True)
 class AV:
     """One abstract value: a concrete Python value or :data:`UNKNOWN`,
-    tainted with whether it *may differ across ranks*."""
+    tainted with whether it *may differ across ranks*.  Never mutated
+    once built; equal and hashed by ``(value, rankdep)``."""
 
-    value: Any = UNKNOWN
-    rankdep: bool = False
+    __slots__ = ("value", "rankdep")
+
+    def __init__(self, value: Any = UNKNOWN, rankdep: bool = False) -> None:
+        self.value = value
+        self.rankdep = rankdep
 
     @property
     def known(self) -> bool:
         return self.value is not UNKNOWN
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AV:
+            return NotImplemented
+        return (self.value, self.rankdep) == (other.value, other.rankdep)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.rankdep))
+
+    def __repr__(self) -> str:
+        return f"AV(value={self.value!r}, rankdep={self.rankdep!r})"
 
 
 def _wrap(x: Any, rankdep: bool = False) -> AV:
@@ -99,15 +165,25 @@ def _wrap(x: Any, rankdep: bool = False) -> AV:
 
 
 def _taint(*avs: AV) -> bool:
-    return any(a.rankdep for a in avs)
+    for a in avs:
+        if a.rankdep:
+            return True
+    return False
+
+
+#: value types :func:`_deep` returns as they are
+_ATOMS = frozenset({int, float, str, bool, type(None)})
 
 
 def _deep(x: Any):
     """Deep-unwrap to plain Python, or raise :class:`_NotConcrete`."""
     if isinstance(x, AV):
-        if not x.known:
+        x = x.value
+        if x is UNKNOWN:
             raise _NotConcrete()
-        return _deep(x.value)
+        if x.__class__ in _ATOMS:
+            return x
+        return _deep(x)
     if isinstance(x, _Unknown):
         raise _NotConcrete()
     if isinstance(x, tuple):
@@ -129,8 +205,17 @@ def _deep_taint(x: Any) -> bool:
     return False
 
 
+def _truthy(cond: AV) -> bool | None:
+    """The truth of a condition, or None when it is not concrete."""
+    try:
+        return bool(_deep(cond))
+    except _NotConcrete:
+        return None
+
+
 class _NotConcrete(Exception):
     pass
+
 
 
 @dataclass(frozen=True)
@@ -203,7 +288,6 @@ class SOp:
     requests: tuple = ()           # wait/waitall: SReqV handles
     color: Any = None              # split
     key: Any = None                # split
-    label: str = ""
 
     def describe(self) -> str:
         where = f"{self.site[0]}:{self.site[1]}"
@@ -246,6 +330,23 @@ class _Continue(Exception):
     pass
 
 
+class _Suspend(BaseException):
+    """A ``yield`` or ``yield from`` reached inside :meth:`_Interp.eval`.
+
+    ``what`` is the :class:`_Post` to yield, or the resolved generator
+    callee with its evaluated arguments.  A ``BaseException``, so no
+    ``except`` of the interpreter catches it: it unwinds to the
+    statement executor (:meth:`_Interp._value`), which performs it."""
+
+    def __init__(self, node: ast.expr, what: _Post | tuple) -> None:
+        super().__init__()
+        self.node, self.what = node, what
+
+
+#: marks, in a statement's memo, a node a suspension interrupted
+_PENDING = object()
+
+
 # ---------------------------------------------------------------------------
 # project view: function index + module constant environments
 
@@ -264,12 +365,24 @@ def _is_generator(fn: ast.FunctionDef) -> bool:
         return fn._is_generator
 
 
-def _contains(nodes: Iterable[ast.stmt], *types) -> bool:
-    for stmt in nodes:
-        for node in ast.walk(stmt):
-            if isinstance(node, types):
-                return True
-    return False
+def _yields(node: ast.AST) -> bool:
+    """Does ``node`` contain a ``yield``/``yield from`` anywhere below
+    it?  Asked at every statement and branch; answered once per node."""
+    try:
+        return node._yields
+    except AttributeError:
+        pass
+    found = isinstance(node, (ast.Yield, ast.YieldFrom))
+    for name in node._fields:
+        if found:
+            break
+        child = getattr(node, name, None)
+        if isinstance(child, ast.AST):
+            found = _yields(child)
+        elif isinstance(child, list):
+            found = any(_yields(c) for c in child if isinstance(c, ast.AST))
+    node._yields = found
+    return found
 
 
 def is_rank_program(fn: ast.FunctionDef) -> bool:
@@ -302,6 +415,8 @@ class ProjectIndex:
         self.aliases: dict[str, dict[str, str]] = {}
         self.trees: dict[str, ast.Module] = {}
         self._module_envs: dict[str, dict[str, AV]] = {}
+        self._resolved: dict[tuple[str, str],
+                             tuple[str, ast.FunctionDef] | None] = {}
         for relpath, tree in self.modules:
             self.trees[relpath] = tree
             self.aliases[relpath] = import_aliases(tree)
@@ -314,7 +429,13 @@ class ProjectIndex:
 
     def resolve(self, relpath: str,
                 dotted: str) -> tuple[str, ast.FunctionDef] | None:
-        """Resolve a (possibly dotted) callee name from ``relpath``."""
+        """Resolve a (possibly dotted) callee name from ``relpath``;
+        answered once per pair."""
+        key = (relpath, dotted)
+        try:
+            return self._resolved[key]
+        except KeyError:
+            pass
         parts = dotted.split(".")
         name, prefix = parts[-1], tuple(parts[:-1])
         candidates = self.functions.get(name, ())
@@ -327,9 +448,9 @@ class ProjectIndex:
                        if rel == relpath]
             if not matched and len(candidates) == 1:
                 matched = [(rel, node) for _, rel, node in candidates]
-        if len(matched) == 1:
-            return matched[0]
-        return None
+        found = matched[0] if len(matched) == 1 else None
+        self._resolved[key] = found
+        return found
 
     def module_env(self, relpath: str) -> dict[str, AV]:
         """Module-level constant bindings (lazily folded)."""
@@ -339,8 +460,7 @@ class ProjectIndex:
             self._module_envs[relpath] = env  # break self-recursion
             tree = self.trees.get(relpath)
             if tree is not None:
-                interp = _Interp(self, relpath, rank=0, size=1,
-                                 module_level=True)
+                interp = _Interp(self, relpath)
                 for stmt in tree.body:
                     target = None
                     if isinstance(stmt, ast.Assign) and \
@@ -354,19 +474,10 @@ class ProjectIndex:
                     if target is None:
                         continue
                     try:
-                        env[target.id] = _drive(interp.eval(value, env))
+                        env[target.id] = interp.eval(value, env)
                     except (_Unresolvable, _NotConcrete):
                         env[target.id] = AV(UNKNOWN, False)
         return env
-
-
-def _drive(gen) -> AV:
-    """Run a non-yielding interpreter generator to completion."""
-    try:
-        gen.send(None)
-    except StopIteration as stop:
-        return stop.value if stop.value is not None else AV(None, False)
-    raise _Unresolvable("yield at module level")
 
 
 # ---------------------------------------------------------------------------
@@ -395,26 +506,45 @@ _BUILTINS = {
 
 _MUTATORS = {"append", "extend", "insert", "add", "update"}
 
+_BINOPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod, ast.Pow: operator.pow,
+    ast.BitXor: operator.xor, ast.BitAnd: operator.and_,
+    ast.BitOr: operator.or_, ast.LShift: operator.lshift,
+    ast.RShift: operator.rshift,
+}
+
+_UNARYOPS = {ast.USub: operator.neg, ast.UAdd: operator.pos,
+             ast.Not: operator.not_, ast.Invert: operator.invert}
+
+_CMPOPS = {
+    ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
+    ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge,
+    ast.In: lambda a, b: a in b, ast.NotIn: lambda a, b: a not in b,
+    ast.Is: operator.is_, ast.IsNot: operator.is_not,
+}
+
 
 class _Interp:
     """Abstract interpretation of one rank program at a concrete size.
 
-    ``run()`` is a generator yielding :class:`_Post` objects and being
-    resumed with result :class:`AV`\\ s -- the replay simulator drives
-    it exactly like the engine drives real rank generators.
+    ``run_program()`` is a generator yielding :class:`_Post` objects
+    and being resumed with result :class:`AV`\\ s -- the replay
+    simulator drives it exactly like the engine drives real rank
+    generators.  Statements execute in generators; expressions are
+    plain calls (:meth:`eval`).
     """
 
-    def __init__(self, index: ProjectIndex, relpath: str, *,
-                 rank: int, size: int,
-                 module_level: bool = False) -> None:
+    def __init__(self, index: ProjectIndex, relpath: str) -> None:
         self.index = index
-        self.rank = rank
-        self.size = size
         self.relpath = relpath      # current module (frame-dependent)
         self.steps = 0
         self.depth = 0
         self.approx = False
-        self.module_level = module_level
+        #: finished (and interrupted) nodes of the statement expression
+        #: being evaluated, while it may suspend; None otherwise
+        self._memo: dict | None = None
 
     # -- entry ----------------------------------------------------------------
 
@@ -429,8 +559,7 @@ class _Interp:
         for i, arg in enumerate(args[1:], start=1):
             if i >= split:
                 try:
-                    env[arg.arg] = _drive(self.eval(
-                        defaults[i - split], env))
+                    env[arg.arg] = self.eval(defaults[i - split], env)
                 except (_Unresolvable, _NotConcrete):
                     env[arg.arg] = AV(UNKNOWN, False)
                     self.approx = True
@@ -465,50 +594,13 @@ class _Interp:
         self.steps += 1
         if self.steps > MAX_STEPS:
             raise _Unresolvable("step budget exhausted")
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            env[stmt.name] = AV(UNKNOWN, False)
-            return
-        if isinstance(stmt, ast.Return):
-            value = AV(None, False)
-            if stmt.value is not None:
-                value = yield from self.eval(stmt.value, env)
-            raise _Return(value)
-        if isinstance(stmt, ast.Break):
-            raise _Break()
-        if isinstance(stmt, ast.Continue):
-            raise _Continue()
-        if isinstance(stmt, (ast.Pass, ast.Global, ast.Nonlocal,
-                             ast.Import, ast.ImportFrom)):
-            return
-        if isinstance(stmt, ast.Expr):
-            yield from self.eval(stmt.value, env)
-            return
         if isinstance(stmt, ast.Assign):
-            value = yield from self.eval(stmt.value, env)
+            value = yield from self._value(stmt.value, env)
             for target in stmt.targets:
                 self._assign(target, value, env)
             return
-        if isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                value = yield from self.eval(stmt.value, env)
-                self._assign(stmt.target, value, env)
-            return
-        if isinstance(stmt, ast.AugAssign):
-            value = yield from self.eval(stmt.value, env)
-            if isinstance(stmt.target, ast.Name):
-                cur = yield from self.eval(
-                    ast.copy_location(ast.Name(id=stmt.target.id,
-                                               ctx=ast.Load()), stmt), env)
-                env[stmt.target.id] = self._binop(stmt.op, cur, value)
-            return
-        if isinstance(stmt, ast.Assert):
-            yield from self.eval(stmt.test, env)
-            return
-        if isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    env.pop(target.id, None)
+        if isinstance(stmt, ast.Expr):
+            yield from self._value(stmt.value, env)
             return
         if isinstance(stmt, ast.If):
             yield from self._exec_if(stmt, env)
@@ -516,21 +608,78 @@ class _Interp:
         if isinstance(stmt, ast.For):
             yield from self._exec_for(stmt, env)
             return
+        if isinstance(stmt, ast.AugAssign):
+            value = yield from self._value(stmt.value, env)
+            if isinstance(stmt.target, ast.Name):
+                cur = self.eval(stmt.target, env)
+                env[stmt.target.id] = self._binop(stmt.op, cur, value)
+            return
+        if isinstance(stmt, ast.Return):
+            value = AV(None, False)
+            if stmt.value is not None:
+                value = yield from self._value(stmt.value, env)
+            raise _Return(value)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            env[stmt.name] = AV(UNKNOWN, False)
+            return
+        if isinstance(stmt, ast.Break):
+            raise _Break()
+        if isinstance(stmt, ast.Continue):
+            raise _Continue()
+        if isinstance(stmt, (ast.Pass, ast.Global, ast.Nonlocal,
+                             ast.Import, ast.ImportFrom)):
+            return
+        if isinstance(stmt, ast.AnnAssign):
+            if stmt.value is not None:
+                value = yield from self._value(stmt.value, env)
+                self._assign(stmt.target, value, env)
+            return
+        if isinstance(stmt, ast.Assert):
+            yield from self._value(stmt.test, env)
+            return
+        if isinstance(stmt, ast.Delete):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    env.pop(target.id, None)
+            return
         if isinstance(stmt, ast.While):
             yield from self._exec_while(stmt, env)
             return
         raise _Unresolvable(
             f"unsupported statement {type(stmt).__name__}")
 
-    def _exec_if(self, stmt: ast.If, env: dict[str, AV]):
-        cond = yield from self.eval(stmt.test, env)
-        if cond.known:
+    def _value(self, node: ast.expr, env: dict[str, AV]):
+        """Evaluate one statement-level expression: the one place an
+        expression suspends.
+
+        A ``yield`` inside it raises :class:`_Suspend`; this generator
+        yields the post (or runs the delegated generator), records the
+        result for that node and evaluates the expression again.  The
+        memo answers every node finished before the suspension, so the
+        retry builds no op, runs no list mutator and counts no step a
+        second time."""
+        if not _yields(node):
+            return self.eval(node, env)
+        memo: dict = {}
+        while True:
+            self._memo = memo
             try:
-                truthy = bool(_deep(cond))
-            except _NotConcrete:
-                truthy = None
-        else:
-            truthy = None
+                return self.eval(node, env)
+            except _Suspend as exc:
+                # keep no reference to the exception: its traceback holds
+                # this frame, and the cycle would wait for the collector
+                at, what = exc.node, exc.what
+            finally:
+                self._memo = None
+            if isinstance(what, _Post):
+                memo[at] = yield what
+            else:
+                memo[at] = yield from self._call_generator(*what)
+
+    def _exec_if(self, stmt: ast.If, env: dict[str, AV]):
+        cond = yield from self._value(stmt.test, env)
+        truthy = _truthy(cond)
         if truthy is True:
             yield from self.exec_block(stmt.body, env)
             return
@@ -541,24 +690,26 @@ class _Interp:
             # may diverge across ranks: tolerable only when neither arm
             # communicates or alters control flow
             arms = stmt.body + stmt.orelse
-            if _contains(arms, ast.Yield, ast.YieldFrom, ast.Break,
-                         ast.Continue, ast.Return):
+            if any(isinstance(node, (ast.Yield, ast.YieldFrom, ast.Break,
+                                     ast.Continue, ast.Return))
+                   for arm in arms for node in ast.walk(arm)):
                 raise _Unresolvable(
                     "rank-dependent branch on unproven condition "
                     "contains communication or control flow")
-            for target in self._assigned_in(arms):
-                env[target] = AV(UNKNOWN, True)
+            for node in (n for arm in arms for n in ast.walk(arm)):
+                if isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Store):
+                    env[node.id] = AV(UNKNOWN, True)
             return
         # unknown but rank-uniform: take the false arm on every rank
-        if _contains(stmt.body, ast.Yield, ast.YieldFrom):
+        if any(map(_yields, stmt.body)):
             self.approx = True
         yield from self.exec_block(stmt.orelse, env)
 
     def _exec_for(self, stmt: ast.For, env: dict[str, AV]):
-        if stmt.orelse and _contains(stmt.orelse, ast.Yield,
-                                     ast.YieldFrom):
+        if any(map(_yields, stmt.orelse)):
             raise _Unresolvable("for-else with communication")
-        iterable = yield from self.eval(stmt.iter, env)
+        iterable = yield from self._value(stmt.iter, env)
         items = None
         if iterable.known:
             value = iterable.value
@@ -572,9 +723,7 @@ class _Interp:
                          AV(UNKNOWN, iterable.rankdep), env)
             try:
                 yield from self.exec_block(stmt.body, env)
-            except _Break:
-                pass
-            except _Continue:
+            except (_Break, _Continue):
                 pass
             return
         if len(items) > UNROLL_CAP:
@@ -595,23 +744,16 @@ class _Interp:
             yield from self.exec_block(stmt.orelse, env)
 
     def _exec_while(self, stmt: ast.While, env: dict[str, AV]):
-        if stmt.orelse and _contains(stmt.orelse, ast.Yield,
-                                     ast.YieldFrom):
+        if any(map(_yields, stmt.orelse)):
             raise _Unresolvable("while-else with communication")
         for _ in range(UNROLL_CAP + 1):
-            cond = yield from self.eval(stmt.test, env)
-            if cond.known:
-                try:
-                    truthy = bool(_deep(cond))
-                except _NotConcrete:
-                    truthy = None
-            else:
-                truthy = None
+            cond = yield from self._value(stmt.test, env)
+            truthy = _truthy(cond)
             if truthy is None:
                 if cond.rankdep:
                     raise _Unresolvable(
                         "while on rank-dependent unproven condition")
-                if _contains(stmt.body, ast.Yield, ast.YieldFrom):
+                if any(map(_yields, stmt.body)):
                     self.approx = True
                 return
             if not truthy:
@@ -623,16 +765,6 @@ class _Interp:
             except _Continue:
                 continue
         self.approx = True
-
-    @staticmethod
-    def _assigned_in(stmts: list[ast.stmt]) -> set[str]:
-        names: set[str] = set()
-        for stmt in stmts:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and \
-                        isinstance(node.ctx, ast.Store):
-                    names.add(node.id)
-        return names
 
     def _assign(self, target: ast.AST, value: AV,
                 env: dict[str, AV]) -> None:
@@ -656,105 +788,83 @@ class _Interp:
 
     # -- expressions ----------------------------------------------------------
 
-    def eval(self, node: ast.expr, env: dict[str, AV]):
+    def eval(self, node: ast.expr, env: dict[str, AV]) -> AV:
+        """The abstract value of ``node``.  A ``yield`` inside raises
+        :class:`_Suspend` for the statement executor to perform."""
+        memo = self._memo
+        if memo is not None:
+            return self._eval_resumable(node, env, memo)
         self.steps += 1
         if self.steps > MAX_STEPS:
             raise _Unresolvable("step budget exhausted")
-        if isinstance(node, ast.Constant):
-            return AV(node.value, False)
-        if isinstance(node, ast.Name):
-            return self._load_name(node.id, env)
-        if isinstance(node, ast.Attribute):
-            return (yield from self._eval_attribute(node, env))
-        if isinstance(node, ast.Tuple):
-            return (yield from self._eval_seq(node, env, tuple))
-        if isinstance(node, ast.List):
-            return (yield from self._eval_seq(node, env, list))
-        if isinstance(node, ast.Set):
-            out = yield from self._eval_seq(node, env, list)
-            return AV(UNKNOWN, out.rankdep) if not out.known else out
-        if isinstance(node, ast.Dict):
-            return (yield from self._eval_dict(node, env))
-        if isinstance(node, ast.BinOp):
-            left = yield from self.eval(node.left, env)
-            right = yield from self.eval(node.right, env)
-            return self._binop(node.op, left, right)
-        if isinstance(node, ast.UnaryOp):
-            operand = yield from self.eval(node.operand, env)
-            return self._unary(node.op, operand)
-        if isinstance(node, ast.BoolOp):
-            return (yield from self._eval_boolop(node, env))
-        if isinstance(node, ast.Compare):
-            return (yield from self._eval_compare(node, env))
-        if isinstance(node, ast.IfExp):
-            return (yield from self._eval_ifexp(node, env))
-        if isinstance(node, ast.Subscript):
-            return (yield from self._eval_subscript(node, env))
-        if isinstance(node, ast.Call):
-            return (yield from self._eval_call(node, env))
-        if isinstance(node, ast.Yield):
-            return (yield from self._eval_yield(node, env))
-        if isinstance(node, ast.YieldFrom):
-            return (yield from self._eval_yield_from(node, env))
-        if isinstance(node, ast.JoinedStr):
-            parts = []
-            rankdep = False
-            for value in node.values:
-                if isinstance(value, ast.FormattedValue):
-                    av = yield from self.eval(value.value, env)
-                    rankdep |= av.rankdep
-                    try:
-                        parts.append(str(_deep(av)))
-                    except _NotConcrete:
-                        return AV(UNKNOWN, rankdep)
-                elif isinstance(value, ast.Constant):
-                    parts.append(str(value.value))
-            return AV("".join(parts), rankdep)
-        if isinstance(node, ast.Starred):
-            raise _Unresolvable("starred expression")
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
-                             ast.DictComp)):
-            return (yield from self._eval_comp(node, env))
-        if isinstance(node, ast.Lambda):
-            return AV(UNKNOWN, False)
-        if isinstance(node, ast.Slice):
-            lower = upper = step = AV(None, False)
-            if node.lower is not None:
-                lower = yield from self.eval(node.lower, env)
-            if node.upper is not None:
-                upper = yield from self.eval(node.upper, env)
-            if node.step is not None:
-                step = yield from self.eval(node.step, env)
+        return _EVAL.get(type(node), _Interp._eval_opaque)(self, node, env)
+
+    def _eval_resumable(self, node: ast.expr, env: dict[str, AV],
+                        memo: dict) -> AV:
+        """:meth:`eval` inside a statement expression that may suspend:
+        a node finished before a suspension answers from ``memo``, one
+        that cannot suspend evaluates plainly, and one a suspension
+        interrupted is entered again uncounted."""
+        value = memo.get(node)
+        if value is not None and value is not _PENDING:
+            return value
+        if not _yields(node):
+            self._memo = None
             try:
-                return AV(slice(_deep(lower), _deep(upper), _deep(step)),
-                          _taint(lower, upper, step))
-            except _NotConcrete:
-                return AV(UNKNOWN, _taint(lower, upper, step))
+                value = memo[node] = self.eval(node, env)
+            finally:
+                self._memo = memo
+            return value
+        if value is None:
+            self.steps += 1
+            if self.steps > MAX_STEPS:
+                raise _Unresolvable("step budget exhausted")
+        try:
+            value = _EVAL.get(type(node), _Interp._eval_opaque)(
+                self, node, env)
+        except _Suspend:
+            memo[node] = _PENDING
+            raise
+        memo[node] = value
+        return value
+
+    def _eval_opaque(self, node: ast.expr, env) -> AV:
         return AV(UNKNOWN, False)
 
-    def _eval_seq(self, node, env, kind):
+    def _eval_constant(self, node: ast.Constant, env) -> AV:
+        try:
+            return node._av     # constants are immutable: one AV each
+        except AttributeError:
+            node._av = AV(node.value, False)
+            return node._av
+
+    def _eval_starred(self, node: ast.Starred, env) -> AV:
+        raise _Unresolvable("starred expression")
+
+    def _eval_seq(self, node, env) -> AV:
+        """Tuples, lists, and sets (which fold like lists)."""
         items = []
         rankdep = False
         for elt in node.elts:
             if isinstance(elt, ast.Starred):
-                inner = yield from self.eval(elt.value, env)
+                inner = self.eval(elt.value, env)
                 if inner.known and isinstance(inner.value, (tuple, list)):
                     items.extend(inner.value)
                     rankdep |= inner.rankdep
                     continue
                 return AV(UNKNOWN, rankdep or inner.rankdep)
-            av = yield from self.eval(elt, env)
-            items.append(av)
-        return AV(kind(items), rankdep)
+            items.append(self.eval(elt, env))
+        return AV(tuple(items) if isinstance(node, ast.Tuple) else items,
+                  rankdep)
 
-    def _eval_dict(self, node: ast.Dict, env):
+    def _eval_dict(self, node: ast.Dict, env) -> AV:
         out = {}
         rankdep = False
         for k, v in zip(node.keys, node.values):
             if k is None:
                 return AV(UNKNOWN, rankdep)
-            key = yield from self.eval(k, env)
-            val = yield from self.eval(v, env)
+            key = self.eval(k, env)
+            val = self.eval(v, env)
             rankdep |= key.rankdep
             try:
                 out[_deep(key)] = val
@@ -762,24 +872,41 @@ class _Interp:
                 return AV(UNKNOWN, rankdep or val.rankdep)
         return AV(out, rankdep)
 
-    def _eval_boolop(self, node: ast.BoolOp, env):
+    def _eval_binop(self, node: ast.BinOp, env) -> AV:
+        left = self.eval(node.left, env)
+        right = self.eval(node.right, env)
+        return self._binop(node.op, left, right)
+
+    def _eval_unaryop(self, node: ast.UnaryOp, env) -> AV:
+        operand = self.eval(node.operand, env)
+        try:
+            a = _deep(operand)
+        except _NotConcrete:
+            return AV(UNKNOWN, operand.rankdep)
+        fn = _UNARYOPS.get(type(node.op))
+        if fn is None:
+            return AV(UNKNOWN, operand.rankdep)
+        try:
+            return AV(fn(a), operand.rankdep)
+        except Exception:
+            raise _Unresolvable(
+                "unary operator failed on folded operand") from None
+
+    def _eval_boolop(self, node: ast.BoolOp, env) -> AV:
         result = None
         rankdep = False
         for i, operand in enumerate(node.values):
-            av = yield from self.eval(operand, env)
+            av = self.eval(operand, env)
             rankdep |= av.rankdep
-            try:
-                truthy = bool(_deep(av))
-            except _NotConcrete:
-                # remaining operands still evaluated above, one at a
-                # time; give up on the value but keep the taint
+            truthy = _truthy(av)
+            if truthy is None:
+                # remaining operands still evaluated, one at a time;
+                # give up on the value but keep the taint
                 for rest in node.values[i + 1:]:
-                    if _contains([ast.Expr(value=rest)], ast.Yield,
-                                 ast.YieldFrom):
+                    if _yields(rest):
                         raise _Unresolvable(
                             "communication behind unproven short-circuit")
-                    extra = yield from self.eval(rest, env)
-                    rankdep |= extra.rankdep
+                    rankdep |= self.eval(rest, env).rankdep
                 return AV(UNKNOWN, rankdep)
             if isinstance(node.op, ast.And) and not truthy:
                 return av
@@ -788,19 +915,19 @@ class _Interp:
             result = av
         return result if result is not None else AV(UNKNOWN, rankdep)
 
-    def _eval_compare(self, node: ast.Compare, env):
-        left = yield from self.eval(node.left, env)
+    def _eval_compare(self, node: ast.Compare, env) -> AV:
+        left = self.eval(node.left, env)
         rankdep = left.rankdep
         current = left
         for op, comparator in zip(node.ops, node.comparators):
-            right = yield from self.eval(comparator, env)
+            right = self.eval(comparator, env)
             rankdep |= right.rankdep
             try:
                 a, b = _deep(current), _deep(right)
             except _NotConcrete:
                 return AV(UNKNOWN, rankdep)
             try:
-                ok = self._compare_one(op, a, b)
+                ok = _CMPOPS[type(op)](a, b)
             except Exception:
                 return AV(UNKNOWN, rankdep)
             if not ok:
@@ -815,107 +942,36 @@ class _Interp:
             a, b = _deep(left), _deep(right)
         except _NotConcrete:
             return AV(UNKNOWN, rankdep)
+        fn = _BINOPS.get(type(op))
+        if fn is None:
+            return AV(UNKNOWN, rankdep)
         try:
-            if isinstance(op, ast.Add):
-                return AV(a + b, rankdep)
-            if isinstance(op, ast.Sub):
-                return AV(a - b, rankdep)
-            if isinstance(op, ast.Mult):
-                return AV(a * b, rankdep)
-            if isinstance(op, ast.Div):
-                return AV(a / b, rankdep)
-            if isinstance(op, ast.FloorDiv):
-                return AV(a // b, rankdep)
-            if isinstance(op, ast.Mod):
-                return AV(a % b, rankdep)
-            if isinstance(op, ast.Pow):
-                return AV(a ** b, rankdep)
-            if isinstance(op, ast.BitXor):
-                return AV(a ^ b, rankdep)
-            if isinstance(op, ast.BitAnd):
-                return AV(a & b, rankdep)
-            if isinstance(op, ast.BitOr):
-                return AV(a | b, rankdep)
-            if isinstance(op, ast.LShift):
-                return AV(a << b, rankdep)
-            if isinstance(op, ast.RShift):
-                return AV(a >> b, rankdep)
+            return AV(fn(a, b), rankdep)
         except Exception:
             raise _Unresolvable(
                 "arithmetic failed on folded operands") from None
-        return AV(UNKNOWN, rankdep)
 
-    @staticmethod
-    def _unary(op: ast.unaryop, operand: AV) -> AV:
-        try:
-            a = _deep(operand)
-        except _NotConcrete:
-            return AV(UNKNOWN, operand.rankdep)
-        try:
-            if isinstance(op, ast.USub):
-                return AV(-a, operand.rankdep)
-            if isinstance(op, ast.UAdd):
-                return AV(+a, operand.rankdep)
-            if isinstance(op, ast.Not):
-                return AV(not a, operand.rankdep)
-            if isinstance(op, ast.Invert):
-                return AV(~a, operand.rankdep)
-        except Exception:
-            raise _Unresolvable(
-                "unary operator failed on folded operand") from None
-        return AV(UNKNOWN, operand.rankdep)
-
-    @staticmethod
-    def _compare_one(op: ast.cmpop, a, b) -> bool:
-        if isinstance(op, ast.Eq):
-            return a == b
-        if isinstance(op, ast.NotEq):
-            return a != b
-        if isinstance(op, ast.Lt):
-            return a < b
-        if isinstance(op, ast.LtE):
-            return a <= b
-        if isinstance(op, ast.Gt):
-            return a > b
-        if isinstance(op, ast.GtE):
-            return a >= b
-        if isinstance(op, ast.In):
-            return a in b
-        if isinstance(op, ast.NotIn):
-            return a not in b
-        if isinstance(op, ast.Is):
-            return a is b
-        if isinstance(op, ast.IsNot):
-            return a is not b
-        raise _Unresolvable("unsupported comparison")
-
-    def _eval_ifexp(self, node: ast.IfExp, env):
-        cond = yield from self.eval(node.test, env)
-        try:
-            truthy = bool(_deep(cond))
-        except _NotConcrete:
-            truthy = None
+    def _eval_ifexp(self, node: ast.IfExp, env) -> AV:
+        cond = self.eval(node.test, env)
+        truthy = _truthy(cond)
         if truthy is None:
-            arms = [ast.Expr(value=node.body),
-                    ast.Expr(value=node.orelse)]
-            if _contains(arms, ast.Yield, ast.YieldFrom):
+            if _yields(node.body) or _yields(node.orelse):
                 raise _Unresolvable(
                     "conditional expression with communication on "
                     "unproven condition")
-            a = yield from self.eval(node.body, env)
-            b = yield from self.eval(node.orelse, env)
+            a = self.eval(node.body, env)
+            b = self.eval(node.orelse, env)
             try:
                 if _deep(a) == _deep(b):
                     return AV(a.value, _taint(cond, a, b))
             except (_NotConcrete, Exception):
                 pass
             return AV(UNKNOWN, _taint(cond, a, b))
-        chosen = node.body if truthy else node.orelse
-        return (yield from self.eval(chosen, env))
+        return self.eval(node.body if truthy else node.orelse, env)
 
-    def _eval_subscript(self, node: ast.Subscript, env):
-        obj = yield from self.eval(node.value, env)
-        idx = yield from self.eval(node.slice, env)
+    def _eval_subscript(self, node: ast.Subscript, env) -> AV:
+        obj = self.eval(node.value, env)
+        idx = self.eval(node.slice, env)
         if not obj.known:
             return AV(UNKNOWN, _taint(obj, idx))
         try:
@@ -937,43 +993,82 @@ class _Interp:
             raise _Unresolvable("indexing error in skeleton") from None
         return AV(UNKNOWN, _taint(obj, idx))
 
-    def _eval_comp(self, node, env):
-        """List/set/dict comprehensions and generator expressions over
-        provably concrete iterables; anything else is UNKNOWN."""
-        scope = dict(env)
+    def _eval_slice(self, node: ast.Slice, env) -> AV:
+        lower = upper = step = AV(None, False)
+        if node.lower is not None:
+            lower = self.eval(node.lower, env)
+        if node.upper is not None:
+            upper = self.eval(node.upper, env)
+        if node.step is not None:
+            step = self.eval(node.step, env)
+        try:
+            return AV(slice(_deep(lower), _deep(upper), _deep(step)),
+                      _taint(lower, upper, step))
+        except _NotConcrete:
+            return AV(UNKNOWN, _taint(lower, upper, step))
 
-        def gens(i: int):
+    def _eval_joinedstr(self, node: ast.JoinedStr, env) -> AV:
+        parts = []
+        rankdep = False
+        for value in node.values:
+            if isinstance(value, ast.FormattedValue):
+                av = self.eval(value.value, env)
+                rankdep |= av.rankdep
+                try:
+                    parts.append(str(_deep(av)))
+                except _NotConcrete:
+                    return AV(UNKNOWN, rankdep)
+            elif isinstance(value, ast.Constant):
+                parts.append(str(value.value))
+        return AV("".join(parts), rankdep)
+
+    def _eval_comp(self, node, env) -> AV:
+        """List/set/dict comprehensions and generator expressions over
+        provably concrete iterables; anything else is UNKNOWN.  So is
+        one whose iterable is longer than ``4 * UNROLL_CAP`` -- never a
+        truncated container -- and the replay becomes approximate."""
+        scope = dict(env)
+        out: list = []
+        capped: list[bool] = []     # the taint of an iterable over the cap
+
+        def gens(i: int) -> None:
             if i == len(node.generators):
                 if isinstance(node, ast.DictComp):
-                    k = yield from self.eval(node.key, scope)
-                    v = yield from self.eval(node.value, scope)
-                    out.append((k, v))
+                    k = self.eval(node.key, scope)
+                    out.append((k, self.eval(node.value, scope)))
                 else:
-                    out.append((yield from self.eval(node.elt, scope)))
+                    out.append(self.eval(node.elt, scope))
                 return
             gen = node.generators[i]
-            iterable = yield from self.eval(gen.iter, scope)
+            iterable = self.eval(gen.iter, scope)
             if not iterable.known or not isinstance(
                     iterable.value, (list, tuple, range, dict, set,
                                      frozenset)):
                 raise _NotConcrete()
-            for item in list(iterable.value)[:UNROLL_CAP * 4]:
+            items = list(iterable.value)
+            if len(items) > UNROLL_CAP * 4:
+                capped.append(iterable.rankdep)
+                raise _NotConcrete()
+            for item in items:
                 self._assign(gen.target,
                              _wrap(item, iterable.rankdep), scope)
                 keep = True
                 for cond in gen.ifs:
-                    c = yield from self.eval(cond, scope)
-                    keep = bool(_deep(c))
+                    keep = bool(_deep(self.eval(cond, scope)))
                     if not keep:
                         break
                 if keep:
-                    yield from gens(i + 1)
+                    gens(i + 1)
 
-        out: list = []
+        # the element is evaluated once per item: no statement memo
+        memo, self._memo = self._memo, None
         try:
-            yield from gens(0)
+            gens(0)
         except _NotConcrete:
-            return AV(UNKNOWN, False)
+            self.approx |= bool(capped)
+            return AV(UNKNOWN, any(capped))
+        finally:
+            self._memo = memo
         if isinstance(node, ast.DictComp):
             try:
                 return AV({_deep(k): v for k, v in out}, False)
@@ -984,14 +1079,16 @@ class _Interp:
                 return AV(frozenset(_deep(v) for v in out), False)
             except (_NotConcrete, TypeError):
                 return AV(UNKNOWN, False)
-        return AV([v for v in out] if isinstance(node, ast.ListComp)
-                  else tuple(out), False)
+        return AV(out if isinstance(node, ast.ListComp) else tuple(out),
+                  False)
 
     # -- names, attributes, calls ---------------------------------------------
 
-    def _load_name(self, name: str, env: dict[str, AV]) -> AV:
-        if name in env:
-            return env[name]
+    def _eval_name(self, node: ast.Name, env) -> AV:
+        name = node.id
+        value = env.get(name)
+        if value is not None:
+            return value
         menv = self.index.module_env(self.relpath)
         if name in menv:
             return menv[name]
@@ -1035,17 +1132,16 @@ class _Interp:
             return AV(("fn", dotted), False)
         return AV(UNKNOWN, False)
 
-    def _eval_attribute(self, node: ast.Attribute, env):
+    def _eval_attribute(self, node: ast.Attribute, env) -> AV:
         # math.fn / module.helper style dotted loads first
         dotted = _dotted(node)
         if dotted is not None:
-            head = dotted.split(".")[0]
+            head, _, rest = dotted.partition(".")
             if head not in env:
                 alias = self.index.aliases.get(self.relpath, {}).get(head)
                 if alias is not None:
-                    return self._external(
-                        ".".join([alias] + dotted.split(".")[1:]))
-        obj = yield from self.eval(node.value, env)
+                    return self._external(f"{alias}.{rest}")
+        obj = self.eval(node.value, env)
         if not obj.known:
             return AV(UNKNOWN, obj.rankdep)
         value = obj.value
@@ -1071,51 +1167,47 @@ class _Interp:
             return AV(("method", obj, node.attr), obj.rankdep)
         return AV(UNKNOWN, obj.rankdep)
 
-    def _eval_call(self, node: ast.Call, env):
-        func = yield from self.eval(node.func, env)
+    def _eval_call(self, node: ast.Call, env) -> AV:
+        func = self.eval(node.func, env)
         args: list[AV] = []
         for a in node.args:
             if isinstance(a, ast.Starred):
-                inner = yield from self.eval(a.value, env)
+                inner = self.eval(a.value, env)
                 if inner.known and isinstance(inner.value,
                                               (tuple, list)):
                     args.extend(_wrap(v, inner.rankdep)
                                 for v in inner.value)
                     continue
                 return AV(UNKNOWN, True)
-            args.append((yield from self.eval(a, env)))
+            args.append(self.eval(a, env))
         kwargs: dict[str, AV] = {}
         for kw in node.keywords:
             if kw.arg is None:
                 return AV(UNKNOWN, True)
-            kwargs[kw.arg] = yield from self.eval(kw.value, env)
+            kwargs[kw.arg] = self.eval(kw.value, env)
         if not func.known:
             return AV(UNKNOWN,
                       func.rankdep or _taint(*args) or
                       _taint(*kwargs.values()))
         target = func.value
-        if isinstance(target, tuple) and target and \
-                target[0] == "commop":
+        what = target[0] if isinstance(target, tuple) and target else None
+        if what == "commop":
             _, symcomm, mname = target
             return self._comm_call(symcomm, mname, args, kwargs, node)
-        if isinstance(target, tuple) and target and \
-                target[0] == "phantom":
+        if what == "phantom":
             size = args[0] if args else kwargs.get("nbytes",
                                                    AV(UNKNOWN, False))
             return AV(PhantomV(size), size.rankdep)
-        if isinstance(target, tuple) and target and \
-                target[0] == "builtin":
+        if what == "builtin":
             return self._apply_concrete(_BUILTINS[target[1]], args,
                                         kwargs)
-        if isinstance(target, tuple) and target and \
-                target[0] == "mathfn":
+        if what == "mathfn":
             return self._apply_concrete(getattr(math, target[1]), args,
                                         kwargs)
-        if isinstance(target, tuple) and target and \
-                target[0] == "method":
+        if what == "method":
             return self._apply_method(target[1], target[2], args,
                                       kwargs)
-        if isinstance(target, tuple) and target and target[0] == "fn":
+        if what == "fn":
             resolved = self.index.resolve(self.relpath, target[1])
             if resolved is None:
                 return AV(UNKNOWN, _taint(*args))
@@ -1124,8 +1216,7 @@ class _Interp:
                 # a generator called without ``yield from`` is an
                 # opaque generator object
                 return AV(UNKNOWN, _taint(*args))
-            return (yield from self._call_plain(fnnode, relpath, args,
-                                                kwargs))
+            return self._call_plain(fnnode, relpath, args, kwargs)
         return AV(UNKNOWN, _taint(*args))
 
     def _apply_concrete(self, fn, args: list[AV],
@@ -1170,31 +1261,21 @@ class _Interp:
                   _deep_taint(obj))
 
     def _call_plain(self, fnnode: ast.FunctionDef, relpath: str,
-                    args: list[AV], kwargs: dict[str, AV]):
-        """Inline a project-local plain function."""
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            self.depth -= 1
-            raise _Unresolvable("call depth exceeded")
-        prev = self.relpath
-        self.relpath = relpath
+                    args: list[AV], kwargs: dict[str, AV]) -> AV:
+        """Inline a project-local plain function: run its body to
+        completion (a function that yields is a generator, which only
+        ``yield from`` reaches)."""
         try:
-            env = dict(self.index.module_env(relpath))
-            self._bind_params(fnnode, args, kwargs, env)
-            try:
-                yield from self.exec_block(fnnode.body, env)
-            except _Return as ret:
-                return ret.value
-            except _JobTable:
-                # A job-level table (the halo pairing) is not folded: it
-                # replays as a table without rows, so every rank takes
-                # its reader's off-table path -- no neighbours, the model
-                # halo helpers always had.
-                return AV([], False)
-            return AV(None, False)
-        finally:
-            self.relpath = prev
-            self.depth -= 1
+            self._call_generator(fnnode, relpath, args, kwargs).send(None)
+        except StopIteration as stop:
+            return stop.value
+        except _JobTable:
+            # A job-level table (the halo pairing) is not folded: it
+            # replays as a table without rows, so every rank takes
+            # its reader's off-table path -- no neighbours, the model
+            # halo helpers always had.
+            return AV([], False)
+        raise _Unresolvable("yield in a plain helper")
 
     def _bind_params(self, fnnode: ast.FunctionDef, args: list[AV],
                      kwargs: dict[str, AV], env: dict[str, AV]) -> None:
@@ -1209,8 +1290,7 @@ class _Interp:
             elif param.arg in kwargs:
                 env[param.arg] = kwargs.pop(param.arg)
             elif i >= split:
-                env[param.arg] = _drive(self.eval(defaults[i - split],
-                                                  env))
+                env[param.arg] = self.eval(defaults[i - split], env)
             else:
                 raise _Unresolvable(
                     f"missing argument {param.arg!r} in inlined call")
@@ -1219,25 +1299,30 @@ class _Interp:
             if param.arg in kwargs:
                 env[param.arg] = kwargs.pop(param.arg)
             elif default is not None:
-                env[param.arg] = _drive(self.eval(default, env))
+                env[param.arg] = self.eval(default, env)
             else:
                 raise _Unresolvable(
                     f"missing keyword argument {param.arg!r}")
 
     # -- yields ---------------------------------------------------------------
 
-    def _eval_yield(self, node: ast.Yield, env):
+    def _suspend(self, node: ast.expr, what: _Post | tuple) -> _Suspend:
+        if self._memo is None:
+            # no statement executor is waiting to perform the yield
+            raise _Unresolvable("yield at module level")
+        return _Suspend(node, what)
+
+    def _eval_yield(self, node: ast.Yield, env) -> AV:
         value = AV(None, False)
         if node.value is not None:
-            value = yield from self.eval(node.value, env)
+            value = self.eval(node.value, env)
         ops, batch = self._as_ops(value)
-        result = yield _Post(ops, batch)
-        return result
+        raise self._suspend(node, _Post(ops, batch))
 
-    def _eval_yield_from(self, node: ast.YieldFrom, env):
+    def _eval_yield_from(self, node: ast.YieldFrom, env) -> AV:
         inner = node.value
         if isinstance(inner, ast.Call):
-            func = yield from self.eval(inner.func, env)
+            func = self.eval(inner.func, env)
             if func.known and isinstance(func.value, tuple) and \
                     func.value and func.value[0] == "fn":
                 resolved = self.index.resolve(self.relpath,
@@ -1248,26 +1333,27 @@ class _Interp:
                         if isinstance(a, ast.Starred):
                             raise _Unresolvable(
                                 "starred args in delegated call")
-                        args.append((yield from self.eval(a, env)))
+                        args.append(self.eval(a, env))
                     kwargs = {}
                     for kw in inner.keywords:
                         if kw.arg is None:
                             raise _Unresolvable(
                                 "**kwargs in delegated call")
-                        kwargs[kw.arg] = yield from self.eval(kw.value,
-                                                              env)
-                    return (yield from self._call_generator(
-                        resolved[1], resolved[0], args, kwargs))
+                        kwargs[kw.arg] = self.eval(kw.value, env)
+                    raise self._suspend(node, (resolved[1], resolved[0],
+                                               args, kwargs))
         raise _Unresolvable("yield from a non-inlinable generator")
 
     def _call_generator(self, fnnode: ast.FunctionDef, relpath: str,
                         args: list[AV], kwargs: dict[str, AV]):
+        """Run a project-local function's body in a frame of its own
+        (its module, its parameters, no statement memo)."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             self.depth -= 1
             raise _Unresolvable("call depth exceeded")
-        prev = self.relpath
-        self.relpath = relpath
+        prev, memo = self.relpath, self._memo
+        self.relpath, self._memo = relpath, None
         try:
             env = dict(self.index.module_env(relpath))
             self._bind_params(fnnode, args, kwargs, env)
@@ -1277,7 +1363,7 @@ class _Interp:
                 return ret.value
             return AV(None, False)
         finally:
-            self.relpath = prev
+            self.relpath, self._memo = prev, memo
             self.depth -= 1
 
     def _as_ops(self, value: AV) -> tuple[list[SOp], bool]:
@@ -1317,28 +1403,17 @@ class _Interp:
                 raise _Unresolvable(
                     f"missing argument {name!r} to comm.{mname}")
         kind = spec["kind"]
-        site = (self.relpath, getattr(node, "lineno", 1))
-        op = SOp(kind=kind, comm=symcomm, site=site)
-        if kind in ("compute", "elapse"):
-            op.comm = None
-            return AV(op, False)
-        if kind in ("send", "isend"):
+        op = SOp(kind=kind, site=(self.relpath, getattr(node, "lineno", 1)),
+                 comm=None if kind in ("compute", "elapse") else symcomm,
+                 payload=bound.get("payload", bound.get("payloads")))
+        # point-to-point endpoints, in the facade's parameter order
+        if "dest" in bound:
             op.dest = self._peer(symcomm, bound["dest"])
-            op.tag = self._tag(bound["tag"])
-            op.payload = bound["payload"]
-            return AV(op, False)
-        if kind in ("recv", "irecv"):
+        if "source" in bound:
             op.source = self._peer(symcomm, bound["source"])
+        if "tag" in bound:
             op.tag = self._tag(bound["tag"])
-            return AV(op, False)
-        if kind == "sendrecv":
-            op.dest = self._peer(symcomm, bound["dest"])
-            op.source = self._peer(symcomm, bound["source"])
-            op.tag = self._tag(bound["tag"])
-            op.payload = bound["payload"]
-            return AV(op, False)
         if kind == "exchange":
-            op.tag = self._tag(bound["tag"])
             sends = bound["sends"]
             recvs = bound["recvs"]
             if not sends.known or not recvs.known or not \
@@ -1357,28 +1432,18 @@ class _Interp:
             op.sends = tuple(pairs)
             op.recvs = tuple(self._peer(symcomm, _wrap(s))
                              for s in recvs.value)
-            return AV(op, False)
-        if kind in ("wait", "waitall"):
-            if kind == "wait":
-                op.requests = (bound["request"],)
-            else:
-                reqs = bound["requests"]
-                if not reqs.known or not isinstance(reqs.value,
-                                                    (tuple, list)):
-                    raise _Unresolvable("waitall on unresolvable list")
-                op.requests = tuple(reqs.value)
-            return AV(op, False)
-        if kind == "split":
-            op.color = bound["color"]
-            op.key = bound["key"]
-            return AV(op, False)
-        # collectives
-        op.label = ""
-        op.payload = bound.get("payload", bound.get("payloads"))
+        elif kind == "wait":
+            op.requests = (bound["request"],)
+        elif kind == "waitall":
+            reqs = bound["requests"]
+            if not reqs.known or not isinstance(reqs.value, (tuple, list)):
+                raise _Unresolvable("waitall on unresolvable list")
+            op.requests = tuple(reqs.value)
+        elif kind == "split":
+            op.color, op.key = bound["color"], bound["key"]
         if kind in REDUCING_KINDS:
-            opname = bound["op"]
             try:
-                op.reduce_op = str(_deep(opname))
+                op.reduce_op = str(_deep(bound["op"]))
             except _NotConcrete:
                 raise _Unresolvable(
                     "reduce op is unresolvable") from None
@@ -1423,15 +1488,41 @@ class _Interp:
         return value
 
 
+#: ``eval``'s dispatch on the node type; a type not listed is UNKNOWN
+_EVAL = {
+    ast.Constant: _Interp._eval_constant, ast.Name: _Interp._eval_name,
+    ast.Attribute: _Interp._eval_attribute, ast.Tuple: _Interp._eval_seq,
+    ast.List: _Interp._eval_seq, ast.Set: _Interp._eval_seq,
+    ast.Dict: _Interp._eval_dict, ast.BinOp: _Interp._eval_binop,
+    ast.UnaryOp: _Interp._eval_unaryop, ast.BoolOp: _Interp._eval_boolop,
+    ast.Compare: _Interp._eval_compare, ast.IfExp: _Interp._eval_ifexp,
+    ast.Subscript: _Interp._eval_subscript, ast.Call: _Interp._eval_call,
+    ast.Yield: _Interp._eval_yield, ast.YieldFrom: _Interp._eval_yield_from,
+    ast.JoinedStr: _Interp._eval_joinedstr,
+    ast.Starred: _Interp._eval_starred, ast.Slice: _Interp._eval_slice,
+    ast.ListComp: _Interp._eval_comp, ast.SetComp: _Interp._eval_comp,
+    ast.GeneratorExp: _Interp._eval_comp, ast.DictComp: _Interp._eval_comp,
+}
+
+
 def _dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` of a Name/Attribute chain, else None; answered once
+    per node."""
+    try:
+        return node._dotted
+    except AttributeError:
+        pass
     parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+    inner = node
+    while isinstance(inner, ast.Attribute):
+        parts.append(inner.attr)
+        inner = inner.value
+    dotted = None
+    if isinstance(inner, ast.Name):
+        parts.append(inner.id)
+        dotted = ".".join(reversed(parts))
+    node._dotted = dotted
+    return dotted
 
 
 # ---------------------------------------------------------------------------
@@ -1458,13 +1549,11 @@ class ProtocolFinding:
 
 
 class _Msg:
-    __slots__ = ("payload", "nbytes", "site", "consumed", "eager",
-                 "src_local", "dst_local")
+    __slots__ = ("payload", "site", "consumed", "eager", "src_local",
+                 "dst_local")
 
-    def __init__(self, payload, nbytes, site, eager, src_local,
-                 dst_local):
+    def __init__(self, payload, site, eager, src_local, dst_local):
         self.payload = payload
-        self.nbytes = nbytes
         self.site = site
         self.eager = eager
         self.consumed = False
@@ -1473,12 +1562,11 @@ class _Msg:
 
 
 class _RecvSlot:
-    __slots__ = ("done", "payload", "site", "src_local", "dst_local")
+    __slots__ = ("done", "payload", "src_local", "dst_local")
 
-    def __init__(self, site, src_local, dst_local):
+    def __init__(self, src_local, dst_local):
         self.done = False
         self.payload = AV(UNKNOWN, True)
-        self.site = site
         self.src_local = src_local
         self.dst_local = dst_local
 
@@ -1512,30 +1600,19 @@ class _Slot:
         self.immediate = False
 
     def satisfied(self) -> bool:
-        if self.immediate:
-            return True
-        for part in self.parts:
-            if isinstance(part, _Msg):
-                if not (part.eager or part.consumed):
-                    return False
-            elif isinstance(part, _RecvSlot):
-                if not part.done:
-                    return False
-            elif isinstance(part, _GroupWait):
-                if not part.done:
-                    return False
-        return True
+        return self.immediate or all(
+            part.eager or part.consumed if isinstance(part, _Msg)
+            else part.done for part in self.parts)
 
 
 class _Rank:
-    __slots__ = ("gen", "slots", "batch", "done", "failed", "started")
+    __slots__ = ("gen", "slots", "batch", "done", "started")
 
     def __init__(self, gen):
         self.gen = gen
         self.slots: list[_Slot] = []
         self.batch = False
         self.done = False
-        self.failed = False
         self.started = False
 
 
@@ -1696,8 +1773,7 @@ class Replay:
         comm = op.comm
         nbytes = _abstract_nbytes(op.payload)
         eager = nbytes is None or nbytes <= EAGER_LIMIT
-        msg = _Msg(op.payload, nbytes, op.site, eager, src_local,
-                   dst_local)
+        msg = _Msg(op.payload, op.site, eager, src_local, dst_local)
         key = (comm.comm_id, src_local, dst_local, op.tag)
         pending = self.prq.get(key)
         if pending:
@@ -1709,7 +1785,7 @@ class Replay:
 
     def _recv(self, op: SOp, src_local: int, dst_local: int) -> _RecvSlot:
         comm = op.comm
-        rslot = _RecvSlot(op.site, src_local, dst_local)
+        rslot = _RecvSlot(src_local, dst_local)
         key = (comm.comm_id, src_local, dst_local, op.tag)
         queued = self.chan.get(key)
         if queued:
@@ -1797,64 +1873,38 @@ class Replay:
     def _collective_results(self, kind: str, group) -> dict[int, AV]:
         locals_ = sorted(group)
         payloads = {local: group[local][0].payload for local in locals_}
-        out: dict[int, AV] = {}
+        op0 = group[locals_[0]][0]
+        rootval = payloads.get(op0.root)
+        if isinstance(rootval, AV):
+            rootval = rootval.value
         if kind == "barrier":
             return {local: AV(None, False) for local in locals_}
         if kind == "allreduce":
-            op0 = group[locals_[0]][0]
+            fn = {"sum": sum, "min": min, "max": max}.get(op0.reduce_op)
             try:
-                values = [_deep(payloads[local]) for local in locals_]
-                if all(isinstance(v, (int, float)) and not
-                       isinstance(v, bool) for v in values):
-                    fn = {"sum": sum, "min": min, "max": max}.get(
-                        op0.reduce_op)
-                    if fn is not None:
-                        total = fn(values)
-                        return {local: AV(total, False)
-                                for local in locals_}
+                values = [_deep(payload) for payload in payloads.values()]
             except _NotConcrete:
-                pass
-            return {local: AV(UNKNOWN, False) for local in locals_}
+                fn = None
+            if fn is None or not all(isinstance(v, (int, float)) and
+                                     not isinstance(v, bool)
+                                     for v in values):
+                return {local: AV(UNKNOWN, False) for local in locals_}
+            return {local: AV(fn(values), False) for local in locals_}
+        gathered = tuple(_wrap(payload, True)
+                         for payload in payloads.values())
         if kind == "allgather":
-            gathered = tuple(_wrap(payloads[local], True)
-                             for local in locals_)
             return {local: AV(gathered, False) for local in locals_}
         if kind == "bcast":
-            root = group[locals_[0]][0].root
-            rootval = payloads.get(root)
-            value = rootval.value if isinstance(rootval, AV) \
-                else rootval
-            return {local: AV(value, False) for local in locals_}
-        if kind == "reduce":
-            root = group[locals_[0]][0].root
-            for local in locals_:
-                out[local] = (AV(UNKNOWN, True) if local == root
-                              else AV(None, True))
-            return out
-        if kind == "gather":
-            root = group[locals_[0]][0].root
-            gathered = tuple(_wrap(payloads[local], True)
-                             for local in locals_)
-            for local in locals_:
-                out[local] = (AV(gathered, True) if local == root
-                              else AV(None, True))
-            return out
-        if kind == "scatter":
-            root = group[locals_[0]][0].root
-            rootval = payloads.get(root)
-            items = rootval.value if isinstance(rootval, AV) \
-                else rootval
-            for local in locals_:
-                if isinstance(items, (tuple, list)) and \
-                        len(items) == len(locals_):
-                    out[local] = _wrap(items[local], True)
-                else:
-                    out[local] = AV(UNKNOWN, True)
-            return out
-        # alltoall
-        for local in locals_:
-            out[local] = AV(UNKNOWN, True)
-        return out
+            return {local: AV(rootval, False) for local in locals_}
+        if kind in ("reduce", "gather"):
+            at_root = AV(UNKNOWN if kind == "reduce" else gathered, True)
+            return {local: at_root if local == op0.root else AV(None, True)
+                    for local in locals_}
+        if kind == "scatter" and isinstance(rootval, (tuple, list)) and \
+                len(rootval) == len(locals_):
+            return {local: _wrap(rootval[local], True) for local in locals_}
+        # alltoall, or a scatter of unproven items
+        return {local: AV(UNKNOWN, True) for local in locals_}
 
     def _complete_split(self, group) -> None:
         locals_ = sorted(group)
@@ -2222,8 +2272,7 @@ def _replay_program(index: ProjectIndex, relpath: str,
                     ) -> tuple[list[ProtocolFinding], bool, str | None]:
     """One (program, size) replay as ``(events, approx, gave_up)``;
     unresolvable programs stay quiet and say why in ``gave_up``."""
-    interps = [_Interp(index, relpath, rank=r, size=size)
-               for r in range(size)]
+    interps = [_Interp(index, relpath) for _ in range(size)]
     gens = [interp.run_program(
         fn, relpath, SymComm(0, r, tuple(range(size))))
         for r, interp in enumerate(interps)]

@@ -414,8 +414,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_history(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
+    from .exec.jsonl import replace_file
     from .history.report import render_trajectory
 
     store = _open_history(args.db)
@@ -429,7 +428,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
         if args.export == "-":
             sys.stdout.write(doc)
         else:
-            Path(args.export).write_text(doc, encoding="utf-8")
+            replace_file(args.export, doc)
             print(f"history: canonical export -> {args.export}")
         return 0
     print(render_trajectory(store, last=args.last,
@@ -469,6 +468,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     from . import check as chk
     from .exec.cache import DiskCache
+    from .exec.jsonl import replace_file
 
     package_root = Path(__file__).resolve().parent
     repo_root = package_root.parent.parent
@@ -503,6 +503,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
                                 disable=disable)
     except ValueError as exc:  # a prefix or id that names no rule
         raise _UsageError(str(exc)) from None
+    known = chk.rule_ids()
+    if args.explain is not None and args.explain not in known:
+        raise _UsageError(f"--explain: unknown rule id {args.explain}; "
+                          f"known: {', '.join(sorted(known))}")
     cache = DiskCache(Path(args.cache_dir)) if args.cache_dir else None
     report = analyzer.run(package_root, rel_base=repo_root,
                           workers=args.workers, cache=cache)
@@ -531,7 +535,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         out = chk.render_human(report, strict=args.strict,
                                explain=args.explain)
     if args.output:
-        Path(args.output).write_text(out, encoding="utf-8")
+        replace_file(args.output, out)
         print(f"check: report -> {args.output}")
     else:
         print(out, end="" if out.endswith("\n") else "\n")
@@ -667,6 +671,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .core.suite import load_suite
+    from .exec.jsonl import replace_file
     from .service import ServiceClient, execute_direct
 
     names = _select(_names(args.benchmarks))
@@ -680,7 +685,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         if not args.export or args.export == "-":
             sys.stdout.write(doc)
         else:
-            Path(args.export).write_text(doc, encoding="utf-8")
+            replace_file(args.export, doc)
             print(f"submit: direct canonical export -> {args.export}")
         return 0
     if not args.spool:
@@ -690,8 +695,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     spool.mkdir(parents=True, exist_ok=True)
     for env in envelopes:
         path = spool / f"{env.client}-{env.seq:06d}-{env.task_id}.json"
-        path.write_text(json.dumps(env.to_wire(), sort_keys=True,
-                                   indent=1) + "\n", encoding="utf-8")
+        replace_file(path, json.dumps(env.to_wire(), sort_keys=True,
+                                      indent=1) + "\n")
     print(f"submit: {len(envelopes)} task envelope(s) -> {spool}")
     return 0
 
@@ -712,6 +717,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .core.suite import load_suite
     from .exec.cache import DiskCache, MemoryCache
     from .exec.engine import ExecutionEngine
+    from .exec.jsonl import replace_file
     from .faults import FaultPlan
     from .telemetry.spans import current_tracer
     from .service import (
@@ -759,15 +765,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.results:
         print(f"serve: result store -> {args.results}")
     if args.dispatch_log:
-        Path(args.dispatch_log).write_text(service.log_json(),
-                                           encoding="utf-8")
+        replace_file(args.dispatch_log, service.log_json())
         print(f"serve: dispatch log -> {args.dispatch_log}")
     if args.export:
         doc = store.canonical_export()
         if args.export == "-":
             sys.stdout.write(doc)
         else:
-            Path(args.export).write_text(doc, encoding="utf-8")
+            replace_file(args.export, doc)
             print(f"serve: canonical export -> {args.export}")
     return 0 if all(f.status == "ok" for f in futures) else 1
 

@@ -286,64 +286,3 @@ class Request:
     def __hash__(self) -> int:  # identity-hash: each posted request is unique
         return id(self)
 
-
-#: Introspection table of the :class:`~repro.vmpi.comm.Comm` facade:
-#: method name -> op kind and the facade's positional parameter names
-#: (with defaults).  The static protocol pass (``repro.check.protocol``)
-#: binds call-site arguments against these signatures instead of
-#: hardcoding the facade, so facade and analyzer cannot drift apart --
-#: a test asserts each entry matches ``Comm``'s real signature.
-#:
-#: Parameter names are semantic: ``dest``/``source``/``root`` are
-#: comm-local ranks, ``tag`` a channel tag, ``payload``/``payloads`` the
-#: data, ``op`` a reduce op, ``color``/``key`` the split arguments.
-COMM_METHODS: dict[str, dict] = {
-    "compute":   {"kind": "compute",
-                  "params": ("flops", "bytes_moved", "efficiency", "label"),
-                  "defaults": {"flops": 0.0, "bytes_moved": 0.0,
-                               "efficiency": 0.25, "label": "compute"}},
-    "elapse":    {"kind": "elapse", "params": ("seconds", "label"),
-                  "defaults": {"label": "elapse"}},
-    "send":      {"kind": "send", "params": ("dest", "payload", "tag"),
-                  "defaults": {"tag": 0}},
-    "recv":      {"kind": "recv", "params": ("source", "tag"),
-                  "defaults": {"tag": 0}},
-    "isend":     {"kind": "isend", "params": ("dest", "payload", "tag"),
-                  "defaults": {"tag": 0}},
-    "irecv":     {"kind": "irecv", "params": ("source", "tag"),
-                  "defaults": {"tag": 0}},
-    "wait":      {"kind": "wait", "params": ("request",), "defaults": {}},
-    "waitall":   {"kind": "waitall", "params": ("requests",),
-                  "defaults": {}},
-    "sendrecv":  {"kind": "sendrecv",
-                  "params": ("dest", "payload", "source", "tag"),
-                  "defaults": {"tag": 0}},
-    "exchange":  {"kind": "exchange",
-                  "params": ("sends", "recvs", "tag", "label"),
-                  "defaults": {"tag": 0, "label": "p2p"}},
-    "allreduce": {"kind": "allreduce", "params": ("payload", "op", "label"),
-                  "defaults": {"op": "sum", "label": "allreduce"}},
-    "allgather": {"kind": "allgather", "params": ("payload", "label"),
-                  "defaults": {"label": "allgather"}},
-    "alltoall":  {"kind": "alltoall", "params": ("payloads", "label"),
-                  "defaults": {"label": "alltoall"}},
-    "bcast":     {"kind": "bcast", "params": ("payload", "root", "label"),
-                  "defaults": {"root": 0, "label": "bcast"}},
-    "reduce":    {"kind": "reduce",
-                  "params": ("payload", "op", "root", "label"),
-                  "defaults": {"op": "sum", "root": 0, "label": "reduce"}},
-    "gather":    {"kind": "gather", "params": ("payload", "root", "label"),
-                  "defaults": {"root": 0, "label": "gather"}},
-    "scatter":   {"kind": "scatter",
-                  "params": ("payloads", "root", "label"),
-                  "defaults": {"root": 0, "label": "scatter"}},
-    "barrier":   {"kind": "barrier", "params": ("label",),
-                  "defaults": {"label": "barrier"}},
-    "split":     {"kind": "split", "params": ("color", "key"),
-                  "defaults": {"key": None}},
-}
-
-#: collective kinds that carry a meaningful root
-ROOTED_KINDS = frozenset({"bcast", "reduce", "gather", "scatter"})
-#: collective kinds that carry a meaningful reduce op
-REDUCING_KINDS = frozenset({"allreduce", "reduce"})

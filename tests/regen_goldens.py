@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python tests/regen_goldens.py
+    PYTHONPATH=src python tests/regen_goldens.py [comm_replays]
 
 Only run this when a change *intentionally* shifts paper-facing
 numbers (Table II FOMs, scaling curves); commit the regenerated JSON
@@ -180,6 +180,89 @@ def regenerate_comm_goldens() -> dict[str, Path]:
     return {"comm_sarif": sarif_path, "comm_json": json_path}
 
 
+CORPUS_TARBALL = (Path(__file__).resolve().parent.parent / "benchmarks" /
+                  "perf" / "corpus" / "repro-pr10.tar.gz")
+
+
+def comm_replay_trees(workdir: Path) -> dict[str, list]:
+    """The ``(relpath, tree)`` module lists ``comm_replays.json`` pins:
+    the COMM fixtures, the live tree's rank-program packages and the
+    frozen analyser corpus, which is extracted (read-only) into
+    ``workdir``.  Relpaths are what the COMM rule or the live-tree test
+    sees for each."""
+    import ast
+    import tarfile
+
+    def parse(root: Path, paths) -> list:
+        return [(path.relative_to(root).as_posix(),
+                 ast.parse(path.read_text(encoding="utf-8")))
+                for path in paths]
+
+    fixtures = Path(__file__).parent / "fixtures" / "comm"
+    src = Path(__file__).resolve().parent.parent / "src"
+    corpus = workdir / "corpus"
+    if not corpus.is_dir():
+        with tarfile.open(CORPUS_TARBALL) as tar:
+            tar.extractall(corpus, filter="data")
+    return {
+        "fixtures": parse(fixtures, sorted(fixtures.glob("*.py"))),
+        "live": parse(src, [path for sub in ("apps", "synthetic", "vmpi")
+                            for path in sorted((src / "repro" / sub)
+                                               .rglob("*.py"))]),
+        "corpus": parse(corpus, [
+            path for path in sorted((corpus / "src" / "repro").rglob("*.py"))
+            if "check/" not in path.relative_to(corpus).as_posix()]),
+    }
+
+
+def comm_replay_records(modules: list) -> list[dict]:
+    """Every ``(program, size)`` replay of ``modules`` as it ends: its
+    verdicts, whether it approximated, why it gave up, and each rank
+    interpreter's step count (the work the interpreter did, node by
+    node)."""
+    from repro.check import protocol
+
+    created = []
+
+    class Recording(protocol._Interp):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    real, protocol._Interp = protocol._Interp, Recording
+    records = []
+    try:
+        for relpath, fn, size, events, approx, gave_up in \
+                protocol._replays(modules, protocol.DEFAULT_SIZES):
+            # the rank interpreters come first; module-constant folding
+            # creates its own interpreters lazily, later
+            ranks, created[:] = created[:size], []
+            records.append({
+                "relpath": relpath, "program": fn.name, "size": size,
+                "events": [[e.rule_id, e.relpath, e.line, e.message]
+                           for e in events],
+                "approx": approx, "gave_up": gave_up,
+                "steps": [interp.steps for interp in ranks]})
+    finally:
+        protocol._Interp = real
+    return records
+
+
+def regenerate_comm_replay_goldens() -> dict[str, Path]:
+    """Every COMM replay of the fixtures, the live tree and the frozen
+    corpus, down to each rank's step count: the oracle of any change to
+    the protocol interpreter (``tests/test_check_comm_replays.py``)."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = comm_replay_trees(Path(tmp))
+        doc = {name: comm_replay_records(modules)
+               for name, modules in trees.items()}
+    path = GOLDEN_DIR / "comm_replays.json"
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return {"comm_replays": path}
+
+
 def regenerate_rep_goldens() -> dict[str, Path]:
     """REP6xx snapshots over the reproducibility-taint fixtures.
 
@@ -249,10 +332,17 @@ def regenerate() -> dict[str, Path]:
             **regenerate_chaos_goldens(),
             **regenerate_check_goldens(),
             **regenerate_comm_goldens(),
+            **regenerate_comm_replay_goldens(),
             **regenerate_rep_goldens()}
 
 
+#: targets that regenerate one golden family alone
+TARGETS = {"comm_replays": regenerate_comm_replay_goldens}
+
+
 if __name__ == "__main__":
-    for kind, path in regenerate().items():
-        print(f"wrote {kind}: {path}")
+    # ``regen_goldens.py comm_replays`` rewrites that family only
+    for target in [TARGETS[name] for name in sys.argv[1:]] or [regenerate]:
+        for kind, path in target().items():
+            print(f"wrote {kind}: {path}")
     sys.exit(0)

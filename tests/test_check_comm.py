@@ -18,6 +18,7 @@ from repro.check import (
     render_sarif,
 )
 from repro.check.protocol import (
+    COMM_METHODS,
     DEFAULT_SIZES,
     EAGER_LIMIT,
     unresolved_replays,
@@ -26,7 +27,6 @@ from repro.check.rules import expand_rule_prefixes, rule_ids
 from repro.check.rules.comm import ID_DESCRIPTIONS, ID_SEVERITY
 from repro.vmpi.comm import Comm
 from repro.vmpi.engine import VmpiEngine
-from repro.vmpi.ops import COMM_METHODS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures" / "comm"
@@ -58,6 +58,8 @@ def test_comm_methods_match_facade_signatures():
 
 
 def test_eager_limit_mirrors_engine():
+    """``check`` never imports vmpi, so its copy of the limit is a
+    source the incremental cache fingerprints; this keeps it true."""
     assert EAGER_LIMIT == VmpiEngine.EAGER_LIMIT
 
 
@@ -282,6 +284,43 @@ def test_approximate_replays_suppress_exact_verdicts():
                 yield comm.barrier()
     """)
     assert [f.rule_id for f in findings] == ["COMM501"]
+
+
+def test_capped_comprehension_is_unknown_not_truncated():
+    # every rank reaches the barrier; a comprehension cut at the unroll
+    # cap but reported exact made n 256, so rank 1 skipped it (COMM501)
+    assert analyze_source("""
+        def prog(comm):
+            n = len([i for i in range(300)])
+            if comm.rank == 0 or n == 300:
+                yield comm.barrier()
+    """) == []
+    # under the cap the comprehension still folds exactly
+    assert [f.rule_id for f in analyze_source("""
+        def prog(comm):
+            n = len([i for i in range(200)])
+            if comm.rank == 0 or n == 300:
+                yield comm.barrier()
+    """)] == ["COMM501"]
+
+
+def test_nested_yields_resume_where_they_suspended():
+    # a yield inside an attribute, a call argument and a conditional
+    # expression: each post happens once, in order, and its result
+    # flows into the enclosing expression
+    findings = analyze_source("""
+        def helper(c):
+            total = yield c.allreduce(1.0)
+            return total
+
+        def prog(comm):
+            n = len((yield comm.allgather(comm.rank)))
+            n = n + (yield from helper(comm))
+            peer = (yield comm.bcast(comm.size - 1)) if n else 0
+            if comm.rank == peer and n == 2 * comm.size:
+                yield comm.barrier()
+    """)
+    assert [(f.rule_id, f.line) for f in findings] == [("COMM501", 11)]
 
 
 def test_findings_carry_program_provenance():

@@ -278,9 +278,11 @@ def test_missing_or_directory_input_is_one_line_exit_2(
     ("--disable", "unknown rule id(s): NOPE; known: "),
     ("--select", "rule prefix 'NOPE' matches no known rule id"),
     ("--ignore", "rule prefix 'NOPE' matches no known rule id"),
+    ("--explain", "--explain: unknown rule id NOPE; known: "),
 ])
 def test_check_unknown_rule_is_one_line_exit_2(flag, complaint, capsys):
-    """All four rule filters fail alike, before anything is analysed."""
+    """All four rule filters and --explain fail alike, before anything
+    is analysed."""
     assert main(["check", flag, "NOPE"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"jubench: error: {complaint}")

@@ -147,6 +147,39 @@ class TestImportBudget:
         assert "scipy" not in out["roots"]
 
 
+class TestCheckImportsNoSimulator:
+    """The static analyser pays only for analysis: its replay keeps a
+    mirror of the ``Comm`` facade, so ``jubench check`` loads neither
+    the simulator nor numpy, cold (analysing) or warm (cache lookups)."""
+
+    def test_check_loads_no_vmpi_and_no_numpy(self, tmp_path):
+        argv = ("check", "--no-runtime", "--cache-dir", str(tmp_path))
+        for run in ("cold", "warm"):
+            out = child_modules(*argv)
+            assert out["code"] == 0, run
+            assert not HEAVY & out["roots"], run
+            assert not [n for n in out["repro"]
+                        if n.startswith(("repro.vmpi", "repro.cluster"))], run
+
+    def test_no_check_module_imports_vmpi(self):
+        offenders = []
+        for path in sorted((SRC / "repro" / "check").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    dots = "." * node.level
+                    names = [f"{dots}{node.module or ''}"] + [
+                        f"{dots}{node.module + '.' if node.module else ''}"
+                        f"{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                offenders += [f"{path.relative_to(SRC)}:{node.lineno}: {n}"
+                              for n in names
+                              if "vmpi" in n.lstrip(".").split(".")]
+        assert offenders == []
+
+
 def module_scope_imports(tree: ast.Module) -> list[tuple[int, str]]:
     """``(lineno, module)`` of every import that runs when the module
     is imported: module scope, including ``if``/``try`` bodies, except

@@ -1,8 +1,11 @@
 """Whole-file artifacts are replaced atomically.
 
 A check baseline, a compacted history database, a disk-cache entry, a
-Chrome trace, a fault plan, a run journal and a chaos trace are each
-rewritten in full through one helper,
+Chrome trace, a fault plan, a run journal, a chaos trace and the six
+files the CLI writes whole (``check --output``, ``history --export``,
+``submit --direct --export``, ``submit --spool`` envelopes, ``serve
+--dispatch-log`` and ``serve --export``) are each rewritten in full
+through one helper,
 :func:`repro.exec.jsonl.replace_file`.  A simulated kill after byte *k*
 of the write must leave the previous file byte for byte and no temp
 file behind, and the temp file must never look like an artifact to a
@@ -16,6 +19,7 @@ import pytest
 
 from repro.check import Baseline, BaselineEntry
 from repro.check.findings import save_baseline
+from repro.cli import main
 from repro.exec import DiskCache
 from repro.exec.journal import RunJournal, TaskRecord
 from repro.faults import FaultPlan, write_chaos_trace
@@ -91,13 +95,66 @@ def _chaos_trace(tmp_path):
     return path, lambda: write_chaos_trace(path, _journal(3), chaos_plan())
 
 
+def _cli(path, *argv):
+    """``main(argv)`` as the writer of ``path``; the file already holds
+    what an earlier run (or a stale copy) left."""
+    return path, lambda: main([str(arg) for arg in argv])
+
+
+def _check_output(tmp_path):
+    path = tmp_path / "report.json"
+    check = ["check", "--rules", "DET001", "--no-runtime", "--cache-dir",
+             tmp_path / "cache", "--output", path, "--format"]
+    main([str(arg) for arg in [*check, "json"]])
+    return _cli(path, *check, "sarif")
+
+
+def _history_export(tmp_path):
+    db, path = tmp_path / "db.jsonl", tmp_path / "export.json"
+    HistoryStore.open(db).record_and_append("STREAM", 1.0,
+                                            params={"nodes": 1})
+    path.write_text("{}\n")
+    return _cli(path, "history", db, "--export", path)
+
+
+def _submit_direct_export(tmp_path):
+    path = tmp_path / "direct.json"
+    path.write_text("{}\n")
+    return _cli(path, "submit", "--direct", "--benchmarks", "STREAM",
+                "--export", path)
+
+
+def _submit_spool(tmp_path):
+    spool = ["submit", "--spool", str(tmp_path / "spool"),
+             "--benchmarks", "STREAM"]
+    main(spool)
+    (path,) = (tmp_path / "spool").iterdir()
+    path.write_text("{}\n")        # a stale envelope the next submit replaces
+    return _cli(path, *spool)
+
+
+def _serve(flag):
+    def writer(tmp_path):
+        spool, path = tmp_path / "spool", tmp_path / "out.json"
+        main(["submit", "--spool", str(spool), "--benchmarks", "STREAM"])
+        path.write_text("{}\n")
+        return _cli(path, "serve", "--spool", spool, flag, path)
+    return writer
+
+
 WRITERS = {"check baseline": _baseline,
            "history compact": _history_compact,
            "disk-cache entry": _disk_cache_put,
            "chrome trace": _chrome_trace,
            "fault plan": _fault_plan,
            "run journal": _run_journal,
-           "chaos trace": _chaos_trace}
+           "chaos trace": _chaos_trace,
+           "check --output": _check_output,
+           "history --export": _history_export,
+           "submit --direct --export": _submit_direct_export,
+           "submit --spool envelope": _submit_spool,
+           "serve --dispatch-log": _serve("--dispatch-log"),
+           "serve --export": _serve("--export")}
 
 
 @pytest.mark.parametrize("writer", WRITERS)
@@ -105,7 +162,7 @@ def test_a_write_killed_part_way_keeps_the_previous_file(
         writer, tmp_path, monkeypatch):
     path, rewrite = WRITERS[writer](tmp_path)
     before = path.read_bytes()
-    listing = sorted(p.name for p in tmp_path.iterdir())
+    listing = sorted(p.name for p in path.parent.iterdir())
     real_write = Path.write_text
     temp_names = []
 
@@ -120,7 +177,7 @@ def test_a_write_killed_part_way_keeps_the_previous_file(
             rewrite()
         monkeypatch.setattr(Path, "write_text", real_write)
         assert path.read_bytes() == before, k
-        assert sorted(p.name for p in tmp_path.iterdir()) == listing, k
+        assert sorted(p.name for p in path.parent.iterdir()) == listing, k
 
     assert temp_names and not any(
         fnmatch(name, "*.json") or fnmatch(name, "*.jsonl")
