@@ -75,35 +75,28 @@ def megatron_timing_program(world, steps: int):
     nodes = n // TP_SIZE
     pp_stages = min(12, max(1, nodes))
     stride = max(1, nodes // pp_stages)
-    node_id = [r // TP_SIZE for r in range(n)]
+    node_id = np.arange(n) // TP_SIZE
     tp_split, tp = world.split(node_id)                   # node-local
-    pp_split, pp = world.split([i % stride for i in node_id], key=node_id)
-    dp_split, dp = world.split([(r % TP_SIZE) * pp_stages +
-                                (i // stride) % pp_stages
-                                for r, i in enumerate(node_id)])
+    pp_split, pp = world.split(node_id % stride, key=node_id)
+    dp_split, dp = world.split(np.arange(n) % TP_SIZE * pp_stages +
+                               node_id // stride % pp_stages)
     flops_per_rank = 6.0 * GPT_PARAMS * TOKENS_PER_STEP / n
     layers_per_stage = GPT_LAYERS / pp_stages
     # activations of one of 8 microbatches of each rank's DP share
-    act_bytes = [TOKENS_PER_STEP / max(1, c.size) / 8.0 * GPT_HIDDEN * 2.0
-                 for c in dp]
+    act_bytes = TOKENS_PER_STEP / np.maximum(1, dp.size) / 8.0 * \
+        GPT_HIDDEN * 2.0
     # GEMMs (forward + backward + recompute)
     gemm = world.compute(flops=flops_per_rank / BF16_FACTOR,
                          bytes_moved=flops_per_rank / 300.0,
                          efficiency=GEMM_EFFICIENCY, label="gemm")
     # tensor-parallel allreduces: ~4 per layer per microbatch,
-    # aggregated here into one op per microbatch over the stage
-    micro = (tuple(c.allreduce(Phantom(4.0 * layers_per_stage * a / 8.0),
-                               label="tp-allreduce")
-                   for c, a in zip(tp, act_bytes)),)
-    ring = tuple(c.sendrecv((c.rank + 1) % c.size, Phantom(a),
-                            (c.rank - 1) % c.size, tag=7)
-                 if c.size > 1 else None for c, a in zip(pp, act_bytes))
-    if ring.count(None) < n:
-        micro += (ring,)
+    # aggregated here into one op per microbatch over the stage, and
+    # the pipeline ring's boundary sendrecvs
+    micro = (tp.allreduce(4.0 * layers_per_stage * act_bytes / 8.0,
+                          label="tp-allreduce"),) + pp.shift(act_bytes, tag=7)
     # data-parallel gradient allreduce (sharded parameters)
-    grads = Phantom(2.0 * GPT_PARAMS / (TP_SIZE * pp_stages))
-    step = (gemm,) + micro * 8 + (
-        tuple(c.allreduce(grads, label="dp-allreduce") for c in dp),)
+    grads = 2.0 * GPT_PARAMS / (TP_SIZE * pp_stages)
+    step = (gemm,) + micro * 8 + (dp.allreduce(grads, label="dp-allreduce"),)
     return ((tp_split, pp_split, dp_split), step, steps, ()), pp_stages
 
 

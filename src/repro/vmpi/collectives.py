@@ -2,17 +2,11 @@
 
 The engine (:mod:`repro.vmpi.engine`) and the test-side reference
 scheduler must agree *byte for byte* on what a collective returns and
-costs -- the differential test harness asserts it.  The only robust way
-to guarantee that is to compute both from one set of pure functions, so
-the two can differ in scheduling machinery while sharing every data-
-and float-producing path.
-
-The cost side maps each collective kind onto one closed-form
-alpha-beta-congestion formula of
+costs, so both compute it from these pure functions.  Each kind is
+priced by one closed-form alpha-beta-congestion formula of
 :class:`~repro.cluster.network.NetworkModel` with a single byte
-argument; :func:`collective_arg_bytes` reduces the posted payloads to
-that argument so the engine can cache costs on
-``(comm, kind, arg_bytes)`` without re-deriving them.
+argument, which :func:`collective_arg_bytes` reduces the posted
+payloads to (the engine caches costs on ``(comm, kind, arg_bytes)``).
 """
 
 from __future__ import annotations
@@ -89,13 +83,10 @@ def validate_collective(ops: list[Collective]) -> None:
 def partial_mismatch(posted: list[tuple[int, Collective]]) -> str | None:
     """Mismatch description among a *partially* posted collective.
 
-    ``posted`` maps local ranks to their ops (any subset of the
-    communicator).  Returns a message when the posted subset already
-    disagrees -- the engine raises it at deadlock time instead of a
-    plain :class:`DeadlockError`, so "half the comm called barrier, the
-    other half allreduce, and a third rank never showed up" is reported
-    as the collective bug it is.  Deterministic: compared in local-rank
-    order.
+    ``posted`` pairs local ranks with their ops (any subset of the
+    communicator); a subset that already disagrees is raised at deadlock
+    time instead of a plain :class:`DeadlockError`, as the collective
+    bug it is.  Compared in local-rank order, so deterministic.
     """
     ordered = sorted(posted)
     first = ordered[0][1]

@@ -15,14 +15,10 @@ yields operation descriptors and is resumed with their results::
 
 The methods here only *construct* ops (mirroring mpi4py's API surface);
 the engine in :mod:`repro.vmpi.engine` interprets them.  Helper
-*generators* that themselves communicate (e.g. ring shifts) must be
-delegated to with ``yield from``.
-
-Every call builds a fresh op; a *tuple* of ops yielded as one batch runs
-in order and resumes the rank once, with the list of results.  A timing
-program whose every rank runs the same schedule is written as a job
-program instead (:mod:`repro.vmpi.job`): the engine builds and runs each
-op once, as a column for all ranks, and steps no rank.
+*generators* that communicate are delegated to with ``yield from``; a
+*tuple* of ops yielded as one batch runs in order and resumes the rank
+once, with the list of results.  A timing program whose every rank runs
+the same schedule is a job program instead (:mod:`repro.vmpi.job`).
 """
 
 from __future__ import annotations
@@ -143,15 +139,10 @@ class Comm:
     def exchange(self, sends: Iterable[tuple[int, Any]],
                  recvs: Iterable[int], tag: int = 0,
                  label: str = "p2p") -> Exchange:
-        """Fused neighborhood exchange (see :class:`~repro.vmpi.ops.Exchange`).
-
+        """Fused neighborhood exchange (:class:`~repro.vmpi.ops.Exchange`):
         ``sends`` yields ``(dest, payload)`` pairs, ``recvs`` the source
-        ranks; the op resumes with the received payloads in ``recvs``
-        order.  Equivalent to posting the isends/irecvs and a waitall,
-        but as one descriptor -- yielding the same op object every step
-        (built once, before the loop) lets the engine replay a cached
-        exchange plan.
-        """
+        ranks; resumes with the received payloads in ``recvs`` order --
+        the isends, irecvs and waitall as one descriptor."""
         out = tuple((int(d), p) for d, p in sends)
         srcs = tuple(int(s) for s in recvs)
         for d, _ in out:
@@ -181,13 +172,9 @@ class Comm:
     def alltoall(self, payloads: Iterable[Any] | Phantom,
                  label: str = "alltoall") -> Collective:
         """Personalised exchange: ``payloads[j]`` goes to local rank ``j``;
-        resumes with the list received from every rank.
-
-        Passing a single :class:`Phantom` instead of a sequence means
-        "that many bytes to each peer" -- the uniform form that keeps
-        large-scale timing programs O(P) instead of building size-P
-        tuples per call.
-        """
+        resumes with the list received from every rank.  A single
+        :class:`Phantom` means "that many bytes to each peer" (the
+        uniform form: O(P), not a size-P tuple per rank)."""
         if isinstance(payloads, Phantom):
             return self._collective("alltoall", payloads, label)
         items = tuple(payloads)

@@ -29,11 +29,9 @@ from .rounds import PLAN_LIMIT
 
 
 def block_partition(n: int, parts: int) -> list[tuple[int, int]]:
-    """Split ``range(n)`` into ``parts`` contiguous near-equal slices.
-
-    The first ``n % parts`` slices get one extra element -- the standard
-    balanced block distribution.
-    """
+    """Split ``range(n)`` into ``parts`` contiguous near-equal slices;
+    the first ``n % parts`` get one extra element (the balanced block
+    distribution)."""
     if parts < 1:
         raise ValueError("parts must be positive")
     base, extra = divmod(n, parts)
@@ -166,18 +164,40 @@ class CartGrid:
         return tuple(out)
 
 
+@dataclass(frozen=True, eq=False)
+class HaloTable:
+    """Every rank's halo pairing on one grid for one face set."""
+
+    keys: tuple[tuple[int, int], ...]   # the faces, sorted: send order
+    #: faces x ranks: the neighbour each face goes to, -1 beyond a wall
+    peers: np.ndarray
+    mirror: tuple[int, ...]  # receive order: ``(dim, -direction)``
+
+    def __len__(self) -> int:
+        return self.peers.shape[1]
+
+    def row(self, r: int) -> tuple[tuple, ...]:
+        """Rank ``r``'s ``(send keys, destinations, sources, receive
+        keys)``."""
+        out = self.peers[:, r].tolist()
+        s = [i for i, p in enumerate(out) if p >= 0]
+        g = [i for i in self.mirror if out[i] >= 0]
+        return (tuple(self.keys[i] for i in s), tuple(out[i] for i in s),
+                tuple(out[i] for i in g), tuple(self.keys[i] for i in g))
+
+
 def halo_table(comm: Comm, cart: CartGrid,
-               keys: tuple[tuple[int, int], ...]) -> list[tuple]:
-    """Every rank's halo pairing on ``cart`` for the faces ``keys``: row
-    ``r`` is ``(send keys, destinations, sources, receive keys)``, sends
-    in sorted face order, receives in mirrored ``(dim, -direction)``
-    order, so a neighbour's k-th send towards a rank is that rank's k-th
-    receive from it.  Built with NumPy for all ranks at once, kept in
-    the job memo ``comm._job`` (one per engine run, bounded)."""
+               keys: tuple[tuple[int, int], ...]) -> HaloTable:
+    """Every rank's halo pairing on ``cart`` for the faces ``keys``:
+    sends in sorted face order, receives in mirrored ``(dim,
+    -direction)`` order, so a neighbour's k-th send towards a rank is
+    that rank's k-th receive from it.  Built with NumPy for all ranks
+    at once, kept in the job memo ``comm._job`` (one per engine run,
+    bounded)."""
     memo = comm._job
-    rows = memo.get((cart, keys))
-    if rows is not None:
-        return rows
+    table = memo.get((cart, keys))
+    if table is not None:
+        return table
     ordered = tuple(sorted(keys))
     if any(d not in (-1, 1) for _, d in ordered):
         raise ValueError("face direction must be -1 or +1")
@@ -185,47 +205,33 @@ def halo_table(comm: Comm, cart: CartGrid,
                     key=lambda i: (ordered[i][0], -ordered[i][1]))
     coords = np.indices(cart.dims).reshape(cart.ndims, -1)
     peers = np.empty((len(ordered), cart.size), dtype=np.int64)
-    for peer, (dim, d) in zip(peers, ordered):  # -1 beyond an open wall
+    for peer, (dim, d) in zip(peers, ordered):
         c = coords.copy()
         c[dim] += d
         peer[:] = np.ravel_multi_index(c, cart.dims, mode="wrap")
         if not cart.periodic[dim]:
             peer[(c[dim] < 0) | (c[dim] >= cart.dims[dim])] = -1
-    rows = []
-    for out in peers.T.tolist():
-        s = [i for i, p in enumerate(out) if p >= 0]
-        r = [i for i in mirror if out[i] >= 0]
-        rows.append((tuple(ordered[i] for i in s), tuple(out[i] for i in s),
-                     tuple(out[i] for i in r), tuple(ordered[i] for i in r)))
     if len(memo) >= PLAN_LIMIT:
         memo.clear()
-    memo[cart, keys] = rows
-    return rows
+    memo[cart, keys] = table = HaloTable(ordered, peers, tuple(mirror))
+    return table
 
 
 def halo_exchange_op(comm: Comm, cart: CartGrid,
                      faces: dict[tuple[int, int], Any], tag: int = 100,
                      label: str = "p2p"):
-    """The fused :class:`~repro.vmpi.ops.Exchange` of one halo sweep.
-
-    Returns ``(op, keys)``: the exchange op and the ``(dim, direction)``
-    key of each received payload, aligned with the op's result order.
-
-    Every call builds a fresh op; a timing loop builds it once, before
-    its steps (see :func:`halo_batch`).
-
-    Edge pairing relies on every member building its op through this
-    function, from its row of :func:`halo_table`: sends in sorted face
-    order, receives in mirrored ``(dim, -direction)`` order, so the k-th
-    send a neighbour makes towards us is exactly our k-th receive from
-    it -- including the doubled edges of periodic dimensions of extent 1
-    or 2.
+    """The fused :class:`~repro.vmpi.ops.Exchange` of one halo sweep,
+    as ``(op, keys)``: ``keys`` names each received payload's ``(dim,
+    direction)``, in the op's result order.  Every call builds a fresh
+    op from this rank's row of :func:`halo_table` (whose order pairs
+    the edges, doubled ones of periodic extents 1 and 2 included); a
+    timing loop builds it once, before its steps (:func:`halo_batch`).
     """
     if faces and comm.rank >= cart.size and min(faces)[1] in (-1, 1):
         cart.coords(comm.rank)      # off the grid: raises, before pairing
-    rows = halo_table(comm, cart, tuple(faces))
-    send_keys, dests, recvs, keys = rows[comm.rank] \
-        if comm.rank < len(rows) else ((), (), (), ())
+    table = halo_table(comm, cart, tuple(faces))
+    send_keys, dests, recvs, keys = table.row(comm.rank) \
+        if comm.rank < len(table) else ((), (), (), ())
     if cart.size > comm.size:       # a peer may lie outside the comm
         for peer in dests + recvs:
             comm._check_peer(peer)
@@ -248,18 +254,15 @@ def halo_batch(comm: Comm, cart: CartGrid,
 
 def halo_exchange(comm: Comm, cart: CartGrid, faces: dict[tuple[int, int], Any],
                   tag_base: int = 100):
-    """Exchange per-face payloads with Cartesian neighbours (generator).
+    """Exchange per-face payloads with Cartesian neighbours (generator;
+    ``recv = yield from halo_exchange(...)``).
 
     ``faces`` maps ``(dim, direction)`` -- direction in {-1, +1} -- to the
-    payload shipped to the neighbour in that direction.  Returns received
-    payloads keyed the same way: ``received[(dim, d)]`` is what the
-    neighbour in direction ``d`` sent towards us, i.e. the ghost data for
-    our ``d``-side boundary.  All faces travel in one fused
-    :class:`~repro.vmpi.ops.Exchange`, exactly like the production
-    stencil codes' neighbourhood collectives.  Use as
-    ``recv = yield from halo_exchange(...)``.  A loop-invariant
-    *timing* loop splices :func:`halo_batch` into one batch per step
-    instead.
+    payload shipped to the neighbour in that direction; ``recv[(dim,
+    d)]`` is what the neighbour in direction ``d`` sent towards us (the
+    ghost data of our ``d``-side boundary).  All faces travel in one
+    fused :class:`~repro.vmpi.ops.Exchange`, like the production stencil
+    codes' neighbourhood collectives.
     """
     ops, keys = halo_batch(comm, cart, faces, tag=tag_base)
     results = (yield ops[0]) if ops else ()
@@ -270,7 +273,7 @@ def ghost_faces(field: np.ndarray, width: int = 1) -> dict[tuple[int, int], np.n
     """Boundary slabs of ``field`` to ship in a halo exchange.
 
     For each dimension, the first/last ``width`` interior planes are
-    copied out; pair with :func:`apply_ghosts` on the receiving side.
+    copied out.
     """
     if width < 1:
         raise ValueError("halo width must be positive")

@@ -24,36 +24,21 @@ It schedules and prices the way a discrete-event simulator does:
   and a round whose members re-post the previous round's op objects
   replays its plan;
 * **job programs** -- a job program (:mod:`repro.vmpi.job`) builds
-  each op once as a *column* for all ranks; the columns run over NumPy
-  arrays indexed by global rank (:mod:`repro.vmpi.sweep`) and no rank
-  is stepped.
+  each column once for all ranks, as an op or as arrays; the columns
+  run over NumPy arrays indexed by global rank (:mod:`repro.vmpi.sweep`)
+  and no rank is stepped.
 
 Every fast path lowers onto the *per-request machinery* (FIFO channels,
 :class:`~repro.vmpi.ops.Request`, wait groups) whenever it cannot
-apply, and that machinery alone defines the semantics.  The test-side
-reference scheduler (``tests/vmpi_reference.py``) runs every op through
-it naively -- FIFO polling, no caches, no plans -- and the differential
-suites assert byte-identical values, clocks, traces, Chrome exports and
-error text against it.  That works because all value- and
-float-producing paths are shared (:mod:`repro.vmpi.collectives`, the
-network closed forms, the matching rules below) and only *host-side
-scheduling* differs, which virtual time never observes.
-
-Heap invariants (the discrete-event contract):
-
-1. every heap entry is an unblocked rank keyed by the virtual time at
-   which it became runnable; a rank is in the heap at most once;
-2. entries pop in nondecreasing ``(time, seq)`` order, ``seq`` being
-   the monotone insertion counter, so equal-time wakes resume in the
-   deterministic order they were caused;
-3. state mutation (matching, clock algebra, payload movement) happens
-   eagerly at post/match time -- the heap only orders *resumption*, so
-   every float the run produces is independent of host scheduling.
-
-Exchange rounds that can never fill (only a subset of the communicator
-exchanges) are drained by :meth:`VmpiEngine._quiesce`: when the heap
-runs dry, pending rounds are decomposed through the per-edge machinery,
-which completes every matched transfer before deadlock is declared.
+apply -- stalled exchange rounds are drained onto it by
+:meth:`VmpiEngine._quiesce` before any deadlock is declared -- and that
+machinery alone defines the semantics.  The test-side reference
+scheduler (``tests/vmpi_reference.py``) runs every op through it
+naively, and the differential suites assert byte-identical values,
+clocks, traces, Chrome exports and error text against it: every value-
+and float-producing path is shared and only *host-side scheduling*
+differs, which virtual time never observes (the heap invariants are
+stated in DESIGN.md section 10).
 
 Semantics (documented divergences from real MPI):
 
@@ -125,6 +110,7 @@ from .rounds import (
     XchgPlan,
     build_plan,
     exchange_bytes,
+    round_plan,
 )
 from .job import World, job_rank
 from .sweep import SweepPlan, plan_columns
@@ -146,7 +132,6 @@ class _WaitGroup:
 
     rank: int
     requests: tuple[Request, ...]
-    blocked_at: float
     single: bool  # resume with one result instead of a list
     sendrecv: bool = False  # resume with the received payload only
     exchange: Exchange | None = None  # decomposed fused exchange
@@ -171,11 +156,9 @@ def _lowered(r: int, ops: tuple) -> Iterator[Op]:
 class VmpiEngine:
     """Runs one SPMD program over a :class:`~repro.vmpi.machine.Machine`.
 
-    ``eager_limit`` mirrors MPI's eager protocol: sends at or below this
-    size complete locally without waiting for the matching receive
-    (buffered), while larger messages rendezvous.  Without this, common
-    patterns that are legal in practice (small out-of-order tagged sends,
-    self-messages) would deadlock.
+    ``eager_limit`` mirrors MPI's eager protocol: sends at or below it
+    complete locally (buffered), larger ones rendezvous -- so legal
+    small out-of-order tagged sends and self-messages do not deadlock.
     """
 
     EAGER_LIMIT = 64 * 1024  # bytes
@@ -220,16 +203,12 @@ class VmpiEngine:
             args: tuple = (), kwargs: dict | None = None,
             rank_kwargs: list[dict] | None = None,
             tracer: Any = None) -> SpmdResult:
-        """Execute ``fn(comm, *args, **kwargs)`` on every rank.
-
-        A generator function is a rank program, run once per rank; any
-        other function is a job program (:mod:`repro.vmpi.job`), called
-        once with the :class:`~repro.vmpi.job.World`.
-        ``rank_kwargs`` optionally supplies per-rank keyword overrides;
-        ``tracer`` (a :class:`~repro.telemetry.Tracer`) wraps the run in
-        a ``vmpi.run`` span.  Returns the per-rank return values, final
-        clocks and traces.
-        """
+        """Execute ``fn(comm, *args, **kwargs)`` on every rank: a
+        generator function is a rank program, run once per rank, any
+        other a job program (:mod:`repro.vmpi.job`), called once with the
+        :class:`~repro.vmpi.job.World`.  ``rank_kwargs`` supplies per-rank
+        keyword overrides; ``tracer`` (a :class:`~repro.telemetry.Tracer`)
+        wraps the run in a ``vmpi.run`` span."""
         if tracer is not None and getattr(tracer, "enabled", False):
             with tracer.span("vmpi.run", nranks=self.machine.nranks):
                 return self._run(fn, args, kwargs, rank_kwargs)
@@ -310,14 +289,9 @@ class VmpiEngine:
             step(heappop(heap)[2])
 
     def _quiesce(self) -> bool:
-        """Lower stalled buffered state onto the per-request path.
-
-        Runs when the heap is dry but ranks are unfinished: every
-        buffered exchange round -- fillable or not -- is lowered onto
-        per-edge FIFO matching, completing whatever has a counterpart.
-        Progress may post fresh ops, so the run loop calls this until it
-        returns False.
-        """
+        """With the heap dry but ranks unfinished, lower every buffered
+        exchange round onto per-edge FIFO matching, which completes what
+        has a counterpart; False when there was nothing to lower."""
         stalled = []
         for (cid, tag), st in self._xst.items():
             for rnd, pend in st[1].items():
@@ -392,18 +366,21 @@ class VmpiEngine:
 
     def _collective_cost(self, members: tuple[int, ...],
                          ops: list[Collective]) -> float:
-        first = ops[0]
-        arg = collective_arg_bytes(ops)
-        key = (first.comm_id, first.kind, arg)
-        cost = self._cost_cache.get(key)
+        return self._cost(ops[0].comm_id, members, ops[0].kind,
+                          collective_arg_bytes(ops))
+
+    def _cost(self, cid: int, members: tuple[int, ...], kind: str,
+              arg: float) -> float:
+        """A collective's cost on communicator ``cid`` for ``arg`` bytes."""
+        cost = self._cost_cache.get((cid, kind, arg))
         if cost is None:
-            node_set = self._node_sets.get(first.comm_id)
+            node_set = self._node_sets.get(cid)
             if node_set is None:
                 node_set = self.machine.node_set(members)
-                self._node_sets[first.comm_id] = node_set
+                self._node_sets[cid] = node_set
             cost = collective_cost(self.machine.network, node_set,
-                                   len(members), first.kind, arg)
-            self._cost_cache[key] = cost
+                                   len(members), kind, arg)
+            self._cost_cache[cid, kind, arg] = cost
         return cost
 
     # -- rank stepping ----------------------------------------------------------
@@ -493,14 +470,19 @@ class VmpiEngine:
 
     # -- point-to-point (the per-request machinery) ----------------------------
 
-    def _global(self, comm_id: int, local: int) -> int:
+    def _members(self, comm_id: int) -> tuple[int, ...]:
         members = self._comms.get(comm_id)
         if members is None:
             raise VmpiError(f"unknown communicator id {comm_id}")
-        return members[local]
+        return members
+
+    def _global(self, comm_id: int, local: int) -> int:
+        return self._members(comm_id)[local]
 
     def _post_send(self, r: int, dest_local: int, payload: Any, tag: int,
-                   comm_id: int) -> Request:
+                   comm_id: int, rnd: tuple = ()) -> Request:
+        """Post a send; ``rnd = (round,)`` posts an exchange's edge, in its
+        own key space (and counted when the exchange was posted)."""
         dest = self._global(comm_id, dest_local)
         self._rid += 1
         nbytes = nbytes_of(payload)
@@ -509,14 +491,15 @@ class VmpiEngine:
                       payload=payload, rid=self._rid, nbytes=nbytes)
         # Bytes are accounted at post time (program order), so every
         # path accumulates per-rank counters in the same float order.
-        self.traces[r].bytes_sent += nbytes
+        if not rnd:
+            self.traces[r].bytes_sent += nbytes
         if nbytes <= self.eager_limit:
             # Eager protocol: the send buffers locally and completes after
             # the injection overhead, independent of the receiver.
             req.done = True
             req.complete_time = req.post_time + \
                 self._p2p_seconds(r, dest, nbytes)
-        key = (comm_id, r, dest, tag)
+        key = (comm_id, r, dest, tag) + rnd
         match_q = self._recvs.get(key)
         if match_q:
             self._complete_transfer(req, match_q.popleft())
@@ -525,12 +508,12 @@ class VmpiEngine:
         return req
 
     def _post_recv(self, r: int, source_local: int, tag: int,
-                   comm_id: int) -> Request:
+                   comm_id: int, rnd: tuple = ()) -> Request:
         source = self._global(comm_id, source_local)
         self._rid += 1
         req = Request(rank=r, is_send=False, peer=source, tag=tag,
                       comm_id=comm_id, post_time=self.clocks[r], rid=self._rid)
-        key = (comm_id, source, r, tag)
+        key = (comm_id, source, r, tag) + rnd
         match_q = self._sends.get(key)
         if match_q:
             self._complete_transfer(match_q.popleft(), req)
@@ -568,7 +551,6 @@ class VmpiEngine:
                 raise VmpiError(
                     f"rank {r} waiting on request posted by rank {req.rank}")
         group = _WaitGroup(rank=r, requests=requests,
-                           blocked_at=self.clocks[r],
                            single=single and not sendrecv,
                            sendrecv=sendrecv, exchange=exchange)
         if all(req.done for req in requests):
@@ -615,17 +597,16 @@ class VmpiEngine:
     def _post_exchange(self, r: int, op: Exchange) -> bool:
         """Buffer an exchange; the member completing a round finishes it."""
         sk = (op.comm_id, op.tag)
-        seq, rounds, members, nmem = self._xst.get(sk) or self._xstate(*sk)
+        st = self._xst.get(sk)
+        if st is None:      # the round state of ``(comm, tag)``
+            members = self._members(op.comm_id)
+            st = self._xst[sk] = [defaultdict(int), {}, members,
+                                  len(members)]
+        seq, rounds, members, nmem = st
         rnd = seq[r]
         seq[r] = rnd + 1
-        nb = op.__dict__.get("_nbytes_total")
-        if nb is None:
-            nb = exchange_bytes(op)
-        self.traces[r].bytes_sent += nb
-        try:
-            pend = rounds[rnd]
-        except KeyError:
-            pend = rounds[rnd] = {}
+        self.traces[r].bytes_sent += exchange_bytes(op)
+        pend = rounds.setdefault(rnd, {})
         pend[r] = op
         if len(pend) == nmem:
             del rounds[rnd]
@@ -633,17 +614,6 @@ class VmpiEngine:
         # No per-rank blocked marker: buffered ranks are found through
         # ``_xst`` (and drained by ``_quiesce`` before any deadlock).
         return False
-
-    def _xstate(self, cid: int, tag: int) -> list:
-        """The (created on first use) round state of ``(comm, tag)``."""
-        st = self._xst.get((cid, tag))
-        if st is None:
-            members = self._comms.get(cid)
-            if members is None:
-                raise VmpiError(f"unknown communicator id {cid}")
-            st = self._xst[cid, tag] = [defaultdict(int), {}, members,
-                                        len(members)]
-        return st
 
     def _finish_round(self, members: tuple[int, ...],
                       key: tuple[int, int, int],
@@ -682,61 +652,29 @@ class VmpiEngine:
         if cached is not None and \
                 all(map(is_, map(pend.__getitem__, members), cached.op_ids)):
             return cached
-        plan = build_plan(members, pend, self._node, self._p2p_params,
-                          self.eager_limit)
+        plan = round_plan([pend[g] for g in members],
+                          lambda edges: self._edge_plan(members, edges))
         if plan is not None:
             self._xplans[pkey] = plan
         else:
             self._xplans.pop(pkey, None)
         return plan
 
+    def _edge_plan(self, members: tuple[int, ...],
+                   edges: tuple) -> XchgPlan | None:
+        """A round's edge arrays paired and priced on this machine."""
+        return build_plan(members, edges, self._node, self._p2p_params,
+                          self.eager_limit)
+
     def _decompose_exchange(self, r: int, op: Exchange,
                             ekey: tuple[int, int, int]) -> bool:
-        """Post an exchange's edges through the per-edge FIFO machinery.
-
-        Edges live in a ``("x", comm, tag, round, src, dst)`` key space:
-        the k-th send of a round on a directed pair matches the k-th
-        receive of the *same* round -- exchanges never match plain p2p
-        and never match across rounds.
-        """
-        reqs = []
-        for dest_local, payload in op.sends:
-            reqs.append(self._post_edge(r, True, dest_local, payload, ekey))
-        for src_local in op.recvs:
-            reqs.append(self._post_edge(r, False, src_local, None, ekey))
+        """Post an exchange's edges through the per-edge FIFO machinery,
+        keyed ``(comm, src, dst, tag, round)``: they never match plain p2p
+        (keyed without a round) nor another round."""
+        cid, tag, rnd = ekey[0], ekey[1], ekey[2:]
+        reqs = [self._post_send(r, d, p, tag, cid, rnd) for d, p in op.sends]
+        reqs += [self._post_recv(r, s, tag, cid, rnd) for s in op.recvs]
         return self._wait_on(r, tuple(reqs), single=False, exchange=op)
-
-    def _post_edge(self, r: int, is_send: bool, peer_local: int,
-                   payload: Any, ekey: tuple[int, int, int]) -> Request:
-        cid, tag = ekey[0], ekey[1]
-        peer = self._global(cid, peer_local)
-        self._rid += 1
-        if is_send:
-            nbytes = nbytes_of(payload)
-            req = Request(rank=r, is_send=True, peer=peer, tag=tag,
-                          comm_id=cid, post_time=self.clocks[r],
-                          payload=payload, rid=self._rid, nbytes=nbytes)
-            if nbytes <= self.eager_limit:
-                req.done = True
-                req.complete_time = req.post_time + \
-                    self._p2p_seconds(r, peer, nbytes)
-            key = ("x",) + ekey + (r, peer)
-            match_q = self._recvs.get(key)
-            if match_q:
-                self._complete_transfer(req, match_q.popleft())
-            else:
-                self._sends[key].append(req)
-        else:
-            req = Request(rank=r, is_send=False, peer=peer, tag=tag,
-                          comm_id=cid, post_time=self.clocks[r],
-                          rid=self._rid)
-            key = ("x",) + ekey + (peer, r)
-            match_q = self._sends.get(key)
-            if match_q:
-                self._complete_transfer(match_q.popleft(), req)
-            else:
-                self._recvs[key].append(req)
-        return req
 
     # -- collectives ---------------------------------------------------------------
 
@@ -744,10 +682,7 @@ class VmpiEngine:
         cid = op.comm_id
         st = self._cst.get(cid)
         if st is None:
-            members = self._comms.get(cid)
-            if members is None:
-                raise VmpiError(f"unknown communicator id {cid}")
-            st = self._cst[cid] = CollRound(members)
+            st = self._cst[cid] = CollRound(self._members(cid))
         local = st.local.get(r)
         if local is None:
             raise VmpiError(f"rank {r} is not a member of comm {cid}")
@@ -794,20 +729,31 @@ class VmpiEngine:
 
     def _do_split(self, members: tuple[int, ...],
                   payloads: list[Any]) -> list[Any]:
-        groups: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        for local, (color, key) in enumerate(payloads):
-            groups[color].append((key, members[local], local))
-        results: list[Any] = [None] * len(members)
-        for color in sorted(groups):
-            ordered = sorted(groups[color])
-            new_members = tuple(g for _, g, _ in ordered)
-            cid = self._next_comm_id
+        color, key = np.array(payloads, dtype=np.int64).reshape(-1, 2).T
+        cids, local = self._split_table(members, color, key)[:2]
+        return [Comm(comm_id=c, rank=i, members=self._comms[c])
+                for c, i in zip(cids.tolist(), local.tolist())]
+
+    def _split_table(self, members: tuple[int, ...], color: np.ndarray,
+                     key: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Allocate a split's communicators -- one per color, ascending,
+        members ordered by ``(key, global rank)`` -- and return, per
+        member, its new comm id, local rank, comm size and the offset
+        of its comm in the last array: the new members back to back."""
+        glob = np.asarray(members)
+        order = np.lexsort((glob, key, color))
+        _, first, counts = np.unique(color[order], return_index=True,
+                                     return_counts=True)
+        which = np.repeat(np.arange(len(first)), counts)
+        table = np.empty((4, len(glob)), dtype=np.int64)
+        table[:, order] = (self._next_comm_id + which,
+                           np.arange(len(glob)) - first[which],
+                           counts[which], first[which])
+        placed = glob[order]
+        for lo, hi in zip(first.tolist(), (first + counts).tolist()):
+            self._comms[self._next_comm_id] = tuple(placed[lo:hi].tolist())
             self._next_comm_id += 1
-            self._comms[cid] = new_members
-            for new_local, (_, _g, old_local) in enumerate(ordered):
-                results[old_local] = Comm(comm_id=cid, rank=new_local,
-                                          members=new_members)
-        return results
+        return (*table, placed)
 
     # -- failure reporting -----------------------------------------------------
 
@@ -838,12 +784,9 @@ class VmpiEngine:
         return "unknown"
 
     def _raise_stuck(self) -> None:
-        """Report why the run cannot make progress.
-
-        A partially-posted collective whose arrivals already disagree is
-        a :class:`CollectiveMismatchError`; anything else is a
-        :class:`DeadlockError` listing every blocked rank's pending op.
-        """
+        """Report why the run cannot make progress: a partially-posted
+        collective whose arrivals disagree is a mismatch, anything else
+        a :class:`DeadlockError` listing every blocked rank's pending op."""
         for posted in self._pending_collectives():
             msg = partial_mismatch(posted)
             if msg:

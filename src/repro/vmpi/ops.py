@@ -60,20 +60,6 @@ def nbytes_of(payload: Any) -> float:
     raise TypeError(f"cannot size payload of type {type(payload).__name__}")
 
 
-def _validate_tag(tag: Any) -> None:
-    """Tags address per-channel FIFO queues; reject junk at construction.
-
-    Catching a negative or non-int tag here (instead of deep in the
-    engine's matching tables) keeps the failure at the line that built
-    the op -- and is the contract the static protocol pass
-    (:mod:`repro.check.protocol`) assumes when it folds tags.
-    """
-    if isinstance(tag, bool) or not isinstance(tag, int):
-        raise TypeError(f"tag must be an int, got {type(tag).__name__}")
-    if tag < 0:
-        raise ValueError(f"tag must be non-negative, got {tag}")
-
-
 def _validate_root(root: Any) -> None:
     """Rooted collectives need an int local rank; bounds are checked by
     the communicator, type and sign are checked here."""
@@ -87,6 +73,24 @@ class Op:
     """Base class for all yielded operations."""
 
     __slots__ = ()
+
+
+class _Tagged(Op):
+    """An op with a ``tag``.  Tags address per-channel FIFO queues, so
+    junk is rejected at construction: catching a negative or non-int
+    tag here (instead of deep in the engine's matching tables) keeps
+    the failure at the line that built the op -- and is the contract
+    the static protocol pass (:mod:`repro.check.protocol`) assumes when
+    it folds tags."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        tag = self.tag  # type: ignore[attr-defined]
+        if isinstance(tag, bool) or not isinstance(tag, int):
+            raise TypeError(f"tag must be an int, got {type(tag).__name__}")
+        if tag < 0:
+            raise ValueError(f"tag must be non-negative, got {tag}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ class Elapse(Op):
 
 
 @dataclass(frozen=True)
-class Send(Op):
+class Send(_Tagged):
     """Blocking send of ``payload`` to ``dest`` (rendezvous semantics)."""
 
     dest: int
@@ -133,24 +137,18 @@ class Send(Op):
     tag: int = 0
     comm_id: int = 0
 
-    def __post_init__(self) -> None:
-        _validate_tag(self.tag)
-
 
 @dataclass(frozen=True)
-class Recv(Op):
+class Recv(_Tagged):
     """Blocking receive from ``source``; resumes with the payload."""
 
     source: int
     tag: int = 0
     comm_id: int = 0
 
-    def __post_init__(self) -> None:
-        _validate_tag(self.tag)
-
 
 @dataclass(frozen=True)
-class Isend(Op):
+class Isend(_Tagged):
     """Non-blocking send; resumes immediately with a request handle."""
 
     dest: int
@@ -158,20 +156,14 @@ class Isend(Op):
     tag: int = 0
     comm_id: int = 0
 
-    def __post_init__(self) -> None:
-        _validate_tag(self.tag)
-
 
 @dataclass(frozen=True)
-class Irecv(Op):
+class Irecv(_Tagged):
     """Non-blocking receive; resumes immediately with a request handle."""
 
     source: int
     tag: int = 0
     comm_id: int = 0
-
-    def __post_init__(self) -> None:
-        _validate_tag(self.tag)
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,7 @@ class Waitall(Op):
 
 
 @dataclass(frozen=True)
-class Sendrecv(Op):
+class Sendrecv(_Tagged):
     """Simultaneous exchange: send to ``dest`` while receiving from
     ``source`` (the classic halo-exchange primitive); resumes with the
     received payload."""
@@ -201,29 +193,19 @@ class Sendrecv(Op):
     tag: int = 0
     comm_id: int = 0
 
-    def __post_init__(self) -> None:
-        _validate_tag(self.tag)
-
 
 @dataclass(frozen=True)
-class Exchange(Op):
+class Exchange(_Tagged):
     """A fused neighborhood exchange (MPI_Neighbor_alltoallv-style).
 
-    ``sends`` lists ``(dest_local, payload)`` pairs, ``recvs`` lists the
-    local source ranks, both in program order.  The op completes when
-    every listed transfer has a matching counterpart and resumes with
-    the received payloads in ``recvs`` order.
-
-    Exchanges match only against other exchanges: each directed pair
-    ``(src, dst)`` under one ``(comm, tag)`` pairs its k-th exchanged
-    send with the k-th exchanged receive, so matching is independent of
-    scheduling order (like the per-key FIFO queues of plain p2p, but in
-    a separate namespace -- exactly how MPI neighborhood collectives do
-    not match point-to-point traffic).
-
-    Halo patterns yield one ``Exchange`` per step instead of one op per
-    face; posting the *same op object* again (built once, before the
-    loop) lets the engine reuse a vectorized per-round plan.
+    ``sends`` lists ``(dest_local, payload)`` pairs, ``recvs`` the local
+    source ranks, both in program order; the op resumes with the
+    received payloads in ``recvs`` order.  Exchanges match only other
+    exchanges (like MPI neighborhood collectives): under one ``(comm,
+    tag)`` each directed pair matches its k-th exchanged send with its
+    k-th exchanged receive, independent of scheduling order.  Posting
+    the *same op object* again (built once, before the loop) lets the
+    engine reuse a vectorized per-round plan.
     """
 
     sends: tuple[tuple[int, Any], ...]
@@ -231,9 +213,6 @@ class Exchange(Op):
     tag: int = 0
     comm_id: int = 0
     label: str = "p2p"
-
-    def __post_init__(self) -> None:
-        _validate_tag(self.tag)
 
 
 @dataclass(frozen=True)

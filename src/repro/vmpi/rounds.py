@@ -2,11 +2,11 @@
 
 Plain data and pure functions the engine (:mod:`repro.vmpi.engine`)
 uses to complete a whole :class:`~repro.vmpi.ops.Exchange` or
-collective round at once: what a fully-posted round looks like when
-flattened into NumPy edge arrays (:func:`build_plan`), and the one
+collective round at once: a round's NumPy edge arrays paired and priced
+(:func:`build_plan`), flattened from a round filled rank by rank
+(:func:`round_plan`) or read off a job's halo table, and the one
 collective round a communicator can have in flight (:class:`CollRound`).
-Nothing here touches clocks, traces or scheduling; the engine applies
-the plans.
+Nothing here touches clocks, traces or scheduling.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .ops import Exchange, nbytes_of
 
 __all__ = ["CollRound", "PLAN_LIMIT", "XchgPlan", "build_plan",
-           "edge_seconds", "exchange_bytes"]
+           "edge_seconds", "exchange_bytes", "round_plan"]
 
 #: entries a per-run memo keeps (the tables of a job memo ``Comm._job``);
 #: a program whose grids change every step starts over instead of
@@ -31,21 +31,21 @@ PLAN_LIMIT = 16
 
 @dataclass
 class XchgPlan:
-    """Precomputed completion algebra of one exchange round.
+    """Precomputed completion algebra of one exchange round, edge
+    arrays indexed by position in the communicator's member tuple.  A
+    round filled rank by rank (:func:`round_plan`) also keeps the op
+    objects it was built from (valid while every member re-posts them),
+    their labels and each member's received payloads."""
 
-    Valid as long as every member posts the *same op objects* (hoisted
-    constants); ``op_ids`` pins them.  Edge arrays are indexed by
-    position in the communicator's member tuple.
-    """
-
-    op_ids: tuple[Exchange, ...]
-    nedges: int
     src_idx: np.ndarray     # member index of each edge's sender
     dst_idx: np.ndarray     # member index of each edge's receiver
     t: np.ndarray           # per-edge transfer seconds (alpha + n/beta)
     eager: np.ndarray       # per-edge bool: send completes locally
-    labels: tuple[str, ...]  # per-member comm-trace label
-    results: tuple[list, ...]  # per-member received payloads, recvs order
+    #: ``(by_send, by_recv)``: the k-th paired edge's send and receive
+    pairing: tuple[np.ndarray, np.ndarray]
+    op_ids: tuple[Exchange, ...] = ()
+    labels: tuple[str, ...] = ()    # per-member comm-trace label
+    results: tuple[list, ...] = ()  # per-member received payloads
 
     def complete(self, posts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(done, waited)`` per member of one round posted at ``posts``:
@@ -53,7 +53,7 @@ class XchgPlan:
         unless it is eager (``post + t``), and a member leaves at the
         latest of its edges.  The one place a round is timed, for a
         round filled rank by rank and for a job's column alike."""
-        if not self.nedges:
+        if not len(self.src_idx):
             return posts, np.zeros(len(posts))
         sposts = posts[self.src_idx]
         recv_done = np.maximum(sposts, posts[self.dst_idx]) + self.t
@@ -103,36 +103,55 @@ def _member_index(local: np.ndarray, nmem: int) -> np.ndarray:
     return local % nmem
 
 
-def build_plan(members: tuple[int, ...], pend: dict[int, Exchange],
-               nodes: Sequence[int],
-               p2p_params: Callable[[tuple[int, int]], tuple[float, float]],
-               eager_limit: float) -> XchgPlan | None:
-    """Pair every edge of a round; None if the structure is unpaired.
-
-    Pairing replicates per-edge FIFO order: the k-th send of a round
-    on a directed pair matches the k-th receive, both in op order.
-    All edges of all members are flattened once and paired by one
-    stable sort per side on the ``(sender, receiver)`` key, so the
-    cold build costs array passes, not per-edge dict traffic; edge
-    order in the plan is immaterial (completion is a max-reduction).
-    ``nodes`` maps a global rank to its node and ``p2p_params`` a node
-    pair to its alpha-beta parameters.
-    """
-    nmem = len(members)
-    ops = [pend[g] for g in members]
+def round_plan(ops: list[Exchange],
+               pair: Callable[[tuple], XchgPlan | None]) -> XchgPlan | None:
+    """A round filled rank by rank (``ops`` in member order), flattened
+    into member-index edge arrays, paired and priced by ``pair``
+    (:func:`build_plan`), its receive slots filled; None if unpaired."""
+    nmem = len(ops)
     flat_sends = list(itertools.chain.from_iterable(o.sends for o in ops))
     flat_recvs = list(itertools.chain.from_iterable(o.recvs for o in ops))
-    nsends = np.fromiter((len(o.sends) for o in ops), np.intp, nmem)
     nrecvs = np.fromiter((len(o.recvs) for o in ops), np.intp, nmem)
     nedges = len(flat_sends)
     payloads = list(map(itemgetter(1), flat_sends))
     idx = np.arange(nmem)
-    send_src = np.repeat(idx, nsends)
-    send_dst = _member_index(
-        np.fromiter(map(itemgetter(0), flat_sends), np.intp, nedges), nmem)
-    recv_dst = np.repeat(idx, nrecvs)
-    recv_src = _member_index(np.array(flat_recvs, dtype=np.intp), nmem)
-    if nedges != len(flat_recvs):
+    plan = pair((np.repeat(idx, [len(o.sends) for o in ops]),
+                 _member_index(np.fromiter(map(itemgetter(0), flat_sends),
+                                           np.intp, nedges), nmem),
+                 np.fromiter(map(nbytes_of, payloads), np.float64, nedges),
+                 _member_index(np.array(flat_recvs, dtype=np.intp), nmem),
+                 np.repeat(idx, nrecvs)))
+    if plan is None:
+        return None
+    # flat receive slots are laid out member by member in recvs
+    # order, so filling them and slicing gives each member's results
+    slots: list = [None] * nedges
+    by_send, by_recv = plan.pairing
+    for k_recv, k_send in zip(by_recv.tolist(), by_send.tolist()):
+        slots[k_recv] = payloads[k_send]
+    bounds = np.concatenate(([0], np.cumsum(nrecvs))).tolist()
+    plan.op_ids, plan.labels = tuple(ops), tuple(o.label for o in ops)
+    plan.results = tuple(slots[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    return plan
+
+
+def build_plan(members: tuple[int, ...], edges: tuple,
+               nodes: Sequence[int],
+               p2p_params: Callable[[tuple[int, int]], tuple[float, float]],
+               eager_limit: float) -> XchgPlan | None:
+    """Pair and price one round's edges; None if the structure is unpaired.
+
+    ``edges`` is ``(send_src, send_dst, sizes, recv_src, recv_dst)``,
+    member-index arrays in op order.  Pairing replicates per-edge FIFO
+    order -- the k-th send on a directed pair matches its k-th receive
+    -- with one stable sort per side on the ``(sender, receiver)`` key;
+    edge order in the plan is immaterial (completion is a max).
+    ``nodes`` maps a global rank to its node and ``p2p_params`` a node
+    pair to its alpha-beta parameters.
+    """
+    send_src, send_dst, sizes, recv_src, recv_dst = edges
+    nmem = len(members)
+    if len(send_src) != len(recv_src):
         return None
     by_send = np.argsort(send_src * nmem + send_dst, kind="stable")
     by_recv = np.argsort(recv_src * nmem + recv_dst, kind="stable")
@@ -141,25 +160,12 @@ def build_plan(members: tuple[int, ...], pend: dict[int, Exchange],
     if not (np.array_equal(src_idx, recv_src[by_recv])
             and np.array_equal(dst_idx, recv_dst[by_recv])):
         return None
-    sizes = np.fromiter(map(nbytes_of, payloads), np.float64,
-                        nedges)[by_send]
-    # flat receive slots are laid out member by member in recvs
-    # order, so filling them and slicing gives each member's results
-    slots: list = [None] * nedges
-    for k_recv, k_send in zip(by_recv.tolist(), by_send.tolist()):
-        slots[k_recv] = payloads[k_send]
-    bounds = np.concatenate(([0], np.cumsum(nrecvs))).tolist()
+    sizes = sizes[by_send]
     node_of = np.fromiter((nodes[g] for g in members), np.intp, nmem)
-    return XchgPlan(
-        op_ids=tuple(ops),
-        nedges=nedges,
-        src_idx=src_idx,
-        dst_idx=dst_idx,
-        t=edge_seconds(node_of, src_idx, dst_idx, sizes, p2p_params),
-        eager=sizes <= eager_limit,
-        labels=tuple(o.label for o in ops),
-        results=tuple(slots[lo:hi] for lo, hi in zip(bounds, bounds[1:])),
-    )
+    return XchgPlan(src_idx, dst_idx,
+                    edge_seconds(node_of, src_idx, dst_idx, sizes,
+                                 p2p_params),
+                    sizes <= eager_limit, (by_send, by_recv))
 
 
 def edge_seconds(node_of: np.ndarray, src_idx: np.ndarray,

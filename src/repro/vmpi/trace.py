@@ -104,17 +104,16 @@ class SpmdResult:
 
     def compute_profile(self) -> dict[str, float]:
         """Aggregate compute time by label across ranks (for cost centres)."""
-        out: dict[str, float] = defaultdict(float)
-        for t in self.traces:
-            for label, sec in t.compute.items():
-                out[label] += sec
-        return dict(out)
+        return self._profile("compute")
 
     def comm_profile(self) -> dict[str, float]:
         """Aggregate communication time by label across ranks."""
+        return self._profile("comm")
+
+    def _profile(self, bucket: str) -> dict[str, float]:
         out: dict[str, float] = defaultdict(float)
         for t in self.traces:
-            for label, sec in t.comm.items():
+            for label, sec in getattr(t, bucket).items():
                 out[label] += sec
         return dict(out)
 

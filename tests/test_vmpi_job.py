@@ -28,7 +28,7 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -65,6 +65,7 @@ from repro.units import KIB, MIB
 from repro.vmpi import Machine, Phantom, VmpiEngine, VmpiError
 from repro.vmpi import sweep as sweep_module
 from repro.vmpi.decomposition import CartGrid, halo_batch, phantom_faces
+from repro.vmpi.job import World
 from repro.vmpi.trace import _canon
 from tests.vmpi_reference import ReferenceEngine
 
@@ -501,11 +502,14 @@ def straggling(machine):
         FaultInjector(plan).degradation()))
 
 
+#: ``13nodes``: Megatron's dp communicators of nodes 0 and 12 hold two
+#: ranks, all others one -- communicators of unequal size in one column
 MACHINES = {
     **{f"{n}ranks": (lambda n=n: Machine.on(juwels_booster(), n))
        for n in (1, 2, 3, 4, 8)},
     "msa": lambda: Machine.msa(cluster_nodes=1, booster_nodes=1),
     "straggler": lambda: straggling(Machine.booster(2)),
+    "13nodes": lambda: Machine.booster(13),
 }
 
 
@@ -686,6 +690,95 @@ def test_a_halo_grid_must_tile_the_world():
         VmpiEngine(Machine.on(juwels_booster(), 3)).run(job)
 
 
+def test_a_split_must_tile_the_world():
+    """A color (or key) list shorter than the world is refused before any
+    communicator is allocated, naming both lengths."""
+    def job(world, key):
+        split, _table = world.split([0, 0, 1], key=key)
+        return ((split,), (), 1, ()), None
+
+    for key in (None, [0, 1, 2]):
+        engine = VmpiEngine(Machine.on(juwels_booster(), 8))
+        with pytest.raises(ValueError, match="3 colors and .* world of 8"):
+            engine.run(job, args=(key,))
+        assert list(engine._comms) == [0]
+
+
+def test_a_table_refuses_a_negative_size():
+    """Like ``Phantom(-1.0)`` in the program, at the line that asks."""
+    world = World(VmpiEngine(Machine.on(juwels_booster(), 4)))
+    _split, table = world.split([0, 0, 1, 1])
+    for method in (table.allreduce, table.shift):
+        with pytest.raises(ValueError, match="non-negative"):
+            method(np.array([8.0, 8.0, -1.0, 8.0]))
+
+
+def per_rank_split(next_id, members, payloads):
+    """The per-rank split allocation before ``_split_table``, kept
+    verbatim: ``[(comm id, new local rank)]`` per member, the new
+    communicators' members."""
+    groups = defaultdict(list)
+    for local, (color, key) in enumerate(payloads):
+        groups[color].append((key, members[local], local))
+    results = [None] * len(members)
+    comms = {}
+    for color in sorted(groups):
+        ordered = sorted(groups[color])
+        comms[next_id] = tuple(g for _, g, _ in ordered)
+        for new_local, (_, _g, old_local) in enumerate(ordered):
+            results[old_local] = (next_id, new_local)
+        next_id += 1
+    return results, comms
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_split_table_allocates_like_the_per_rank_split(seed):
+    """One allocation serves both paths: ``_do_split`` (per rank, any
+    member order, negative colors, tied keys) and ``World.split``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    members = tuple(rng.permutation(n + 3)[:n].tolist())
+    payloads = list(zip(rng.integers(-2, 3, n).tolist(),
+                        rng.integers(-1, 2, n).tolist()))
+    engine = VmpiEngine(Machine.on(juwels_booster(), n + 3))
+    engine._next_comm_id = 5
+    want, comms = per_rank_split(5, members, payloads)
+    got = engine._do_split(members, payloads)
+    assert [(c.comm_id, c.rank) for c in got] == want
+    assert all(c.members == comms[c.comm_id] for c in got)
+    assert {cid: engine._comms[cid] for cid in comms} == comms
+    assert engine._next_comm_id == 5 + len(comms)
+    world = World(VmpiEngine(Machine.on(juwels_booster(), n)))
+    _split, table = world.split(*zip(*payloads))
+    want, comms = per_rank_split(1, world.members, payloads)
+    assert [(table[r].comm_id, table[r].rank, table[r].size)
+            for r in range(n)] == [(c, i, len(comms[c])) for c, i in want]
+
+
+def split_job(world, colors, nbytes):
+    split, table = world.split(colors)
+    step = (table.allreduce(nbytes * (1 + table.rank), label="ar"),
+            *table.shift(nbytes * table.size, tag=3))
+    return ((split,), step, 2, ()), table.size.tolist()
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("nbytes", [64.0, 1e6], ids=["eager", "rendezvous"])
+def test_split_table_columns_are_the_per_rank_program(seed, nbytes, stepped):
+    """A split table's allreduce and ring, planned per communicator, are
+    the rank-by-rank program; a rank alone in its communicator posts
+    no ring op, so such a job runs rank by rank on both schedulers."""
+    rng = np.random.default_rng(seed)
+    machine = Machine.on(juwels_booster(), int(rng.integers(2, 13)))
+    colors = rng.integers(0, 1 + seed % 4, machine.nranks).tolist()
+    new = VmpiEngine(machine).run(split_job, args=(colors, nbytes))
+    alone = 1 in new.values[0]
+    assert (stepped["VmpiEngine"] > 0) == alone
+    got = ReferenceEngine(machine).run(split_job, args=(colors, nbytes))
+    assert snapshot(got) == snapshot(new)
+    assert "ar" in new.traces[0].comm
+
+
 def test_zero_steps_books_no_step_label():
     """A label only the step touches must not appear when it never ran."""
     job, old, _ = PROGRAMS["arbor"]
@@ -703,16 +796,36 @@ def test_zero_steps_books_no_step_label():
 FIGURES = (("fig2",), ("fig3", "--nodes", "16,128"), ("fig3", "--nodes", "936"))
 
 
+#: a halo app and the split-communicator app: the op and ``Comm``
+#: objects their job programs build must not grow with the rank count
+CONSTANT_BUILDS = ("icon", "megatron")
+
+
 def figure_runs() -> dict:
     """Per figure and job program: runs, rank steps, phases planned,
     columns planned against distinct columns -- and the points whose
-    per-rank generator disagrees.  Run in a fresh interpreter by
-    :func:`test_figures_run_job_programs_as_columns`."""
+    per-rank generator disagrees; per job program and rank count, the
+    most ``Exchange``, ``Collective`` and ``Comm`` objects one ``fig2``
+    run built (:data:`CONSTANT_BUILDS` also at 8 ranks).  Run in a
+    fresh interpreter by :func:`test_figures_run_job_programs_as_columns`."""
     from repro.cli import main
     from repro.vmpi import engine as engine_module
+    from repro.vmpi.comm import Comm
+    from repro.vmpi.ops import Collective, Exchange
 
     counts: dict = {}
     current, points = [], []
+    built: dict = {}
+    objects = Counter()
+    real_inits = [(cls, name, getattr(cls, name)) for cls, name in (
+        (Exchange, "__post_init__"), (Collective, "__post_init__"),
+        (Comm, "__init__"))]
+
+    def constructing(real):
+        def init(self, *args, **kw):
+            objects["built"] += 1
+            return real(self, *args, **kw)
+        return init
     real_run, real_step = VmpiEngine._run, VmpiEngine._step_rank
     real_plans, real_column = engine_module.plan_columns, \
         sweep_module._plan_column
@@ -721,10 +834,15 @@ def figure_runs() -> dict:
     def run(self, fn, *args):
         current.append(counts[figure].setdefault(fn.__name__, Counter()))
         current[-1]["runs"] += 1
+        before = objects["built"]
         try:
             return real_run(self, fn, *args)
         finally:
             current.pop()
+            if figure in (FIGURES[0], "8 ranks"):
+                mine = built.setdefault(fn.__name__, {})
+                n = self.machine.nranks
+                mine[n] = max(mine.get(n, 0), objects["built"] - before)
 
     def step(self, r):
         if current:
@@ -749,10 +867,19 @@ def figure_runs() -> dict:
     VmpiEngine._run, VmpiEngine._step_rank = run, step
     engine_module.plan_columns, sweep_module._plan_column = plans, column
     AppBenchmark.run_program = program
+    for cls, name, real in real_inits:
+        setattr(cls, name, constructing(real))
     for figure in FIGURES:
         counts[figure] = {}
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(list(figure)) == 0
+    figure = "8 ranks"
+    counts[figure] = {}
+    for name in CONSTANT_BUILDS:
+        job, _old, args = PROGRAMS[name]
+        VmpiEngine(Machine.on(juwels_booster(), 8)).run(job, args=args)
+    for cls, name, real in real_inits:
+        setattr(cls, name, real)
     VmpiEngine._run, VmpiEngine._step_rank = real_run, real_step
     engine_module.plan_columns, sweep_module._plan_column = \
         real_plans, real_column
@@ -760,10 +887,13 @@ def figure_runs() -> dict:
     mismatches = [
         (fn.__name__, machine.nranks) for machine, fn, args, want in points
         if snapshot(VmpiEngine(machine).run(PER_RANK[fn], args=args)) != want]
-    return {"counts": {" ".join(f): c for f, c in counts.items()},
+    return {"counts": {" ".join(f): c for f, c in counts.items()
+                       if f in FIGURES},
             "points": len(points), "max_ranks": max(p[0].nranks
                                                      for p in points),
-            "mismatches": mismatches}
+            "mismatches": mismatches,
+            "built": {name: {str(n): c for n, c in sizes.items()}
+                      for name, sizes in built.items()}}
 
 
 def test_figures_run_job_programs_as_columns():
@@ -794,3 +924,11 @@ def test_figures_run_job_programs_as_columns():
             assert c["planned"] == c["distinct"], (figure, name)
         # JUQCS's circuit is columns too
         assert counts["juqcs_timing_program"].get("rank_steps", 0) == 0
+    # a halo or split-communicator column is arrays, not an op per rank:
+    # the same program builds as many op and Comm objects at 8 ranks as
+    # at fig2's largest point
+    for name in CONSTANT_BUILDS:
+        sizes = out["built"][f"{name}_timing_program"]
+        largest = max(sizes, key=int)
+        assert int(largest) >= 768 and "8" in sizes, (name, sizes)
+        assert sizes[largest] == sizes["8"], (name, sizes)
