@@ -56,9 +56,8 @@ def amber_timing_program(comm, atoms_total: int, steps: int):
             comm.compute(flops=atoms_local * 500.0,
                          bytes_moved=atoms_local * 150.0,
                          efficiency=0.03, label="pme"))
-    # every rank (incl. idle ones) joins the step barrier; on more than
-    # one node the idle ranks' batches are shorter, so the engine runs
-    # these rank by rank
+    # every rank (incl. idle ones) joins the step barrier; the idle
+    # ranks' steps are shorter, so this stays a rank program
     step += (comm.barrier(label="step-sync"),)
     for _step in range(steps):
         yield step

@@ -27,7 +27,7 @@ from ...core.fom import FigureOfMerit, FomKind
 from ...core.variants import MemoryVariant
 from ...core.verification import ModelVerifier
 from ...vmpi import Phantom
-from ...vmpi.decomposition import CartGrid, halo_batch, phantom_faces
+from ...vmpi.decomposition import CartGrid, phantom_faces
 from ..base import AppBenchmark
 from .engine import MdEngine, MdSystem
 from .forcefield import EwaldParams, LjParams
@@ -47,9 +47,10 @@ FLOPS_PER_PAIR = 55.0
 HALO_BYTES_PER_ATOM = 40.0
 
 
-def gromacs_timing_program(comm, atoms_total: int, steps: int,
+def gromacs_timing_program(world, atoms_total: int, steps: int,
                            fft_grid: int):
-    """One domain-decomposed MD step-loop with PME (phantom costs).
+    """One domain-decomposed MD step-loop with PME (phantom costs; a job
+    program, :mod:`repro.vmpi.job`).
 
     The distributed 3D FFT uses a 2D *pencil* decomposition: ranks form
     a near-square (rows x cols) grid and each transpose is an alltoall
@@ -57,57 +58,54 @@ def gromacs_timing_program(comm, atoms_total: int, steps: int,
     that makes PME latency-tolerable at small payloads and
     bandwidth-bound at case-C scale.
     """
-    cart = CartGrid.for_ranks(comm.size, 3, periodic=True)
-    atoms_local = atoms_total / comm.size
+    cart = CartGrid.for_ranks(world.size, 3, periodic=True)
+    atoms_local = atoms_total / world.size
     # boundary shell ~ surface fraction of the local box
     edge = max(atoms_local ** (1.0 / 3.0), 1.0)
     local_dims = (int(edge) + 1,) * 3
     faces = phantom_faces(local_dims, itemsize=int(HALO_BYTES_PER_ATOM))
     # pencil grid for the FFT transposes
-    rows = int(np.sqrt(comm.size))
-    while comm.size % rows != 0:
+    rows = int(np.sqrt(world.size))
+    while world.size % rows != 0:
         rows -= 1
-    cols = comm.size // rows
-    row_comm = yield comm.split(comm.rank // cols)
-    col_comm = yield comm.split(comm.rank % cols)
+    cols = world.size // rows
+    rank = np.arange(world.size)
+    row_split, row_comm = world.split(rank // cols)
+    col_split, col_comm = world.split(rank % cols)
     # PME mesh pencil per rank (complex64 after r2c)
-    grid_local_bytes = (fft_grid ** 3 / comm.size) * 8.0
-    halo, _keys = halo_batch(comm, cart, faces)
-    fft = comm.compute(
-        flops=2.5 * (fft_grid ** 3 / comm.size) * np.log2(max(fft_grid, 2)),
+    grid_local_bytes = (fft_grid ** 3 / world.size) * 8.0
+    halo = world.halo(cart, faces)
+    fft = world.compute(
+        flops=2.5 * (fft_grid ** 3 / world.size) * np.log2(max(fft_grid, 2)),
         bytes_moved=grid_local_bytes * 2.0, efficiency=0.10, label="pme-fft")
-    # the personalised (size-P tuple) transposes carry no data but are
-    # not size-only descriptors, so this batch runs rank by rank
+    # personalised transposes: a share of the pencil to each peer
     row_t, col_t = (
-        (sub.alltoall(tuple(Phantom(grid_local_bytes / sub.size)
-                            for _ in range(sub.size)), label="pme-fft"), fft)
+        (sub.alltoall(grid_local_bytes / sub.size, label="pme-fft"), fft)
         for sub in (row_comm, col_comm))
     step = (
         # position halo, short-range kernel, force halo
         halo
-        + (comm.compute(
+        + (world.compute(
             flops=atoms_local * NEIGHBORS_PER_ATOM * FLOPS_PER_PAIR,
             bytes_moved=atoms_local * 200.0,
             efficiency=0.02, label="pair-forces"),)
         + halo
         # PME: spread, forward 3D FFT (row + col transpose), k-space
         # multiply, inverse FFT (col + row transpose), gather
-        + (comm.compute(flops=atoms_local * 300.0,
-                        bytes_moved=atoms_local * 100.0,
-                        efficiency=0.05, label="pme-spread"),)
+        + (world.compute(flops=atoms_local * 300.0,
+                         bytes_moved=atoms_local * 100.0,
+                         efficiency=0.05, label="pme-spread"),)
         + row_t + col_t + col_t + row_t
-        + (comm.compute(flops=atoms_local * 300.0,
-                        bytes_moved=atoms_local * 100.0,
-                        efficiency=0.05, label="pme-gather"),
+        + (world.compute(flops=atoms_local * 300.0,
+                         bytes_moved=atoms_local * 100.0,
+                         efficiency=0.05, label="pme-gather"),
            # integration + constraints (memory-bound)
-           comm.compute(flops=atoms_local * 60.0,
-                        bytes_moved=atoms_local * 72.0,
-                        efficiency=0.6, label="integrate")))
-    for _step in range(steps):
-        yield step
+           world.compute(flops=atoms_local * 60.0,
+                         bytes_moved=atoms_local * 72.0,
+                         efficiency=0.6, label="integrate")))
     # end-of-run global reduction (energies)
-    yield comm.allreduce(Phantom(64.0), label="energies")
-    return atoms_local
+    energies = world.allreduce(Phantom(64.0), label="energies")
+    return ((row_split, col_split), step, steps, (energies,)), atoms_local
 
 
 class GromacsBenchmark(AppBenchmark):

@@ -18,7 +18,7 @@ from ..core.fom import FigureOfMerit
 from ..core.variants import MemoryVariant
 from ..units import register_dims
 from ..vmpi import Phantom
-from ..vmpi.decomposition import CartGrid, halo_batch, phantom_faces
+from ..vmpi.decomposition import CartGrid, phantom_faces
 from .base import SyntheticBenchmark
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,24 +96,23 @@ def hpcg_cg(a: sp.csr_matrix, b: np.ndarray, iterations: int = 50
     return x, history
 
 
-def hpcg_timing_program(comm, local_n: int, iterations: int):
+def hpcg_timing_program(world, local_n: int, iterations: int):
     """Distributed HPCG: per iteration a SpMV + SymGS (both halo-
-    exchanging, strictly memory-bound) and two dot reductions."""
-    cart = CartGrid.for_ranks(comm.size, 3, periodic=False)
+    exchanging, strictly memory-bound) and two dot reductions (a job
+    program, :mod:`repro.vmpi.job`)."""
+    cart = CartGrid.for_ranks(world.size, 3, periodic=False)
     rows = float(local_n ** 3)
     faces = phantom_faces((local_n, local_n, local_n), itemsize=8)
-    halo, _keys = halo_batch(comm, cart, faces)
-    dot = comm.allreduce(Phantom(16.0), label="dot")
+    halo = world.halo(cart, faces)
+    dot = world.allreduce(Phantom(16.0), label="dot")
     iteration = ()
     for label, passes in (("spmv", 1.0), ("symgs", 2.0)):
         iteration += halo + (
-            comm.compute(flops=passes * 54.0 * rows,
-                         bytes_moved=passes * 27.0 * 12.0 * rows,
-                         efficiency=0.7, label=label),)
+            world.compute(flops=passes * 54.0 * rows,
+                          bytes_moved=passes * 27.0 * 12.0 * rows,
+                          efficiency=0.7, label=label),)
     iteration += (dot, dot)
-    for _it in range(iterations):
-        yield iteration
-    return rows
+    return ((), iteration, iterations, ()), rows
 
 
 class HpcgBenchmark(SyntheticBenchmark):

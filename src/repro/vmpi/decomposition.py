@@ -225,7 +225,7 @@ def halo_exchange_op(comm: Comm, cart: CartGrid,
     direction)``, in the op's result order.  Every call builds a fresh
     op from this rank's row of :func:`halo_table` (whose order pairs
     the edges, doubled ones of periodic extents 1 and 2 included); a
-    timing loop builds it once, before its steps (:func:`halo_batch`).
+    rank program that repeats a sweep builds it once (:func:`halo_batch`).
     """
     if faces and comm.rank >= cart.size and min(faces)[1] in (-1, 1):
         cart.coords(comm.rank)      # off the grid: raises, before pairing
@@ -244,7 +244,7 @@ def halo_batch(comm: Comm, cart: CartGrid,
                faces: dict[tuple[int, int], Any], tag: int = 100,
                label: str = "p2p"):
     """:func:`halo_exchange_op` as ``(ops, keys)`` to splice into a
-    hoisted batch: ``ops`` is ``(op,)``, or ``()`` for a rank without
+    batch: ``ops`` is ``(op,)``, or ``()`` for a rank without
     neighbours -- the one place the "nothing to exchange, no op" rule
     lives (a face with a neighbour is sent *and* received: no keys, no
     edges)."""

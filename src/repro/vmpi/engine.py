@@ -16,25 +16,18 @@ It schedules and prices the way a discrete-event simulator does:
   per node pair, roofline compute times per ``(device, kernel)``,
   collective costs per ``(comm, kind, bytes)``: the machine model is
   consulted once per distinct question instead of once per op;
-* **vectorized exchange rounds** -- fused
-  :class:`~repro.vmpi.ops.Exchange` ops are buffered per
-  ``(comm, tag, round)`` and, once every member has posted, the whole
-  round's clock advance is one closed-form alpha-beta sweep over NumPy
-  edge arrays (:mod:`repro.vmpi.rounds`) rather than per-edge requests,
-  and a round whose members re-post the previous round's op objects
-  replays its plan;
 * **job programs** -- a job program (:mod:`repro.vmpi.job`) builds
   each column once for all ranks, as an op or as arrays; the columns
   run over NumPy arrays indexed by global rank (:mod:`repro.vmpi.sweep`)
   and no rank is stepped.
 
-Every fast path lowers onto the *per-request machinery* (FIFO channels,
+The column path lowers onto the *per-request machinery* (FIFO channels,
 :class:`~repro.vmpi.ops.Request`, wait groups) whenever it cannot
-apply -- stalled exchange rounds are drained onto it by
-:meth:`VmpiEngine._quiesce` before any deadlock is declared -- and that
-machinery alone defines the semantics.  The test-side reference
-scheduler (``tests/vmpi_reference.py``) runs every op through it
-naively, and the differential suites assert byte-identical values,
+apply, and that machinery alone defines the semantics; a rank
+program's ops, a fused :class:`~repro.vmpi.ops.Exchange` included, run
+on it directly.  The test-side reference scheduler
+(``tests/vmpi_reference.py``) runs every op through it naively, and
+the differential suites assert byte-identical values,
 clocks, traces, Chrome exports and error text against it: every value-
 and float-producing path is shared and only *host-side scheduling*
 differs, which virtual time never observes (the heap invariants are
@@ -69,7 +62,6 @@ import inspect
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from heapq import heappop
-from operator import is_
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -105,13 +97,7 @@ from .ops import (
     Waitall,
     nbytes_of,
 )
-from .rounds import (
-    CollRound,
-    XchgPlan,
-    build_plan,
-    exchange_bytes,
-    round_plan,
-)
+from .rounds import CollRound, XchgPlan, build_plan, exchange_bytes
 from .job import World, job_rank
 from .sweep import SweepPlan, plan_columns
 from .trace import RankTrace, SpmdResult
@@ -134,7 +120,7 @@ class _WaitGroup:
     requests: tuple[Request, ...]
     single: bool  # resume with one result instead of a list
     sendrecv: bool = False  # resume with the received payload only
-    exchange: Exchange | None = None  # decomposed fused exchange
+    exchange: Exchange | None = None  # the fused exchange posted
 
 
 def _describe_request(req: Request) -> str:
@@ -191,11 +177,8 @@ class VmpiEngine:
         self._node_sets: dict[int, tuple[int, ...]] = {}
         #: comm -> the collective round in flight
         self._cst: dict[int, CollRound] = {}
-        #: (comm, tag) -> [next round per rank, {round: {rank: op}},
-        #: members, len(members)] -- buffered exchange rounds
-        self._xst: dict[tuple[int, int], list] = {}
-        #: (comm, tag) -> cached round plan
-        self._xplans: dict[tuple[int, int], XchgPlan] = {}
+        #: (comm, tag, rank) -> the rank's next exchange round
+        self._xseq: dict[tuple[int, int, int], int] = defaultdict(int)
 
     # -- public --------------------------------------------------------------
 
@@ -237,8 +220,6 @@ class VmpiEngine:
         for r in range(self.machine.nranks):
             self._wake(r)
         self._loop()
-        while not all(self._finished) and self._quiesce():
-            self._loop()
         if not all(self._finished):
             self._raise_stuck()
         return SpmdResult(values=self._values, clocks=self.clocks,
@@ -287,24 +268,6 @@ class VmpiEngine:
         step = self._step_rank
         while heap:
             step(heappop(heap)[2])
-
-    def _quiesce(self) -> bool:
-        """With the heap dry but ranks unfinished, lower every buffered
-        exchange round onto per-edge FIFO matching, which completes what
-        has a counterpart; False when there was nothing to lower."""
-        stalled = []
-        for (cid, tag), st in self._xst.items():
-            for rnd, pend in st[1].items():
-                stalled.append(((cid, tag, rnd), pend))
-            st[1] = {}
-        if not stalled:
-            return False
-        stalled.sort(key=lambda e: e[0])
-        for key, pend in stalled:
-            for r in sorted(pend):
-                if self._decompose_exchange(r, pend[r], key):
-                    self._wake(r)
-        return True
 
     def _columns(self, runs: list[tuple[SweepPlan, int]],
                  slots: list[tuple[str, str]]) -> None:
@@ -595,86 +558,24 @@ class VmpiEngine:
     # -- fused exchanges -------------------------------------------------------
 
     def _post_exchange(self, r: int, op: Exchange) -> bool:
-        """Buffer an exchange; the member completing a round finishes it."""
-        sk = (op.comm_id, op.tag)
-        st = self._xst.get(sk)
-        if st is None:      # the round state of ``(comm, tag)``
-            members = self._members(op.comm_id)
-            st = self._xst[sk] = [defaultdict(int), {}, members,
-                                  len(members)]
-        seq, rounds, members, nmem = st
-        rnd = seq[r]
-        seq[r] = rnd + 1
+        """Post an exchange's edges through the per-edge FIFO machinery as
+        round ``k`` of rank ``r``'s exchanges on ``(comm, tag)``, keyed
+        ``(comm, src, dst, tag, k)``: they never match plain p2p (keyed
+        without a round) nor another round."""
+        cid, tag = op.comm_id, op.tag
+        k = self._xseq[cid, tag, r]
+        self._xseq[cid, tag, r] = k + 1
         self.traces[r].bytes_sent += exchange_bytes(op)
-        pend = rounds.setdefault(rnd, {})
-        pend[r] = op
-        if len(pend) == nmem:
-            del rounds[rnd]
-            return self._finish_round(members, sk + (rnd,), pend, caller=r)
-        # No per-rank blocked marker: buffered ranks are found through
-        # ``_xst`` (and drained by ``_quiesce`` before any deadlock).
-        return False
-
-    def _finish_round(self, members: tuple[int, ...],
-                      key: tuple[int, int, int],
-                      pend: dict[int, Exchange], caller: int) -> bool:
-        """Complete a fully-posted round; True if the caller finished."""
-        plan = self._round_plan(key, members, pend)
-        if plan is None:
-            # Structurally inconsistent round (unpaired edges): lower it
-            # onto the per-edge machinery, which completes what matches.
-            caller_done = False
-            for r in sorted(pend):
-                if self._decompose_exchange(r, pend[r], key):
-                    if r == caller:
-                        caller_done = True
-                    else:
-                        self._wake(r)
-            return caller_done
-        clocks = self.clocks
-        done, waited = plan.complete(np.fromiter(
-            map(clocks.__getitem__, members), np.float64, len(members)))
-        traces, resume, push = self.traces, self._resume, self._heap.push
-        for g, d, w, label, got in zip(members, done.tolist(), waited.tolist(),
-                                       plan.labels, plan.results):
-            clocks[g] = d
-            traces[g].comm[label] += w
-            resume[g] = list(got)
-            if g != caller:
-                push(d, g)
-        return True
-
-    def _round_plan(self, key: tuple[int, int, int],
-                    members: tuple[int, ...],
-                    pend: dict[int, Exchange]) -> XchgPlan | None:
-        pkey = key[:2]
-        cached = self._xplans.get(pkey)
-        if cached is not None and \
-                all(map(is_, map(pend.__getitem__, members), cached.op_ids)):
-            return cached
-        plan = round_plan([pend[g] for g in members],
-                          lambda edges: self._edge_plan(members, edges))
-        if plan is not None:
-            self._xplans[pkey] = plan
-        else:
-            self._xplans.pop(pkey, None)
-        return plan
-
-    def _edge_plan(self, members: tuple[int, ...],
-                   edges: tuple) -> XchgPlan | None:
-        """A round's edge arrays paired and priced on this machine."""
-        return build_plan(members, edges, self._node, self._p2p_params,
-                          self.eager_limit)
-
-    def _decompose_exchange(self, r: int, op: Exchange,
-                            ekey: tuple[int, int, int]) -> bool:
-        """Post an exchange's edges through the per-edge FIFO machinery,
-        keyed ``(comm, src, dst, tag, round)``: they never match plain p2p
-        (keyed without a round) nor another round."""
-        cid, tag, rnd = ekey[0], ekey[1], ekey[2:]
+        rnd = (k,)
         reqs = [self._post_send(r, d, p, tag, cid, rnd) for d, p in op.sends]
         reqs += [self._post_recv(r, s, tag, cid, rnd) for s in op.recvs]
         return self._wait_on(r, tuple(reqs), single=False, exchange=op)
+
+    def _edge_plan(self, members: tuple[int, ...],
+                   edges: tuple) -> XchgPlan | None:
+        """A halo column's edge arrays paired and priced on this machine."""
+        return build_plan(members, edges, self._node, self._p2p_params,
+                          self.eager_limit)
 
     # -- collectives ---------------------------------------------------------------
 
@@ -768,13 +669,6 @@ class VmpiEngine:
                         + ", ".join(pending))
             return (f"waiting on {len(group.requests)} request(s); "
                     f"pending: " + ", ".join(pending))
-        # Buffered rounds carry no per-rank marker; find the rank in the
-        # round state instead.
-        for (cid, _tag), st in sorted(self._xst.items()):
-            for _rnd, pend in sorted(st[1].items()):
-                if r in pend:
-                    return (f"exchange on comm {cid} "
-                            f"({len(pend)}/{len(st[2])} ranks arrived)")
         for cid, cst in sorted(self._cst.items()):
             local = cst.local.get(r)
             op = None if local is None else cst.ops[local]

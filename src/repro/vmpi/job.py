@@ -63,7 +63,7 @@ class CommTable:
     """Every rank's communicator of one :meth:`World.split`, as int
     arrays indexed by global rank (``comm_id``, local ``rank``,
     ``size``); ``table[r]`` is rank ``r``'s :class:`Comm`.  Its
-    collective and ring exchange are columns, priced per communicator;
+    collectives and ring exchange are columns, priced per communicator;
     ``nbytes`` is one phantom size, or one per rank."""
 
     def __init__(self, engine: Any, comm_id: np.ndarray, rank: np.ndarray,
@@ -82,6 +82,19 @@ class CommTable:
         return Column("allreduce", label, (self.comm_id, nbytes),
                       lambda r: self[r].allreduce(Phantom(float(nbytes[r])),
                                                   label=label))
+
+    def alltoall(self, nbytes: Any, label: str = "alltoall") -> Column:
+        """Every rank's personalised ``alltoall`` on its communicator: a
+        size-P tuple of ``Phantom(nbytes)``, one to each member, held
+        as its total bytes (``nbytes_of`` of the tuple)."""
+        nbytes = np.broadcast_to(np.asarray(nbytes, float), self.size.shape)
+        Phantom(float(nbytes.min()))    # Phantom's size check, at the call
+        keys = list(zip(nbytes.tolist(), self.size.tolist()))
+        rows = {k: (Phantom(k[0]),) * k[1] for k in dict.fromkeys(keys)}
+        total = {k: nbytes_of(row) for k, row in rows.items()}
+        return Column("alltoall", label, (self.comm_id, np.array(
+            list(map(total.__getitem__, keys)))), lambda r:
+            self[r].alltoall(rows[keys[r]], label=label))
 
     def shift(self, nbytes: Any, tag: int = 0) -> tuple:
         """Every rank's ``sendrecv`` to local rank ``rank + 1`` from

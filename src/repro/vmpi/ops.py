@@ -203,9 +203,7 @@ class Exchange(_Tagged):
     received payloads in ``recvs`` order.  Exchanges match only other
     exchanges (like MPI neighborhood collectives): under one ``(comm,
     tag)`` each directed pair matches its k-th exchanged send with its
-    k-th exchanged receive, independent of scheduling order.  Posting
-    the *same op object* again (built once, before the loop) lets the
-    engine reuse a vectorized per-round plan.
+    k-th exchanged receive, independent of scheduling order.
     """
 
     sends: tuple[tuple[int, Any], ...]

@@ -1,19 +1,16 @@
-"""Round state and replay plans of the virtual-MPI engine.
+"""Round state and edge plans of the virtual-MPI engine.
 
 Plain data and pure functions the engine (:mod:`repro.vmpi.engine`)
-uses to complete a whole :class:`~repro.vmpi.ops.Exchange` or
-collective round at once: a round's NumPy edge arrays paired and priced
-(:func:`build_plan`), flattened from a round filled rank by rank
-(:func:`round_plan`) or read off a job's halo table, and the one
-collective round a communicator can have in flight (:class:`CollRound`).
-Nothing here touches clocks, traces or scheduling.
+uses to complete a round at once: a job's halo column as NumPy edge
+arrays, paired and priced (:func:`build_plan`) and timed
+(:meth:`XchgPlan.complete`), and the one collective round a
+communicator can have in flight (:class:`CollRound`).  Nothing here
+touches clocks, traces or scheduling.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +18,7 @@ import numpy as np
 from .ops import Exchange, nbytes_of
 
 __all__ = ["CollRound", "PLAN_LIMIT", "XchgPlan", "build_plan",
-           "edge_seconds", "exchange_bytes", "round_plan"]
+           "edge_seconds", "exchange_bytes"]
 
 #: entries a per-run memo keeps (the tables of a job memo ``Comm._job``);
 #: a program whose grids change every step starts over instead of
@@ -32,27 +29,19 @@ PLAN_LIMIT = 16
 @dataclass
 class XchgPlan:
     """Precomputed completion algebra of one exchange round, edge
-    arrays indexed by position in the communicator's member tuple.  A
-    round filled rank by rank (:func:`round_plan`) also keeps the op
-    objects it was built from (valid while every member re-posts them),
-    their labels and each member's received payloads."""
+    arrays indexed by position in the communicator's member tuple."""
 
     src_idx: np.ndarray     # member index of each edge's sender
     dst_idx: np.ndarray     # member index of each edge's receiver
     t: np.ndarray           # per-edge transfer seconds (alpha + n/beta)
     eager: np.ndarray       # per-edge bool: send completes locally
-    #: ``(by_send, by_recv)``: the k-th paired edge's send and receive
-    pairing: tuple[np.ndarray, np.ndarray]
-    op_ids: tuple[Exchange, ...] = ()
-    labels: tuple[str, ...] = ()    # per-member comm-trace label
-    results: tuple[list, ...] = ()  # per-member received payloads
 
     def complete(self, posts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(done, waited)`` per member of one round posted at ``posts``:
         a receive completes at ``max(both posts) + t``, a send likewise
         unless it is eager (``post + t``), and a member leaves at the
-        latest of its edges.  The one place a round is timed, for a
-        round filled rank by rank and for a job's column alike."""
+        latest of its edges: the per-edge machinery's timing, for all
+        edges at once."""
         if not len(self.src_idx):
             return posts, np.zeros(len(posts))
         sposts = posts[self.src_idx]
@@ -95,46 +84,6 @@ def exchange_bytes(op: Exchange) -> float:
     return total
 
 
-def _member_index(local: np.ndarray, nmem: int) -> np.ndarray:
-    """Local ranks as member-tuple positions, with tuple-index semantics
-    (negative wraps, out of range raises) like the per-edge path."""
-    if local.size and (local.min() < -nmem or local.max() >= nmem):
-        raise IndexError("tuple index out of range")
-    return local % nmem
-
-
-def round_plan(ops: list[Exchange],
-               pair: Callable[[tuple], XchgPlan | None]) -> XchgPlan | None:
-    """A round filled rank by rank (``ops`` in member order), flattened
-    into member-index edge arrays, paired and priced by ``pair``
-    (:func:`build_plan`), its receive slots filled; None if unpaired."""
-    nmem = len(ops)
-    flat_sends = list(itertools.chain.from_iterable(o.sends for o in ops))
-    flat_recvs = list(itertools.chain.from_iterable(o.recvs for o in ops))
-    nrecvs = np.fromiter((len(o.recvs) for o in ops), np.intp, nmem)
-    nedges = len(flat_sends)
-    payloads = list(map(itemgetter(1), flat_sends))
-    idx = np.arange(nmem)
-    plan = pair((np.repeat(idx, [len(o.sends) for o in ops]),
-                 _member_index(np.fromiter(map(itemgetter(0), flat_sends),
-                                           np.intp, nedges), nmem),
-                 np.fromiter(map(nbytes_of, payloads), np.float64, nedges),
-                 _member_index(np.array(flat_recvs, dtype=np.intp), nmem),
-                 np.repeat(idx, nrecvs)))
-    if plan is None:
-        return None
-    # flat receive slots are laid out member by member in recvs
-    # order, so filling them and slicing gives each member's results
-    slots: list = [None] * nedges
-    by_send, by_recv = plan.pairing
-    for k_recv, k_send in zip(by_recv.tolist(), by_send.tolist()):
-        slots[k_recv] = payloads[k_send]
-    bounds = np.concatenate(([0], np.cumsum(nrecvs))).tolist()
-    plan.op_ids, plan.labels = tuple(ops), tuple(o.label for o in ops)
-    plan.results = tuple(slots[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-    return plan
-
-
 def build_plan(members: tuple[int, ...], edges: tuple,
                nodes: Sequence[int],
                p2p_params: Callable[[tuple[int, int]], tuple[float, float]],
@@ -165,7 +114,7 @@ def build_plan(members: tuple[int, ...], edges: tuple,
     return XchgPlan(src_idx, dst_idx,
                     edge_seconds(node_of, src_idx, dst_idx, sizes,
                                  p2p_params),
-                    sizes <= eager_limit, (by_send, by_recv))
+                    sizes <= eager_limit)
 
 
 def edge_seconds(node_of: np.ndarray, src_idx: np.ndarray,

@@ -105,10 +105,9 @@ def _plan_column(eng: Any, ops: Any, slots: dict) -> tuple | None:
             return _plan_halo(eng, slot, *ops.data)
         if ops.kind == "sendrecv":
             return _plan_sendrecv(eng, slot, *ops.data)
-        comm, nbytes = ops.data     # collective_arg_bytes of a split
-        return _plan_collective(    # or of a size-only allreduce
-            eng, slot, ops.kind, comm, nbytes, lambda mine: 0.0
-            if ops.kind == "split" else float(nbytes[mine].max()))
+        kind, (comm, nbytes) = ops.kind, ops.data
+        return _plan_collective(eng, slot, kind, comm, nbytes,
+                                lambda mine: _arg_bytes(kind, nbytes[mine]))
     n = len(ops)
     first = ops[0]
     kind = type(first)
@@ -160,6 +159,16 @@ def _plan_column(eng: Any, ops: Any, slots: dict) -> tuple | None:
     return _plan_collective(eng, slot, first.kind, np.full(n, first.comm_id),
                             np.full(n, nbytes_of(first.payload)),
                             lambda _: collective_arg_bytes(list(ops)))
+
+
+def _arg_bytes(kind: str, nbytes: np.ndarray) -> float:
+    """``collective_arg_bytes`` of one communicator's column: nothing
+    for a split, the biggest size for an allreduce, its share per
+    member for a personalised alltoall."""
+    if kind == "split":
+        return 0.0
+    biggest = float(nbytes.max())
+    return biggest / len(nbytes) if kind == "alltoall" else biggest
 
 
 def _plan_collective(eng: Any, slot: int, kind: str, comm: np.ndarray,

@@ -445,17 +445,18 @@ def test_every_rank_program_of_the_repo_is_replayed():
     # protocol is tests/test_vmpi_job.py's oracle against the per-rank
     # generators they replaced
     assert not JOB_PROGRAMS & names
-    assert len(programs) == 24
-    # GROMACS is the canary of a step hoisted into one batch
-    assert {"halo_exchange", "gromacs_timing_program",
-            "amber_timing_program", "juqcs_program"} <= names
+    assert len(programs) == 22
+    # Amber is the canary of a step hoisted into one batch
+    assert {"halo_exchange", "amber_timing_program",
+            "juqcs_program"} <= names
     assert unresolved_replays(modules) == []
 
 
 #: the timing programs that are job programs, not rank programs
 JOB_PROGRAMS = {f"{app}_timing_program" for app in (
     "icon", "megatron", "mmoclip", "resnet", "qe", "chroma", "dynqcd",
-    "nekrs", "nastja", "picongpu", "parflow", "soma", "arbor", "juqcs")} | {
+    "nekrs", "nastja", "picongpu", "parflow", "soma", "arbor", "juqcs",
+    "gromacs", "hpcg")} | {
     "bisection_program"}
 
 

@@ -1,6 +1,6 @@
 """Job programs against the per-rank generators they replaced.
 
-Fifteen timing programs are job programs (:mod:`repro.vmpi.job`): one
+Seventeen timing programs are job programs (:mod:`repro.vmpi.job`): one
 call builds every op once, as a column for all ranks, and the engine
 plans each distinct column once and runs the step plan ``steps`` times
 over NumPy arrays.  Their per-rank generators are kept below verbatim
@@ -50,6 +50,7 @@ from repro.apps.juqcs.distributed import (
 )
 from repro.apps.juqcs.statevector import H, is_unitary
 from repro.apps.lattice import chroma, dynqcd
+from repro.apps.md import gromacs
 from repro.apps.nastja import benchmark as nastja
 from repro.apps.nekrs import benchmark as nekrs
 from repro.apps.parflow import benchmark as parflow
@@ -60,6 +61,7 @@ from repro.cluster import juwels_booster
 from repro.core.suite import JupiterBenchmarkSuite
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
+from repro.synthetic import hpcg
 from repro.synthetic.linktest import bisection_program
 from repro.units import KIB, MIB
 from repro.vmpi import Machine, Phantom, VmpiEngine, VmpiError
@@ -407,6 +409,91 @@ def arbor_per_rank(comm, cells_total: float, steps: int,
     return epochs
 
 
+def gromacs_per_rank(comm, atoms_total: int, steps: int,
+                     fft_grid: int):
+    """One domain-decomposed MD step-loop with PME (phantom costs).
+
+    The distributed 3D FFT uses a 2D *pencil* decomposition: ranks form
+    a near-square (rows x cols) grid and each transpose is an alltoall
+    within a row or column subgroup of ~sqrt(P) ranks -- the structure
+    that makes PME latency-tolerable at small payloads and
+    bandwidth-bound at case-C scale.
+    """
+    cart = CartGrid.for_ranks(comm.size, 3, periodic=True)
+    atoms_local = atoms_total / comm.size
+    # boundary shell ~ surface fraction of the local box
+    edge = max(atoms_local ** (1.0 / 3.0), 1.0)
+    local_dims = (int(edge) + 1,) * 3
+    faces = phantom_faces(local_dims,
+                          itemsize=int(gromacs.HALO_BYTES_PER_ATOM))
+    # pencil grid for the FFT transposes
+    rows = int(np.sqrt(comm.size))
+    while comm.size % rows != 0:
+        rows -= 1
+    cols = comm.size // rows
+    row_comm = yield comm.split(comm.rank // cols)
+    col_comm = yield comm.split(comm.rank % cols)
+    # PME mesh pencil per rank (complex64 after r2c)
+    grid_local_bytes = (fft_grid ** 3 / comm.size) * 8.0
+    halo, _keys = halo_batch(comm, cart, faces)
+    fft = comm.compute(
+        flops=2.5 * (fft_grid ** 3 / comm.size) * np.log2(max(fft_grid, 2)),
+        bytes_moved=grid_local_bytes * 2.0, efficiency=0.10, label="pme-fft")
+    # the personalised (size-P tuple) transposes carry no data but are
+    # not size-only descriptors, so this batch runs rank by rank
+    row_t, col_t = (
+        (sub.alltoall(tuple(Phantom(grid_local_bytes / sub.size)
+                            for _ in range(sub.size)), label="pme-fft"), fft)
+        for sub in (row_comm, col_comm))
+    step = (
+        # position halo, short-range kernel, force halo
+        halo
+        + (comm.compute(
+            flops=atoms_local * gromacs.NEIGHBORS_PER_ATOM *
+            gromacs.FLOPS_PER_PAIR,
+            bytes_moved=atoms_local * 200.0,
+            efficiency=0.02, label="pair-forces"),)
+        + halo
+        # PME: spread, forward 3D FFT (row + col transpose), k-space
+        # multiply, inverse FFT (col + row transpose), gather
+        + (comm.compute(flops=atoms_local * 300.0,
+                        bytes_moved=atoms_local * 100.0,
+                        efficiency=0.05, label="pme-spread"),)
+        + row_t + col_t + col_t + row_t
+        + (comm.compute(flops=atoms_local * 300.0,
+                        bytes_moved=atoms_local * 100.0,
+                        efficiency=0.05, label="pme-gather"),
+           # integration + constraints (memory-bound)
+           comm.compute(flops=atoms_local * 60.0,
+                        bytes_moved=atoms_local * 72.0,
+                        efficiency=0.6, label="integrate")))
+    for _step in range(steps):
+        yield step
+    # end-of-run global reduction (energies)
+    yield comm.allreduce(Phantom(64.0), label="energies")
+    return atoms_local
+
+
+def hpcg_per_rank(comm, local_n: int, iterations: int):
+    """Distributed HPCG: per iteration a SpMV + SymGS (both halo-
+    exchanging, strictly memory-bound) and two dot reductions."""
+    cart = CartGrid.for_ranks(comm.size, 3, periodic=False)
+    rows = float(local_n ** 3)
+    faces = phantom_faces((local_n, local_n, local_n), itemsize=8)
+    halo, _keys = halo_batch(comm, cart, faces)
+    dot = comm.allreduce(Phantom(16.0), label="dot")
+    iteration = ()
+    for label, passes in (("spmv", 1.0), ("symgs", 2.0)):
+        iteration += halo + (
+            comm.compute(flops=passes * 54.0 * rows,
+                         bytes_moved=passes * 27.0 * 12.0 * rows,
+                         efficiency=0.7, label=label),)
+    iteration += (dot, dot)
+    for _it in range(iterations):
+        yield iteration
+    return rows
+
+
 def dist_circuit_batch(comm, state, u, gates, gate_efficiency=0.6):
     """``dist_circuit`` on a phantom register: the whole planned circuit
     as *one* batch -- per gate a ``Sendrecv`` with the partner if it is
@@ -481,6 +568,9 @@ PROGRAMS = {
                 ((64, 64, 32), 2, 2, 3)),
     "soma": (soma.soma_timing_program, soma_per_rank, (1000, 32, 16, 3)),
     "arbor": (arbor.arbor_timing_program, arbor_per_rank, (1e6, 7, 3, 1.3)),
+    "gromacs": (gromacs.gromacs_timing_program, gromacs_per_rank,
+                (1_000_000, 3, 64)),
+    "hpcg": (hpcg.hpcg_timing_program, hpcg_per_rank, (16, 3)),
 }
 #: the per-rank generator each job program replaced
 PER_RANK = {job: old for job, old, _ in PROGRAMS.values()} | {
@@ -708,7 +798,7 @@ def test_a_table_refuses_a_negative_size():
     """Like ``Phantom(-1.0)`` in the program, at the line that asks."""
     world = World(VmpiEngine(Machine.on(juwels_booster(), 4)))
     _split, table = world.split([0, 0, 1, 1])
-    for method in (table.allreduce, table.shift):
+    for method in (table.allreduce, table.shift, table.alltoall):
         with pytest.raises(ValueError, match="non-negative"):
             method(np.array([8.0, 8.0, -1.0, 8.0]))
 
@@ -758,16 +848,19 @@ def test_split_table_allocates_like_the_per_rank_split(seed):
 def split_job(world, colors, nbytes):
     split, table = world.split(colors)
     step = (table.allreduce(nbytes * (1 + table.rank), label="ar"),
-            *table.shift(nbytes * table.size, tag=3))
+            *table.shift(nbytes * table.size, tag=3),
+            table.alltoall(nbytes * (2 + table.rank) / table.size,
+                           label="a2a"))
     return ((split,), step, 2, ()), table.size.tolist()
 
 
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("nbytes", [64.0, 1e6], ids=["eager", "rendezvous"])
 def test_split_table_columns_are_the_per_rank_program(seed, nbytes, stepped):
-    """A split table's allreduce and ring, planned per communicator, are
-    the rank-by-rank program; a rank alone in its communicator posts
-    no ring op, so such a job runs rank by rank on both schedulers."""
+    """A split table's allreduce, ring and personalised alltoall (sizes
+    differing per rank), planned per communicator, are the rank-by-rank
+    program; a rank alone in its communicator posts no ring op, so such
+    a job runs rank by rank on both schedulers."""
     rng = np.random.default_rng(seed)
     machine = Machine.on(juwels_booster(), int(rng.integers(2, 13)))
     colors = rng.integers(0, 1 + seed % 4, machine.nranks).tolist()
@@ -776,7 +869,7 @@ def test_split_table_columns_are_the_per_rank_program(seed, nbytes, stepped):
     assert (stepped["VmpiEngine"] > 0) == alone
     got = ReferenceEngine(machine).run(split_job, args=(colors, nbytes))
     assert snapshot(got) == snapshot(new)
-    assert "ar" in new.traces[0].comm
+    assert {"ar", "a2a"} <= set(new.traces[0].comm)
 
 
 def test_zero_steps_books_no_step_label():
@@ -796,18 +889,20 @@ def test_zero_steps_books_no_step_label():
 FIGURES = (("fig2",), ("fig3", "--nodes", "16,128"), ("fig3", "--nodes", "936"))
 
 
-#: a halo app and the split-communicator app: the op and ``Comm``
-#: objects their job programs build must not grow with the rank count
-CONSTANT_BUILDS = ("icon", "megatron")
+#: a halo app, the split-communicator app and GROMACS (both), with the
+#: most ranks ``fig2`` runs them on: the op and ``Comm`` objects their
+#: job programs build must not grow with the rank count
+CONSTANT_BUILDS = {"icon": 960, "megatron": 768, "gromacs": 24}
 
 
 def figure_runs() -> dict:
     """Per figure and job program: runs, rank steps, phases planned,
     columns planned against distinct columns -- and the points whose
-    per-rank generator disagrees; per job program and rank count, the
-    most ``Exchange``, ``Collective`` and ``Comm`` objects one ``fig2``
-    run built (:data:`CONSTANT_BUILDS` also at 8 ranks).  Run in a
-    fresh interpreter by :func:`test_figures_run_job_programs_as_columns`."""
+    per-rank generator disagrees; per figure, the ``Exchange`` ops any
+    rank posted one by one; per job program and rank count, the most
+    ``Exchange``, ``Collective`` and ``Comm`` objects one ``fig2`` run
+    built (:data:`CONSTANT_BUILDS` also at 8 ranks).  Run in a fresh
+    interpreter by :func:`test_figures_run_job_programs_as_columns`."""
     from repro.cli import main
     from repro.vmpi import engine as engine_module
     from repro.vmpi.comm import Comm
@@ -817,6 +912,7 @@ def figure_runs() -> dict:
     current, points = [], []
     built: dict = {}
     objects = Counter()
+    posts = Counter()
     real_inits = [(cls, name, getattr(cls, name)) for cls, name in (
         (Exchange, "__post_init__"), (Collective, "__post_init__"),
         (Comm, "__init__"))]
@@ -827,6 +923,7 @@ def figure_runs() -> dict:
             return real(self, *args, **kw)
         return init
     real_run, real_step = VmpiEngine._run, VmpiEngine._step_rank
+    real_post = VmpiEngine._post_exchange
     real_plans, real_column = engine_module.plan_columns, \
         sweep_module._plan_column
     real_program = AppBenchmark.run_program
@@ -849,6 +946,10 @@ def figure_runs() -> dict:
             current[-1]["rank_steps"] += 1
         return real_step(self, r)
 
+    def post(self, r, op):
+        posts[figure] += 1
+        return real_post(self, r, op)
+
     def plans(eng, columns, slots):
         current[-1]["phases"] += 1
         current[-1]["distinct"] += len(set(map(id, columns)))
@@ -865,6 +966,7 @@ def figure_runs() -> dict:
         return spmd
 
     VmpiEngine._run, VmpiEngine._step_rank = run, step
+    VmpiEngine._post_exchange = post
     engine_module.plan_columns, sweep_module._plan_column = plans, column
     AppBenchmark.run_program = program
     for cls, name, real in real_inits:
@@ -881,6 +983,7 @@ def figure_runs() -> dict:
     for cls, name, real in real_inits:
         setattr(cls, name, real)
     VmpiEngine._run, VmpiEngine._step_rank = real_run, real_step
+    VmpiEngine._post_exchange = real_post
     engine_module.plan_columns, sweep_module._plan_column = \
         real_plans, real_column
     AppBenchmark.run_program = real_program
@@ -892,6 +995,7 @@ def figure_runs() -> dict:
             "points": len(points), "max_ranks": max(p[0].nranks
                                                      for p in points),
             "mismatches": mismatches,
+            "exchange_posts": {" ".join(f): posts[f] for f in FIGURES},
             "built": {name: {str(n): c for n, c in sizes.items()}
                       for name, sizes in built.items()}}
 
@@ -900,7 +1004,8 @@ def test_figures_run_job_programs_as_columns():
     """Every point ``fig2`` and ``fig3 --nodes 16,128`` run is its
     per-rank generator (production engine: the reference is too slow
     at 960 ranks); no figure steps a rank of a job program, and each
-    job plans every distinct column once."""
+    job plans every distinct column once; no figure posts an
+    ``Exchange`` rank by rank."""
     code = ("import json\n"
             "from tests.test_vmpi_job import figure_runs\n"
             "print(json.dumps(figure_runs()))\n")
@@ -911,9 +1016,10 @@ def test_figures_run_job_programs_as_columns():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["mismatches"] == []
-    assert out["points"] == 81 and out["max_ranks"] == 960
+    assert out["points"] == 85 and out["max_ranks"] == 960
     jobs = {p.__name__ for p in PER_RANK}
-    for figure, expected in (("fig2", 14), ("fig3 --nodes 16,128", 5),
+    assert out["exchange_posts"] == {" ".join(f): 0 for f in FIGURES}
+    for figure, expected in (("fig2", 15), ("fig3 --nodes 16,128", 5),
                              ("fig3 --nodes 936", 5)):
         counts = out["counts"][figure]
         assert len(jobs & set(counts)) == expected, figure
@@ -927,8 +1033,8 @@ def test_figures_run_job_programs_as_columns():
     # a halo or split-communicator column is arrays, not an op per rank:
     # the same program builds as many op and Comm objects at 8 ranks as
     # at fig2's largest point
-    for name in CONSTANT_BUILDS:
+    for name, ranks in CONSTANT_BUILDS.items():
         sizes = out["built"][f"{name}_timing_program"]
         largest = max(sizes, key=int)
-        assert int(largest) >= 768 and "8" in sizes, (name, sizes)
+        assert int(largest) == ranks and "8" in sizes, (name, sizes)
         assert sizes[largest] == sizes["8"], (name, sizes)

@@ -101,7 +101,7 @@ MACHINES = {
 
 #: ``id -> (program, args)``: every timing program that hoists its step
 #: -- the job programs (``repro.vmpi.job``), whose step runs as columns,
-#: and the generators that yield it as one batch per step
+#: and Amber's generator, which yields it as one batch per step
 HOISTED = {
     "megatron": (megatron_timing_program, (3,)),
     "mmoclip": (mmoclip_timing_program, (3,)),
@@ -175,8 +175,8 @@ def traffic(monkeypatch):
 
 # -- (a) hoisted programs == the oracle ---------------------------------------
 
-#: the generators: their batches run op by op, never as columns
-LOWERED = {(p, m) for p in ("gromacs", "amber", "hpcg") for m in MACHINES}
+#: the generator: its batches run op by op, never as columns
+LOWERED = {("amber", m) for m in MACHINES}
 
 
 @pytest.mark.parametrize("prog,mach", CASES,

@@ -3,15 +3,16 @@
 :class:`ReferenceEngine` executes a rank program the slow, obvious way:
 a FIFO ready deque drives each rank until it blocks, a job program runs
 as the per-rank programs it stands for, every op asks the machine model
-for its cost again, every ``Exchange`` and ``Sendrecv``
-becomes per-edge requests, and collectives wait in a per-``(comm,
-sequence)`` table.  It keeps no heap, cache, plan or parked op.  What it
-shares with :class:`~repro.vmpi.engine.VmpiEngine` is the per-request
-machinery that defines the semantics (FIFO channels, ``Request``, wait
-groups, eager/rendezvous timing, :mod:`repro.vmpi.collectives`) and the
-deadlock reporter; everything it overrides is something production does
-a faster way, and the differential suites assert the two agree byte for
-byte.  Test-only: nothing under ``src/`` imports this module.
+for its cost again, every ``Sendrecv`` becomes per-edge requests, and
+collectives wait in a per-``(comm, sequence)`` table.  It keeps no heap,
+cache, plan or parked op.  What it shares with
+:class:`~repro.vmpi.engine.VmpiEngine` is the per-request machinery that
+defines the semantics (FIFO channels, ``Request``, wait groups, the
+per-edge lowering of an ``Exchange``, eager/rendezvous timing,
+:mod:`repro.vmpi.collectives`) and the deadlock reporter; everything
+it overrides is something production does a faster way, and the
+differential suites assert the two agree byte for byte.  Test-only:
+nothing under ``src/`` imports this module.
 """
 
 from collections import defaultdict, deque
@@ -26,7 +27,6 @@ from repro.vmpi.collectives import (
 )
 from repro.vmpi.engine import VmpiEngine
 from repro.vmpi.ops import Compute, nbytes_of
-from repro.vmpi.rounds import exchange_bytes
 
 
 class ReferenceEngine(VmpiEngine):
@@ -36,7 +36,6 @@ class ReferenceEngine(VmpiEngine):
         self._batch = {}          # rank -> [ops, idx, results, waiting]
         self._coll_seq = defaultdict(int)    # (comm, rank) -> next sequence
         self._coll_pending = {}   # (comm, seq) -> {local: (op, post time)}
-        self._xseq = defaultdict(int)        # (comm, tag, rank) -> next round
 
     # -- scheduling: FIFO polling ----------------------------------------------
 
@@ -119,13 +118,6 @@ class ReferenceEngine(VmpiEngine):
         self.clocks[r] += dt
         self.traces[r].compute[op.label] += dt
         return True
-
-    def _post_exchange(self, r, op):
-        ekey = (op.comm_id, op.tag)
-        rnd = self._xseq[ekey + (r,)]
-        self._xseq[ekey + (r,)] = rnd + 1
-        self.traces[r].bytes_sent += exchange_bytes(op)
-        return self._decompose_exchange(r, op, ekey + (rnd,))
 
     def _post_collective(self, r, op):
         members = self._comms.get(op.comm_id)
