@@ -16,6 +16,7 @@ carry no justification text: an exemption without a reason is a bug.
 from __future__ import annotations
 
 import functools
+import gc
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -165,7 +166,21 @@ class Analyzer:
         the raw findings and is order-insensitive, so cold, warm and
         parallel runs produce identical reports.
         """
-        root = Path(root).resolve()
+        gc_enabled, gc_frozen = gc.isenabled(), gc.get_freeze_count()
+        try:
+            return self._run(Path(root).resolve(), rel_base, workers, cache)
+        finally:
+            # the caller's GC state, on every exit: a permanent
+            # generation it had already filled is its own, left alone
+            if not gc_frozen:
+                gc.unfreeze()
+            if gc_enabled:
+                gc.enable()
+            else:
+                gc.disable()
+
+    def _run(self, root: Path, rel_base: str | Path | None,
+             workers: int, cache: ResultCache | None) -> CheckReport:
         base = Path(rel_base).resolve() if rel_base else root.parent
         out = Collector()
         modules: list[ModuleInfo] = []
@@ -186,6 +201,11 @@ class Analyzer:
             """Parse every file, build the registry, prepare the rules:
             what the first result that misses the cache pays, once."""
             parsed, col = [], Collector(_sources=out._sources)
+            # Building an AST makes no reference cycle, so the cyclic GC
+            # would only re-traverse the forest as it grows; frozen, it
+            # is left out of every later collection of this run too.
+            enabled = gc.isenabled()
+            gc.disable()
             for module in modules:
                 try:
                     module.tree
@@ -194,6 +214,10 @@ class Analyzer:
                             exc.lineno or 1, f"syntax error: {exc.msg}")
                 else:
                     parsed.append(module)
+            if not gc.get_freeze_count():   # else the caller's own
+                gc.freeze()
+            if enabled:
+                gc.enable()
             ctx = ProjectContext(
                 modules=parsed, inputs=inputs, registry=build_registry(
                     (m.relpath, m.tree) for m in parsed))

@@ -260,6 +260,11 @@ class ParamResolutionRule(Rule):
     def check_module(self, module: ModuleInfo, out: Collector) -> None:
         for node in nodes(module.tree, ast.Dict):
             self._check_spec_dict(node, module, out)
+        # only an ``.add(name, value)`` call defines a parameter: with
+        # none in the module no scope can report, and the index says so
+        # without the scope walks
+        if not any(map(self._is_builder_add, nodes(module.tree, ast.Call))):
+            return
         for scope in (module.tree, *walk_functions(module.tree)):
             self._check_builder_scope(scope, module, out)
 
@@ -307,10 +312,8 @@ class ParamResolutionRule(Rule):
         # own scopes, so stop descending at their boundary.
         for node in iter_direct_body(scope, lambda n: isinstance(
                 n, (ast.FunctionDef, ast.AsyncFunctionDef))):
-            if not isinstance(node, ast.Call):
-                continue
-            if not (isinstance(node.func, ast.Attribute) and
-                    node.func.attr == "add" and len(node.args) >= 2):
+            if not (isinstance(node, ast.Call) and
+                    self._is_builder_add(node)):
                 continue
             name_arg = node.args[0]
             if isinstance(name_arg, ast.Constant) and \
@@ -319,6 +322,12 @@ class ParamResolutionRule(Rule):
             refs.extend(self._string_refs(node.args[1]))
         if defined:
             self._flag_unresolved(defined, refs, module, out)
+
+    @staticmethod
+    def _is_builder_add(call: ast.Call) -> bool:
+        """``<set>.add(name, value, ...)``: a ``ParameterSet`` chain link."""
+        return (isinstance(call.func, ast.Attribute) and
+                call.func.attr == "add" and len(call.args) >= 2)
 
     @staticmethod
     def _string_refs(value: ast.AST) -> list[tuple[str, int]]:

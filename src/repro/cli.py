@@ -1106,7 +1106,9 @@ def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     trace_out = getattr(args, "trace_out", None)
     want_metrics = getattr(args, "metrics", False)
-    outputs = [getattr(args, "journal", None), trace_out]
+    outputs = [getattr(args, name, None) for name in (
+        "journal", "trace_out", "output", "export", "dispatch_log",
+        "journal_out", "trace_json", "save_plan")]
     if args.command != "report":    # report reads its --history
         outputs.append(getattr(args, "history", None))
     for path in outputs:

@@ -29,19 +29,17 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..telemetry.export import reemit_events
 from ..telemetry.metrics import MetricsRegistry, default_registry
 from ..telemetry.spans import SpanRecord, Tracer, use_tracer
 from .cache import ResultCache
 from .journal import RunJournal, TaskRecord
+
+if TYPE_CHECKING:  # pragma: no cover - the pools are imported on first use
+    from concurrent.futures import Executor
 
 #: Supported execution backends.
 BACKENDS = ("serial", "thread", "process")
@@ -372,6 +370,10 @@ class ExecutionEngine:
     # -- helpers ------------------------------------------------------------
 
     def _executor(self) -> Executor:
+        # imported here: it pulls in multiprocessing, which a serial
+        # run never uses
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
         if self.backend == "process":
             return ProcessPoolExecutor(max_workers=self.workers)
         return ThreadPoolExecutor(max_workers=self.workers,

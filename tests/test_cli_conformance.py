@@ -203,6 +203,47 @@ def _spool(tmp_path, capsys):
     return spool
 
 
+@pytest.mark.parametrize("case, code, why", [
+    ("missing", 2, "No such file or directory"),
+    ("directory", 21, "Is a directory"),
+])
+@pytest.mark.parametrize("command", [
+    "check --output", "history --export", "submit --export",
+    "serve --export", "serve --dispatch-log", "chaos --journal-out",
+    "chaos --trace-json", "chaos --save-plan"])
+def test_whole_file_output_into_an_unusable_path_fails_up_front(
+        command, case, code, why, tmp_path, capsys, monkeypatch):
+    """A whole-file writer's path is refused before anything runs, in
+    the user's words: the error names the path given, never the temp
+    file the write would have gone through, and nothing is written."""
+    from repro.check import Analyzer
+    from repro.core.benchmark import Benchmark
+    from repro.history import HistoryStore
+
+    ran = []
+    monkeypatch.setattr(Benchmark, "run", lambda *a, **kw: ran.append(a))
+    monkeypatch.setattr(Analyzer, "run", lambda *a, **kw: ran.append(a))
+    db = tmp_path / "h.jsonl"
+    HistoryStore.open(db).record_and_append("STREAM", 1.0,
+                                            params={"nodes": 1})
+    argv = {"check": ["check", "--no-runtime"],
+            "history": ["history", str(db)],
+            "submit": ["submit", "--direct", "--benchmarks", "STREAM"],
+            "serve": ["serve", "--spool", str(_spool(tmp_path, capsys))],
+            "chaos": ["chaos", "--benchmarks", "STREAM"],
+            }[command.split()[0]]
+    (tmp_path / "dir").mkdir()
+    path = {"missing": tmp_path / "nodir" / "x.json",
+            "directory": tmp_path / "dir"}[case]
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, command.split()[1], str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"jubench: error: [Errno {code}] {why}: '{path}'\n"
+    assert ".tmp" not in captured.err
+    assert captured.out == "" and ran == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.fixture
 def registered(monkeypatch):
     """Endpoints ``serve`` registered (none, when it fails up front)."""

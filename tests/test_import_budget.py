@@ -132,6 +132,14 @@ class TestImportBudget:
             "repro.apps", "repro.apps.base", "repro.synthetic",
             "repro.synthetic.base", "repro.synthetic.stream"]
 
+    @pytest.mark.parametrize("argv", [
+        ("suite", "--benchmarks", "STREAM"), ("fig3", "--nodes", "16")],
+        ids=["suite", "fig3"])
+    def test_a_serial_run_imports_no_process_pool(self, argv):
+        out = child_modules(*argv)
+        assert out["code"] == 0
+        assert not {"concurrent", "multiprocessing"} & out["roots"]
+
     def test_pickled_suite_imports_lazily_in_the_receiver(self):
         # what a ``--backend process`` worker does with the suite it is
         # sent: the factories travel by import path, not as classes
