@@ -12,7 +12,12 @@ import pathlib
 import pytest
 
 from repro.core import load_suite
-from repro.history import HistoryStore, RegressionDetector, record, stamp
+from repro.history import (
+    HistoryStore,
+    RegressionDetector,
+    build_record,
+    stamp,
+)
 
 #: history database the benches append to (override the location with
 #: JUBENCH_HISTORY; set it to an empty string to disable appending)
@@ -46,8 +51,9 @@ def _append_runs(store: HistoryStore, name: str, payload: dict) -> None:
     """
     shape = payload.get("shape", {})
     for entry in payload.get("records", []):
-        store.append(record(f"bench:{name}", params={"shape": shape},
-                            volatile=dict(entry)))
+        store.append(build_record(f"bench:{name}",
+                                  params={"shape": shape},
+                                  volatile=dict(entry)))
 
 
 def _trajectory(store: HistoryStore, name: str) -> dict:

@@ -5,7 +5,7 @@ Top-level subpackages:
 * :mod:`repro.cluster` -- simulated machine (hardware, topology, network,
   storage, scheduler, energy),
 * :mod:`repro.vmpi` -- deterministic virtual-MPI SPMD engine,
-* :mod:`repro.jube` -- JUBE-style workflow environment,
+* :mod:`repro.jube` -- JUBE-style result tables,
 * :mod:`repro.core` -- the procurement methodology (FOMs, categories,
   memory variants, TCO, High-Scaling extrapolation, suite registry),
 * :mod:`repro.apps` -- the 16 application benchmarks,

@@ -64,6 +64,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _at_least(low: float, convert: type = int, *, strict: bool = False):
+    """An argparse ``type``: ``convert(text)`` no smaller than ``low``
+    (greater with ``strict``), so a bad value is a usage error naming
+    its flag instead of a traceback from the code that needs the range."""
+    kind = "an integer" if convert is int else "a number"
+    bound = f"{'>' if strict else '>='} {low}"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not {kind} {bound}")
+        return value
+
+    return parse
+
+
 def _node_counts(text: str) -> tuple[int, ...]:
     """``8,16,32`` -> ``(8, 16, 32)``; every count a positive int."""
     return tuple(_positive_int(part) for part in text.split(","))
@@ -112,7 +132,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
                             "directory (reused across invocations)")
     group.add_argument("--no-cache", action="store_true",
                        help="disable result memoisation")
-    group.add_argument("--retries", type=int, default=None, metavar="N",
+    group.add_argument("--retries", type=_at_least(0), default=None,
+                       metavar="N",
                        help="retry budget per task (default 0; under a "
                             "fault plan, the plan's worst-case failure "
                             "count)")
@@ -224,12 +245,13 @@ def _history_append(store, suite, benchmark: str,
                     foms: dict | None = None) -> None:
     """Append one provenance-stamped run record to the history DB."""
     from .cluster.hardware import juwels_booster
-    from .history import record
+    from .history import build_record
     from .telemetry.spans import current_tracer
 
-    store.append(record(benchmark, fom_seconds, params=params,
-                        foms=foms, system=juwels_booster(),
-                        tracer=current_tracer(), engine=suite.engine))
+    store.append(build_record(benchmark, fom_seconds, params=params,
+                              foms=foms, system=juwels_booster(),
+                              tracer=current_tracer(),
+                              engine=suite.engine))
 
 
 def _history_note(store) -> None:
@@ -873,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", default=None, metavar="DB.jsonl",
                    help="additionally render the FOM-trajectory section "
                         "from this history database")
-    p.add_argument("--last", type=int, default=10, metavar="N",
+    p.add_argument("--last", type=_positive_int, default=10, metavar="N",
                    help="trajectory points shown per series (default 10)")
     p.set_defaults(fn=_cmd_report)
 
@@ -883,12 +905,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("db", help="history database (JSONL, from --history)")
     p.add_argument("--benchmark", default=None, metavar="NAME",
                    help="restrict to one benchmark's series")
-    p.add_argument("--last", type=int, default=10, metavar="N",
+    p.add_argument("--last", type=_positive_int, default=10, metavar="N",
                    help="trajectory points shown per series (default 10)")
     p.add_argument("--export", default=None, metavar="FILE",
                    help="write the canonical byte-stable JSON export "
                         "('-' for stdout) instead of rendering")
-    p.add_argument("--compact", type=int, default=None, metavar="N",
+    p.add_argument("--compact", type=_positive_int, default=None,
+                   metavar="N",
                    help="apply retention first: keep the last N records "
                         "per series and rewrite the database")
     p.set_defaults(fn=_cmd_history)
@@ -899,13 +922,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("db", help="history database (JSONL, from --history)")
     p.add_argument("--benchmark", default=None, metavar="NAME",
                    help="restrict to one benchmark's series")
-    p.add_argument("--window", type=int, default=8, metavar="N",
+    p.add_argument("--window", type=_at_least(2), default=8, metavar="N",
                    help="stationary-window length for the baseline "
                         "(default 8)")
-    p.add_argument("--sigma", type=float, default=4.0, metavar="K",
+    p.add_argument("--sigma", type=_at_least(0, float, strict=True),
+                   default=4.0, metavar="K",
                    help="robust-sigma multiplier of the alert margin "
                         "(default 4.0)")
-    p.add_argument("--slack", type=float, default=0.02, metavar="F",
+    p.add_argument("--slack", type=_at_least(0, float), default=0.02,
+                   metavar="F",
                    help="minimum relative deviation that alerts "
                         "(default 0.02)")
     p.add_argument("--json", action="store_true",
@@ -975,9 +1000,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=8,
                    help="engine workers (results are identical for any "
                         "count)")
-    p.add_argument("--retries", type=int, default=None,
+    p.add_argument("--retries", type=_at_least(0), default=None,
                    help="retry budget (default: the plan's worst case)")
-    p.add_argument("--jobs", type=int, default=6,
+    p.add_argument("--jobs", type=_at_least(0), default=6,
                    help="jobs in the scheduler chaos phase")
     p.add_argument("--journal-out", default=None, metavar="PATH",
                    help="write the canonical (byte-stable) journal JSONL")

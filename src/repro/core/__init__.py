@@ -13,10 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "Benchmark", "BenchmarkInfo", "BenchmarkResult", "Category", "Dwarf",
         "Target"
     ),
-    "continuous": (
-        "Baseline", "CampaignReport", "ContinuousBenchmarking",
-        "RegressionAlert"
-    ),
     "descriptions": ("SECTIONS", "describe", "describe_all"),
     "fom": ("FigureOfMerit", "FomKind", "ReferenceResult"),
     "highscaling": (

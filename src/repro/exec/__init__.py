@@ -1,9 +1,11 @@
-"""Parallel + incremental suite execution (the missing JUBE layer).
+"""Parallel + incremental suite execution.
 
 The paper drives every benchmark through a replicable JUBE workflow and
 plans a continuous-benchmarking loop (Sec. VI); at scale both only stay
 tractable with parallel fan-out and cache-aware incremental
-re-execution.  This package provides that layer:
+re-execution.  This package is the reproduction's replicability layer
+(with the journal and ``--history``; DESIGN.md, "JUBE and continuous
+benchmarking"):
 
 * :mod:`repro.exec.engine` -- concurrent batch execution with a fault
   boundary (retries, timeouts, error-carrying outcomes) and
@@ -15,10 +17,9 @@ re-execution.  This package provides that layer:
 * :mod:`repro.exec.jsonl` -- the torn-tail rule every append-only JSONL
   store reads by (history DB, service results, telemetry traces).
 
-:class:`JupiterBenchmarkSuite`, :class:`JubeRuntime` and
-:class:`ContinuousBenchmarking` all accept an
-:class:`~repro.exec.engine.ExecutionEngine` to fan their independent
-units of work out through it.
+:class:`~repro.core.suite.JupiterBenchmarkSuite` and the service
+endpoints accept an :class:`~repro.exec.engine.ExecutionEngine` to fan
+their independent units of work out through it.
 """
 
 from .._lazy import lazy_exports

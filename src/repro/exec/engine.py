@@ -1,7 +1,7 @@
 """The parallel + incremental execution engine.
 
 The suite's unit of work -- run one benchmark, one scaling point, one
-JUBE workunit -- is independent of its siblings, so a run is a batch of
+service task -- is independent of its siblings, so a run is a batch of
 :class:`WorkItem` thunks.  The engine executes a batch
 
 * **concurrently** on a serial, thread-pool or process-pool backend
@@ -189,7 +189,7 @@ def _run_guarded(fn: Callable[..., Any], args: tuple,
     ``(seed, label, attempt)`` draw.
 
     Every attempt runs under a local span collector installed as the
-    ambient tracer, so instrumented task code (JUBE workunits, nested
+    ambient tracer, so instrumented task code (benchmark runs, nested
     suite calls) records spans even inside process workers; the batch
     travels back in :attr:`_Attempt.spans` and the parent grafts it
     under the task span (rebasing clocks for the process backend).

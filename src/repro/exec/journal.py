@@ -1,7 +1,7 @@
 """The structured run journal: one record per executed unit of work.
 
 Every task the execution engine processes -- benchmark run, scaling
-point, JUBE workunit -- leaves a :class:`TaskRecord` with timing, cache
+point, service task -- leaves a :class:`TaskRecord` with timing, cache
 status, retry count and error state.  Since the telemetry layer landed,
 the journal is a *consumer of the engine's span stream*: the engine
 records one ``task:`` span per processed item and the journal's

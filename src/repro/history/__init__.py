@@ -25,35 +25,14 @@ execution command; ``jubench history`` inspects and compacts it and
 ``jubench regress`` runs the detector over the accumulated series.
 """
 
-# Eager, unlike the other package facades: ``record`` the function
-# shares its name with the submodule it lives in, and the import system
-# would bind the submodule over a lazily resolved attribute.  None of
-# its four submodules imports anything heavy, so nothing is lost.
-from .detect import ChangePoint, RegressionDetector, Verdict
-from .record import (
-    HISTORY_SCHEMA,
-    HISTORY_VERSION,
-    RunRecord,
-    code_fingerprint,
-    machine_config_hash,
-    record,
-    stamp,
-)
-from .report import render_regressions, render_trajectory
-from .store import HistoryStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "HISTORY_SCHEMA",
-    "HISTORY_VERSION",
-    "ChangePoint",
-    "HistoryStore",
-    "RegressionDetector",
-    "RunRecord",
-    "Verdict",
-    "code_fingerprint",
-    "machine_config_hash",
-    "record",
-    "render_regressions",
-    "render_trajectory",
-    "stamp",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "detect": ("ChangePoint", "RegressionDetector", "Verdict"),
+    "record": (
+        "HISTORY_SCHEMA", "HISTORY_VERSION", "RunRecord", "build_record",
+        "code_fingerprint", "machine_config_hash", "stamp"
+    ),
+    "report": ("render_regressions", "render_trajectory"),
+    "store": ("HistoryStore",),
+})

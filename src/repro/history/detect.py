@@ -185,11 +185,6 @@ class RegressionDetector:
                 accepted.append(value)
         return verdicts
 
-    def latest(self, values: Iterable[float]) -> Verdict | None:
-        """Verdict for the newest point (``None`` on an empty series)."""
-        verdicts = self.classify(values)
-        return verdicts[-1] if verdicts else None
-
     # -- series-wise change-point scan --------------------------------------
 
     def change_points(self, values: Iterable[float]) -> list[ChangePoint]:

@@ -228,17 +228,17 @@ class RunRecord:
                    volatile=dict(line.get("volatile", {})))
 
 
-def record(benchmark: str, fom_seconds: float | None = None, *,
-           params: dict[str, Any] | None = None,
-           foms: dict[str, float] | None = None,
-           system: Any = None,
-           seed: int | None = None, tracer: Any = None,
-           engine: Any = None, code: str | None = None,
-           volatile: dict[str, Any] | None = None) -> RunRecord:
+def build_record(benchmark: str, fom_seconds: float | None = None, *,
+                 params: dict[str, Any] | None = None,
+                 foms: dict[str, float] | None = None,
+                 system: Any = None,
+                 seed: int | None = None, tracer: Any = None,
+                 engine: Any = None, code: str | None = None,
+                 volatile: dict[str, Any] | None = None) -> RunRecord:
     """Build a fully stamped :class:`RunRecord` from live objects.
 
-    The shared helper every producer goes through (suite CLI commands,
-    ``ContinuousBenchmarking``, the fig2/fig3 benches): ``system`` (a
+    The shared helper every producer goes through (the ``--history``
+    flag of the execution commands, the fig2/fig3 benches): ``system`` (a
     :class:`~repro.cluster.hardware.SystemSpec`) becomes the machine
     stamp, ``tracer`` (a :class:`~repro.telemetry.spans.Tracer`)
     contributes the per-span rollup, ``engine`` (an

@@ -8,7 +8,7 @@ detector -- no wall clocks -- so rendered reports are reproducible.
 
 from __future__ import annotations
 
-from .detect import RegressionDetector, Verdict
+from .detect import RegressionDetector
 from .record import RunRecord
 from .store import HistoryStore
 
@@ -138,19 +138,3 @@ def render_regressions(store: HistoryStore, *,
                  f"({flagged} flagged point{'s' if flagged != 1 else ''} "
                  f"across {len(groups)} series)")
     return "\n".join(lines) + "\n", flagged
-
-
-def latest_verdicts(store: HistoryStore, *,
-                    benchmark: str | None = None,
-                    detector: RegressionDetector | None = None
-                    ) -> dict[str, Verdict]:
-    """Newest-point verdict per series (for ContinuousBenchmarking and
-    machine consumers)."""
-    det = detector or RegressionDetector()
-    out: dict[str, Verdict] = {}
-    for key, records in store.select(benchmark).items():
-        values = _series_values(records)
-        verdict = det.latest(values)
-        if verdict is not None:
-            out[key] = verdict
-    return out

@@ -222,8 +222,8 @@ class HistoryStore:
                           fom_seconds: float | None = None,
                           **kwargs: Any) -> RunRecord:
         """Shorthand: build a stamped record and append it."""
-        from .record import record as build
-        return self.append(build(benchmark, fom_seconds, **kwargs))
+        from .record import build_record
+        return self.append(build_record(benchmark, fom_seconds, **kwargs))
 
 
 def is_history_file(path: str | Path) -> bool:

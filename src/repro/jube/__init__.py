@@ -1,26 +1,13 @@
-"""A native re-implementation of the JUBE workflow environment semantics.
+"""JUBE-style result tables (Sec. III-B).
 
-The paper's replicability infrastructure (Sec. III-B): parameter sets
-with dependency-resolved ``$ref`` substitution and python-mode
-evaluation, tag-selected variants, step DAGs, platform inheritance, and
-tabular result extraction.
+JUBE condenses a benchmark run into a tabular summary including the
+FOM.  Only that table layer is reproduced here (``analysis.tables``
+prints the paper's Tables I/II through it); JUBE's parameter spaces and
+step DAGs are not (DESIGN.md, "JUBE and continuous benchmarking").
 """
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "parameters": (
-        "Parameter", "ParameterError", "ParameterSet", "expand", "resolve"
-    ),
-    "platform": (
-        "JUPITER_BOOSTER", "JUWELS_BOOSTER", "JUWELS_CLUSTER", "PLATFORMS",
-        "Platform", "get_platform"
-    ),
     "result": ("Column", "ResultTable", "WorkunitRecord", "table"),
-    "runtime": (
-        "BenchmarkSpec", "JubeRuntime", "RunResult", "WorkunitRun",
-        "submit_step"
-    ),
-    "spec": ("SpecError", "load_spec"),
-    "steps": ("Step", "StepContext", "StepError", "Task", "step_order"),
 })

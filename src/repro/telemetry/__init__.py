@@ -2,15 +2,14 @@
 
 The paper's methodology is built on *seeing into* runs -- Fig. 3
 separates JUQCS computation from communication, Sec. IV-A2a quotes
-Arbor cost-centre percentages, and the JUBE workflow exists so every
-run is inspectable.  This package is that capability for the
+Arbor cost-centre percentages, and JUBE condenses every run into an
+inspectable result table.  This package is that capability for the
 reproduction, threaded through every layer:
 
 * :mod:`repro.telemetry.spans` -- hierarchical, thread-safe spans with
   context-manager/decorator APIs and injectable clocks; the execution
-  engine, JUBE runtime, suite drivers and continuous-benchmarking loop
-  all emit them, and process-pool workers ship span batches back with
-  their outcomes;
+  engine, suite drivers and figure studies all emit them, and
+  process-pool workers ship span batches back with their outcomes;
 * :mod:`repro.telemetry.metrics` -- counters, gauges and fixed-bucket
   histograms with label sets and snapshot/delta views;
 * :mod:`repro.telemetry.export` -- a crash-safe JSONL event sink and a

@@ -12,7 +12,7 @@ dependencies:
   backend's concurrency),
 * :meth:`MetricsRegistry.snapshot` returns a plain-dict view and
   :meth:`MetricsRegistry.delta` diffs two snapshots -- the API the
-  incremental tests and the continuous-benchmarking loop use.
+  incremental tests use.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 A :class:`Tracer` records *spans* -- named, attributed time intervals
 forming a tree -- the way the paper's analyses need them: one span per
-benchmark, per scaling point, per JUBE workunit, per engine task and
-attempt.  Downstream, the span stream feeds the run journal, the JSONL
+benchmark, per scaling point, per engine task and attempt.  Downstream, the span stream feeds the run journal, the JSONL
 event sink and the Chrome ``trace_event`` exporter (Perfetto).
 
 Design constraints (all load-bearing):

@@ -112,6 +112,50 @@ def test_bad_numbers_are_argparse_usage_errors(argv, complaint, capsys):
     assert stderr.rstrip().endswith(complaint)
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "STREAM", "--retries", "-1"],
+    ["suite", "--retries", "-1"],
+    ["fig2", "--retries", "-1"],
+    ["fig3", "--retries", "-1"],
+    ["chaos", "--retries", "-1"],
+    ["chaos", "--jobs", "-1"],
+    ["regress", "DB", "--window", "1"],
+    ["regress", "DB", "--sigma", "0"],
+    ["regress", "DB", "--sigma", "nan"],
+    ["regress", "DB", "--slack", "-0.1"],
+    ["history", "DB", "--compact", "0"],
+    ["history", "DB", "--last", "0"],
+    ["history", "DB", "--last", "-1"],
+    ["report", "DB", "--last", "0"],
+], ids=" ".join)
+def test_numbers_out_of_range_are_refused_by_the_parser(
+        argv, tmp_path, capsys, monkeypatch):
+    """A flag value outside the range the code needs is refused at parse
+    time, naming the flag: not a traceback from ``ExecutionEngine``,
+    ``RegressionDetector`` or ``HistoryStore.compact``, and not a
+    ``--last`` that silently shows every row (0) or drops one (-1)."""
+    from repro.history import HistoryStore
+
+    db = tmp_path / "h.jsonl"
+    store = HistoryStore.open(db)
+    for i in range(3):
+        store.record_and_append("STREAM", 1.0 + i, params={"nodes": 1})
+    monkeypatch.chdir(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+    argv = [str(db) if arg == "DB" else arg for arg in argv]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    flag = next(arg for arg in argv if arg.startswith("--"))
+    assert "Traceback" not in captured.err and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith(
+        f"jubench {argv[0]}: error: argument {flag}: '{argv[-1]}' is not")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
 @pytest.mark.parametrize("argv, complaint", [
     (["fig3", "--nodes", "937"],
      "Arbor cannot run on 937 nodes: JUWELS Booster has 936"),

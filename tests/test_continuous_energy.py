@@ -1,127 +1,11 @@
-"""Tests for Continuous Benchmarking (Sec. VI future work) and the
-energy/TCO plumbing (power model, job energy, lifetime cost)."""
+"""Tests for the energy/TCO plumbing (power model, job energy, lifetime
+cost)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import EnergyModel, juwels_booster
-from repro.core import (
-    Baseline,
-    BenchmarkResult,
-    ContinuousBenchmarking,
-    RegressionAlert,
-)
-
-
-def _result(name: str, fom: float) -> BenchmarkResult:
-    return BenchmarkResult(benchmark=name, nodes=8, fom_seconds=fom)
-
-
-class TestBaseline:
-    def test_from_runs_median_and_noise(self):
-        base = Baseline.from_runs({"Arbor": [500.0, 498.0, 502.0]})
-        assert base.foms["Arbor"] == pytest.approx(500.0)
-        assert base.noise["Arbor"] >= 0.01
-
-    def test_single_run_gets_floor_noise(self):
-        base = Baseline.from_runs({"Arbor": [500.0]})
-        assert base.noise["Arbor"] == pytest.approx(0.01)
-
-    def test_invalid_runs_rejected(self):
-        with pytest.raises(ValueError):
-            Baseline.from_runs({"Arbor": []})
-        with pytest.raises(ValueError):
-            Baseline.from_runs({"Arbor": [1.0, -2.0]})
-
-    def test_record(self):
-        base = Baseline()
-        base.record("JUQCS", 5.9)
-        assert base.foms["JUQCS"] == 5.9
-        with pytest.raises(ValueError):
-            base.record("JUQCS", 0.0)
-
-
-class TestContinuousBenchmarking:
-    def make(self, degradation_after=None, factor=1.5):
-        base = Baseline.from_runs({"Arbor": [500.0, 501.0, 499.0],
-                                   "JUQCS": [6.0, 6.0, 6.1]})
-        counter = {"n": 0}
-
-        def runner(name):
-            counter["n"] += 1
-            fom = base.foms[name]
-            if degradation_after is not None and \
-                    len(cb.history) >= degradation_after and name == "JUQCS":
-                fom *= factor
-            return _result(name, fom * (1.0 + 0.001))
-
-        cb = ContinuousBenchmarking(base, runner)
-        return cb
-
-    def test_healthy_system_no_alerts(self):
-        cb = self.make()
-        for _ in range(4):
-            report = cb.run_interval()
-            assert report.healthy
-
-    def test_degradation_detected_on_right_benchmark(self):
-        """A 'bad maintenance' slowing one benchmark by 50 % fires an
-        alert for exactly that benchmark."""
-        cb = self.make(degradation_after=2)
-        for _ in range(2):
-            assert cb.run_interval().healthy
-        report = cb.run_interval()
-        assert not report.healthy
-        assert [a.benchmark for a in report.alerts] == ["JUQCS"]
-        assert report.alerts[0].slowdown == pytest.approx(1.5, rel=0.01)
-
-    def test_small_noise_does_not_alert(self):
-        base = Baseline.from_runs({"Arbor": [500.0, 505.0, 495.0]})
-        rng = np.random.default_rng(0)
-
-        def runner(name):
-            return _result(name, 500.0 * (1 + rng.normal(scale=0.005)))
-
-        cb = ContinuousBenchmarking(base, runner)
-        for _ in range(10):
-            assert cb.run_interval().healthy
-
-    def test_drift_estimation(self):
-        base = Baseline.from_runs({"Arbor": [100.0, 100.0]})
-        step = {"n": 0}
-
-        def runner(name):
-            step["n"] += 1
-            return _result(name, 100.0 + 2.0 * step["n"])  # +2 %/interval
-
-        cb = ContinuousBenchmarking(base, runner, sigma=1e9)  # mute alerts
-        for _ in range(5):
-            cb.run_interval()
-        assert cb.drift("Arbor") == pytest.approx(0.02, rel=0.05)
-
-    def test_unknown_benchmark_rejected(self):
-        cb = self.make()
-        with pytest.raises(KeyError):
-            cb.run_interval(["HAL9000"])
-
-    def test_summary_renders(self):
-        cb = self.make()
-        cb.run_interval()
-        text = cb.summary()
-        assert "Arbor" in text and "drift" in text
-
-    def test_threshold_validation(self):
-        base = Baseline.from_runs({"A": [1.0]})
-        with pytest.raises(ValueError):
-            ContinuousBenchmarking(base, lambda n: _result(n, 1.0),
-                                   sigma=0.0)
-
-    def test_regression_alert_slowdown(self):
-        alert = RegressionAlert(benchmark="x", baseline=100.0,
-                                measured=130.0)
-        assert alert.slowdown == pytest.approx(1.3)
 
 
 class TestEnergyModel:

@@ -1,10 +1,8 @@
-"""Tests for the normalised descriptions (Sec. III-C) and the
-declarative JUBE spec loader."""
+"""Tests for the normalised descriptions (Sec. III-C)."""
 
 import pytest
 
 from repro.core import SECTIONS, describe, describe_all, load_suite
-from repro.jube import JubeRuntime, SpecError, load_spec
 
 
 @pytest.fixture(scope="module")
@@ -50,85 +48,3 @@ class TestDescriptions:
     def test_unused_marker(self, suite):
         assert "not used" in describe(suite, "Amber")
         assert "not used" not in describe(suite, "Arbor")
-
-
-class TestSpecLoader:
-    def make_spec(self, **overrides):
-        data = {
-            "name": "toy",
-            "platform": "juwels-booster",
-            "parametersets": [
-                {"name": "p", "parameters": [
-                    {"name": "nodes", "value": [1, 2]},
-                    {"name": "tasks", "value": "$nodes * 4",
-                     "mode": "python"},
-                    {"name": "extra", "value": 1, "tags": ["opt"]},
-                ]},
-            ],
-            "steps": [
-                {"name": "execute", "do": "run"},
-                {"name": "verify", "do": ["check"],
-                 "depends": ["execute"]},
-            ],
-            "tables": [
-                {"name": "result",
-                 "columns": ["nodes", ["fom", "FOM [s]", ".1f"]],
-                 "sort_by": "nodes"},
-            ],
-        }
-        data.update(overrides)
-        actions = {
-            "run": lambda ctx: {"fom": 100.0 / ctx.params["nodes"]},
-            "check": lambda ctx: {"ok": ctx.output("execute", "fom") > 0},
-        }
-        return data, actions
-
-    def test_loads_and_runs(self):
-        data, actions = self.make_spec()
-        spec = load_spec(data, actions)
-        run = JubeRuntime().run(spec)
-        assert len(run.workunits) == 2
-        assert run.ok
-        text = run.render(spec.tables[0])
-        assert "FOM [s]" in text and "100.0" in text and "50.0" in text
-
-    def test_tags_apply(self):
-        data, actions = self.make_spec()
-        spec = load_spec(data, actions)
-        run = JubeRuntime().run(spec, tags=["opt"])
-        assert all(w.params["extra"] == 1 for w in run.workunits)
-        run_plain = JubeRuntime().run(spec)
-        assert all("extra" not in w.params for w in run_plain.workunits)
-
-    def test_python_mode_resolves(self):
-        data, actions = self.make_spec()
-        run = JubeRuntime().run(load_spec(data, actions))
-        tasks = sorted(w.params["tasks"] for w in run.workunits)
-        assert tasks == [4, 8]
-
-    def test_unknown_action_rejected(self):
-        data, actions = self.make_spec()
-        data["steps"][0]["do"] = "launch-missiles"
-        with pytest.raises(SpecError):
-            load_spec(data, actions)
-
-    def test_unknown_platform_rejected(self):
-        data, actions = self.make_spec(platform="summit")
-        with pytest.raises(SpecError):
-            load_spec(data, actions)
-
-    def test_missing_pieces_rejected(self):
-        with pytest.raises(SpecError):
-            load_spec({"steps": [{"name": "x"}]})
-        with pytest.raises(SpecError):
-            load_spec({"name": "toy"})  # no steps
-        with pytest.raises(SpecError):
-            load_spec({"name": "toy", "steps": [{"do": "x"}]},
-                      actions={"x": lambda c: None})
-
-    def test_bad_parameter_rejected(self):
-        data, actions = self.make_spec()
-        data["parametersets"][0]["parameters"].append(
-            {"name": "bad name!", "value": 1})
-        with pytest.raises(SpecError):
-            load_spec(data, actions)

@@ -11,9 +11,6 @@ import pytest
 
 from repro.core import MemoryVariant, load_suite
 from repro.exec import DiskCache, ExecutionEngine, MemoryCache
-from repro.jube.parameters import ParameterSet
-from repro.jube.runtime import BenchmarkSpec, JubeRuntime
-from repro.jube.steps import Step
 
 
 @pytest.fixture()
@@ -75,33 +72,6 @@ class TestRunAllEquivalence:
         assert foms(warm) == foms(cold)
         assert suite.engine.cache.stats.hits == len(names)
         assert suite.engine.journal.stats().executed == 0
-
-
-class TestJubeRuntimeFullSuite:
-    """The acceptance criterion, verbatim: ``JubeRuntime.run`` with
-    ``workers=8`` on a spec spanning the full registered suite."""
-
-    def _spec(self, suite) -> BenchmarkSpec:
-        def execute(ctx):
-            result = suite.run(ctx.params["benchmark"])
-            return {"fom_seconds": result.fom_seconds,
-                    "nodes": result.nodes}
-
-        pset = ParameterSet(name="suite").add("benchmark", suite.names())
-        return BenchmarkSpec(name="full-suite", parametersets=[pset],
-                             steps=[Step(name="execute", tasks=[execute])])
-
-    def test_workers8_identical_values_and_order(self, suite):
-        spec = self._spec(suite)
-        seq = JubeRuntime().run(spec)
-        par = JubeRuntime(engine=ExecutionEngine(workers=8)).run(spec)
-        assert seq.ok and par.ok
-        assert len(par.workunits) == len(suite.names())
-        assert [w.params["benchmark"] for w in par.workunits] == \
-            [w.params["benchmark"] for w in seq.workunits]
-        assert [w.outputs["execute"]["fom_seconds"]
-                for w in par.workunits] == \
-            [w.outputs["execute"]["fom_seconds"] for w in seq.workunits]
 
 
 class TestStudyEquivalence:

@@ -1,17 +1,11 @@
 """Fault-boundary tests: a benchmark stub that fails N times then
 succeeds exercises the retry/timeout paths, and a permanently failing
-workunit degrades a run instead of aborting it (``WorkunitRun.error``
-semantics preserved under the parallel engine)."""
+work item degrades a ``map`` instead of aborting its siblings."""
 
 import threading
 import time
 
-import pytest
-
 from repro.exec import ExecutionEngine, TaskTimeout, WorkItem
-from repro.jube.parameters import ParameterSet
-from repro.jube.runtime import BenchmarkSpec, JubeRuntime
-from repro.jube.steps import Step, StepError
 
 
 class FailNTimesStub:
@@ -131,49 +125,3 @@ class TestCooperativeTimeoutSemantics:
         out = engine.map([WorkItem(fn=two_ticks, label="ticks")])
         assert not out[0].ok
         assert isinstance(out[0].exception, TaskTimeout)
-
-
-def _spec(fail_on: int) -> BenchmarkSpec:
-    """A spec with 5 workunits where workunit ``fail_on`` always fails."""
-
-    def execute(ctx):
-        if ctx.params["i"] == fail_on:
-            raise RuntimeError("injected workunit failure")
-        return {"fom_seconds": 10.0 * ctx.params["i"] + 1.0}
-
-    pset = ParameterSet(name="sweep").add("i", [0, 1, 2, 3, 4])
-    return BenchmarkSpec(name="faulty", parametersets=[pset],
-                         steps=[Step(name="execute", tasks=[execute])])
-
-
-class TestJubeWorkunitFaults:
-    def test_keep_going_records_error_and_siblings_complete(self):
-        runtime = JubeRuntime(engine=ExecutionEngine(workers=4))
-        result = runtime.run(_spec(fail_on=2), keep_going=True)
-        assert not result.ok
-        errors = [w for w in result.workunits if not w.ok]
-        assert len(errors) == 1
-        assert errors[0].params["i"] == 2
-        assert "injected workunit failure" in errors[0].error
-        # siblings all completed with their outputs
-        oks = [w for w in result.workunits if w.ok]
-        assert [w.outputs["execute"]["fom_seconds"] for w in oks] == \
-            [1.0, 11.0, 31.0, 41.0]
-        # error-carrying workunits are excluded from records/tables
-        assert len(result.records()) == 4
-
-    def test_strict_mode_reraises_step_error(self):
-        runtime = JubeRuntime(engine=ExecutionEngine(workers=4))
-        with pytest.raises(StepError, match="injected workunit failure"):
-            runtime.run(_spec(fail_on=1), keep_going=False)
-
-    def test_engine_path_matches_sequential_semantics(self):
-        seq = JubeRuntime().run(_spec(fail_on=3), keep_going=True)
-        par = JubeRuntime(engine=ExecutionEngine(workers=8)).run(
-            _spec(fail_on=3), keep_going=True)
-        assert [w.params for w in seq.workunits] == \
-            [w.params for w in par.workunits]
-        assert [w.error for w in seq.workunits] == \
-            [w.error for w in par.workunits]
-        assert [w.outputs for w in seq.workunits] == \
-            [w.outputs for w in par.workunits]

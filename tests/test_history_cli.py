@@ -10,8 +10,6 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
-from repro.core import Baseline, ContinuousBenchmarking
-from repro.core.benchmark import BenchmarkResult
 from repro.history import HistoryStore, RunRecord
 
 
@@ -258,49 +256,3 @@ class TestReportTrajectorySection:
         out = capsys.readouterr().out
         assert "cost centres" in out or "telemetry report" in out
         assert "FOM trajectories (lower is better)" in out
-
-
-class TestContinuousIntegration:
-    def test_campaign_feeds_history_store(self, tmp_path):
-        base = Baseline.from_runs({"Arbor": [500.0, 501.0, 499.0]})
-        foms = iter([500.0, 500.5, 499.8, 560.0])
-
-        def runner(name):
-            return BenchmarkResult(benchmark=name, nodes=8,
-                                   fom_seconds=next(foms))
-
-        store = HistoryStore.open(tmp_path / "h.jsonl")
-        campaign = ContinuousBenchmarking(base, runner, store=store)
-        for _ in range(4):
-            campaign.run_interval()
-        [records] = store.select("Arbor").values()
-        assert [r.seq for r in records] == [0, 1, 2, 3]
-        assert records[-1].fom_seconds == pytest.approx(560.0)
-        assert records[0].volatile["interval"] == 0
-
-    def test_campaign_verdicts_from_detector(self, tmp_path):
-        base = Baseline.from_runs({"Arbor": [500.0, 501.0, 499.0]})
-        rng = random.Random(7)
-        foms = [500.0 * (1.0 + 0.005 * (2.0 * rng.random() - 1.0))
-                for _ in range(8)] + [575.0]
-
-        def runner(name):
-            return BenchmarkResult(benchmark=name, nodes=8,
-                                   fom_seconds=foms[len(campaign.history)])
-
-        store = HistoryStore()
-        campaign = ContinuousBenchmarking(base, runner, store=store)
-        assert campaign.verdicts() == {}  # nothing recorded yet
-        for _ in range(len(foms)):
-            campaign.run_interval()
-        [(key, verdict)] = campaign.verdicts().items()
-        assert key.startswith("Arbor-")
-        assert verdict.status == "regression"
-
-    def test_campaign_without_store_unchanged(self):
-        base = Baseline.from_runs({"Arbor": [500.0]})
-        campaign = ContinuousBenchmarking(
-            base, lambda name: BenchmarkResult(benchmark=name, nodes=8,
-                                               fom_seconds=500.0))
-        campaign.run_interval()
-        assert campaign.verdicts() == {}

@@ -113,11 +113,8 @@ class TestClassify:
         with pytest.raises(ValueError):
             RegressionDetector(burn_in=1)
 
-    def test_latest_and_empty(self):
-        det = RegressionDetector()
-        assert det.latest([]) is None
-        assert det.classify([]) == []
-        assert det.latest(stationary(1, 10)).index == 9
+    def test_empty_series_has_no_verdicts(self):
+        assert RegressionDetector().classify([]) == []
 
 
 class TestChangePoints:

@@ -15,9 +15,9 @@ from repro.history import (
     HISTORY_SCHEMA,
     HistoryStore,
     RunRecord,
+    build_record,
     code_fingerprint,
     machine_config_hash,
-    record,
     stamp,
 )
 from repro.history.store import HistoryError, is_history_file
@@ -122,7 +122,7 @@ class TestStamps:
 
     def test_record_builder_stamps_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_VMPI_MODE", "step")   # no longer read
-        rec = record("ICON", 10.0, system=juwels_booster(), seed=7)
+        rec = build_record("ICON", 10.0, system=juwels_booster(), seed=7)
         assert rec.vmpi_mode == "event"   # the constant old series carry
         assert rec.machine == "JUWELS Booster"
         assert rec.machine_hash == machine_config_hash(juwels_booster())
@@ -135,7 +135,7 @@ class TestStamps:
             pass
         with tracer.span("phase:a"):
             pass
-        rec = record("ICON", 10.0, tracer=tracer, code="c")
+        rec = build_record("ICON", 10.0, tracer=tracer, code="c")
         assert rec.spans == {"phase:a": {"count": 2}}
         # wall-clock totals are provenance, outside the canonical form
         assert rec.volatile["span_seconds"]["phase:a"] == pytest.approx(2.0)
@@ -149,7 +149,7 @@ class TestStamps:
             suite.run_all(["Arbor", "STREAM"])
         finally:
             suite.engine = None
-        rec = record("suite", 1.0, engine=engine, code="c")
+        rec = build_record("suite", 1.0, engine=engine, code="c")
         assert rec.journal == engine.journal.digest()
         # the digest is canonical: independent of worker scheduling
         assert rec.journal == engine.journal.canonical().digest()
@@ -351,10 +351,10 @@ class TestEngineIntegration:
             suite.engine = None
         store = HistoryStore()
         for res in results:
-            store.append(record(res.benchmark, res.fom_seconds,
-                                params={"nodes": res.nodes},
-                                system=juwels_booster(), engine=engine,
-                                code="pinned"))
+            store.append(build_record(res.benchmark, res.fom_seconds,
+                                      params={"nodes": res.nodes},
+                                      system=juwels_booster(),
+                                      engine=engine, code="pinned"))
         return store.canonical_export()
 
     def test_canonical_export_byte_identical_across_workers(self):

@@ -258,6 +258,99 @@ class TestImplementationTable:
         assert load_implementation(name).info.name == name
 
 
+#: the package's modules no command reaches, each with its reason
+#: (ROADMAP item 4: every module is reached by a command a user types,
+#: or it is deleted).  Only ever shrinks.
+UNREACHED = {
+    "repro.analysis.models":
+        "item 4, wire: fig3 is to overlay the JUQCS network model and the "
+        "nekRS predictor; fig3 stdout is pinned by the benchmark",
+    "repro.core.procurement":
+        "item 4, wire: `jubench procurement` is to evaluate proposals "
+        "through ProcurementEvaluation instead of its hard-coded demo",
+    "repro.core.highscaling":
+        "item 4, wire: fig3 is to report the High-Scaling ratio and the "
+        "extrapolated partition per app",
+    "repro.apps.lattice.distributed":
+        "item 14: the distributed real-mode kernel `run --real` is to run",
+    "repro.apps.ai.parallelism":
+        "item 14: the distributed real-mode kernel `run --real` is to run",
+}
+
+#: one cheap ``main(argv)`` per subcommand, in one fresh interpreter,
+#: then the ``python -m`` entry points CI runs (~1 s in all)
+REACH_CHILD = """
+import contextlib, importlib.util, io, json, os, runpy, shutil, sys
+import tempfile
+import repro.cli
+tmp = tempfile.mkdtemp()
+db, trace, spool, cache = (os.path.join(tmp, n) for n in
+                           ("h.jsonl", "t.jsonl", "spool", "cache"))
+commands = [
+    ["list"], ["table1"], ["table2"],
+    ["run", "STREAM", "--history", db, "--trace-out", trace],
+    ["suite", "--history", db],
+    ["fig2", "--apps", "Arbor"],
+    ["fig3", "--nodes", "16"],
+    ["describe", "STREAM", "--sample"],
+    ["report", trace], ["history", db], ["regress", db],
+    ["check", "--no-runtime", "--rules", "DET001", "--cache-dir", cache],
+    ["chaos", "--benchmarks", "STREAM", "--workers", "1", "--jobs", "1"],
+    ["submit", "--spool", spool, "--benchmarks", "STREAM"],
+    ["serve", "--spool", spool],
+    ["procurement"],
+]
+entry_points = [
+    ("repro", ["list"]),
+    ("repro.telemetry", [trace]),
+    ("repro.telemetry.selfcheck", []),
+    ("repro.check", ["--no-runtime", "--rules", "DET001",
+                     "--cache-dir", cache]),
+]
+codes, reached = {}, set()
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    for argv in commands:
+        codes[argv[0]] = repro.cli.main(argv)
+    for module, args in entry_points:
+        sys.argv = [module, *args]
+        try:
+            runpy.run_module(module, run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            codes[module] = exc.code
+        # runpy runs a package's ``__main__`` as ``__main__``
+        spec = importlib.util.find_spec(module)
+        reached.add(f"{module}.__main__" if spec.submodule_search_locations
+                    else module)
+shutil.rmtree(tmp)
+reached |= {m for m in sys.modules if m.partition(".")[0] == "repro"}
+print(json.dumps({"codes": codes, "reached": sorted(reached)}))
+"""
+
+
+def package_modules() -> set[str]:
+    """Every module of ``repro``, by file (nothing is imported)."""
+    names = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        names.add(".".join(parts[:-1] if parts[-1] == "__init__"
+                           else parts))
+    return names
+
+
+class TestEveryModuleIsReached:
+    def test_commands_reach_every_module_but_the_allowlist(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", REACH_CHILD],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert set(out["codes"].values()) == {0}, out["codes"]
+        unreached = package_modules() - set(out["reached"])
+        assert unreached == set(UNREACHED)
+
+
 def lazy_packages() -> list[str]:
     found = []
     for mod in pkgutil.walk_packages(repro.__path__, "repro."):
@@ -270,12 +363,12 @@ def lazy_packages() -> list[str]:
 
 class TestLazyFacades:
     def test_every_reexporting_package_is_lazy(self):
-        # history re-exports ``record`` from its submodule ``record``;
-        # the import system would bind the submodule over a lazy name
+        # ``check.rules`` is the rule registry: ``RULE_CLASSES`` needs
+        # every rule module at import
         eager = {m.name for m in pkgutil.walk_packages(repro.__path__,
                                                        "repro.")
                  if m.ispkg} - set(lazy_packages())
-        assert eager == {"repro.history", "repro.check.rules"}
+        assert eager == {"repro.check.rules"}
 
     @pytest.mark.parametrize("package", lazy_packages())
     def test_all_resolves_and_unknown_raises(self, package):

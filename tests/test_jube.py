@@ -1,284 +1,8 @@
-"""Tests for the JUBE workflow layer: parameters, steps, platforms,
-runtime and result tables."""
+"""Tests for the JUBE-style result tables (``repro.jube.result``)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.jube import (
-    JUWELS_BOOSTER,
-    BenchmarkSpec,
-    JubeRuntime,
-    Parameter,
-    ParameterError,
-    ParameterSet,
-    Step,
-    StepContext,
-    StepError,
-    expand,
-    get_platform,
-    resolve,
-    step_order,
-    table,
-)
-
-
-class TestParameters:
-    def test_plain_values(self):
-        pset = ParameterSet("p").add("nodes", 8).add("name", "arbor")
-        assert resolve([pset]) == {"nodes": 8, "name": "arbor"}
-
-    def test_substitution_chain(self):
-        pset = (ParameterSet("p")
-                .add("nodes", 8)
-                .add("tasks_per_node", 4)
-                .add("tasks", "$nodes * $tasks_per_node", mode="python"))
-        assert resolve([pset])["tasks"] == 32
-
-    def test_substitution_braces(self):
-        pset = ParameterSet("p").add("base", "run").add("dir", "${base}_out")
-        assert resolve([pset])["dir"] == "run_out"
-
-    def test_later_set_overrides(self):
-        a = ParameterSet("a").add("nodes", 8)
-        b = ParameterSet("b").add("nodes", 16)
-        assert resolve([a, b])["nodes"] == 16
-
-    def test_unresolved_reference_raises(self):
-        pset = ParameterSet("p").add("x", "$missing")
-        with pytest.raises(ParameterError):
-            resolve([pset])
-
-    def test_cycle_detected(self):
-        pset = ParameterSet("p").add("a", "$b").add("b", "$a")
-        with pytest.raises(ParameterError):
-            resolve([pset])
-
-    def test_python_mode_error_wrapped(self):
-        pset = ParameterSet("p").add("x", "1 /", mode="python")
-        with pytest.raises(ParameterError):
-            resolve([pset])
-
-    def test_python_mode_restricted(self):
-        pset = ParameterSet("p").add("x", "__import__('os')", mode="python")
-        with pytest.raises(ParameterError):
-            resolve([pset])
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(ParameterError):
-            Parameter(name="bad name", value=1)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            Parameter(name="x", value=1, mode="shell")
-
-
-class TestTags:
-    def test_tagged_parameter_selected(self):
-        pset = (ParameterSet("p")
-                .add("qubits", 36)
-                .add("qubits", 41, tags=["small"])
-                .add("qubits", 42, tags=["large"]))
-        assert resolve([pset])["qubits"] == 36
-        assert resolve([pset], tags=["small"])["qubits"] == 41
-        assert resolve([pset], tags=["large"])["qubits"] == 42
-
-    def test_inactive_tag_dropped(self):
-        pset = ParameterSet("p").add("only_hs", 1, tags=["highscale"])
-        assert "only_hs" not in resolve([pset])
-
-
-class TestExpansion:
-    def test_multivalue_product(self):
-        pset = (ParameterSet("p")
-                .add("nodes", [4, 8, 16])
-                .add("variant", ["S", "L"]))
-        combos = expand([pset])
-        assert len(combos) == 6
-        assert {c["nodes"] for c in combos} == {4, 8, 16}
-
-    def test_expansion_resolves_refs(self):
-        pset = (ParameterSet("p")
-                .add("nodes", [2, 4])
-                .add("tasks", "$nodes * 4", mode="python"))
-        combos = expand([pset])
-        assert sorted(c["tasks"] for c in combos) == [8, 16]
-
-    def test_single_combo_without_multivalues(self):
-        pset = ParameterSet("p").add("nodes", 8)
-        assert expand([pset]) == [{"nodes": 8}]
-
-    def test_resolve_rejects_multivalue(self):
-        pset = ParameterSet("p").add("nodes", [1, 2])
-        with pytest.raises(ParameterError):
-            resolve([pset])
-
-    @given(st.lists(st.integers(min_value=1, max_value=5),
-                    min_size=1, max_size=3))
-    @settings(max_examples=20, deadline=None)
-    def test_expansion_size_is_product(self, sizes):
-        pset = ParameterSet("p")
-        for i, size in enumerate(sizes):
-            pset.add(f"p{i}", list(range(size)))
-        combos = expand([pset])
-        expected = 1
-        for s in sizes:
-            expected *= s
-        assert len(combos) == expected
-
-
-class TestSteps:
-    def test_step_order_topological(self):
-        steps = [
-            Step("verify", depends=("execute",)),
-            Step("compile"),
-            Step("execute", depends=("compile",)),
-        ]
-        assert [s.name for s in step_order(steps)] == \
-            ["compile", "execute", "verify"]
-
-    def test_unknown_dependency(self):
-        with pytest.raises(StepError):
-            step_order([Step("a", depends=("ghost",))])
-
-    def test_cycle(self):
-        with pytest.raises(StepError):
-            step_order([Step("a", depends=("b",)), Step("b", depends=("a",))])
-
-    def test_duplicate_names(self):
-        with pytest.raises(StepError):
-            step_order([Step("a"), Step("a")])
-
-    def test_task_outputs_merge(self):
-        step = Step("s", tasks=[lambda ctx: {"x": 1}, lambda ctx: {"y": 2}])
-        ctx = StepContext(params={}, results={})
-        assert step.run(ctx) == {"x": 1, "y": 2}
-
-    def test_task_sees_prior_task_output(self):
-        step = Step("s", tasks=[
-            lambda ctx: {"x": 10},
-            lambda ctx: {"y": ctx.output("s", "x") + 1},
-        ])
-        ctx = StepContext(params={}, results={})
-        assert step.run(ctx)["y"] == 11
-
-    def test_task_exception_wrapped(self):
-        def boom(ctx):
-            raise ZeroDivisionError("1/0")
-        step = Step("s", tasks=[boom])
-        with pytest.raises(StepError):
-            step.run(StepContext(params={}, results={}))
-
-    def test_iterations_recorded(self):
-        counter = {"n": 0}
-
-        def tick(ctx):
-            counter["n"] += 1
-            return {"n": counter["n"]}
-
-        step = Step("s", tasks=[tick], iterations=3)
-        out = step.run(StepContext(params={}, results={}))
-        assert out["n"] == 3
-        assert len(out["iterations"]) == 3
-
-    def test_invalid_iterations(self):
-        with pytest.raises(StepError):
-            Step("s", iterations=0)
-
-
-class TestPlatform:
-    def test_booster_parameters(self):
-        params = resolve([JUWELS_BOOSTER.parameterset()])
-        assert params["system_nodes"] == 936
-        assert params["gpus_per_node"] == 4
-        assert params["queue"] == "booster"
-
-    def test_inheritance_overrides(self):
-        jupiter = get_platform("jupiter-booster")
-        params = resolve([jupiter.parameterset()])
-        assert params["platform"] == "jupiter-booster"
-        assert params["system_nodes"] > 936  # bigger machine wins
-
-    def test_unknown_platform(self):
-        with pytest.raises(KeyError):
-            get_platform("summit")
-
-
-class TestRuntime:
-    def make_spec(self):
-        pset = (ParameterSet("bench")
-                .add("nodes", [2, 4])
-                .add("steps_count", 10)
-                .add("work", "$nodes * $steps_count", mode="python"))
-
-        def execute(ctx):
-            return {"fom_seconds": 100.0 / ctx.params["nodes"]}
-
-        def verify(ctx):
-            return {"verified": ctx.output("execute", "fom_seconds") > 0}
-
-        return BenchmarkSpec(
-            name="toy",
-            parametersets=[pset],
-            steps=[Step("execute", tasks=[execute]),
-                   Step("verify", tasks=[verify], depends=("execute",))],
-            tables=[table("fom", "nodes", ("fom_seconds", "FOM [s]", ".1f"),
-                          sort_by="nodes")],
-        )
-
-    def test_run_expands_workunits(self):
-        res = JubeRuntime().run(self.make_spec())
-        assert len(res.workunits) == 2
-        assert res.ok
-
-    def test_outputs_collected(self):
-        res = JubeRuntime().run(self.make_spec())
-        by_nodes = {w.params["nodes"]: w for w in res.workunits}
-        assert by_nodes[4].outputs["execute"]["fom_seconds"] == pytest.approx(25.0)
-        assert by_nodes[2].outputs["verify"]["verified"] is True
-
-    def test_render_table(self):
-        spec = self.make_spec()
-        res = JubeRuntime().run(spec)
-        text = res.render(spec.tables[0])
-        assert "FOM [s]" in text
-        assert "50.0" in text and "25.0" in text
-
-    def test_keep_going_records_error(self):
-        def boom(ctx):
-            if ctx.params["nodes"] == 4:
-                raise RuntimeError("gpu fell off")
-            return {"fom_seconds": 1.0}
-
-        spec = BenchmarkSpec(
-            name="fragile",
-            parametersets=[ParameterSet("p").add("nodes", [2, 4])],
-            steps=[Step("execute", tasks=[boom])],
-        )
-        res = JubeRuntime().run(spec, keep_going=True)
-        assert not res.ok
-        assert sum(1 for w in res.workunits if w.ok) == 1
-
-    def test_failure_raises_without_keep_going(self):
-        def boom(ctx):
-            raise RuntimeError("no")
-
-        spec = BenchmarkSpec(name="f", parametersets=[],
-                             steps=[Step("execute", tasks=[boom])])
-        with pytest.raises(StepError):
-            JubeRuntime().run(spec)
-
-    def test_env_passed_to_context(self):
-        seen = {}
-
-        def peek(ctx):
-            seen["env"] = ctx.env.get("machine")
-            return {}
-
-        spec = BenchmarkSpec(name="e", parametersets=[],
-                             steps=[Step("s", tasks=[peek])])
-        JubeRuntime(env={"machine": "booster"}).run(spec)
-        assert seen["env"] == "booster"
+from repro.jube import table
 
 
 class TestResultTable:
