@@ -120,11 +120,33 @@ def _select(wanted, known=None, what: str = "benchmark(s)") -> list[str]:
     return [name for name in known if not wanted or name in wanted]
 
 
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    """The shared execution-engine options of run-style commands."""
+def _output_path(path: str) -> str:
+    """The argparse ``type`` of every option naming a file a command
+    writes, so it is refused while the command line is parsed, not when
+    it is opened after the run: its directory must exist (none is
+    created) and it must not be a directory (``-`` passes).  argparse
+    lets the ``OSError`` through; ``main`` prints it as one error line
+    naming the path as given."""
+    if path == "-":
+        return path
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return path
+    raise OSError(code, os.strerror(code), path)
+
+
+def _add_pool_options(parser: argparse.ArgumentParser):
+    """The pool, result-cache, fault and observability options of every
+    engine command and ``serve``; returns the engine and observability
+    groups for ``_add_engine_options`` to extend."""
     group = parser.add_argument_group("execution engine")
     group.add_argument("--workers", type=_positive_int, default=1,
-                       help="parallel workers for independent workunits")
+                       help="parallel workers for independent workunits "
+                            "(per endpoint under serve)")
     group.add_argument("--backend", choices=["serial", "thread", "process"],
                        default="thread", help="pool backend (default thread)")
     group.add_argument("--cache-dir", default=None,
@@ -132,40 +154,71 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
                             "directory (reused across invocations)")
     group.add_argument("--no-cache", action="store_true",
                        help="disable result memoisation")
+    flt = parser.add_argument_group("fault injection")
+    flt.add_argument("--faults", default=None, metavar="PLAN.json",
+                     help="inject faults from a declarative FaultPlan "
+                          "file (see repro.faults); under serve its node "
+                          "crashes map onto endpoints by registration "
+                          "index")
+    flt.add_argument("--fault-seed", type=int, default=None, metavar="N",
+                     help="generate a reproducible fault plan from this "
+                          "seed instead of a plan file")
+    obs = parser.add_argument_group("observability")
+    obs.add_argument("--trace-out", default=None, type=_output_path,
+                     metavar="FILE",
+                     help="write the telemetry trace: *.jsonl streams "
+                          "events as they happen, *.json is a Chrome "
+                          "trace_event file (Perfetto)")
+    obs.add_argument("--metrics", action="store_true",
+                     help="print the metrics-registry report at the end")
+    return group, obs
+
+
+def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+    """The run-style commands' options: the pool's, plus per-task
+    retries, the run journal and the history DB."""
+    group, obs = _add_pool_options(parser)
     group.add_argument("--retries", type=_at_least(0), default=None,
                        metavar="N",
                        help="retry budget per task (default 0; under a "
                             "fault plan, the plan's worst-case failure "
                             "count)")
     group.add_argument("--journal", nargs="?", const="-", default=None,
-                       metavar="PATH",
+                       type=_output_path, metavar="PATH",
                        help="print the per-task run journal at the end; "
                             "with PATH, save it as telemetry JSONL instead")
-    flt = parser.add_argument_group("fault injection")
-    flt.add_argument("--faults", default=None, metavar="PLAN.json",
-                     help="inject faults from a declarative FaultPlan "
-                          "file (see repro.faults)")
-    flt.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                     help="generate a reproducible fault plan from this "
-                          "seed instead of a plan file")
-    obs = parser.add_argument_group("observability")
-    obs.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="write the telemetry trace: *.jsonl streams "
-                          "events as they happen, *.json is a Chrome "
-                          "trace_event file (Perfetto)")
-    obs.add_argument("--metrics", action="store_true",
-                     help="print the metrics-registry report at the end")
-    obs.add_argument("--history", default=None, metavar="DB.jsonl",
+    obs.add_argument("--history", default=None, type=_output_path,
+                     metavar="DB.jsonl",
                      help="append provenance-stamped run records to this "
                           "performance-history database (inspect with "
                           "'jubench history', analyse with "
                           "'jubench regress')")
 
 
+def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
+    """The ``names`` options, each of which means the same on several
+    subcommands and is declared only here (as literal ``add_argument``
+    calls, so XLY402 still sees every flag)."""
+    if "db" in names:
+        parser.add_argument("db", help="history database (JSONL, from "
+                                       "--history)")
+    if "--benchmark" in names:
+        parser.add_argument("--benchmark", default=None, metavar="NAME",
+                            help="restrict to one benchmark's series")
+    if "--last" in names:
+        parser.add_argument("--last", type=_positive_int, default=10,
+                            metavar="N", help="trajectory points shown per "
+                                              "series (default 10)")
+    if "--benchmarks" in names:
+        parser.add_argument("--benchmarks", default="",
+                            help="comma-separated subset (default: all)")
+    if "--scale" in names:
+        parser.add_argument("--scale", type=_scale, default=1.0)
+
+
 def _fault_plan(args: argparse.Namespace):
     """The fault plan an invocation asked for (file, seed, or None)."""
-    path = getattr(args, "faults", None)
-    seed = getattr(args, "fault_seed", None)
+    path, seed = args.faults, args.fault_seed
     if not path and seed is None:
         return None
     from .faults import FaultPlan
@@ -175,19 +228,30 @@ def _fault_plan(args: argparse.Namespace):
     return FaultPlan.generate(seed, nodes=32)
 
 
-def _make_engine(args: argparse.Namespace):
-    """Build the execution engine an exec-style command asked for."""
+def _engine_kwargs(args: argparse.Namespace) -> dict:
+    """The pool, result cache and tracer of an engine command (``serve``
+    shares one set across its endpoints).  The tracer is the one
+    ``--trace-out``/``--metrics`` installed, so engine task spans, suite
+    driver spans and vmpi events land on one timeline."""
     from .exec.cache import DiskCache, MemoryCache
-    from .exec.engine import ExecutionEngine
     from .telemetry.spans import current_tracer
 
     cache = None
     if not args.no_cache:
         cache = DiskCache(args.cache_dir) if args.cache_dir \
             else MemoryCache()
+    tracer = current_tracer()
+    return {"workers": args.workers, "backend": args.backend,
+            "cache": cache, "tracer": tracer if tracer.enabled else None}
+
+
+def _make_engine(args: argparse.Namespace):
+    """Build the execution engine an exec-style command asked for."""
+    from .exec.engine import ExecutionEngine
+
     plan = _fault_plan(args)
     faults = backoff = breaker = None
-    retries = getattr(args, "retries", None)
+    retries = args.retries
     if plan is not None:
         from .exec.resilience import BackoffPolicy, CircuitBreaker
         from .faults import FaultInjector
@@ -198,38 +262,30 @@ def _make_engine(args: argparse.Namespace):
         if retries is None:
             # survivable by default: the plan's worst case fits the budget
             retries = plan.max_task_failures()
-    # Under --trace-out/--metrics a tracer is installed globally before
-    # dispatch; sharing it puts engine task spans, suite driver spans
-    # and vmpi events on one timeline.
-    ambient = current_tracer()
-    return ExecutionEngine(workers=args.workers, backend=args.backend,
-                           cache=cache, retries=retries or 0,
-                           tracer=ambient if ambient.enabled else None,
+    return ExecutionEngine(**_engine_kwargs(args), retries=retries or 0,
                            faults=faults, backoff=backoff, breaker=breaker)
 
 
-def _check_output(path: str) -> None:
-    """Refuse, before anything runs, an output file that would only be
-    opened after the run and fail there: its directory must exist (none
-    is created) and it must not be a directory itself."""
-    parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-    else:
+def _deliver(path: str | None, doc: str, note: str) -> None:
+    """Write a whole-file artifact: no path or ``-`` is stdout, else
+    ``replace_file`` (temp file, then rename) and a ``note -> path``
+    line."""
+    if not path or path == "-":
+        sys.stdout.write(doc if doc.endswith("\n") else doc + "\n")
         return
-    raise OSError(code, os.strerror(code), path)
+    from .exec.jsonl import replace_file
+
+    replace_file(path, doc)
+    print(f"{note} -> {path}")
 
 
 def _history_store(args: argparse.Namespace):
     """The history DB an invocation appends to (or ``None``)."""
-    path = getattr(args, "history", None)
-    if not path:
+    if not args.history:
         return None
     from .history import HistoryStore
 
-    return HistoryStore.open(path)
+    return HistoryStore.open(args.history)
 
 
 def _open_history(path: str):
@@ -436,7 +492,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_history(args: argparse.Namespace) -> int:
-    from .exec.jsonl import replace_file
     from .history.report import render_trajectory
 
     store = _open_history(args.db)
@@ -446,12 +501,8 @@ def _cmd_history(args: argparse.Namespace) -> int:
         print(f"history: compacted {before} -> {len(store)} record(s) "
               f"(keeping the last {args.compact} per series)")
     if args.export is not None:
-        doc = store.canonical_export()
-        if args.export == "-":
-            sys.stdout.write(doc)
-        else:
-            replace_file(args.export, doc)
-            print(f"history: canonical export -> {args.export}")
+        _deliver(args.export, store.canonical_export(),
+                 "history: canonical export")
         return 0
     print(render_trajectory(store, last=args.last,
                             benchmark=args.benchmark), end="")
@@ -490,12 +541,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     from . import check as chk
     from .exec.cache import DiskCache
-    from .exec.jsonl import replace_file
 
     package_root = Path(__file__).resolve().parent
     repo_root = package_root.parent.parent
     baseline_path = Path(args.baseline) if args.baseline \
         else repo_root / "check-baseline.json"
+    if args.write_baseline:     # an output then: refused before the run
+        _output_path(args.baseline or str(baseline_path))
     if args.baseline and not args.write_baseline and \
             not baseline_path.is_file():
         # only the default baseline may be absent (= empty)
@@ -505,22 +557,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise _UsageError(f"{baseline_path}: not a baseline file "
                           f"({exc!r})") from None
-    only = [r.strip() for r in args.rules.split(",") if r.strip()] \
-        if args.rules else []
-    disable = [r.strip() for r in args.disable.split(",") if r.strip()] \
-        if args.disable else []
+    only, disable = _names(args.rules), _names(args.disable)
     # --select/--ignore expand rule-family prefixes (e.g. COMM, UNIT3)
     # into the same only/disable machinery, so family filters reach the
     # incremental cache key exactly like explicit --rules lists
     try:
         if args.select:
             only.extend(rid for rid in chk.expand_rule_prefixes(
-                [p.strip() for p in args.select.split(",") if p.strip()])
-                if rid not in only)
+                _names(args.select)) if rid not in only)
         if args.ignore:
             disable.extend(rid for rid in chk.expand_rule_prefixes(
-                [p.strip() for p in args.ignore.split(",") if p.strip()])
-                if rid not in disable)
+                _names(args.ignore)) if rid not in disable)
         analyzer = chk.Analyzer(baseline=baseline, only=only,
                                 disable=disable)
     except ValueError as exc:  # a prefix or id that names no rule
@@ -556,11 +603,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         out = chk.render_human(report, strict=args.strict,
                                explain=args.explain)
-    if args.output:
-        replace_file(args.output, out)
-        print(f"check: report -> {args.output}")
-    else:
-        print(out, end="" if out.endswith("\n") else "\n")
+    _deliver(args.output, out, "check: report")
     status = 1 if report.failed(args.strict) else 0
     if args.sanitize:
         status = max(status, _sanitize_smoke())
@@ -703,12 +746,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                  for name in names]
     if args.direct:
         store = execute_direct(envelopes, suite=suite)
-        doc = store.canonical_export()
-        if not args.export or args.export == "-":
-            sys.stdout.write(doc)
-        else:
-            replace_file(args.export, doc)
-            print(f"submit: direct canonical export -> {args.export}")
+        _deliver(args.export, store.canonical_export(),
+                 "submit: direct canonical export")
         return 0
     if not args.spool:
         raise SystemExit("jubench submit: --spool DIR is required "
@@ -737,11 +776,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .core.suite import load_suite
-    from .exec.cache import DiskCache, MemoryCache
     from .exec.engine import ExecutionEngine
     from .exec.jsonl import replace_file
     from .faults import FaultPlan
-    from .telemetry.spans import current_tracer
     from .service import (
         BenchmarkService,
         Capabilities,
@@ -764,18 +801,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         heartbeat_threshold=args.heartbeat_threshold,
         max_backlog=args.max_backlog, store=store,
         faults=plan if plan is not None else FaultPlan())
-    cache = None
-    if not args.no_cache:
-        cache = DiskCache(args.cache_dir) if args.cache_dir \
-            else MemoryCache()
+    shared = _engine_kwargs(args)
     suite = load_suite()
-    ambient = current_tracer()
     for i in range(args.endpoints):
-        engine = ExecutionEngine(
-            workers=args.workers, backend=args.backend, cache=cache,
-            tracer=ambient if ambient.enabled else None)
         service.register_endpoint(LocalEndpoint(
-            f"ep{i}", suite=suite, engine=engine,
+            f"ep{i}", suite=suite, engine=ExecutionEngine(**shared),
             capabilities=Capabilities(workers=args.workers,
                                       backend=args.backend)))
     futures = [service.submit(env) for env in envelopes]
@@ -790,12 +820,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         replace_file(args.dispatch_log, service.log_json())
         print(f"serve: dispatch log -> {args.dispatch_log}")
     if args.export:
-        doc = store.canonical_export()
-        if args.export == "-":
-            sys.stdout.write(doc)
-        else:
-            replace_file(args.export, doc)
-            print(f"serve: canonical export -> {args.export}")
+        _deliver(args.export, store.canonical_export(),
+                 "serve: canonical export")
     return 0 if all(f.status == "ok" for f in futures) else 1
 
 
@@ -851,16 +877,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["T", "S", "M", "L"], default=None)
     p.add_argument("--real", action="store_true",
                    help="real (verifying) mode instead of timing mode")
-    p.add_argument("--scale", type=_scale, default=1.0)
+    _add_shared(p, "--scale")
     _add_engine_options(p)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("suite",
                        help="run every registered benchmark (parallel + "
                             "incremental via the execution engine)")
-    p.add_argument("--benchmarks", default="",
-                   help="comma-separated subset (default: all)")
-    p.add_argument("--scale", type=_scale, default=1.0)
+    _add_shared(p, "--benchmarks", "--scale")
     _add_engine_options(p)
     p.set_defaults(fn=_cmd_suite)
 
@@ -895,19 +919,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", default=None, metavar="DB.jsonl",
                    help="additionally render the FOM-trajectory section "
                         "from this history database")
-    p.add_argument("--last", type=_positive_int, default=10, metavar="N",
-                   help="trajectory points shown per series (default 10)")
+    _add_shared(p, "--last")
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("history",
                        help="inspect the performance-history database "
                             "(trajectories, canonical export, retention)")
-    p.add_argument("db", help="history database (JSONL, from --history)")
-    p.add_argument("--benchmark", default=None, metavar="NAME",
-                   help="restrict to one benchmark's series")
-    p.add_argument("--last", type=_positive_int, default=10, metavar="N",
-                   help="trajectory points shown per series (default 10)")
-    p.add_argument("--export", default=None, metavar="FILE",
+    _add_shared(p, "db", "--benchmark", "--last")
+    p.add_argument("--export", default=None, type=_output_path,
+                   metavar="FILE",
                    help="write the canonical byte-stable JSON export "
                         "('-' for stdout) instead of rendering")
     p.add_argument("--compact", type=_positive_int, default=None,
@@ -919,9 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regress",
                        help="deterministic change-point / regression "
                             "detection over the history database")
-    p.add_argument("db", help="history database (JSONL, from --history)")
-    p.add_argument("--benchmark", default=None, metavar="NAME",
-                   help="restrict to one benchmark's series")
+    _add_shared(p, "db", "--benchmark")
     p.add_argument("--window", type=_at_least(2), default=8, metavar="N",
                    help="stationary-window length for the baseline "
                         "(default 8)")
@@ -945,7 +963,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "runtime sanitizers")
     p.add_argument("--format", choices=["human", "json", "sarif"],
                    default="human", help="report format")
-    p.add_argument("--output", default=None, metavar="FILE",
+    p.add_argument("--output", default=None, type=_output_path,
+                   metavar="FILE",
                    help="write the report to FILE instead of stdout")
     p.add_argument("--baseline", default=None, metavar="PATH",
                    help="baseline file (default: check-baseline.json "
@@ -1004,11 +1023,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retry budget (default: the plan's worst case)")
     p.add_argument("--jobs", type=_at_least(0), default=6,
                    help="jobs in the scheduler chaos phase")
-    p.add_argument("--journal-out", default=None, metavar="PATH",
+    p.add_argument("--journal-out", default=None, type=_output_path,
+                   metavar="PATH",
                    help="write the canonical (byte-stable) journal JSONL")
-    p.add_argument("--trace-json", default=None, metavar="PATH",
+    p.add_argument("--trace-json", default=None, type=_output_path,
+                   metavar="PATH",
                    help="write the deterministic chaos Chrome trace")
-    p.add_argument("--save-plan", default=None, metavar="PATH",
+    p.add_argument("--save-plan", default=None, type=_output_path,
+                   metavar="PATH",
                    help="save the effective fault plan as JSON")
     p.set_defaults(fn=_cmd_chaos)
 
@@ -1022,14 +1044,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--client", default="cli", metavar="NAME",
                    help="client identity stamped on the envelopes "
                         "(default 'cli')")
-    p.add_argument("--benchmarks", default="",
-                   help="comma-separated subset (default: all)")
-    p.add_argument("--scale", type=_scale, default=1.0)
+    _add_shared(p, "--benchmarks", "--scale")
     p.add_argument("--direct", action="store_true",
                    help="bypass the service: execute the envelopes "
                         "in-process and emit the canonical export "
                         "(the byte-identity baseline)")
-    p.add_argument("--export", default=None, metavar="FILE",
+    p.add_argument("--export", default=None, type=_output_path,
+                   metavar="FILE",
                    help="with --direct: write the canonical byte-stable "
                         "JSON export ('-' or omitted for stdout)")
     p.set_defaults(fn=_cmd_submit)
@@ -1043,15 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(from 'jubench submit --spool DIR')")
     p.add_argument("--endpoints", type=_positive_int, default=2, metavar="N",
                    help="local endpoints to register (default 2)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="execution-engine workers per endpoint")
-    p.add_argument("--backend", choices=["serial", "thread", "process"],
-                   default="thread", help="pool backend (default thread)")
-    p.add_argument("--cache-dir", default=None,
-                   help="persist the shared result cache as JSON in "
-                        "this directory")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable result memoisation")
     p.add_argument("--heartbeat-period", type=float, default=5.0,
                    metavar="S", help="endpoint heartbeat period in "
                                      "virtual seconds (default 5)")
@@ -1062,26 +1074,19 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N", help="per-client queue bound; excess "
                                      "submissions are rejected "
                                      "explicitly (default 64)")
-    p.add_argument("--results", default=None, metavar="FILE.jsonl",
+    p.add_argument("--results", default=None, type=_output_path,
+                   metavar="FILE.jsonl",
                    help="persist the durable result store (append-only "
                         "JSONL journal of result envelopes)")
-    p.add_argument("--export", default=None, metavar="FILE",
+    p.add_argument("--export", default=None, type=_output_path,
+                   metavar="FILE",
                    help="write the canonical byte-stable JSON export "
                         "of final outcomes ('-' for stdout)")
-    p.add_argument("--dispatch-log", default=None, metavar="FILE",
+    p.add_argument("--dispatch-log", default=None, type=_output_path,
+                   metavar="FILE",
                    help="write the byte-reproducible dispatch log "
                         "(every scheduling decision) as JSON")
-    p.add_argument("--faults", default=None, metavar="PLAN.json",
-                   help="fault plan whose node crashes map onto "
-                        "endpoints by registration index")
-    p.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                   help="generate a reproducible fault plan from this "
-                        "seed instead of a plan file")
-    p.add_argument("--trace-out", default=None, metavar="FILE",
-                   help="write the telemetry trace (service events + "
-                        "engine task spans)")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the metrics-registry report at the end")
+    _add_pool_options(p)
     p.set_defaults(fn=_cmd_serve)
 
     sub.add_parser("procurement",
@@ -1131,14 +1136,6 @@ def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     trace_out = getattr(args, "trace_out", None)
     want_metrics = getattr(args, "metrics", False)
-    outputs = [getattr(args, name, None) for name in (
-        "journal", "trace_out", "output", "export", "dispatch_log",
-        "journal_out", "trace_json", "save_plan")]
-    if args.command != "report":    # report reads its --history
-        outputs.append(getattr(args, "history", None))
-    for path in outputs:
-        if path and path != "-":    # refused before anything runs
-            _check_output(path)
     tracer = sink = registry = prev_registry = None
     if trace_out or want_metrics:
         from .telemetry.export import JsonlSink, write_chrome_trace

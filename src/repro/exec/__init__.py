@@ -12,7 +12,7 @@ benchmarking"):
   deterministic result ordering,
 * :mod:`repro.exec.cache` -- content-addressed result caching keyed on
   (benchmark, parameters, platform, code version), memory and disk
-  backends with hit/miss/eviction statistics,
+  backends with hit/miss/store statistics,
 * :mod:`repro.exec.journal` -- the structured per-task run journal,
 * :mod:`repro.exec.jsonl` -- the torn-tail rule every append-only JSONL
   store reads by (history DB, service results, telemetry traces).

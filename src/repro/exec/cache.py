@@ -13,10 +13,11 @@ Two backends share the :class:`ResultCache` protocol:
 * :class:`DiskCache` -- one JSON document per key, survives processes
   (values must be JSON-serialisable; callers encode/decode).
 
-Both are thread-safe, keep LRU order, support a ``max_entries`` bound
-with eviction, and count hits/misses/stores/evictions in
+Both are thread-safe and count hits/misses/stores in
 :class:`CacheStats` -- the statistics the incremental-execution tests
-assert on ("a warm rerun performs zero executions").
+assert on ("a warm rerun performs zero executions").  Neither is
+bounded: an entry lives until ``clear`` (or, on disk, until it is
+deleted).
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ import enum
 import hashlib
 import json
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Iterator, Protocol
+from typing import Any, Protocol
 
 from .jsonl import replace_file
 
@@ -135,12 +135,11 @@ def result_key(benchmark: str, params: dict[str, Any], *,
 
 @dataclass
 class CacheStats:
-    """Hit/miss/store/eviction counters of one cache instance."""
+    """Hit/miss/store counters of one cache instance."""
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -153,7 +152,7 @@ class CacheStats:
 
     def snapshot(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "evictions": self.evictions}
+                "stores": self.stores}
 
 
 class ResultCache(Protocol):
@@ -165,28 +164,20 @@ class ResultCache(Protocol):
         """``(found, value)``; counts a hit or a miss."""
 
     def put(self, key: str, value: Any) -> None:
-        """Store a value (counts a store, may evict)."""
-
-    def __len__(self) -> int: ...
-
-    def clear(self) -> None: ...
+        """Store a value (counts a store)."""
 
 
 class MemoryCache:
-    """In-process LRU result cache holding arbitrary Python values."""
+    """In-process result cache holding arbitrary Python values."""
 
-    def __init__(self, max_entries: int | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
+    def __init__(self):
         self.stats = CacheStats()
-        self._data: OrderedDict[str, Any] = OrderedDict()
+        self._data: dict[str, Any] = {}
         self._lock = threading.Lock()
 
     def get(self, key: str) -> tuple[bool, Any]:
         with self._lock:
             if key in self._data:
-                self._data.move_to_end(key)
                 self.stats.hits += 1
                 return True, self._data[key]
             self.stats.misses += 1
@@ -195,16 +186,7 @@ class MemoryCache:
     def put(self, key: str, value: Any) -> None:
         with self._lock:
             self._data[key] = value
-            self._data.move_to_end(key)
             self.stats.stores += 1
-            while self.max_entries is not None and \
-                    len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
-                self.stats.evictions += 1
-
-    def keys(self) -> list[str]:
-        with self._lock:
-            return list(self._data)
 
     def __len__(self) -> int:
         with self._lock:
@@ -219,47 +201,35 @@ class DiskCache:
     """On-disk JSON result cache: one ``<key>.json`` document per entry.
 
     Values must be JSON-serialisable (the engine's ``encode`` hook
-    converts rich results).  LRU order is tracked in-process and
-    re-seeded from file modification times on startup, so eviction
-    keeps working across runs.
+    converts rich results).  The directory is the only state, so
+    processes sharing it see each other's entries.
     """
 
-    def __init__(self, directory: str | Path,
-                 max_entries: int | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive")
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_entries = max_entries
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        entries = sorted(self.directory.glob("*.json"),
-                         key=lambda p: p.stat().st_mtime)
-        self._order: OrderedDict[str, None] = OrderedDict(
-            (p.stem, None) for p in entries)
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> tuple[bool, Any]:
+        path = self._path(key)
         with self._lock:
-            path = self._path(key)
-            if key in self._order or path.exists():
-                try:
-                    value = json.loads(path.read_text())["value"]
-                except (OSError, ValueError, KeyError, TypeError):
-                    # torn, not JSON, or not a {"value": ...} object:
-                    # drop it; the caller recomputes and rewrites it
-                    path.unlink(missing_ok=True)
-                    self._order.pop(key, None)
-                    self.stats.misses += 1
-                    return False, None
-                self._order[key] = None
-                self._order.move_to_end(key)
-                self.stats.hits += 1
-                return True, value
-            self.stats.misses += 1
-            return False, None
+            try:
+                value = json.loads(path.read_text())["value"]
+            except FileNotFoundError:
+                self.stats.misses += 1
+                return False, None
+            except (OSError, ValueError, KeyError, TypeError):
+                # torn, not JSON, or not a {"value": ...} object:
+                # drop it; the caller recomputes and rewrites it
+                path.unlink(missing_ok=True)
+                self.stats.misses += 1
+                return False, None
+            self.stats.hits += 1
+            return True, value
 
     def put(self, key: str, value: Any) -> None:
         with self._lock:
@@ -267,30 +237,16 @@ class DiskCache:
             # atomic: another process sharing the directory never reads
             # (and deletes as torn) a half-written entry
             replace_file(self._path(key), payload)
-            self._order[key] = None
-            self._order.move_to_end(key)
             self.stats.stores += 1
-            while self.max_entries is not None and \
-                    len(self._order) > self.max_entries:
-                victim, _ = self._order.popitem(last=False)
-                self._path(victim).unlink(missing_ok=True)
-                self.stats.evictions += 1
 
     def keys(self) -> list[str]:
-        with self._lock:
-            return list(self._order)
+        """The keys of the entries in the directory, sorted."""
+        return sorted(path.stem for path in self.directory.glob("*.json"))
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._order)
+        return len(self.keys())
 
     def clear(self) -> None:
         with self._lock:
-            for key in list(self._order):
+            for key in self.keys():
                 self._path(key).unlink(missing_ok=True)
-            self._order.clear()
-
-
-def iter_entries(cache: MemoryCache | DiskCache) -> Iterator[str]:
-    """Keys currently held by a cache, LRU-oldest first."""
-    yield from cache.keys()

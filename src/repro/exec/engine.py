@@ -11,8 +11,8 @@ service task -- is independent of its siblings, so a run is a batch of
   :class:`~repro.exec.cache.ResultCache` -- a keyed item whose result
   is cached is answered without executing (the exaCB property),
 * **fault-bounded**: each item runs inside a guard with configurable
-  retries and a per-attempt timeout, and failures are captured into the
-  :class:`TaskOutcome` instead of aborting the batch.
+  retries and its own per-attempt timeout, and failures are captured
+  into the :class:`TaskOutcome` instead of aborting the batch.
 
 ``map`` is the degrade-gracefully API (callers inspect per-item
 errors); ``run`` is the strict API (first failure re-raises the
@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..telemetry.export import reemit_events
-from ..telemetry.metrics import MetricsRegistry, default_registry
+from ..telemetry.metrics import default_registry
 from ..telemetry.spans import SpanRecord, Tracer, use_tracer
 from .cache import ResultCache
-from .journal import RunJournal, TaskRecord
+from .journal import RunJournal
 
 if TYPE_CHECKING:  # pragma: no cover - the pools are imported on first use
     from concurrent.futures import Executor
@@ -74,9 +74,10 @@ class WorkItem:
     ``fn(*args, **kwargs)`` produces the result.  ``key`` (optional)
     makes the item cacheable; ``encode``/``decode`` translate the
     result to/from the cache representation (needed for JSON disk
-    caches holding rich objects).  ``retries``/``timeout`` override the
-    engine defaults for this item.  For the process backend ``fn`` and
-    its arguments must be picklable.
+    caches holding rich objects).  ``retries`` overrides the engine's
+    retry budget for this item; ``timeout`` is its per-attempt budget
+    in seconds (``None``: unbounded).  For the process backend ``fn``
+    and its arguments must be picklable.
     """
 
     fn: Callable[..., Any]
@@ -115,13 +116,6 @@ class TaskOutcome:
     @property
     def duration(self) -> float:
         return max(0.0, self.finished - self.started)
-
-    def record(self) -> TaskRecord:
-        return TaskRecord(index=self.index, label=self.label,
-                          status="ok" if self.ok else "error",
-                          cache=self.cache, attempts=self.attempts,
-                          started=self.started, finished=self.finished,
-                          key=self.key, error=self.error)
 
 
 @dataclass
@@ -250,12 +244,8 @@ class ExecutionEngine:
 
     def __init__(self, workers: int = 1, backend: str = "thread", *,
                  cache: ResultCache | None = None, retries: int = 0,
-                 timeout: float | None = None,
-                 journal: RunJournal | None = None,
-                 tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 faults: Any = None, backoff: Any = None,
-                 breaker: Any = None, degrade: bool | None = None):
+                 tracer: Tracer | None = None, faults: Any = None,
+                 backoff: Any = None, breaker: Any = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if backend not in BACKENDS:
@@ -263,13 +253,10 @@ class ExecutionEngine:
                              f"choose from {BACKENDS}")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive")
         self.workers = workers
         self.backend = "serial" if workers == 1 else backend
         self.cache = cache
         self.retries = retries
-        self.timeout = timeout
         #: fault injector (duck-typed: ``task_guard(label)``); None = off
         self.faults = faults
         #: retry backoff policy (duck-typed: ``delay(label, attempt)``,
@@ -278,19 +265,21 @@ class ExecutionEngine:
         #: circuit breaker (duck-typed: ``allow``/``block``/``record``)
         self.breaker = breaker
         #: graceful degradation: suite/scaling callers use ``map`` and
-        #: record failures instead of aborting on the first error.
-        #: Defaults to on whenever a fault injector is attached.
-        self.degrade = (faults is not None) if degrade is None else degrade
+        #: record failures instead of aborting on the first error --
+        #: on exactly when a fault injector is attached
+        self.degrade = faults is not None
         #: the span stream every processed task lands on
         self.tracer = tracer if tracer is not None else Tracer()
         #: rank timelines are kept only in a tracer the caller handed
         #: in; the engine's own tracer feeds the journal, which reads
         #: task spans and never events
         self._timelines = tracer is not None
-        self.metrics = metrics if metrics is not None else default_registry()
+        #: the registry current when the engine is built (``--metrics``
+        #: installs its own first)
+        self.metrics = default_registry()
         #: the journal consumes the engine's span stream (it is a
         #: subscriber, not a parallel bookkeeping path)
-        self.journal = journal if journal is not None else RunJournal()
+        self.journal = RunJournal()
         self.tracer.subscribe(self.journal)
 
     # -- batch execution ----------------------------------------------------
@@ -332,7 +321,7 @@ class ExecutionEngine:
                     i: pool.submit(
                         _run_guarded, items[i].fn, items[i].args,
                         items[i].kwargs, self._retries_for(items[i]),
-                        self._timeout_for(items[i]), self.tracer.clock,
+                        items[i].timeout, self.tracer.clock,
                         self._guard_for(i, items[i]), self.backoff,
                         items[i].display(i), items[i].key, self._timelines)
                     for i in pending
@@ -382,13 +371,10 @@ class ExecutionEngine:
     def _retries_for(self, item: WorkItem) -> int:
         return self.retries if item.retries is None else item.retries
 
-    def _timeout_for(self, item: WorkItem) -> float | None:
-        return self.timeout if item.timeout is None else item.timeout
-
     def _attempt_inline(self, index: int, item: WorkItem) -> _Attempt:
         return _run_guarded(item.fn, item.args, item.kwargs,
-                            self._retries_for(item),
-                            self._timeout_for(item), self.tracer.clock,
+                            self._retries_for(item), item.timeout,
+                            self.tracer.clock,
                             self._guard_for(index, item), self.backoff,
                             item.display(index), item.key, self._timelines)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from ..exec.jsonl import JsonlReader, cut_torn_tail, replace_file
 from .record import HISTORY_SCHEMA, HISTORY_VERSION, RunRecord
@@ -242,7 +242,3 @@ def is_history_file(path: str | Path) -> bool:
     except (OSError, json.JSONDecodeError):
         return False
     return False
-
-
-#: signature kept importable for tests that monkeypatch record building
-RecordFactory = Callable[..., RunRecord]

@@ -9,5 +9,5 @@ step DAGs are not (DESIGN.md, "JUBE and continuous benchmarking").
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "result": ("Column", "ResultTable", "WorkunitRecord", "table"),
+    "result": ("Column", "ResultTable", "WorkunitRecord"),
 })

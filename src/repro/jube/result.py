@@ -93,23 +93,3 @@ class ResultTable:
         for cells in formatted:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(cells, widths)))
         return "\n".join(lines)
-
-
-def table(name: str, *specs: str | tuple, sort_by: str | None = None) -> ResultTable:
-    """Shorthand table builder.
-
-    Each spec is either a key string or a ``(key, title, fmt)`` tuple
-    (title/fmt optional)::
-
-        table("fom", "nodes", ("runtime", "runtime [s]", ".1f"))
-    """
-    cols: list[Column] = []
-    for spec in specs:
-        if isinstance(spec, str):
-            cols.append(Column(key=spec))
-        else:
-            key, *rest = spec
-            title = rest[0] if len(rest) >= 1 else None
-            fmt = rest[1] if len(rest) >= 2 else ""
-            cols.append(Column(key=key, title=title, fmt=fmt))
-    return ResultTable(name=name, columns=cols, sort_by=sort_by)

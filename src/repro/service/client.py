@@ -20,7 +20,7 @@ tests in ``tests/test_service_protocol.py``).
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable
+from typing import Any
 
 from ..core.suite import decode_result, load_suite
 from ..exec.engine import _pause
@@ -128,7 +128,7 @@ class ServiceClient:
     """
 
     def __init__(self, service: Any, client_id: str, *, suite: Any = None,
-                 retries: int = 0, backoff: BackoffPolicy | None = None):
+                 retries: int = 0):
         if not client_id:
             raise ValueError("client needs an id")
         if retries < 0:
@@ -137,7 +137,7 @@ class ServiceClient:
         self.client_id = client_id
         self.suite = suite if suite is not None else load_suite()
         self.retries = retries
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
+        self.backoff = BackoffPolicy()
         self._seq = 0
         self._lock = threading.Lock()
 
@@ -179,23 +179,6 @@ class ServiceClient:
             future = self.service.submit(envelope)
             attempt += 1
         return future
-
-    def submit_batch(self,
-                     specs: Iterable[str | dict[str, Any]]
-                     ) -> list[ServiceFuture]:
-        """Submit many executions; one future per spec, in order.
-
-        A spec is a benchmark name or a dict of
-        :meth:`make_envelope` keyword arguments plus ``benchmark``.
-        """
-        futures = []
-        for spec in specs:
-            if isinstance(spec, str):
-                futures.append(self.submit(spec))
-            else:
-                spec = dict(spec)
-                futures.append(self.submit(spec.pop("benchmark"), **spec))
-        return futures
 
     def cancel(self, future: ServiceFuture) -> bool:
         """Cancel a still-queued task (False once dispatched or done)."""

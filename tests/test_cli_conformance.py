@@ -10,6 +10,7 @@ starts without any kernel imported and the workers rebuild benchmarks
 from the pickled lazy factories.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -247,40 +248,75 @@ def _spool(tmp_path, capsys):
     return spool
 
 
+def _output_options() -> list[str]:
+    """``"<subcommand> <flag>"`` for every option the parser declares as
+    a file the command writes (argparse ``type=_output_path``), so a new
+    writer flag is a new cell below without a test edit."""
+    from repro.cli import _output_path, build_parser
+
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return sorted(f"{name} {action.option_strings[0]}"
+                  for name, parser in commands.items()
+                  for action in parser._actions
+                  if action.type is _output_path)
+
+
+def _writer_argv(name: str, tmp_path, capsys) -> list[str]:
+    """A cheap, otherwise valid command line of subcommand ``name``."""
+    if name == "history":
+        from repro.history import HistoryStore
+
+        db = tmp_path / "h.jsonl"
+        HistoryStore.open(db).record_and_append("STREAM", 1.0,
+                                                params={"nodes": 1})
+        return ["history", str(db)]
+    if name == "serve":
+        return ["serve", "--spool", str(_spool(tmp_path, capsys))]
+    return {"run": ["run", "STREAM"],
+            "suite": ["suite", "--benchmarks", "STREAM"],
+            "fig2": ["fig2", "--apps", "Arbor"],
+            "fig3": ["fig3", "--nodes", "8"],
+            "check": ["check", "--no-runtime"],
+            "submit": ["submit", "--direct", "--benchmarks", "STREAM"],
+            "chaos": ["chaos", "--benchmarks", "STREAM"]}[name]
+
+
+def test_the_output_options_include_every_known_writer():
+    assert {"check --output", "history --export", "submit --export",
+            "serve --export", "serve --dispatch-log", "serve --results",
+            "serve --trace-out", "chaos --journal-out", "chaos --trace-json",
+            "chaos --save-plan", "run --journal", "run --trace-out",
+            "run --history", "fig3 --history"} <= set(_output_options())
+    assert not any(o.startswith("report ") for o in _output_options())
+
+
 @pytest.mark.parametrize("case, code, why", [
     ("missing", 2, "No such file or directory"),
     ("directory", 21, "Is a directory"),
 ])
 @pytest.mark.parametrize("command", [
-    "check --output", "history --export", "submit --export",
-    "serve --export", "serve --dispatch-log", "chaos --journal-out",
-    "chaos --trace-json", "chaos --save-plan"])
+    *_output_options(), "check --write-baseline --baseline"])
 def test_whole_file_output_into_an_unusable_path_fails_up_front(
         command, case, code, why, tmp_path, capsys, monkeypatch):
-    """A whole-file writer's path is refused before anything runs, in
-    the user's words: the error names the path given, never the temp
-    file the write would have gone through, and nothing is written."""
+    """A writer's path is refused before anything runs, in the user's
+    words: the error names the path given, never the temp file the
+    write would have gone through, and nothing is written.  The cells
+    are the parser's output options, plus ``--baseline``, which is an
+    output only under ``check --write-baseline``."""
     from repro.check import Analyzer
     from repro.core.benchmark import Benchmark
-    from repro.history import HistoryStore
 
     ran = []
     monkeypatch.setattr(Benchmark, "run", lambda *a, **kw: ran.append(a))
     monkeypatch.setattr(Analyzer, "run", lambda *a, **kw: ran.append(a))
-    db = tmp_path / "h.jsonl"
-    HistoryStore.open(db).record_and_append("STREAM", 1.0,
-                                            params={"nodes": 1})
-    argv = {"check": ["check", "--no-runtime"],
-            "history": ["history", str(db)],
-            "submit": ["submit", "--direct", "--benchmarks", "STREAM"],
-            "serve": ["serve", "--spool", str(_spool(tmp_path, capsys))],
-            "chaos": ["chaos", "--benchmarks", "STREAM"],
-            }[command.split()[0]]
+    name, *switches, flag = command.split()
+    argv = [*_writer_argv(name, tmp_path, capsys), *switches]
     (tmp_path / "dir").mkdir()
     path = {"missing": tmp_path / "nodir" / "x.json",
             "directory": tmp_path / "dir"}[case]
     before = sorted(tmp_path.rglob("*"))
-    assert main([*argv, command.split()[1], str(path)]) == 2
+    assert main([*argv, flag, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"jubench: error: [Errno {code}] {why}: '{path}'\n"
     assert ".tmp" not in captured.err

@@ -10,7 +10,6 @@ from repro.exec import (
     EngineError,
     ExecutionEngine,
     MemoryCache,
-    RunJournal,
     TaskTimeout,
     WorkItem,
 )
@@ -32,8 +31,6 @@ class TestConstruction:
             ExecutionEngine(backend="gpu")
         with pytest.raises(ValueError):
             ExecutionEngine(retries=-1)
-        with pytest.raises(ValueError):
-            ExecutionEngine(timeout=0)
 
     def test_single_worker_degrades_to_serial(self):
         assert ExecutionEngine(workers=1, backend="thread").backend == \
@@ -105,8 +102,8 @@ class TestFaultBoundary:
             time.sleep(0.05)
             return 1
 
-        out = ExecutionEngine(workers=2, timeout=0.005).map(
-            [WorkItem(fn=slow)])
+        out = ExecutionEngine(workers=2).map(
+            [WorkItem(fn=slow, timeout=0.005)])
         assert not out[0].ok
         assert "TaskTimeout" in out[0].error
         assert isinstance(out[0].exception, TaskTimeout)
@@ -158,9 +155,8 @@ class TestCachingAndJournal:
         assert engine.run([item]) == [{"fom": 3.5}]  # decoded on hit
 
     def test_journal_records_everything(self):
-        journal = RunJournal()
-        engine = ExecutionEngine(workers=4, cache=MemoryCache(),
-                                 journal=journal)
+        engine = ExecutionEngine(workers=4, cache=MemoryCache())
+        journal = engine.journal
         items = [WorkItem(fn=square, args=(i,), key=f"k{i}",
                           label=f"sq{i}") for i in range(3)]
         engine.run(items)
@@ -176,7 +172,7 @@ class TestCachingAndJournal:
         assert "error" in summary
 
     def test_journal_indices_stable_under_parallelism(self):
-        journal = RunJournal()
-        engine = ExecutionEngine(workers=8, journal=journal)
+        engine = ExecutionEngine(workers=8)
+        journal = engine.journal
         engine.map([WorkItem(fn=square, args=(i,)) for i in range(16)])
         assert [r.index for r in journal.records] == list(range(16))

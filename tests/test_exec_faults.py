@@ -69,14 +69,14 @@ class TestRetries:
     def test_timeout_then_retry_succeeds(self):
         # first attempt is slow (times out post-hoc), second is instant
         stub = FailNTimesStub(n_failures=0, slow_first=0.05)
-        engine = ExecutionEngine(workers=1, retries=1, timeout=0.01)
-        out = engine.map([WorkItem(fn=stub)])
+        engine = ExecutionEngine(workers=1, retries=1)
+        out = engine.map([WorkItem(fn=stub, timeout=0.01)])
         assert out[0].ok and out[0].attempts == 2
 
     def test_timeout_without_retry_is_an_error(self):
         stub = FailNTimesStub(n_failures=0, slow_first=0.05)
-        out = ExecutionEngine(workers=1, timeout=0.01).map(
-            [WorkItem(fn=stub)])
+        out = ExecutionEngine(workers=1).map(
+            [WorkItem(fn=stub, timeout=0.01)])
         assert not out[0].ok
         assert isinstance(out[0].exception, TaskTimeout)
 
@@ -92,8 +92,8 @@ class TestCooperativeTimeoutSemantics:
 
     def test_overlong_attempt_runs_to_completion_before_failing(self):
         stub = FailNTimesStub(n_failures=0, slow_first=0.05)
-        out = ExecutionEngine(workers=1, timeout=0.01).map(
-            [WorkItem(fn=stub, label="slow")])
+        out = ExecutionEngine(workers=1).map(
+            [WorkItem(fn=stub, label="slow", timeout=0.01)])
         # the payload DID complete (one call happened) -- the timeout
         # fired after the fact, not preemptively
         assert stub.calls == 1
@@ -101,8 +101,8 @@ class TestCooperativeTimeoutSemantics:
 
     def test_timed_out_final_attempt_reports_elapsed_in_error(self):
         stub = FailNTimesStub(n_failures=0, slow_first=0.05)
-        out = ExecutionEngine(workers=1, retries=0, timeout=0.01).map(
-            [WorkItem(fn=stub, label="slow")])
+        out = ExecutionEngine(workers=1, retries=0).map(
+            [WorkItem(fn=stub, label="slow", timeout=0.01)])
         assert out[0].ok is False
         exc = out[0].exception
         assert isinstance(exc, TaskTimeout)
@@ -120,8 +120,8 @@ class TestCooperativeTimeoutSemantics:
             return 1
 
         clock = ManualClock(start=0.0, tick=1.0)
-        engine = ExecutionEngine(workers=1, timeout=0.5,
-                                 tracer=Tracer(clock=clock))
-        out = engine.map([WorkItem(fn=two_ticks, label="ticks")])
+        engine = ExecutionEngine(workers=1, tracer=Tracer(clock=clock))
+        out = engine.map([WorkItem(fn=two_ticks, label="ticks",
+                                   timeout=0.5)])
         assert not out[0].ok
         assert isinstance(out[0].exception, TaskTimeout)

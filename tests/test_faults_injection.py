@@ -334,8 +334,6 @@ class TestGracefulDegradation:
         plan = FaultPlan()
         assert ExecutionEngine(workers=1,
                                faults=FaultInjector(plan)).degrade is True
-        assert ExecutionEngine(workers=1, faults=FaultInjector(plan),
-                               degrade=False).degrade is False
 
 
 class TestFaultTelemetry:
