@@ -1,6 +1,5 @@
 """AI benchmarks substrate: NumPy NN layers with explicit backward,
-optimisers, parallel training schemes, and the three benchmarks
-(Megatron-LM, MMoCLIP, ResNet)."""
+optimisers, and the three benchmarks (Megatron-LM, MMoCLIP, ResNet)."""
 
 from ..._lazy import lazy_exports
 
@@ -22,7 +21,4 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "synthetic_pairs", "synthetic_tokens"
     ),
     "optim": ("Adam", "Sgd"),
-    "parallelism": (
-        "ColumnParallelLinear", "allreduce_gradients", "pipeline_train_step"
-    ),
 })

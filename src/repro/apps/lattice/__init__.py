@@ -1,6 +1,6 @@
 """Lattice QCD substrate shared by the Chroma-QCD and DynQCD benchmarks:
-SU(3) algebra, gauge actions, the Wilson-clover Dirac operator, CG,
-HMC, and the distributed (virtual-MPI) implementations."""
+SU(3) algebra, gauge actions, the Wilson-clover Dirac operator, CG
+and HMC."""
 
 from ..._lazy import lazy_exports
 
@@ -13,10 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "GAMMA", "GAMMA5", "WilsonDirac", "clover_field_strength",
         "lattice_bytes_per_site", "random_spinor", "sigma_munu", "spinor_dot",
         "spinor_norm"
-    ),
-    "distributed": (
-        "SlabDirac", "dist_apply_dirac", "dist_cg", "dist_dot",
-        "dist_normal_apply", "distribute_gauge", "exchange_t_ghosts", "slab_of"
     ),
     "dynqcd": ("DynqcdBenchmark", "dynqcd_timing_program"),
     "gauge": (

@@ -120,15 +120,31 @@ def _select(wanted, known=None, what: str = "benchmark(s)") -> list[str]:
     return [name for name in known if not wanted or name in wanted]
 
 
+class _NotStdout(argparse.ArgumentTypeError):
+    """``-`` given to an option that writes a file, never stdout."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """The jubench parser: a ``-`` refused by :func:`_output_path` is
+    one ``jubench: error:`` line naming the option (``main`` prints the
+    ``_UsageError``); every other bad value stays argparse usage."""
+
+    def error(self, message: str):
+        if isinstance(getattr(sys.exc_info()[1], "__context__", None),
+                      _NotStdout):
+            raise _UsageError(message) from None
+        super().error(message)
+
+
 def _output_path(path: str) -> str:
     """The argparse ``type`` of every option naming a file a command
     writes, so it is refused while the command line is parsed, not when
     it is opened after the run: its directory must exist (none is
-    created) and it must not be a directory (``-`` passes).  argparse
-    lets the ``OSError`` through; ``main`` prints it as one error line
-    naming the path as given."""
+    created), it must not be a directory, and ``-`` is refused (see
+    :func:`_output_or_stdout`).  argparse lets the ``OSError`` through;
+    ``main`` prints it as one error line naming the path as given."""
     if path == "-":
-        return path
+        raise _NotStdout("'-' (stdout) is not accepted here; name a file")
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
@@ -137,6 +153,12 @@ def _output_path(path: str) -> str:
     else:
         return path
     raise OSError(code, os.strerror(code), path)
+
+
+def _output_or_stdout(path: str) -> str:
+    """:func:`_output_path` for the writers that emit one document,
+    which ``-`` sends to stdout instead."""
+    return path if path == "-" else _output_path(path)
 
 
 def _add_pool_options(parser: argparse.ArgumentParser):
@@ -184,7 +206,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
                             "fault plan, the plan's worst-case failure "
                             "count)")
     group.add_argument("--journal", nargs="?", const="-", default=None,
-                       type=_output_path, metavar="PATH",
+                       type=_output_or_stdout, metavar="PATH",
                        help="print the per-task run journal at the end; "
                             "with PATH, save it as telemetry JSONL instead")
     obs.add_argument("--history", default=None, type=_output_path,
@@ -547,7 +569,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     baseline_path = Path(args.baseline) if args.baseline \
         else repo_root / "check-baseline.json"
     if args.write_baseline:     # an output then: refused before the run
-        _output_path(args.baseline or str(baseline_path))
+        try:
+            _output_path(args.baseline or str(baseline_path))
+        except _NotStdout as exc:
+            raise _UsageError(f"argument --baseline: {exc}") from None
     if args.baseline and not args.write_baseline and \
             not baseline_path.is_file():
         # only the default baseline may be absent (= empty)
@@ -860,7 +885,7 @@ def _cmd_procurement(_args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The jubench argument parser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jubench",
         description="JUPITER Benchmark Suite reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -926,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inspect the performance-history database "
                             "(trajectories, canonical export, retention)")
     _add_shared(p, "db", "--benchmark", "--last")
-    p.add_argument("--export", default=None, type=_output_path,
+    p.add_argument("--export", default=None, type=_output_or_stdout,
                    metavar="FILE",
                    help="write the canonical byte-stable JSON export "
                         "('-' for stdout) instead of rendering")
@@ -963,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "runtime sanitizers")
     p.add_argument("--format", choices=["human", "json", "sarif"],
                    default="human", help="report format")
-    p.add_argument("--output", default=None, type=_output_path,
+    p.add_argument("--output", default=None, type=_output_or_stdout,
                    metavar="FILE",
                    help="write the report to FILE instead of stdout")
     p.add_argument("--baseline", default=None, metavar="PATH",
@@ -1049,7 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bypass the service: execute the envelopes "
                         "in-process and emit the canonical export "
                         "(the byte-identity baseline)")
-    p.add_argument("--export", default=None, type=_output_path,
+    p.add_argument("--export", default=None, type=_output_or_stdout,
                    metavar="FILE",
                    help="with --direct: write the canonical byte-stable "
                         "JSON export ('-' or omitted for stdout)")
@@ -1078,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FILE.jsonl",
                    help="persist the durable result store (append-only "
                         "JSONL journal of result envelopes)")
-    p.add_argument("--export", default=None, type=_output_path,
+    p.add_argument("--export", default=None, type=_output_or_stdout,
                    metavar="FILE",
                    help="write the canonical byte-stable JSON export "
                         "of final outcomes ('-' for stdout)")

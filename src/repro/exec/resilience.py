@@ -36,13 +36,12 @@ class BackoffPolicy:
     ``[1 - jitter/2, 1 + jitter/2)`` with a hash-derived uniform draw.
     Frozen dataclass, so it pickles into process-pool workers.
 
-    Pass ``key`` (a content address -- the work item's cache key, a
-    service envelope's task id) to seed the draw **per envelope**: the
-    jitter becomes a pure function of ``(key, attempt)`` alone, so a
-    replay in another process, with another policy instance or another
-    per-process ``seed``, reproduces the same schedule.  Without a
-    key the draw falls back to the legacy per-policy
-    ``(seed, label, attempt)`` seeding.
+    Pass ``key`` (a content address: the work item's cache key) to
+    seed the draw **per item**: the jitter becomes a pure function of
+    ``(key, attempt)`` alone, so a replay in another process, with
+    another policy instance or another per-process ``seed``, reproduces
+    the same schedule.  Without a key the draw falls back to the
+    legacy per-policy ``(seed, label, attempt)`` seeding.
     """
 
     base: float = 0.05

@@ -8,13 +8,6 @@ completes it (the funcx submit -> packed result -> future lifecycle).
 ``future.result()`` unpacks the benchmark result or raises a typed
 error for rejected / cancelled / failed tasks -- an admission-control
 rejection is an *explicit outcome*, never a silent drop.
-
-Client-side resubmission after a rejection reuses the engine's
-:class:`~repro.exec.resilience.BackoffPolicy`, seeded **per envelope**
-through the task's content hash: the retry schedule of a given
-submission is a pure function of the envelope, not of any process-wide
-seed, so service-path replays are deterministic (see the regression
-tests in ``tests/test_service_protocol.py``).
 """
 
 from __future__ import annotations
@@ -23,8 +16,6 @@ import threading
 from typing import Any
 
 from ..core.suite import decode_result, load_suite
-from ..exec.engine import _pause
-from ..exec.resilience import BackoffPolicy
 from .envelope import ResultEnvelope, TaskEnvelope
 
 
@@ -118,26 +109,14 @@ class ServiceFuture:
 
 
 class ServiceClient:
-    """One client identity submitting work to a benchmark service.
+    """One client identity submitting work to a benchmark service."""
 
-    ``retries`` is the *admission* retry budget: a submission bounced
-    by the backlog cap is retried after a per-envelope-seeded backoff
-    pause (during which the service is stepped, so the loopback
-    backlog can drain).  Execution retries stay where they were -- in
-    the endpoint engine's fault boundary.
-    """
-
-    def __init__(self, service: Any, client_id: str, *, suite: Any = None,
-                 retries: int = 0):
+    def __init__(self, service: Any, client_id: str, *, suite: Any = None):
         if not client_id:
             raise ValueError("client needs an id")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         self.service = service
         self.client_id = client_id
         self.suite = suite if suite is not None else load_suite()
-        self.retries = retries
-        self.backoff = BackoffPolicy()
         self._seq = 0
         self._lock = threading.Lock()
 
@@ -167,18 +146,7 @@ class ServiceClient:
         return self.submit_envelope(self.make_envelope(benchmark, **kwargs))
 
     def submit_envelope(self, envelope: TaskEnvelope) -> ServiceFuture:
-        future = self.service.submit(envelope)
-        attempt = 1
-        while future.status == "rejected" and attempt <= self.retries:
-            # per-envelope seeding: the pause depends on the task's
-            # content hash, not on who constructed the policy
-            delay = self.backoff.delay(envelope.display(), attempt,
-                                       key=envelope.task_id)
-            _pause(self.service.clock, delay)
-            self.service.step()
-            future = self.service.submit(envelope)
-            attempt += 1
-        return future
+        return self.service.submit(envelope)
 
     def cancel(self, future: ServiceFuture) -> bool:
         """Cancel a still-queued task (False once dispatched or done)."""

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python tests/regen_goldens.py [comm_replays]
+    PYTHONPATH=src python tests/regen_goldens.py [comm_replays] [claims]
 
 Only run this when a change *intentionally* shifts paper-facing
 numbers (Table II FOMs, scaling curves); commit the regenerated JSON
@@ -333,11 +333,25 @@ def regenerate() -> dict[str, Path]:
             **regenerate_check_goldens(),
             **regenerate_comm_goldens(),
             **regenerate_comm_replay_goldens(),
-            **regenerate_rep_goldens()}
+            **regenerate_rep_goldens(),
+            **regenerate_claims()}
+
+
+def regenerate_claims() -> dict[str, Path]:
+    """The claims blocks of EXPERIMENTS.md, rendered from the claims
+    table (``tests/claims.py``); ``tests/test_claims.py`` compares the
+    file byte for byte."""
+    from claims import EXPERIMENTS, Artefacts, render_experiments
+
+    text = EXPERIMENTS.read_text(encoding="utf-8")
+    EXPERIMENTS.write_text(render_experiments(text, Artefacts()),
+                           encoding="utf-8")
+    return {"claims": EXPERIMENTS}
 
 
 #: targets that regenerate one golden family alone
-TARGETS = {"comm_replays": regenerate_comm_replay_goldens}
+TARGETS = {"comm_replays": regenerate_comm_replay_goldens,
+           "claims": regenerate_claims}
 
 
 if __name__ == "__main__":

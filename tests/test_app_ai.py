@@ -1,5 +1,5 @@
 """Tests for the AI substrate: layers (gradient-checked), optimisers,
-parallel training schemes, and the three AI benchmarks."""
+and the three AI benchmarks."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from repro.apps.ai import (
     Adam,
     ClipTower,
-    ColumnParallelLinear,
     Conv2d,
     Gelu,
     LayerNorm,
@@ -20,17 +19,13 @@ from repro.apps.ai import (
     Sgd,
     TinyGpt,
     TinyResNet,
-    allreduce_gradients,
     clip_contrastive_loss,
     cross_entropy,
-    pipeline_train_step,
     softmax,
     synthetic_images,
     synthetic_pairs,
     synthetic_tokens,
 )
-from repro.cluster import juwels_booster
-from repro.vmpi import Machine, run_spmd
 
 
 def numeric_grad_check(layer, x, rng, atol=1e-6):
@@ -183,96 +178,6 @@ class TestModelsLearn:
         img, _ = synthetic_pairs(5, 3, 6, rng)
         z = tower(img)
         assert np.allclose(np.linalg.norm(z, axis=-1), 1.0)
-
-
-class TestParallelTraining:
-    def test_data_parallel_equals_serial(self):
-        """Gradient allreduce over batch shards == serial full batch."""
-        rng_data = np.random.default_rng(8)
-        x_full = rng_data.normal(size=(8, 5))
-        y_full = rng_data.integers(3, size=8)
-
-        def build():
-            return Sequential([Linear(5, 9, np.random.default_rng(42)),
-                               Gelu(),
-                               Linear(9, 3, np.random.default_rng(43))])
-
-        serial = build()
-        logits = serial.forward(x_full)
-        _, dlog = cross_entropy(logits, y_full)
-        serial.backward(dlog)
-        serial_grads = [p.grad.copy() for p in serial.parameters()]
-
-        def prog(comm):
-            model = build()
-            lo = comm.rank * 4
-            logits = model.forward(x_full[lo:lo + 4])
-            _, dlog = cross_entropy(logits, y_full[lo:lo + 4])
-            model.backward(dlog)
-            yield from allreduce_gradients(comm, model.parameters())
-            return [p.grad.copy() for p in model.parameters()]
-
-        res = run_spmd(prog, machine=Machine.on(juwels_booster(), 2))
-        for got, want in zip(res.values[0], serial_grads):
-            assert np.allclose(got, want, atol=1e-12)
-
-    def test_column_parallel_linear_equals_serial(self):
-        rng_data = np.random.default_rng(9)
-        x = rng_data.normal(size=(3, 6))
-        dy = rng_data.normal(size=(3, 8))
-        ref_layer = Linear(6, 8, np.random.default_rng(77), bias=False)
-
-        def prog(comm):
-            layer = ColumnParallelLinear(comm, 6, 8,
-                                         np.random.default_rng(77))
-            y = yield from layer.forward(x)
-            dx = yield from layer.backward(dy)
-            return y, dx
-
-        ref_y = ref_layer.forward(x)
-        # reference weight must equal the concatenation: rebuild serial
-        # from the same seed the shards used
-        full_w = np.random.default_rng(77).normal(
-            scale=1.0 / np.sqrt(6), size=(6, 8))
-        ref_y = x @ full_w
-        ref_dx = dy @ full_w.T
-        res = run_spmd(prog, machine=Machine.on(juwels_booster(), 2))
-        y, dx = res.values[0]
-        assert np.allclose(y, ref_y, atol=1e-12)
-        assert np.allclose(dx, ref_dx, atol=1e-12)
-
-    def test_pipeline_equals_serial(self):
-        rng_data = np.random.default_rng(10)
-        x = rng_data.normal(size=(4, 5))
-        y = rng_data.integers(3, size=4)
-
-        def stage0():
-            return Sequential([Linear(5, 7, np.random.default_rng(1)),
-                               Gelu()])
-
-        def stage1():
-            return Sequential([Linear(7, 3, np.random.default_rng(2))])
-
-        serial = Sequential([stage0(), stage1()])
-        loss_serial, dlog = cross_entropy(serial.forward(x), y)
-        serial.backward(dlog)
-
-        def prog(comm):
-            stage = stage0() if comm.rank == 0 else stage1()
-
-            def loss_fn(logits):
-                return cross_entropy(logits, y)
-
-            loss = yield from pipeline_train_step(
-                comm, stage, x if comm.rank == 0 else None, loss_fn)
-            return loss, [p.grad.copy() for p in stage.parameters()]
-
-        res = run_spmd(prog, machine=Machine.on(juwels_booster(), 2))
-        assert res.values[1][0] == pytest.approx(loss_serial)
-        serial_grads = [p.grad for p in serial.parameters()]
-        dist_grads = res.values[0][1] + res.values[1][1]
-        for got, want in zip(dist_grads, serial_grads):
-            assert np.allclose(got, want, atol=1e-12)
 
 
 class TestAiBenchmarks:

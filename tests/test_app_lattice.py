@@ -1,6 +1,5 @@
 """Tests for the lattice QCD substrate: SU(3) algebra, gauge actions and
-forces, the Wilson-clover Dirac operator, CG, HMC, and the distributed
-implementations."""
+forces, the Wilson-clover Dirac operator, CG and HMC."""
 
 import numpy as np
 import pytest
@@ -19,9 +18,6 @@ from repro.apps.lattice import (
     average_rectangle,
     conjugate_gradient,
     dagger,
-    dist_apply_dirac,
-    dist_cg,
-    distribute_gauge,
     expm_su3,
     is_su3,
     kinetic_energy,
@@ -33,14 +29,11 @@ from repro.apps.lattice import (
     random_spinor,
     random_su3,
     run_hmc,
-    slab_of,
     spinor_dot,
     spinor_norm,
     trace,
 )
-from repro.cluster import juwels_booster
 from repro.core import MemoryVariant
-from repro.vmpi import Machine, run_spmd
 
 DIMS = (4, 4, 4, 4)
 
@@ -270,49 +263,6 @@ class TestHmc:
             leapfrog(hot, random_algebra(rng, (4,) + DIMS), action, 0, 0.1)
         with pytest.raises(ValueError):
             run_hmc(hot, action, rng, trajectories=0)
-
-
-class TestDistributedLattice:
-    def test_distributed_dirac_matches_serial(self, rng):
-        dims = (8, 4, 4, 4)
-        g = GaugeField.hot(dims, rng)
-        psi = random_spinor(rng, dims)
-        ref = WilsonDirac(g, kappa=0.12).apply(psi)
-
-        def prog(comm):
-            op = distribute_gauge(g, comm.rank, comm.size, kappa=0.12)
-            out = yield from dist_apply_dirac(
-                comm, op, slab_of(psi, comm.rank, comm.size))
-            return float(np.max(np.abs(
-                out - slab_of(ref, comm.rank, comm.size))))
-
-        res = run_spmd(prog, machine=Machine.on(juwels_booster(), 4))
-        assert max(res.values) < 1e-12
-
-    def test_distributed_cg_matches_serial(self, rng):
-        dims = (8, 4, 4, 4)
-        g = GaugeField.hot(dims, rng)
-        b = random_spinor(rng, dims)
-        d = WilsonDirac(g, kappa=0.12)
-        ref = conjugate_gradient(d.normal_apply, b, tol=1e-8, max_iter=300)
-
-        def prog(comm):
-            op = distribute_gauge(g, comm.rank, comm.size, kappa=0.12)
-            res = yield from dist_cg(comm, op,
-                                     slab_of(b, comm.rank, comm.size),
-                                     tol=1e-8, max_iter=300)
-            err = float(np.max(np.abs(
-                res.x - slab_of(ref.x, comm.rank, comm.size))))
-            return err, res.iterations
-
-        res = run_spmd(prog, machine=Machine.on(juwels_booster(), 2))
-        assert max(v[0] for v in res.values) < 1e-10
-        assert res.values[0][1] == ref.iterations
-
-    def test_too_many_ranks_rejected(self, rng):
-        g = GaugeField.hot((4, 4, 4, 4), rng)
-        with pytest.raises(ValueError):
-            distribute_gauge(g, 0, 8, kappa=0.12)
 
 
 class TestChromaBenchmark:

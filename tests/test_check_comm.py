@@ -445,7 +445,7 @@ def test_every_rank_program_of_the_repo_is_replayed():
     # protocol is tests/test_vmpi_job.py's oracle against the per-rank
     # generators they replaced
     assert not JOB_PROGRAMS & names
-    assert len(programs) == 22
+    assert len(programs) == 15
     # Amber is the canary of a step hoisted into one batch
     assert {"halo_exchange", "amber_timing_program",
             "juqcs_program"} <= names

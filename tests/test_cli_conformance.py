@@ -248,18 +248,21 @@ def _spool(tmp_path, capsys):
     return spool
 
 
-def _output_options() -> list[str]:
+def _output_options(*types) -> list[str]:
     """``"<subcommand> <flag>"`` for every option the parser declares as
-    a file the command writes (argparse ``type=_output_path``), so a new
-    writer flag is a new cell below without a test edit."""
-    from repro.cli import _output_path, build_parser
+    a file the command writes (argparse ``type=_output_path``, or
+    ``_output_or_stdout`` where ``-`` is stdout; ``types`` narrows to
+    some of them), so a new writer flag is a new cell below without a
+    test edit."""
+    from repro.cli import _output_or_stdout, _output_path, build_parser
 
+    types = types or (_output_path, _output_or_stdout)
     commands = next(action.choices for action in build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
     return sorted(f"{name} {action.option_strings[0]}"
                   for name, parser in commands.items()
                   for action in parser._actions
-                  if action.type is _output_path)
+                  if action.type in types)
 
 
 def _writer_argv(name: str, tmp_path, capsys) -> list[str]:
@@ -322,6 +325,47 @@ def test_whole_file_output_into_an_unusable_path_fails_up_front(
     assert ".tmp" not in captured.err
     assert captured.out == "" and ran == []
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_only_the_one_document_writers_take_dash_as_stdout():
+    from repro.cli import _output_or_stdout
+
+    assert set(_output_options(_output_or_stdout)) == {
+        "check --output", "history --export", "submit --export",
+        "serve --export", "run --journal", "suite --journal",
+        "fig2 --journal", "fig3 --journal"}
+
+
+@pytest.mark.parametrize("command", [
+    *_output_options(), "check --write-baseline --baseline"])
+def test_dash_is_stdout_or_refused_up_front(
+        command, tmp_path, capsys, monkeypatch):
+    """``-`` means one thing: a writer of one document prints it to
+    stdout, and every other output option refuses it before anything
+    runs, in one line naming the option.  No cell creates ``./-``."""
+    from repro.check import Analyzer
+    from repro.check.engine import CheckReport
+    from repro.cli import _output_or_stdout
+    from repro.core.benchmark import Benchmark
+
+    name, *switches, flag = command.split()
+    argv = [*_writer_argv(name, tmp_path, capsys), *switches, flag, "-"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(Analyzer, "run",
+                        lambda *a, **kw: CheckReport(files_checked=0))
+    if command in _output_options(_output_or_stdout):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+    else:
+        ran = []
+        monkeypatch.setattr(Benchmark, "run",
+                            lambda *a, **kw: ran.append(a))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"jubench: error: argument {flag}: '-' " \
+            "(stdout) is not accepted here; name a file\n"
+        assert captured.out == "" and ran == []
+    assert not (tmp_path / "-").exists()
 
 
 @pytest.fixture

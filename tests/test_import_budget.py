@@ -271,10 +271,6 @@ UNREACHED = {
     "repro.core.highscaling":
         "item 4, wire: fig3 is to report the High-Scaling ratio and the "
         "extrapolated partition per app",
-    "repro.apps.lattice.distributed":
-        "item 14: the distributed real-mode kernel `run --real` is to run",
-    "repro.apps.ai.parallelism":
-        "item 14: the distributed real-mode kernel `run --real` is to run",
 }
 
 #: one cheap ``main(argv)`` per subcommand, in one fresh interpreter,

@@ -176,12 +176,14 @@ class TestAdmissionControl:
     def test_client_retry_after_drain_succeeds(self):
         service = _service(max_backlog=1)
         service.register_endpoint(_endpoint("ep0"))
-        client = ServiceClient(service, "c0", suite=FakeSuite(),
-                               retries=3)
+        client = ServiceClient(service, "c0", suite=FakeSuite())
         first = client.submit("Alpha", label="first")
-        # the retry loop pauses (virtual clock), steps the service so
-        # the backlog drains, then resubmits the same envelope
-        second = client.submit("Alpha", label="second")
+        envelope = client.make_envelope("Alpha", label="second")
+        assert client.submit_envelope(envelope).status == "rejected"
+        # stepping the service drains the backlog, so the same
+        # envelope is admitted when it is resubmitted
+        service.step()
+        second = service.submit(envelope)
         assert second.status != "rejected"
         service.drain()
         assert first.status == "ok" and second.status == "ok"
