@@ -49,7 +49,8 @@ FIG3_APPS: tuple[tuple[str, MemoryVariant], ...] = (
     ("PIConGPU", MemoryVariant.SMALL),
 )
 
-#: default Fig. 3 node sweep (wide range, like the paper's 1..936 axis)
+#: ``figure3``'s library sweep, the one the claims table measures;
+#: ``jubench fig3`` has its own default, 8..936 nodes (``cli.py``)
 FIG3_NODES: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 

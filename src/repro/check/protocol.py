@@ -56,7 +56,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -385,6 +385,66 @@ def _yields(node: ast.AST) -> bool:
     return found
 
 
+def _loop_shape(loop: ast.For | ast.While):
+    """``(names, sinks)`` of a loop, or None when an iteration mentions
+    its target: ``names`` are those an iteration may rebind, ``sinks``
+    those it only appends to."""
+    if hasattr(loop, "_shape"):
+        return loop._shape
+    if isinstance(loop, ast.For):
+        parts, targets = loop.body, frozenset(
+            n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name))
+    else:
+        parts, targets = [loop.test, *loop.body], frozenset()
+    nodes = [n for part in parts for n in ast.walk(part)]
+    names = Counter(n.id for n in nodes if isinstance(n, ast.Name))
+    bound = {n.id for n in nodes if isinstance(n, ast.Name) and
+             not isinstance(n.ctx, ast.Load)} | {
+        n.name for n in nodes if isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    appends = Counter(
+        n.func.value.id for n in nodes if isinstance(n, ast.Call) and
+        isinstance(n.func, ast.Attribute) and n.func.attr == "append" and
+        isinstance(n.func.value, ast.Name))
+    loop._shape = None if targets & names.keys() else (
+        tuple(sorted(bound)),
+        frozenset(n for n, k in appends.items() if names[n] == k))
+    return loop._shape
+
+
+def _holds(x: Any, ids: set[int]) -> bool:
+    """Does ``x`` hold one of the containers ``ids``, at any depth?"""
+    x = x.value if isinstance(x, AV) else x
+    return isinstance(x, (list, tuple, set, frozenset, dict)) and (
+        id(x) in ids or any(_holds(v, ids) for v in (
+            x.values() if isinstance(x, dict) else x)))
+
+
+def _same(a: Any, b: Any) -> bool:
+    """Equal and of one class at every depth (a dataclass's fields
+    too), floats bit for bit: ``1``, ``1.0`` and ``True`` are equal, and
+    so are ``0.0`` and ``-0.0``, yet a replay tells each pair apart (a
+    float tag gives it up)."""
+    if a is b:
+        return True
+    cls = a.__class__
+    if cls is not b.__class__:
+        return False
+    if cls is AV:
+        return a.rankdep == b.rankdep and _same(a.value, b.value)
+    if cls is float:
+        return a.hex() == b.hex()
+    if cls in _ATOMS:
+        return a == b
+    if hasattr(a, "__dataclass_fields__"):    # PhantomV, SymComm, ...
+        a, b, cls = vars(a), vars(b), dict
+    if cls is dict:
+        a, b = a.items(), b.items()
+    elif cls not in (list, tuple, set, frozenset):
+        return a == b
+    return len(a) == len(b) and all(map(_same, a, b))
+
+
 def is_rank_program(fn: ast.FunctionDef) -> bool:
     """A generator whose first parameter is the communicator."""
     args = fn.args.posonlyargs + fn.args.args
@@ -505,6 +565,8 @@ _BUILTINS = {
 }
 
 _MUTATORS = {"append", "extend", "insert", "add", "update"}
+#: list/dict/set methods that leave their container as it was
+_READERS = {"get", "keys", "values", "items", "copy", "index", "count"}
 
 _BINOPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -545,6 +607,9 @@ class _Interp:
         #: finished (and interrupted) nodes of the statement expression
         #: being evaluated, while it may suspend; None otherwise
         self._memo: dict | None = None
+        #: list/dict/set mutations and iterators consumed (container,
+        #: method, args) while an iteration is recorded
+        self._log: list | None = None
 
     # -- entry ----------------------------------------------------------------
 
@@ -716,55 +781,123 @@ class _Interp:
             if isinstance(value, (list, tuple, range, dict, set,
                                   frozenset)):
                 items = list(value)
+        orelse = stmt.orelse
         if items is None:
-            # unknown trip count: unroll once, rank-uniformly
-            self.approx = True
-            self._assign(stmt.target,
-                         AV(UNKNOWN, iterable.rankdep), env)
-            try:
-                yield from self.exec_block(stmt.body, env)
-            except (_Break, _Continue):
-                pass
+            # unknown trip count: unroll once, rank-uniformly, no else
+            self.approx, items, orelse = True, [UNKNOWN], []
+        elif len(items) > UNROLL_CAP:
+            self.approx, items = True, items[:UNROLL_CAP]
+        try:
+            yield from self._unroll(stmt, env, items, iterable.rankdep,
+                                    lambda: self.exec_block(stmt.body, env))
+        except _Break:
             return
-        if len(items) > UNROLL_CAP:
-            self.approx = True
-            items = items[:UNROLL_CAP]
-        broke = False
-        for item in items:
-            self._assign(stmt.target,
-                         _wrap(item, iterable.rankdep), env)
-            try:
-                yield from self.exec_block(stmt.body, env)
-            except _Break:
-                broke = True
-                break
-            except _Continue:
-                continue
-        if not broke and stmt.orelse:
-            yield from self.exec_block(stmt.orelse, env)
+        yield from self.exec_block(orelse, env)
 
     def _exec_while(self, stmt: ast.While, env: dict[str, AV]):
         if any(map(_yields, stmt.orelse)):
             raise _Unresolvable("while-else with communication")
-        for _ in range(UNROLL_CAP + 1):
-            cond = yield from self._value(stmt.test, env)
-            truthy = _truthy(cond)
-            if truthy is None:
-                if cond.rankdep:
-                    raise _Unresolvable(
-                        "while on rank-dependent unproven condition")
-                if any(map(_yields, stmt.body)):
-                    self.approx = True
-                return
-            if not truthy:
-                return
-            try:
-                yield from self.exec_block(stmt.body, env)
-            except _Break:
-                return
-            except _Continue:
-                continue
+        try:
+            yield from self._unroll(stmt, env, range(UNROLL_CAP + 1), False,
+                                    lambda: self._while_step(stmt, env))
+        except _Break:
+            return
         self.approx = True
+
+    def _while_step(self, stmt: ast.While, env: dict[str, AV]):
+        """A ``while`` iteration: the test, a break unless true, the body."""
+        cond = yield from self._value(stmt.test, env)
+        truthy = _truthy(cond)
+        if truthy is None:
+            if cond.rankdep:
+                raise _Unresolvable(
+                    "while on rank-dependent unproven condition")
+            if any(map(_yields, stmt.body)):
+                self.approx = True
+        if not truthy:
+            raise _Break()
+        yield from self.exec_block(stmt.body, env)
+
+    def _unroll(self, loop: ast.For | ast.While, env: dict[str, AV],
+                items, rankdep: bool, step):
+        """One iteration ``step()`` per item, a ``for``'s target bound
+        first.  An iteration starting in the state its interpreted
+        predecessor (the *twin*) started in -- the names an iteration
+        may rebind, ``approx``, ``depth``, ``relpath`` -- posts the
+        twin's ops again, each after the twin's steps before it, then
+        charges the rest.  At a payload unlike the twin's, it is
+        interpreted after all."""
+        shape = _loop_shape(loop)
+        twin = None
+        for item in items:
+            if isinstance(loop, ast.For):
+                self._assign(loop.target, _wrap(item, rankdep), env)
+            if shape is None:
+                try:
+                    yield from step()
+                except _Continue:
+                    pass
+                continue
+            state = (self.approx, self.depth, self.relpath,
+                     *map(env.get, shape[0]))
+            feed, charged = [], 0
+            if twin is not None and _same(twin[0], state) and \
+                    self.steps + twin[3] <= MAX_STEPS and \
+                    self._summarisable(twin, env, shape[1]):
+                for post, payload, at in twin[1]:
+                    self.steps += at - charged
+                    charged = at
+                    feed.append((yield post))
+                    if not _same(feed[-1], payload):
+                        self.steps -= charged
+                        break
+                else:
+                    for container, _, args in twin[2]:
+                        container.append(args[0])
+                    if self._log is not None:
+                        self._log += twin[2]
+                    self.steps += twin[3] - charged
+                    continue
+            twin = yield from self._record(step, state, feed)
+
+    def _record(self, step, state, feed: list[AV]):
+        """Interpret one iteration into a twin ``[state, [(post, payload,
+        steps before it)], mutations, steps, summarisable]``; ``feed``
+        holds the payloads of its first posts, which are not yielded."""
+        outer = self._log
+        log = self._log = [] if outer is None else outer
+        mark, steps, posts = len(log), self.steps, []
+        gen = step()
+        try:
+            post = next(gen)
+            while True:
+                at = self.steps - steps
+                payload = (feed[len(posts)] if len(posts) < len(feed)
+                           else (yield post))
+                posts.append((post, payload, at))
+                post = gen.send(payload)
+        except (StopIteration, _Continue):
+            pass
+        finally:
+            self._log = outer
+        return [state, posts, log[mark:], self.steps - steps, None]
+
+    def _summarisable(self, twin: list, env: dict[str, AV],
+                      sinks: frozenset) -> bool:
+        """Are a twin's only mutations appends of plain values to sinks
+        no other name of the frame and no module holds?  Decided once,
+        when an iteration first starts in the twin's state."""
+        if twin[4] is None:
+            log = twin[2]
+            held = {id(container) for container, _, _ in log}
+            twin[4] = not log or all(
+                m == "append" and c.__class__ is list and len(a) == 1 and (
+                    a[0].value is UNKNOWN or a[0].value.__class__ in _ATOMS)
+                for c, m, a in log) and held <= {
+                id(env[n].value) for n in sinks if n in env} and not _holds(
+                ({n: v for n, v in env.items() if n not in sinks},
+                 *self.index._module_envs.values()), held)
+        return twin[4]
 
     def _assign(self, target: ast.AST, value: AV,
                 env: dict[str, AV]) -> None:
@@ -1228,6 +1361,10 @@ class _Interp:
             concrete_kwargs = {k: _deep(v) for k, v in kwargs.items()}
         except _NotConcrete:
             return AV(UNKNOWN, rankdep)
+        if self._log is not None:   # an iterator argument is consumed
+            self._log += [(x, "next", ()) for x in (
+                *concrete_args, *concrete_kwargs.values(),
+                getattr(fn, "__self__", None)) if hasattr(x, "__next__")]
         try:
             result = fn(*concrete_args, **concrete_kwargs)
         except Exception:
@@ -1241,6 +1378,9 @@ class _Interp:
     def _apply_method(self, obj: AV, name: str, args: list[AV],
                       kwargs: dict[str, AV]) -> AV:
         value = obj.value
+        if self._log is not None and name not in _READERS and \
+                isinstance(value, (list, dict, set)):
+            self._log.append((value, name, args))
         if name == "get" and isinstance(value, dict) and not value and args:
             # an empty dict misses whatever the (possibly unknown) key
             return args[1] if len(args) > 1 else AV(None, False)
@@ -2048,11 +2188,9 @@ class Replay:
         blocked = {r: rank for r, rank in enumerate(self.ranks)
                    if not rank.done}
         edges: dict[int, set[int]] = {}
-        p2p_edges: dict[int, set[int]] = {}
         sites: dict[int, tuple[str, int]] = {}
         for r, rank in blocked.items():
             waits: set[int] = set()
-            pw: set[int] = set()
             for slot in rank.slots:
                 if slot.satisfied():
                     continue
@@ -2063,20 +2201,17 @@ class Replay:
                             not part.consumed:
                         peer = op.comm.members[part.dst_local]
                         waits.add(peer)
-                        pw.add(peer)
                         self._p2p_stuck(r, op, part.dst_local,
                                         is_send=True)
                     elif isinstance(part, _RecvSlot) and not part.done:
                         peer = op.comm.members[part.src_local]
                         waits.add(peer)
-                        pw.add(peer)
                         self._p2p_stuck(r, op, part.src_local,
                                         is_send=False)
                     elif isinstance(part, _GroupWait) and \
                             not part.done:
                         waits |= self._group_waits(r, slot)
             edges[r] = waits
-            p2p_edges[r] = pw
         if self.events:
             return
         # no terminated-peer or collective verdicts: a wait-for cycle

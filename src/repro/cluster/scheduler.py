@@ -5,8 +5,8 @@ paper's replicability story depends on that layer behaving predictably.
 This module provides a deterministic event-driven scheduler over the
 simulated machine: jobs request node counts and walltimes, are placed
 FIFO with conservative backfill, and receive *contiguous, cell-aligned*
-node ranges when possible (DragonFly+ placement quality affects the
-network model, so the allocation actually matters downstream).
+node ranges when possible.  Only ``jubench chaos`` schedules here; ``fig2``,
+``fig3`` and ``suite`` place ranks by ``vmpi.machine``'s block placement.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.check import protocol
 from repro.check import (
     Analyzer,
     analyze_modules,
@@ -27,6 +28,7 @@ from repro.check.rules import expand_rule_prefixes, rule_ids
 from repro.check.rules.comm import ID_DESCRIPTIONS, ID_SEVERITY
 from repro.vmpi.comm import Comm
 from repro.vmpi.engine import VmpiEngine
+from tests.regen_goldens import comm_replay_records
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures" / "comm"
@@ -333,6 +335,218 @@ def test_findings_carry_program_provenance():
     assert f.program == "prog"
     assert f.trace[0].startswith("program prog (prog.py:")
     assert f.trace[1] == f"nranks={f.nranks}"
+
+
+# -- loop summaries ----------------------------------------------------------
+
+#: case -> (whether some iteration must be summarised, the findings'
+#: ``(rule, line)``s, the program).  Each replays at sizes 2-5 with
+#: summarisation on and off; every record must be equal.
+SUMMARY_CASES = {
+    "a_target_as_tag_and_peer": (False, [], """
+        def prog(comm):
+            for i in range(40):
+                yield comm.send((comm.rank + i) % comm.size, None, tag=i)
+                yield comm.recv((comm.rank - i) % comm.size, tag=i)
+    """),
+    "b_accumulator_feeds_tag": (False, [], """
+        def prog(comm):
+            k = 0
+            for _ in range(60):
+                k += 1
+                yield comm.send((comm.rank + 1) % comm.size, None, tag=k)
+                yield comm.recv((comm.rank - 1) % comm.size, tag=k)
+    """),
+    # rank 1's frame never changes, but what it receives does: its
+    # summary falls back to interpretation at every iteration
+    "c_received_value_steers_branch": (False, [("COMM506", 9)], """
+        def prog(comm):
+            if comm.rank == 0:
+                for i in range(60):
+                    yield comm.send(1, i)
+            elif comm.rank == 1:
+                for _ in range(60):
+                    if (yield comm.recv(0)) == 40:
+                        yield comm.send(0, None, tag=7)
+    """),
+    "d_divergent_send_at_40": (False, [("COMM506", 7)], """
+        def prog(comm):
+            k = 0
+            for _ in range(60):
+                k += 1
+                if k == 40 and comm.rank == 0:
+                    yield comm.send(1, None, tag=5)
+                yield comm.barrier()
+    """),
+    # summarised until the next summary would pass MAX_STEPS
+    "e_step_budget_crossed": (True, [], """
+        def prog(comm):
+            for _ in range(60):
+                table = [(j, j * 2, j + 1) for j in range(250)]
+                yield comm.barrier()
+    """),
+    # the inner loops are summarised within each outer iteration; the
+    # second outer loop is summarised as well, inner posts and all
+    "f_nested_loops": (True, [("COMM501", 13)], """
+        def prog(comm):
+            for i in range(6):
+                for _ in range(50):
+                    yield comm.allreduce(1.0)
+                yield comm.send((comm.rank + 1) % comm.size, None, tag=i)
+                yield comm.recv((comm.rank - 1) % comm.size, tag=i)
+            for o in range(8):
+                for n in range(30):
+                    yield comm.barrier()
+                yield comm.allreduce(2.0)
+            if comm.rank == 0:
+                yield comm.barrier()
+    """),
+    "g_while_stable_condition": (True, [("COMM501", 7)], """
+        def prog(comm):
+            go = comm.size > 1
+            while go:
+                yield comm.barrier()
+            if comm.rank == 0:
+                yield comm.barrier()
+    """),
+    # a list the body appends to *and* reads is frame state, not a sink
+    "h_appended_list_feeds_tag": (False, [], """
+        def prog(comm):
+            seen = []
+            if comm.rank == 0:
+                for _ in range(40):
+                    seen.append(1)
+                    yield comm.send(1, None, tag=len(seen))
+            elif comm.rank == 1:
+                for i in range(1, 41):
+                    yield comm.recv(0, tag=i)
+    """),
+    # a sink another name holds is read through that name
+    "i_aliased_sink": (False, [], """
+        def prog(comm):
+            sent = []
+            alias = sent
+            if comm.rank == 0:
+                for _ in range(40):
+                    sent.append(1)
+                    yield comm.send(1, None, tag=len(alias))
+            elif comm.rank == 1:
+                for i in range(1, 41):
+                    yield comm.recv(0, tag=i)
+    """),
+    # ``dist_cg``'s residual history: a summary charges its appends
+    "j_history_sink": (True, [("COMM501", 8)], """
+        def prog(comm):
+            history = [0.0]
+            for _ in range(50):
+                total = yield comm.allreduce(1.0)
+                history.append(total)
+            if len(history) == 51 and comm.rank == 0:
+                yield comm.barrier()
+    """),
+    # appends the model cannot perform are no sink's: never replayed
+    "k_appends_that_fail": (False, [], """
+        def prog(comm):
+            table, history = {}, []
+            for _ in range(10):
+                table.append(1)
+                yield comm.barrier()
+            for _ in range(10):
+                history.append()
+                yield comm.barrier()
+    """),
+    # ``1 == 1.0``, but a float tag gives the replay up
+    "l_value_changes_type": (False, [], """
+        def prog(comm):
+            x = 1
+            for _ in range(10):
+                yield comm.send((comm.rank + 1) % comm.size, None, tag=x)
+                yield comm.recv((comm.rank - 1) % comm.size, tag=1)
+                x = x * 1.0
+    """),
+    # the same, one level down: ``[1] == [1.0]`` too
+    "m_nested_value_changes_type": (False, [], """
+        def prog(comm):
+            x = sorted([1])
+            for _ in range(10):
+                yield comm.send((comm.rank + 1) % comm.size, None, tag=x[0])
+                yield comm.recv((comm.rank - 1) % comm.size, tag=1)
+                x = sorted([x[0] * 1.0])
+    """),
+    # ``0.0 == -0.0``, but ``str`` tells them apart
+    "n_signed_zero": (False, [("COMM506", 8)], """
+        def prog(comm):
+            x = [0.0]
+            for _ in range(10):
+                if comm.rank == 0:
+                    yield comm.send(1, None, tag=len(str(x[0])))
+                elif comm.rank == 1:
+                    yield comm.recv(0, tag=3)
+                x = [-x[0]]
+    """),
+    # ``zip`` consumes the iterator ``reversed`` returns: no name
+    # changes, the tag does
+    "o_iterator_consumed": (False, [], """
+        def prog(comm):
+            countdown = reversed(list(range(30)))
+            if comm.rank == 0:
+                for _ in range(10):
+                    yield comm.send(
+                        1, None, tag=list(zip(countdown, [0]))[0][0])
+            elif comm.rank == 1:
+                for i in range(29, 9, -2):
+                    yield comm.recv(0, tag=i)
+    """),
+    # the same inside a dataclass: ``PhantomV(1) == PhantomV(1.0)``
+    "p_field_changes_type": (False, [], """
+        from repro.vmpi import Phantom
+
+        def prog(comm):
+            x = Phantom(1)
+            for _ in range(10):
+                yield comm.send((comm.rank + 1) % comm.size, None,
+                                tag=x.nbytes)
+                yield comm.recv((comm.rank - 1) % comm.size, tag=1)
+                x = Phantom(x.nbytes * 1.0)
+    """),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARY_CASES))
+def test_loop_summaries_change_no_replay(case, monkeypatch):
+    """Summarising the iterations of a loop at a fixpoint moves no
+    verdict, ``approx`` flag, give-up reason or step count."""
+    must_summarise, expected, source = SUMMARY_CASES[case]
+    interpreted = []
+    record = protocol._Interp._record
+
+    def counted(self, *args):
+        interpreted.append(self)
+        return (yield from record(self, *args))
+
+    def replay():
+        interpreted.clear()
+        modules = [("prog.py", ast.parse(textwrap.dedent(source)))]
+        findings = [(f.rule_id, f.line, f.message, f.trace)
+                    for f in analyze_modules(modules)]
+        return comm_replay_records(modules), findings, len(interpreted)
+
+    monkeypatch.setattr(protocol._Interp, "_record", counted)
+    *on, summarised = replay()
+    monkeypatch.setattr(protocol._Interp, "_summarisable",
+                        lambda *args: False)
+    *off, unsummarised = replay()
+    assert off == on
+    assert (summarised < unsummarised) == must_summarise
+    assert [finding[:2] for finding in on[1]] == expected
+
+
+def test_step_budget_ends_a_summarised_loop_where_interpretation_does():
+    records = comm_replay_records([("prog.py", ast.parse(textwrap.dedent(
+        SUMMARY_CASES["e_step_budget_crossed"][2])))])
+    assert {r["gave_up"] for r in records} == {
+        "_Unresolvable: step budget exhausted"}
+    assert {max(r["steps"]) for r in records} == {protocol.MAX_STEPS + 1}
 
 
 # -- fixture corpus + goldens ------------------------------------------------
