@@ -388,8 +388,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     suite = _configured_suite(args)
     _check_placeable(suite, [args.benchmark], [args.nodes])
     variant = MemoryVariant.from_label(args.variant) if args.variant else None
-    result = suite.run(args.benchmark, args.nodes, variant=variant,
-                       real=args.real, scale=args.scale)
+    results = suite.run_all([args.benchmark], nodes=args.nodes,
+                            variant=variant, real=args.real,
+                            scale=args.scale)
+    if not results:     # the engine dropped it under a fault plan
+        nodes = args.nodes or suite.get(args.benchmark).info.reference_nodes
+        error = suite.engine.journal.records[-1].error
+        print(f"{args.benchmark} {nodes} FAILED {error}")
+        return 1
+    result, = results
     print(f"benchmark : {result.benchmark}")
     print(f"nodes     : {result.nodes}")
     if result.variant is not None:
@@ -400,6 +407,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         status = "PASSED" if result.verified else "FAILED"
         print(f"verified  : {status} -- {result.verification}")
     for key, value in sorted(result.details.items()):
+        if isinstance(value, list) and all(
+                isinstance(v, (int, float, str, bool)) for v in value):
+            value = tuple(value)    # a tuple, after a cache round-trip
         if isinstance(value, float):
             print(f"  {key}: {value:.6g}")
         elif isinstance(value, (int, str, bool, tuple)):

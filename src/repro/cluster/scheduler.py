@@ -1,7 +1,7 @@
 """Slurm-like batch scheduler for the simulated system.
 
-JUBE resolves a benchmark's steps into batch jobs and submits them; the
-paper's replicability story depends on that layer behaving predictably.
+On a real system a benchmark's steps run as batch jobs; the paper's
+replicability story depends on that layer behaving predictably.
 This module provides a deterministic event-driven scheduler over the
 simulated machine: jobs request node counts and walltimes, are placed
 FIFO with conservative backfill, and receive *contiguous, cell-aligned*

@@ -19,6 +19,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from ..exec.cache import machine_config_hash, result_key
 from ..exec.engine import ExecutionEngine, WorkItem
+from ..exec.jsonl import json_safe
 from ..telemetry.export import emit_vmpi
 from ..telemetry.metrics import default_registry
 from ..telemetry.spans import current_tracer
@@ -48,15 +49,6 @@ def encode_result(result: BenchmarkResult) -> dict[str, Any]:
     non-JSON detail values are stringified; FOM floats round-trip
     exactly through JSON.
     """
-    def safe(v: Any) -> Any:
-        if isinstance(v, (str, int, float, bool)) or v is None:
-            return v
-        if isinstance(v, (list, tuple)):
-            return [safe(x) for x in v]
-        if isinstance(v, dict):
-            return {str(k): safe(x) for k, x in v.items()}
-        return str(v)
-
     return {
         "benchmark": result.benchmark,
         "nodes": result.nodes,
@@ -64,7 +56,7 @@ def encode_result(result: BenchmarkResult) -> dict[str, Any]:
         "variant": result.variant.value if result.variant else None,
         "verified": result.verified,
         "verification": result.verification,
-        "details": safe(result.details),
+        "details": json_safe(result.details),
     }
 
 

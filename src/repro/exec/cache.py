@@ -32,7 +32,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Protocol
 
-from .jsonl import replace_file
+from .jsonl import ENCODER, replace_file
 
 #: Code-version tag entering every cache key.  Bump on any change that
 #: alters benchmark results, so stale caches can never be replayed.
@@ -45,9 +45,9 @@ def _canonical(obj: Any) -> Any:
     Exact builtin types are dispatched first: they are what content
     addresses are made of, and for them the ``isinstance`` ladder below
     would return the same value.  A ``str``-keyed dict is left for
-    :data:`_ENCODER` to sort.  Subclasses (enums, ``numpy.float64``),
-    sets, non-``str`` keys and foreign objects take the ladder, so the
-    bytes hashed for any input are the same as before the fast path.
+    :data:`~repro.exec.jsonl.ENCODER` to sort.  Subclasses (enums,
+    ``numpy.float64``), sets, non-``str`` keys and foreign objects take
+    the ladder, so every input hashes to the bytes the ladder gives.
     """
     kind = type(obj)
     if kind is str or kind is int or kind is bool or obj is None:
@@ -75,13 +75,9 @@ def _canonical(obj: Any) -> Any:
     return str(obj)
 
 
-#: the canonical encoding: sorted keys, no whitespace, ASCII only
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def stable_hash(obj: Any) -> str:
     """A stable SHA-256 content hash of an arbitrary (JSON-like) value."""
-    blob = _ENCODER.encode(_canonical(obj)).encode()
+    blob = ENCODER.encode(_canonical(obj)).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -17,7 +17,6 @@ assert on its counters (e.g. "a warm rerun executed nothing").
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from typing import Any
@@ -225,29 +224,17 @@ class RunJournal:
         """Write the journal as schema-valid JSONL, atomically; returns
         the record count.  ``jubench report PATH`` renders the file
         offline."""
-        from ..telemetry.schema import meta_event  # avoid import cycle
-        from .jsonl import replace_file
+        from ..telemetry.schema import trace_log  # avoid import cycle
 
         recs = self.records
-        replace_file(path, "".join(
-            json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-            for obj in [meta_event()] + [r.to_event() for r in recs]))
+        trace_log(path).rewrite(r.to_event() for r in recs)
         return len(recs)
 
     @classmethod
     def from_jsonl(cls, path: Any) -> "RunJournal":
         """Rebuild a journal from a JSONL trace (its own ``task``
         events, or engine task spans from a full telemetry trace)."""
+        from ..telemetry.report import journal_from_events
         from ..telemetry.schema import read_events
 
-        journal = cls()
-        for event in read_events(path):
-            if event["type"] == "task":
-                journal.append(TaskRecord.from_event(event))
-            elif event["type"] == "span" and \
-                    event["attrs"].get("kind") == "task":
-                attrs = dict(event["attrs"])
-                attrs["started"] = event["start"]
-                attrs["finished"] = event["end"]
-                journal.append(TaskRecord.from_event(attrs))
-        return journal
+        return journal_from_events(read_events(path))

@@ -23,7 +23,7 @@ import threading
 from pathlib import Path
 from typing import Any, Iterable
 
-from ..exec.jsonl import JsonlReader, cut_torn_tail, replace_file
+from ..exec.jsonl import JsonlLog
 from .record import HISTORY_SCHEMA, HISTORY_VERSION, RunRecord
 
 
@@ -31,10 +31,13 @@ class HistoryError(ValueError):
     """A history database file violates the schema."""
 
 
-def _meta_line() -> dict[str, Any]:
-    meta = {"type": "history-meta", "schema": HISTORY_SCHEMA,
-            "version": HISTORY_VERSION}
-    return meta
+_META = {"type": "history-meta", "schema": HISTORY_SCHEMA,
+         "version": HISTORY_VERSION}
+
+
+def _log(path: str | Path) -> JsonlLog:
+    """The database file as the project's append-only log."""
+    return JsonlLog(path, _META, HistoryError, "history")
 
 
 class HistoryStore:
@@ -42,12 +45,10 @@ class HistoryStore:
 
     ``path=None`` keeps the store in memory; with a path every append
     is immediately written through (one JSON line, crash-safe), and
-    constructing the store re-reads whatever the file already holds.
-    A final line with no trailing newline is an append that was cut
-    short: the complete prefix loads, a warning on stderr names the
-    dropped bytes, and the next append first truncates the file back to
-    its last newline.  A malformed line anywhere else is a
-    :class:`HistoryError`.
+    constructing the store re-reads whatever the file already holds, or
+    creates it holding the meta header alone.  Header, torn tail and
+    append follow :class:`~repro.exec.jsonl.JsonlLog`; a malformed
+    record is a :class:`HistoryError`.
     Thread-safe: suite drivers append from the main thread in
     submission order, which keeps sequence numbers worker-count
     independent.
@@ -58,52 +59,35 @@ class HistoryStore:
         self._records: list[RunRecord] = []
         self._series_len: dict[str, int] = {}
         self._lock = threading.Lock()
-        #: byte length of the complete-line prefix of a torn file
-        self._torn_at: int | None = None
-        if self.path is not None and self.path.exists():
-            for rec in self._read(self.path):
-                self._adopt(rec)
-        elif self.path is not None:
-            self._write_header(self.path)
+        self._log = None
+        if self.path is not None:
+            self._log = _log(self.path)
+            if self.path.exists():
+                for rec in self._read(self._log):
+                    self._adopt(rec)
+            else:
+                self._log.rewrite(())
 
     # -- ingestion ----------------------------------------------------------
 
-    def _read(self, path: Path) -> Iterable[RunRecord]:
-        lines = JsonlReader(path, HistoryError, "history")
-        first = True
-        for lineno, obj in lines:
-            if first:
-                first = False
-                if not isinstance(obj, dict) or \
-                        obj.get("type") != "history-meta" or \
-                        obj.get("schema") != HISTORY_SCHEMA:
-                    raise HistoryError(
-                        f"{path}:{lineno}: not a history database "
-                        f"(expected a {HISTORY_SCHEMA!r} meta header)")
-                continue
+    @staticmethod
+    def _read(log: JsonlLog) -> Iterable[RunRecord]:
+        for lineno, obj in log.read():
             if not isinstance(obj, dict):
-                raise HistoryError(f"{path}:{lineno}: bad record: not a "
+                raise HistoryError(f"{log.path}:{lineno}: bad record: not a "
                                    f"JSON object: {json.dumps(obj)[:40]}")
             try:
                 yield RunRecord.from_line(obj)
             except (KeyError, TypeError, ValueError) as exc:
                 raise HistoryError(
-                    f"{path}:{lineno}: bad record: {exc}") from exc
-        self._torn_at = lines.torn_at
+                    f"{log.path}:{lineno}: bad record: {exc}") from exc
 
-    @staticmethod
-    def _write_header(path: Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_meta_line(), sort_keys=True,
-                                separators=(",", ":")) + "\n")
-
-    def _adopt(self, rec: RunRecord) -> RunRecord:
+    def _adopt(self, rec: RunRecord) -> None:
         """Register an already-sequenced record read back from disk."""
         key = rec.series_key
         self._records.append(rec)
         self._series_len[key] = max(self._series_len.get(key, 0),
                                     rec.seq + 1)
-        return rec
 
     def append(self, rec: RunRecord) -> RunRecord:
         """Append one record; assigns its per-series sequence number.
@@ -117,15 +101,8 @@ class HistoryStore:
             rec.seq = self._series_len.get(key, 0)
             self._series_len[key] = rec.seq + 1
             self._records.append(rec)
-            if self.path is not None:
-                if self._torn_at == 0 or not self.path.exists():
-                    self._write_header(self.path)  # even the header tore
-                else:
-                    cut_torn_tail(self.path, self._torn_at)
-                self._torn_at = None
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec.to_line(), sort_keys=True,
-                                        separators=(",", ":")) + "\n")
+            if self._log is not None:
+                self._log.append(rec.to_line())
         return rec
 
     def extend(self, records: Iterable[RunRecord]) -> list[RunRecord]:
@@ -183,9 +160,7 @@ class HistoryStore:
         file that replaces ``path`` atomically; returns the record
         count."""
         recs = self.records
-        replace_file(path, "".join(
-            json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
-            for line in (_meta_line(), *(rec.to_line() for rec in recs))))
+        _log(path).rewrite(rec.to_line() for rec in recs)
         return len(recs)
 
     def compact(self, keep_last: int,
@@ -207,8 +182,8 @@ class HistoryStore:
             for rec in grouped.get(key, ())[-keep_last:]:
                 out._adopt(rec)
         if target is not None:
-            out.save(target)
-            out.path = target
+            out.path, out._log = target, _log(target)
+            out._log.rewrite(rec.to_line() for rec in out.records)
         return out
 
     # -- convenience --------------------------------------------------------
@@ -229,16 +204,4 @@ class HistoryStore:
 def is_history_file(path: str | Path) -> bool:
     """Whether ``path`` looks like a history database (meta header
     sniff; used by ``jubench report`` to dispatch rendering)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                return isinstance(obj, dict) and \
-                    obj.get("type") == "history-meta" and \
-                    obj.get("schema") == HISTORY_SCHEMA
-    except (OSError, json.JSONDecodeError):
-        return False
-    return False
+    return _log(path).sniff()

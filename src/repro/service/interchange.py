@@ -35,13 +35,13 @@ decision and is byte-reproducible across reruns.
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_right
 from collections import deque
 from typing import Any
 
 from ..exec.engine import _pause
+from ..exec.jsonl import encode_line
 from ..faults.plan import FaultPlan
 from ..telemetry.metrics import MetricsRegistry, default_registry
 from ..telemetry.spans import ManualClock, Tracer, current_tracer
@@ -127,8 +127,7 @@ class BenchmarkService:
 
     def log_json(self) -> str:
         """The dispatch log as canonical JSON (replay comparisons)."""
-        return json.dumps(self.dispatch_log, sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        return encode_line(self.dispatch_log)
 
     def _gauge_backlog(self) -> None:
         queued = sum(len(q) for q in self._queues.values())

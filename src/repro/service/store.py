@@ -2,10 +2,10 @@
 
 Every result envelope the interchange completes is appended here --
 in-memory always, and as crash-safe JSONL when the store was opened on
-a path (one wire document per line, ``meta`` header first, the same
-append-only discipline as :mod:`repro.history`: a torn final line is
-dropped with a warning on reopen and cut off by the next append, see
-:mod:`repro.exec.jsonl`).  The store is a
+a path (one wire document per line after a ``meta`` header, kept by
+the project's one append-only log, :class:`repro.exec.jsonl.JsonlLog`:
+a torn final line is dropped with a warning on reopen and cut off by
+the next append).  The store is a
 *journal*: a task that was first rejected and later accepted leaves
 both records, and :meth:`ResultStore.final` resolves the last state
 per task id.
@@ -25,7 +25,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
-from ..exec.jsonl import JsonlReader, cut_torn_tail
+from ..exec.jsonl import JsonlLog
 from .envelope import (
     SERVICE_SCHEMA,
     SERVICE_VERSION,
@@ -34,10 +34,7 @@ from .envelope import (
     TaskEnvelope,
 )
 
-
-def _meta_line() -> dict[str, Any]:
-    return {"kind": "meta", "schema": SERVICE_SCHEMA,
-            "version": SERVICE_VERSION}
+_META = {"kind": "meta", "schema": SERVICE_SCHEMA, "version": SERVICE_VERSION}
 
 
 class ResultStore:
@@ -46,38 +43,27 @@ class ResultStore:
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._records: list[ResultEnvelope] = []
-        #: byte length of the complete-line prefix of a torn file
-        self._torn_at: int | None = None
-        if self.path is not None and self.path.exists():
-            self._records = list(self._read(self.path))
+        self._log = None
+        if self.path is not None:
+            self._log = JsonlLog(self.path, _META, EnvelopeError, "service")
+            if self.path.exists():
+                self._records = list(self._read(self._log))
 
     @classmethod
     def open(cls, path: str | Path) -> "ResultStore":
         return cls(path)
 
-    def _read(self, path: Path) -> Iterable[ResultEnvelope]:
-        lines = JsonlReader(path, EnvelopeError, "service")
-        for lineno, wire in lines:
-            if isinstance(wire, dict) and wire.get("kind") == "meta":
-                continue
+    @staticmethod
+    def _read(log: JsonlLog) -> Iterable[ResultEnvelope]:
+        for lineno, wire in log.read():
             try:
                 yield ResultEnvelope.from_wire(wire)
             except EnvelopeError as exc:
-                raise EnvelopeError(f"{path}:{lineno}: {exc}") from exc
-        self._torn_at = lines.torn_at
+                raise EnvelopeError(f"{log.path}:{lineno}: {exc}") from exc
 
     def append(self, envelope: ResultEnvelope) -> None:
-        if self.path is not None:
-            # an append cut short by a crash: back to the last newline
-            cut_torn_tail(self.path, self._torn_at)
-            self._torn_at = None
-            fresh = not self.path.exists() or not self._records
-            with open(self.path, "a", encoding="utf-8") as fh:
-                if fresh:
-                    fh.write(json.dumps(_meta_line(), sort_keys=True,
-                                        separators=(",", ":")) + "\n")
-                fh.write(json.dumps(envelope.to_wire(), sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        if self._log is not None:
+            self._log.append(envelope.to_wire())
         self._records.append(envelope)
 
     @property

@@ -18,9 +18,7 @@ reproduction, threaded through every layer:
 * :mod:`repro.telemetry.schema` -- the JSONL event schema shared with
   ``RunJournal.to_jsonl`` (validated by CI);
 * :mod:`repro.telemetry.report` -- offline re-rendering of a saved
-  trace (``jubench report``);
-* :mod:`repro.telemetry.selfcheck` -- a fast end-to-end check
-  (``python -m repro.telemetry.selfcheck``).
+  trace (``jubench report``).
 
 Everything is zero-dependency and no-op-cheap when disabled: the
 ambient tracer defaults to :data:`~repro.telemetry.spans.NULL_TRACER`.

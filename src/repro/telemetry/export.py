@@ -22,7 +22,7 @@ import json
 import threading
 from typing import Any, TextIO
 
-from ..exec.jsonl import replace_file
+from ..exec.jsonl import encode_line, json_safe, replace_file
 from .schema import meta_event
 from .spans import SpanRecord, Tracer
 
@@ -30,16 +30,6 @@ from .spans import SpanRecord, Tracer
 SUITE_PID = 1
 #: First pid used for virtual-MPI rank timelines (one pid per run).
 VMPI_PID_BASE = 100
-
-
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return str(value)
 
 
 class JsonlSink:
@@ -61,10 +51,9 @@ class JsonlSink:
         self.emit(meta_event())
 
     def emit(self, event: dict[str, Any]) -> None:
-        line = json.dumps(_json_safe(event), sort_keys=True,
-                          separators=(",", ":"))
+        line = encode_line(json_safe(event))
         with self._lock:
-            self._fh.write(line + "\n")
+            self._fh.write(line)
             self._fh.flush()
 
     # tracer subscriber protocol ------------------------------------------
@@ -159,7 +148,7 @@ def chrome_trace_events(spans: list[SpanRecord],
             "pid": SUITE_PID, "tid": span.thread,
             "ts": span.start * 1e6,
             "dur": max(span.end - span.start, 0.0) * 1e6,
-            "args": _json_safe(span.attrs),
+            "args": json_safe(span.attrs),
         })
 
     # vmpi rank timelines: one pid per SPMD run, one tid per rank.

@@ -32,20 +32,12 @@ def journal_from_events(events: Iterable[dict[str, Any]]) -> Any:
     journal = RunJournal()
     for event in events:
         if event["type"] == "task":
-            fields, started, finished = (event, event["started"],
-                                         event["finished"])
+            journal.append(TaskRecord.from_event(event))
         elif event["type"] == "span" and \
                 event["attrs"].get("kind") == "task":
-            fields, started, finished = (event["attrs"], event["start"],
-                                         event["end"])
-        else:
-            continue
-        journal.append(TaskRecord(
-            index=int(fields["index"]), label=str(fields["label"]),
-            status=str(fields["status"]), cache=str(fields["cache"]),
-            attempts=int(fields["attempts"]), started=float(started),
-            finished=float(finished), key=fields.get("key"),
-            error=fields.get("error")))
+            journal.append(TaskRecord.from_event(
+                {**event["attrs"], "started": event["start"],
+                 "finished": event["end"]}))
     return journal
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from ..exec.jsonl import JsonlReader
+from ..exec.jsonl import JsonlLog
 
 SCHEMA_VERSION = 1
 SCHEMA_NAME = "repro.telemetry/v1"
@@ -141,13 +141,18 @@ def _validate_task_fields(fields: dict[str, Any], *, where: str) -> None:
         raise SchemaError(f"{where}: error status without an error string")
 
 
+def trace_log(path: Any) -> JsonlLog:
+    """A trace or journal file as the project's append-only log."""
+    return JsonlLog(path, meta_event(), SchemaError, "telemetry")
+
+
 def read_events(path: Any) -> Iterator[dict[str, Any]]:
-    """Yield validated events from a JSONL trace file.
+    """Yield validated events from a JSONL trace file, meta header first.
 
     A trace cut mid-line by a crash yields its complete events, with one
     warning on stderr for the dropped tail (:mod:`repro.exec.jsonl`).
     """
-    for lineno, obj in JsonlReader(path, SchemaError, "telemetry"):
+    for lineno, obj in trace_log(path).read(header=True):
         try:
             yield validate_event(obj)
         except SchemaError as exc:
@@ -161,8 +166,6 @@ def validate_file(path: Any) -> dict[str, int]:
         counts[event["type"]] = counts.get(event["type"], 0) + 1
     if not counts:
         raise SchemaError(f"{path}: empty trace")
-    if "meta" not in counts:
-        raise SchemaError(f"{path}: missing meta header line")
     return counts
 
 

@@ -67,8 +67,16 @@ def test_backend_and_cache_state_never_change_stdout(
         code, out = invoke([*argv, *extra], backend, capsys)
         assert code == 0, (command, backend, state)
         assert out == reference[command], (command, backend, state)
-    # ``run`` executes its one benchmark directly, not through the engine
-    assert command == "run" or any((tmp_path / "cache").iterdir())
+    assert any((tmp_path / "cache").iterdir())
+
+
+def test_run_the_engine_drops_is_one_failed_line_exit_1(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"tasks": [{"match": "run:*", "attempts": [1, 2], '
+                    '"message": "boom"}]}')
+    assert main(["run", "STREAM", "--faults", str(plan), "--retries", "1",
+                 "--no-cache"]) == 1
+    assert capsys.readouterr().out == "STREAM 1 FAILED InjectedFault: boom\n"
 
 
 # -- bad command lines --------------------------------------------------------

@@ -199,35 +199,6 @@ class TestHistoryStore:
         with pytest.raises(HistoryError, match=r"h\.jsonl:3"):
             HistoryStore.open(db)
 
-    def test_torn_final_line_is_dropped_and_repaired(self, tmp_path, capsys):
-        """An append cut at any byte of the last record: the complete
-        prefix loads, the next append lands on a clean line, and the
-        repaired file reopens without a warning."""
-        whole = tmp_path / "whole.jsonl"
-        store = HistoryStore.open(whole)
-        for fom in (100.0, 101.0, 102.0):
-            store.append(_rec(fom=fom))
-        data = whole.read_bytes()
-        last = data.rindex(b"\n", 0, -1) + 1   # where record 3 starts
-        prefix = HistoryStore.open(whole).records[:2]
-        db = tmp_path / "torn.jsonl"
-        for cut in range(last, len(data)):
-            db.write_bytes(data[:cut])
-            torn = HistoryStore.open(db)
-            err = capsys.readouterr().err
-            assert torn.records == prefix, cut
-            if cut == last:   # a whole number of lines: nothing torn
-                assert err == ""
-            else:
-                assert f"dropped {cut - last} byte(s)" in err
-                assert err.count("\n") == 1 and str(db) in err
-            assert db.read_bytes() == data[:cut]   # reading repairs nothing
-            new = torn.append(_rec(fom=103.0))
-            assert new.seq == 2
-            again = HistoryStore.open(db)
-            assert capsys.readouterr().err == ""
-            assert again.records == prefix + [new], cut
-
     def test_torn_header_starts_the_database_over(self, tmp_path, capsys):
         db = tmp_path / "h.jsonl"
         db.write_bytes(b'{"schema":"repro.hist')

@@ -299,7 +299,6 @@ commands = [
 entry_points = [
     ("repro", ["list"]),
     ("repro.telemetry", [trace]),
-    ("repro.telemetry.selfcheck", []),
     ("repro.check", ["--no-runtime", "--rules", "DET001",
                      "--cache-dir", cache]),
 ]

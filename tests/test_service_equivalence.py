@@ -21,7 +21,6 @@ from repro.service import (
     BenchmarkService,
     Capabilities,
     LocalEndpoint,
-    ResultEnvelope,
     ResultStore,
     ServiceClient,
     execute_direct,
@@ -144,49 +143,6 @@ class TestServiceVsDirect:
         assert reloaded.canonical_export() == \
             service.store.canonical_export()
         assert reloaded.counts() == {"ok": len(envelopes)}
-
-
-class TestTornResultStore:
-    """A results file cut at any byte (a crash mid-append) loads its
-    complete prefix with one warning line, and the next append
-    continues a well-formed file."""
-
-    @staticmethod
-    def _result(i):
-        return ResultEnvelope(task_id=f"STREAM-{i:04d}", client="c0",
-                              benchmark="STREAM", key=f"STREAM-k{i}",
-                              status="ok", value={"fom_seconds": 1.0 + i})
-
-    def test_every_cut_loads_its_prefix_and_the_append_repairs(
-            self, tmp_path, capsys):
-        whole = tmp_path / "whole.jsonl"
-        results = [self._result(i) for i in range(3)]
-        store = ResultStore(whole)
-        for result in results:
-            store.append(result)
-        data = whole.read_bytes()
-        ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
-        path = tmp_path / "torn.jsonl"
-        extra = self._result(3)
-        for cut in range(len(data)):
-            path.write_bytes(data[:cut])
-            torn = ResultStore.open(path)
-            err = capsys.readouterr().err
-            complete = [end for end in ends if end <= cut]  # header first
-            kept = results[:max(len(complete) - 1, 0)]
-            assert torn.records == kept, cut
-            start = complete[-1] if complete else 0
-            if cut == start:
-                assert err == ""
-            else:
-                assert err == (f"service: warning: {path}: dropped "
-                               f"{cut - start} byte(s) of a torn final line "
-                               f"(an append was cut short)\n")
-            assert path.read_bytes() == data[:cut]   # reading repairs nothing
-            torn.append(extra)
-            again = ResultStore.open(path)
-            assert capsys.readouterr().err == ""
-            assert again.records == kept + [extra], cut
 
 
 class TestCliLoopback:

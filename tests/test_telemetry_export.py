@@ -15,7 +15,6 @@ from repro.telemetry import (
     Tracer,
     chrome_trace_events,
     emit_vmpi,
-    read_events,
     validate_event,
     validate_file,
     write_chrome_trace,
@@ -155,6 +154,7 @@ class TestChromeTrace:
         slices = [e for e in events if e["ph"] == "X"]
         assert {e["tid"] for e in slices} == {0, 1}  # one tid per rank
         assert {e["cat"] for e in slices} == {"comm", "compute"}
+        assert all(e["dur"] >= 0 and e["ts"] >= 0 for e in slices)
         # per-rank virtual time is contiguous: next ts == prev ts + dur
         for rank in (0, 1):
             cursor = 0.0
@@ -250,28 +250,6 @@ class TestOfflineReport:
         assert "run journal -- 1 tasks" in report
         assert "cost centres" in report
         assert "channels" in report
-
-    def test_a_trace_cut_at_any_byte_reads_its_complete_events(
-            self, tmp_path, capsys):
-        """A run killed mid-write: every complete event loads and one
-        warning line names the dropped bytes."""
-        data = GOLDEN_TRACE.read_bytes()
-        events = list(read_events(GOLDEN_TRACE))
-        ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
-        assert len(ends) == len(events)
-        path = tmp_path / "torn.jsonl"
-        for cut in range(len(data) + 1):
-            path.write_bytes(data[:cut])
-            complete = [end for end in ends if end <= cut]
-            assert list(read_events(path)) == events[:len(complete)], cut
-            start = complete[-1] if complete else 0
-            err = capsys.readouterr().err
-            if cut == start:
-                assert err == ""
-            else:
-                assert err == (f"telemetry: warning: {path}: dropped "
-                               f"{cut - start} byte(s) of a torn final line "
-                               f"(an append was cut short)\n")
 
     def test_report_renders_a_trace_cut_short(self, tmp_path, capsys):
         from repro.cli import main

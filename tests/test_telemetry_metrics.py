@@ -87,6 +87,7 @@ class TestSnapshotDelta:
         counter = reg.counter("runs_total")
         hist = reg.histogram("seconds", buckets=(1.0, 10.0))
         gauge = reg.gauge("level")
+        reg.counter("idle_total").inc()
         counter.inc(2)
         hist.observe(0.5)
         gauge.set(1.0)
@@ -96,6 +97,7 @@ class TestSnapshotDelta:
         gauge.set(7.0)
         delta = MetricsRegistry.delta(before, reg.snapshot())
         assert delta["counters"]["runs_total"] == 3.0
+        assert delta["counters"]["idle_total"] == 0.0   # unchanged
         assert delta["gauges"]["level"] == 7.0  # gauges: later value
         assert delta["histograms"]["seconds"]["counts"] == [0, 1, 0]
         assert delta["histograms"]["seconds"]["count"] == 1
